@@ -49,6 +49,20 @@ struct DuelTelemetry
     std::uint64_t sampleStride = 1;
     /** PSEL values sampled every sampleStride leader misses. */
     std::vector<std::int64_t> trajectory;
+
+    /** The field list: calls visit(key, &DuelTelemetry::member) for
+     *  every member, in report order. */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        visit("finalPsel", &DuelTelemetry::finalPsel);
+        visit("leaderMissesA", &DuelTelemetry::leaderMissesA);
+        visit("leaderMissesB", &DuelTelemetry::leaderMissesB);
+        visit("winnerFlips", &DuelTelemetry::winnerFlips);
+        visit("sampleStride", &DuelTelemetry::sampleStride);
+        visit("trajectory", &DuelTelemetry::trajectory);
+    }
 };
 
 /**

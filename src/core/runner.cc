@@ -131,7 +131,6 @@ struct SweepMetrics
     telemetry::Counter &legs;
     telemetry::Counter &slowLegs;
     telemetry::Counter &tracesDecoded;
-    telemetry::Counter &fusedGroups;
     telemetry::Histogram &legSeconds;
     telemetry::Histogram &decodeSeconds;
 };
@@ -143,7 +142,6 @@ sweepMetrics()
         telemetry::metrics().counter("sweep.legs"),
         telemetry::metrics().counter("sweep.slow_legs"),
         telemetry::metrics().counter("sweep.traces_decoded"),
-        telemetry::metrics().counter("sweep.fused_groups"),
         telemetry::metrics().histogram("sweep.leg_seconds"),
         telemetry::metrics().histogram("sweep.decode_seconds"),
     };
@@ -167,22 +165,6 @@ class SweepSink
         }
     }
 
-    /**
-     * Consume one leg without simulating it when the hooks say so.
-     * Returns true when the leg was handled here: skipped legs tick
-     * progress (their result comes from the caller's journal),
-     * cancelled legs are silently left for a future resume.
-     */
-    bool
-    preempted(std::size_t trace_index, const frontend::PolicySpec &policy)
-    {
-        if (hooks.skipLeg && hooks.skipLeg(trace_index, policy)) {
-            tick(trace_index, policy, nullptr, 0.0);
-            return true;
-        }
-        return hooks.cancelled && hooks.cancelled();
-    }
-
     /** True when every policy leg of @p trace_index is skipped — the
      *  trace build itself can then be elided on resume. */
     bool
@@ -196,56 +178,33 @@ class SweepSink
         return true;
     }
 
-    /** Simulate one (trace, policy) leg and store it in its slot. The
-     *  decoded stream is immutable and shared by every leg of its
-     *  trace — decoding happened exactly once, upstream. */
+    /** Tick every leg of a trace that allSkipped() elided. */
     void
-    runLeg(std::size_t trace_index, const frontend::PolicySpec &policy,
-           const trace::DecodedTrace &dec)
+    tickSkipped(std::size_t trace_index)
     {
-        if (preempted(trace_index, policy))
-            return;
-
-        frontend::FrontendConfig config = options.base;
-        config.policy = policy;
-
-        const auto start = std::chrono::steady_clock::now();
-        frontend::FrontendResult result = [&] {
-            TELEMETRY_SPAN("simulate",
-                           out.specs[trace_index].name + " / " +
-                               frontend::policyName(policy));
-            return frontend::simulateDecoded(config, dec);
-        }();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        sweepMetrics().legs.add();
-        sweepMetrics().legSeconds.observeSeconds(elapsed.count());
-
-        result.traceName = out.specs[trace_index].name;
-        // Slot writes: distinct (policy, trace_index) pairs never
-        // alias, and the vectors were sized up front, so concurrent
-        // legs need no lock here.
-        out.results[policy][trace_index] = std::move(result);
-        out.legSeconds[policy][trace_index] = elapsed.count();
-        tick(trace_index, policy, &out.results[policy][trace_index],
-             elapsed.count());
+        for (const frontend::PolicySpec &policy : options.policies)
+            tick(trace_index, policy, nullptr, 0.0);
     }
 
     /**
-     * Fused counterpart of running every policy leg of one trace:
-     * journaled legs are ticked and dropped from the lane set, the
-     * remaining lanes are simulated in one FusedSim walk of the shared
-     * stream, and each lane's result lands in the same slot a per-leg
-     * run would fill — bit-identically, since lanes execute the
-     * per-leg stepwise code on independent state. Group wall time is
-     * split evenly across lanes for the per-leg timing views.
+     * Simulate one lane group of @p trace_index — a per-leg run is a
+     * one-lane group — and store each lane's result in its slot.
+     * Journaled legs are ticked and dropped from the lane set, and
+     * nothing starts once the hooks cancel; the remaining lanes run in
+     * one FusedSim walk of the shared decoded stream, which decoding
+     * produced exactly once, upstream. Lanes execute the per-leg
+     * stepwise code on independent state, so the grouping never
+     * changes results. Group wall time is split evenly across lanes
+     * for the per-leg timing views.
      */
     void
-    runFusedGroup(std::size_t trace_index, const trace::DecodedTrace &dec)
+    runGroup(std::size_t trace_index,
+             const std::vector<frontend::PolicySpec> &group,
+             const trace::DecodedTrace &dec)
     {
         std::vector<frontend::PolicySpec> lanes;
-        lanes.reserve(options.policies.size());
-        for (const frontend::PolicySpec &policy : options.policies) {
+        lanes.reserve(group.size());
+        for (const frontend::PolicySpec &policy : group) {
             if (hooks.skipLeg && hooks.skipLeg(trace_index, policy))
                 tick(trace_index, policy, nullptr, 0.0);
             else
@@ -256,14 +215,16 @@ class SweepSink
 
         const auto start = std::chrono::steady_clock::now();
         std::vector<frontend::FrontendResult> results = [&] {
-            TELEMETRY_SPAN("simulate-fused",
-                           out.specs[trace_index].name + " / " +
-                               std::to_string(lanes.size()) + " lanes");
+            std::string names;
+            for (const frontend::PolicySpec &policy : lanes)
+                names += (names.empty() ? "" : ",") +
+                         frontend::policyName(policy);
+            TELEMETRY_SPAN("simulate",
+                           out.specs[trace_index].name + " / " + names);
             return frontend::simulateFused(options.base, lanes, dec);
         }();
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - start;
-        sweepMetrics().fusedGroups.add();
         const double per_lane =
             elapsed.count() / static_cast<double>(lanes.size());
 
@@ -272,6 +233,9 @@ class SweepSink
             sweepMetrics().legs.add();
             sweepMetrics().legSeconds.observeSeconds(per_lane);
             results[lane].traceName = out.specs[trace_index].name;
+            // Slot writes: distinct (policy, trace_index) pairs never
+            // alias, and the vectors were sized up front, so concurrent
+            // groups need no lock here.
             out.results[policy][trace_index] = std::move(results[lane]);
             out.legSeconds[policy][trace_index] = per_lane;
             tick(trace_index, policy,
@@ -409,11 +373,26 @@ buildDecoded(const workload::TraceSpec &spec, const SuiteOptions &options,
     return DecodedPtr(std::move(dec));
 }
 
+/** Lane groups of every trace: all policies in one group when fused,
+ *  otherwise one single-lane group per policy. */
+using LaneGroups = std::vector<std::vector<frontend::PolicySpec>>;
+
+LaneGroups
+laneGroups(const SuiteOptions &options)
+{
+    if (options.fused)
+        return {options.policies};
+    LaneGroups groups;
+    for (const frontend::PolicySpec &policy : options.policies)
+        groups.push_back({policy});
+    return groups;
+}
+
 /** Serial reference path: same slot discipline, no threads. */
 void
 runSerial(SweepSink &sink, const SuiteResults &out,
-          const SuiteOptions &options, workload::TraceStore &store,
-          const RunHooks &hooks)
+          const SuiteOptions &options, const LaneGroups &groups,
+          workload::TraceStore &store, const RunHooks &hooks)
 {
     for (std::size_t i = 0; i < out.specs.size(); ++i) {
         if (hooks.cancelled && hooks.cancelled())
@@ -421,8 +400,7 @@ runSerial(SweepSink &sink, const SuiteResults &out,
         // A fully-journaled trace never needs acquiring or decoding on
         // resume — tick its legs and move on.
         if (sink.allSkipped(i)) {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.preempted(i, policy);
+            sink.tickSkipped(i);
             continue;
         }
         // Acquire and decode the trace once and reuse the stream for
@@ -432,28 +410,24 @@ runSerial(SweepSink &sink, const SuiteResults &out,
         // resolved here too instead of once per leg.
         const DecodedPtr dec = buildDecoded(out.specs[i], options, store,
                                             hooks);
-        if (options.fused) {
-            sink.runFusedGroup(i, *dec);
-        } else {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.runLeg(i, policy, *dec);
-        }
+        for (const std::vector<frontend::PolicySpec> &group : groups)
+            sink.runGroup(i, group, *dec);
     }
 }
 
 /**
- * Parallel path: every (trace, policy) leg is an independent pool job.
- * The decoded stream for leg (i, *) is produced by a per-trace job
- * (store lookup or generation, then one decode) and shared read-only
- * by that trace's legs via shared_ptr; builds run at most `window`
- * traces ahead of the harvest cursor so memory stays bounded on large
- * suites.
+ * Parallel path: every lane group of every trace is an independent
+ * pool job. The decoded stream for trace i is produced by a per-trace
+ * job (store lookup or generation, then one decode) and shared
+ * read-only by that trace's groups via shared_ptr; builds run at most
+ * `window` traces ahead of the harvest cursor so memory stays bounded
+ * on large suites.
  */
 void
 runParallel(SweepSink &sink, const SuiteResults &out,
-            const SuiteOptions &options, workload::TraceStore &store,
-            util::ThreadPool &pool, const RunHooks &hooks,
-            TaskThrottle *throttle, unsigned lease)
+            const SuiteOptions &options, const LaneGroups &groups,
+            workload::TraceStore &store, util::ThreadPool &pool,
+            const RunHooks &hooks, TaskThrottle *throttle, unsigned lease)
 {
     const std::size_t num_traces = out.specs.size();
     // The build window follows the lease, not the pool: a run leasing
@@ -463,12 +437,12 @@ runParallel(SweepSink &sink, const SuiteResults &out,
 
     std::vector<std::future<DecodedPtr>> builds(num_traces);
     std::vector<char> elided(num_traces, 0);
-    std::vector<std::vector<std::future<void>>> legs(num_traces);
+    std::vector<std::vector<std::future<void>>> jobs(num_traces);
 
     std::size_t next_build = 0;
     const auto pump = [&](std::size_t upto) {
         for (; next_build < std::min(upto, num_traces); ++next_build) {
-            // Stop opening new builds once cancelled: queued leg jobs
+            // Stop opening new builds once cancelled: queued group jobs
             // drain as no-ops and the harvest loop below ends at the
             // first unscheduled build.
             if (hooks.cancelled && hooks.cancelled())
@@ -488,8 +462,7 @@ runParallel(SweepSink &sink, const SuiteResults &out,
     pump(window);
     for (std::size_t i = 0; i < num_traces; ++i) {
         if (elided[i]) {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.preempted(i, policy);
+            sink.tickSkipped(i);
             pump(i + 1 + window);
             continue;
         }
@@ -497,36 +470,25 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             break;  // cancelled before this trace's build was scheduled
         const DecodedPtr dec = builds[i].get();  // rethrows build errors
         builds[i] = {};
-        if (options.fused) {
-            // One job per trace-group: the fused walk simulates every
-            // remaining lane of this trace in one pass, so the unit of
-            // scheduling grows from a leg to a group while the window/
-            // harvest bookkeeping stays unchanged.
-            legs[i].push_back(submitLeased(pool, throttle, [&sink, i,
-                                                            dec]() {
-                sink.runFusedGroup(i, *dec);
-            }));
-        } else {
-            legs[i].reserve(options.policies.size());
-            for (const frontend::PolicySpec &policy : options.policies)
-                legs[i].push_back(submitLeased(
-                    pool, throttle, [&sink, i, policy, dec]() {
-                        sink.runLeg(i, policy, *dec);
-                    }));
-        }
-        // Keep at most `window` traces with outstanding legs before
+        jobs[i].reserve(groups.size());
+        for (const std::vector<frontend::PolicySpec> &group : groups)
+            jobs[i].push_back(submitLeased(
+                pool, throttle, [&sink, i, &group, dec]() {
+                    sink.runGroup(i, group, *dec);
+                }));
+        // Keep at most `window` traces with outstanding groups before
         // opening new builds, then harvest (and rethrow from) the
-        // oldest trace's legs.
+        // oldest trace's groups.
         pump(i + 1 + window);
         if (i + 1 >= window)
-            for (std::future<void> &f : legs[i + 1 - window])
+            for (std::future<void> &f : jobs[i + 1 - window])
                 if (f.valid())
                     f.get();
     }
-    // Harvest (and rethrow from) every leg not already collected; legs
-    // of elided or unscheduled traces are simply absent.
-    for (std::vector<std::future<void>> &trace_legs : legs)
-        for (std::future<void> &f : trace_legs)
+    // Harvest (and rethrow from) every group not already collected;
+    // groups of elided or unscheduled traces are simply absent.
+    for (std::vector<std::future<void>> &trace_jobs : jobs)
+        for (std::future<void> &f : trace_jobs)
             if (f.valid())
                 f.get();
 }
@@ -545,6 +507,7 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
     out.specs = workload::makeSuite(options.numTraces, options.baseSeed);
 
     SweepSink sink(out, options, progress, hooks);
+    const LaneGroups groups = laneGroups(options);
     workload::TraceStore store(options.traceCacheDir);
     const unsigned jobs =
         options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
@@ -557,17 +520,17 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
         const unsigned lease =
             std::min(std::max(jobs, 1u), hooks.pool->size());
         TaskThrottle throttle(lease);
-        runParallel(sink, out, options, store, *hooks.pool, hooks,
+        runParallel(sink, out, options, groups, store, *hooks.pool, hooks,
                     &throttle, lease);
     } else if (jobs <= 1 ||
                out.specs.size() * options.policies.size() <= 1) {
-        runSerial(sink, out, options, store, hooks);
+        runSerial(sink, out, options, groups, store, hooks);
     } else {
         // Destroyed before `out` and `sink`, so no job outlives the
         // state it references even on exception unwind.
         util::ThreadPool pool(jobs);
-        runParallel(sink, out, options, store, pool, hooks, nullptr,
-                    pool.size());
+        runParallel(sink, out, options, groups, store, pool, hooks,
+                    nullptr, pool.size());
     }
     out.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

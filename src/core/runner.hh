@@ -50,19 +50,18 @@ struct SuiteOptions
     unsigned jobs = 0;
 
     /**
-     * Fused execution: simulate all policy legs of a trace in ONE
-     * chunked walk of its decoded stream (frontend::FusedSim) instead
-     * of one walk per leg, so the stream is pulled from memory once
-     * per trace-group rather than once per policy. Scheduling
-     * granularity changes from (trace, policy) legs to trace-groups —
-     * with jobs > 1, each group is one pool job. Results are
-     * bit-identical to the per-leg path for every policy and jobs
-     * value: lanes share no mutable state and step through the exact
-     * per-leg simulation code. RunHooks semantics are preserved —
-     * journaled legs are skipped (dropped from the group's lane set)
-     * and onLegDone still fires once per simulated leg. Per-leg
-     * timing becomes the group wall time split evenly across lanes
-     * (timing is outside the determinism guarantee).
+     * Lane grouping: every (trace, policy) leg runs as a lane of a
+     * frontend::FusedSim walk of its trace's decoded stream. Per-leg
+     * (the default) schedules one single-lane group per leg; fused puts
+     * all policy lanes of a trace into ONE group, so the stream is
+     * pulled from memory once per trace rather than once per policy,
+     * and with jobs > 1 each group is one pool job. Results are
+     * bit-identical either way: lanes share no mutable state and step
+     * through the exact same simulation code. RunHooks semantics are
+     * the same for every grouping — journaled legs are dropped from
+     * their group's lane set and onLegDone fires once per simulated
+     * leg. Per-leg timing is the group wall time split evenly across
+     * its lanes (timing is outside the determinism guarantee).
      */
     bool fused = false;
 
@@ -230,10 +229,11 @@ struct RunHooks
  * Run the full suite: for each trace spec, acquire the trace (from the
  * content-addressed store when enabled, generating otherwise), decode
  * it once into the compact fetch-op stream, and simulate that shared
- * read-only stream under every requested policy.
+ * read-only stream under every requested policy, one lane group at a
+ * time (see SuiteOptions::fused).
  *
- * With options.jobs != 1 the (trace, policy) legs run on a
- * work-stealing thread pool. Trace acquisition + decoding is bounded
+ * With options.jobs != 1 the lane groups run on a work-stealing
+ * thread pool. Trace acquisition + decoding is bounded
  * to a sliding window of roughly 2 x jobs traces ahead of the slowest
  * outstanding leg, so a 662-trace sweep never holds the whole suite in
  * memory.

@@ -394,47 +394,15 @@ namespace
  *  of the access stream. */
 constexpr std::size_t kPhaseCapacity = kPhaseTrajectoryCapacity;
 
-/** Sum @p from's interval counters into @p into (identity fields —
+/** into += from - base over the interval counters (identity fields —
  *  window id, instruction count, PSEL — are NOT touched). */
 void
-addPhaseCounters(frontend::PhaseRecord &into,
-                 const frontend::PhaseRecord &from)
+addPhaseDelta(PhaseRecord &into, const PhaseRecord &from,
+              const PhaseRecord &base = PhaseRecord{})
 {
-    into.icacheAccesses += from.icacheAccesses;
-    into.icacheMisses += from.icacheMisses;
-    into.icacheEvictions += from.icacheEvictions;
-    into.btbAccesses += from.btbAccesses;
-    into.btbMisses += from.btbMisses;
-    into.btbEvictions += from.btbEvictions;
-    into.condBranches += from.condBranches;
-    into.condMispredicts += from.condMispredicts;
-    into.btbTargetMismatches += from.btbTargetMismatches;
-    into.deadHits += from.deadHits;
-    into.liveHits += from.liveHits;
-    into.deadEvictions += from.deadEvictions;
-    into.liveEvictions += from.liveEvictions;
-}
-
-/** into += from - base, interval counters only. */
-void
-addPhaseDelta(frontend::PhaseRecord &into,
-              const frontend::PhaseRecord &from,
-              const frontend::PhaseRecord &base)
-{
-    into.icacheAccesses += from.icacheAccesses - base.icacheAccesses;
-    into.icacheMisses += from.icacheMisses - base.icacheMisses;
-    into.icacheEvictions += from.icacheEvictions - base.icacheEvictions;
-    into.btbAccesses += from.btbAccesses - base.btbAccesses;
-    into.btbMisses += from.btbMisses - base.btbMisses;
-    into.btbEvictions += from.btbEvictions - base.btbEvictions;
-    into.condBranches += from.condBranches - base.condBranches;
-    into.condMispredicts += from.condMispredicts - base.condMispredicts;
-    into.btbTargetMismatches +=
-        from.btbTargetMismatches - base.btbTargetMismatches;
-    into.deadHits += from.deadHits - base.deadHits;
-    into.liveHits += from.liveHits - base.liveHits;
-    into.deadEvictions += from.deadEvictions - base.deadEvictions;
-    into.liveEvictions += from.liveEvictions - base.liveEvictions;
+    PhaseRecord::forEachCounter([&](const char *, auto member) {
+        into.*member += from.*member - base.*member;
+    });
 }
 
 } // anonymous namespace
@@ -464,22 +432,12 @@ FrontendSim::phaseCapture(PhaseRecord &out) const
 }
 
 void
-FrontendSim::phaseFoldReset()
+FrontendSim::resetMeasurement(FrontendResult &result)
 {
-    // The warm-up boundary zeroes the cache stats and branch counters
-    // mid-window. Bank the interval accumulated so far, then rebase
-    // the snapshot after the caller's resets so the window's counts
-    // stay exact across the discontinuity.
-    PhaseRecord cur;
-    phaseCapture(cur);
-    addPhaseDelta(phaseCarry, cur, phaseSnapshot);
-    phaseSnapshot = PhaseRecord{};
-    // Prediction outcomes are monotone (policies are not reset); keep
-    // their baseline so the next delta does not double count them.
-    phaseSnapshot.deadHits = cur.deadHits;
-    phaseSnapshot.liveHits = cur.liveHits;
-    phaseSnapshot.deadEvictions = cur.deadEvictions;
-    phaseSnapshot.liveEvictions = cur.liveEvictions;
+    icache->resetStats();
+    btb->resetStats();
+    FrontendResult::forEachBranchCounter(
+        [&](const char *, auto member) { result.*member = 0; });
 }
 
 void
@@ -488,7 +446,7 @@ FrontendSim::phaseSample(std::uint64_t cum)
     PhaseRecord cur;
     phaseCapture(cur);
     addPhaseDelta(phasePending, cur, phaseSnapshot);
-    addPhaseCounters(phasePending, phaseCarry);
+    addPhaseDelta(phasePending, phaseCarry);
     phaseCarry = PhaseRecord{};
     phaseSnapshot = cur;
     phasePending.window = phaseWindowId;
@@ -511,7 +469,7 @@ FrontendSim::phaseSample(std::uint64_t cum)
         std::size_t w = 0;
         for (std::size_t r = 0; r + 1 < phaseRecords.size(); r += 2) {
             PhaseRecord merged = phaseRecords[r + 1];
-            addPhaseCounters(merged, phaseRecords[r]);
+            addPhaseDelta(merged, phaseRecords[r]);
             phaseRecords[w++] = merged;
         }
         phaseRecords.resize(w);
@@ -523,10 +481,16 @@ FrontendResult
 FrontendSim::run(const trace::DecodedTrace &dec)
 {
     beginRun(dec);
-    const std::size_t n = dec.numRecords();
-    for (std::size_t i = 0; i < n; ++i)
-        stepRecord(dec, i);
+    stepRecords(dec, 0, dec.numRecords());
     return finishRun();
+}
+
+void
+FrontendSim::stepRecords(const trace::DecodedTrace &dec, std::size_t begin,
+                         std::size_t end)
+{
+    for (std::size_t i = begin; i < end; ++i)
+        stepRecord(dec, i);
 }
 
 void
@@ -667,17 +631,20 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
     if (!pendingWarm &&
         dec.cumInstructions[i] >= result.warmupInstructions) {
         pendingWarm = true;
-        if (phaseNextBoundary != ~std::uint64_t{0})
-            phaseFoldReset();
-        icache->resetStats();
-        btb->resetStats();
-        result.condBranches = 0;
-        result.condMispredicts = 0;
-        result.btbTargetMismatches = 0;
-        result.rasReturns = 0;
-        result.rasMispredicts = 0;
-        result.indirectBranches = 0;
-        result.indirectMispredicts = 0;
+        if (phaseNextBoundary == ~std::uint64_t{0}) {
+            resetMeasurement(result);
+        } else {
+            // The reset zeroes the cache stats and branch counters
+            // mid-window. Bank the interval accumulated so far, then
+            // rebase the snapshot on the post-reset values (prediction
+            // outcomes are monotone and keep theirs) so the window's
+            // counts stay exact across the discontinuity.
+            PhaseRecord cur;
+            phaseCapture(cur);
+            addPhaseDelta(phaseCarry, cur, phaseSnapshot);
+            resetMeasurement(result);
+            phaseCapture(phaseSnapshot);
+        }
     }
 
     // ---- phase flight recorder ----------------------------------
@@ -742,7 +709,10 @@ FrontendSim::run(const trace::Trace &tr)
 FrontendResult
 FrontendSim::runWalker(const trace::Trace &tr)
 {
-    FrontendResult result;
+    // The reference walk has no flight recorder.
+    GHRP_ASSERT(cfg.phaseWindow == 0);
+    pending = FrontendResult{};
+    FrontendResult &result = pending;
     result.traceName = tr.name;
     result.policy = policyName(cfg.policy);
 
@@ -853,40 +823,11 @@ FrontendSim::runWalker(const trace::Trace &tr)
         if (!warm &&
             walker.instructionCount() >= result.warmupInstructions) {
             warm = true;
-            icache->resetStats();
-            btb->resetStats();
-            result.condBranches = 0;
-            result.condMispredicts = 0;
-            result.btbTargetMismatches = 0;
-            result.rasReturns = 0;
-            result.rasMispredicts = 0;
-            result.indirectBranches = 0;
-            result.indirectMispredicts = 0;
+            resetMeasurement(result);
         }
     }
 
-    result.measuredInstructions =
-        walker.instructionCount() >= result.warmupInstructions
-            ? walker.instructionCount() - result.warmupInstructions
-            : 0;
-    result.icache = icache->accessStats();
-    result.btb = btb->accessStats();
-    result.icacheMpki = result.icache.mpki(result.measuredInstructions);
-    result.btbMpki = result.btb.mpki(result.measuredInstructions);
-
-    if (icacheDuel) {
-        result.hasDuel = true;
-        result.icacheDuel = icacheDuel->telemetry();
-    }
-    if (btbDuel)
-        result.btbDuel = btbDuel->telemetry();
-
-    if (icacheEff)
-        icacheEff->finalize(icache->ticks());
-    if (btbEff)
-        btbEff->finalize(btb->cacheModel().ticks());
-
-    return result;
+    return finishRun();
 }
 
 FrontendResult

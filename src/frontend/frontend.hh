@@ -229,6 +229,40 @@ struct PhaseRecord
 
     /** I-cache duel PSEL at commit time (0 for non-duel legs). */
     std::int64_t psel = 0;
+
+    /** The interval counters: calls visit(key, &PhaseRecord::member)
+     *  for each, in report order. Window deltas and decimation sums
+     *  cover exactly these. */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
+    {
+        visit("icacheAccesses", &PhaseRecord::icacheAccesses);
+        visit("icacheMisses", &PhaseRecord::icacheMisses);
+        visit("icacheEvictions", &PhaseRecord::icacheEvictions);
+        visit("btbAccesses", &PhaseRecord::btbAccesses);
+        visit("btbMisses", &PhaseRecord::btbMisses);
+        visit("btbEvictions", &PhaseRecord::btbEvictions);
+        visit("condBranches", &PhaseRecord::condBranches);
+        visit("condMispredicts", &PhaseRecord::condMispredicts);
+        visit("btbTargetMismatches", &PhaseRecord::btbTargetMismatches);
+        visit("deadHits", &PhaseRecord::deadHits);
+        visit("liveHits", &PhaseRecord::liveHits);
+        visit("deadEvictions", &PhaseRecord::deadEvictions);
+        visit("liveEvictions", &PhaseRecord::liveEvictions);
+    }
+
+    /** The field list: the record's identity (window, instructions,
+     *  psel) around its counters, in report order. */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        visit("window", &PhaseRecord::window);
+        visit("instructions", &PhaseRecord::instructions);
+        forEachCounter(visit);
+        visit("psel", &PhaseRecord::psel);
+    }
 };
 
 /** Flight-recorder record bound per leg: when a trajectory would grow
@@ -247,6 +281,8 @@ struct PhaseTrajectory
 /** Results of one simulation. */
 struct FrontendResult
 {
+    /** The leg's label: trace name and policy display name (a report
+     *  leg may relabel a variant, e.g. "GHRP+path-itp"). */
     std::string traceName;
     std::string policy;
 
@@ -266,6 +302,22 @@ struct FrontendResult
     std::uint64_t rasMispredicts = 0;
     std::uint64_t indirectBranches = 0;      ///< taken indirect branches
     std::uint64_t indirectMispredicts = 0;   ///< wrong/missing target
+
+    /** The branch-counter field list: calls visit(key,
+     *  &FrontendResult::member) for each, in report order. The warm-up
+     *  boundary zeroes exactly these. */
+    template <typename Visit>
+    static void
+    forEachBranchCounter(Visit &&visit)
+    {
+        visit("condBranches", &FrontendResult::condBranches);
+        visit("condMispredicts", &FrontendResult::condMispredicts);
+        visit("btbTargetMismatches", &FrontendResult::btbTargetMismatches);
+        visit("rasReturns", &FrontendResult::rasReturns);
+        visit("rasMispredicts", &FrontendResult::rasMispredicts);
+        visit("indirectBranches", &FrontendResult::indirectBranches);
+        visit("indirectMispredicts", &FrontendResult::indirectMispredicts);
+    }
 
     /** Set-dueling statistics, present only when the leg ran a
      *  duel:<A>,<B> meta-policy (hasDuel). */
@@ -323,24 +375,27 @@ class FrontendSim
      * Reference implementation: replay the branch records through
      * FetchStreamWalker directly, exactly as the simulator did before
      * the decode-once layer. Kept as an independently-coded oracle for
-     * the differential tests and the decode-overhead benchmark; results
-     * are bit-identical to run() on any trace.
+     * the differential tests and the decode-overhead benchmark (only
+     * the end-of-run harvest, finishRun(), is shared); results are
+     * bit-identical to run() on any trace. It has no flight recorder,
+     * so phaseWindow must be 0.
      */
     FrontendResult runWalker(const trace::Trace &trace);
 
     /**
      * Stepwise interface under run(DecodedTrace): beginRun() primes a
-     * fresh simulation of @p decoded, stepRecord() consumes record i
-     * (records must be fed in order, exactly once each), finishRun()
-     * seals and returns the statistics. run(decoded) is exactly
-     * beginRun + stepRecord(0..n) + finishRun; the fused executor uses
-     * the pieces directly to interleave many policy lanes over one
-     * chunked walk of the shared stream, which is why results are
-     * bit-identical to a per-leg run by construction. Like run(), a
-     * sim instance is good for one begin/finish cycle.
+     * fresh simulation of @p decoded, stepRecords() consumes records
+     * [begin, end) (records must be fed in order, exactly once each),
+     * finishRun() seals and returns the statistics. run(decoded) is
+     * exactly beginRun + stepRecords(0, n) + finishRun; the fused
+     * executor uses the pieces directly to interleave many policy
+     * lanes over one chunked walk of the shared stream, which is why
+     * results are bit-identical to a per-leg run by construction. Like
+     * run(), a sim instance is good for one begin/finish cycle.
      */
     void beginRun(const trace::DecodedTrace &decoded);
-    void stepRecord(const trace::DecodedTrace &decoded, std::size_t i);
+    void stepRecords(const trace::DecodedTrace &decoded, std::size_t begin,
+                     std::size_t end);
     FrontendResult finishRun();
 
     /** Heat-map trackers (non-null only when trackEfficiency). */
@@ -368,7 +423,14 @@ class FrontendSim
     std::unique_ptr<stats::EfficiencyTracker> icacheEff;
     std::unique_ptr<stats::EfficiencyTracker> btbEff;
 
-    /** In-flight state of a beginRun/stepRecord/finishRun cycle. */
+    /** Consume decoded record @p i (the body of stepRecords, kept in
+     *  this translation unit so the record loop inlines it). */
+    void stepRecord(const trace::DecodedTrace &decoded, std::size_t i);
+    /** Zero the measured statistics of @p result and the caches (the
+     *  warm-up boundary). */
+    void resetMeasurement(FrontendResult &result);
+
+    /** In-flight state of a beginRun/stepRecords/finishRun cycle. */
     FrontendResult pending;
     bool pendingWarm = false;
     bool pendingPreResolved = false;
@@ -377,9 +439,6 @@ class FrontendSim
     // ---- phase flight recorder (see FrontendConfig::phaseWindow) ----
     /** Cumulative counters at @p out, read from the live structures. */
     void phaseCapture(PhaseRecord &out) const;
-    /** Fold counts about to be discarded by a stats reset into the
-     *  carry, then rebase the snapshot on the post-reset values. */
-    void phaseFoldReset();
     /** Close the raw window ending at @p cum instructions. */
     void phaseSample(std::uint64_t cum);
 
@@ -389,7 +448,7 @@ class FrontendSim
     std::uint64_t phasePendingCount = 0;
     PhaseRecord phasePending;   ///< stride-group being accumulated
     PhaseRecord phaseSnapshot;  ///< cumulative counters at last boundary
-    PhaseRecord phaseCarry;     ///< counts folded across stats resets
+    PhaseRecord phaseCarry;     ///< counts banked across the stats reset
     std::vector<PhaseRecord> phaseRecords;
 };
 

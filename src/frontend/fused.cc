@@ -30,8 +30,7 @@ FusedSim::run(const trace::DecodedTrace &decoded)
     for (std::size_t begin = 0; begin < n; begin += kChunkRecords) {
         const std::size_t end = std::min(begin + kChunkRecords, n);
         for (auto &lane : lanes)
-            for (std::size_t i = begin; i < end; ++i)
-                lane->stepRecord(decoded, i);
+            lane->stepRecords(decoded, begin, end);
     }
 
     std::vector<FrontendResult> results;

@@ -125,8 +125,17 @@ class Parser
     value()
     {
         switch (peek()) {
-        case '{': return object();
-        case '[': return array();
+        case '{':
+        case '[': {
+            // Bounded recursion: hostile input (a frame of a million
+            // '[') must fail cleanly instead of exhausting the stack.
+            if (++depth > Json::kMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxDepth) + " levels");
+            Json v = peek() == '{' ? object() : array();
+            --depth;
+            return v;
+        }
         case '"': return Json(string());
         case 't':
             if (!consumeLiteral("true"))
@@ -338,6 +347,7 @@ class Parser
     }
 
     const std::string &text;
+    int depth = 0;  ///< open arrays/objects around the cursor
     std::size_t pos = 0;
 };
 

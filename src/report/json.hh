@@ -121,8 +121,13 @@ class Json
      */
     std::string dump(int indent = 2) const;
 
+    /** Deepest array/object nesting parse() accepts — far above any
+     *  report or protocol document, far below a stack overflow. */
+    static constexpr int kMaxDepth = 256;
+
     /** Parse a complete JSON document; throws JsonError with a byte
-     *  offset on malformed input. Trailing garbage is an error. */
+     *  offset on malformed input. Trailing garbage and nesting deeper
+     *  than kMaxDepth are errors. */
     static Json parse(const std::string &text);
 
   private:

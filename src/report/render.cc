@@ -178,13 +178,13 @@ duelFlipTotals(const RunReport &report)
     std::vector<std::string> order;
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> flips;
     for (const Leg &leg : report.legs) {
-        if (!leg.hasDuel)
+        if (!leg.result.hasDuel)
             continue;
-        if (flips.find(leg.policy) == flips.end())
-            order.push_back(leg.policy);
-        auto &f = flips[leg.policy];
-        f.first += leg.duelIcache.winnerFlips;
-        f.second += leg.duelBtb.winnerFlips;
+        if (flips.find(leg.policy()) == flips.end())
+            order.push_back(leg.policy());
+        auto &f = flips[leg.policy()];
+        f.first += leg.result.icacheDuel.winnerFlips;
+        f.second += leg.result.btbDuel.winnerFlips;
     }
     return {std::move(order), std::move(flips)};
 }
@@ -229,27 +229,71 @@ sparkline(const std::vector<double> &values)
     return out;
 }
 
-/** Per-record instruction spans of a phase trajectory (commit-point
- *  deltas; the first record spans from instruction 0). */
+/** Interval MPKI of every record of @p phases, 0 for an empty span. */
 std::vector<double>
-phaseSpans(const PhaseStats &phases)
+intervalMpki(const frontend::PhaseTrajectory &phases,
+             std::uint64_t frontend::PhaseRecord::*misses)
 {
-    std::vector<double> spans;
-    spans.reserve(phases.records.size());
-    std::uint64_t prev = 0;
-    for (const frontend::PhaseRecord &rec : phases.records) {
-        spans.push_back(rec.instructions > prev
-                            ? static_cast<double>(rec.instructions - prev)
-                            : 0.0);
-        prev = rec.instructions;
-    }
-    return spans;
+    std::vector<double> out;
+    for (const std::optional<double> mpki : phaseIntervalMpki(phases, misses))
+        out.push_back(mpki.value_or(0.0));
+    return out;
 }
 
-double
-intervalMpki(std::uint64_t misses, double span)
+/** Compact JSON of @p leg for the per-leg diff: everything but its
+ *  wall time, and without the duel / phases subtrees @p baseline
+ *  does not carry. */
+std::string
+legDiffKey(const Leg &leg, const Leg &baseline)
 {
-    return span > 0.0 ? static_cast<double>(misses) * 1000.0 / span : 0.0;
+    const Json full = legToJson(leg);
+    Json out = Json::object();
+    for (const auto &[key, value] : full.asObject()) {
+        if (key == "seconds" ||
+            (key == "duel" && !baseline.result.hasDuel) ||
+            (key == "phases" && !baseline.result.hasPhases))
+            continue;
+        out.set(key, value);
+    }
+    return out.dump(0);
+}
+
+/** Per-leg comparison of @p baseline and @p candidate: adds the
+ *  number of changed, missing or extra legs to @p result and returns
+ *  the summary text. */
+std::string
+diffLegs(const RunReport &baseline, const RunReport &candidate,
+         DiffResult &result)
+{
+    std::map<std::pair<std::string, std::string>, const Leg *> base_legs;
+    for (const Leg &leg : baseline.legs)
+        base_legs[{leg.trace(), leg.policy()}] = &leg;
+
+    std::string detail;
+    const auto change = [&](const Leg &leg, const char *what) {
+        if (++result.legsChanged <= 10)
+            detail += "  " + leg.trace() + "/" + leg.policy() + ": " +
+                      what + "\n";
+    };
+    for (const Leg &leg : candidate.legs) {
+        const auto it = base_legs.find({leg.trace(), leg.policy()});
+        if (it == base_legs.end()) {
+            change(leg, "new");
+            continue;
+        }
+        if (legDiffKey(leg, *it->second) !=
+            legDiffKey(*it->second, *it->second))
+            change(leg, "counters differ");
+        base_legs.erase(it);
+    }
+    for (const auto &[key, leg] : base_legs)
+        change(*leg, "removed");
+    if (result.legsChanged > 10)
+        detail += "  ... and " + std::to_string(result.legsChanged - 10) +
+                  " more\n";
+    return "legs: " + std::to_string(candidate.legs.size()) +
+           " candidate, " + std::to_string(result.legsChanged) +
+           " changed\n" + detail;
 }
 
 } // anonymous namespace
@@ -365,6 +409,8 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
     } else {
         text += table.render();
     }
+    if (!baseline.legs.empty() || !candidate.legs.empty())
+        text += diffLegs(baseline, candidate, result);
 
     const double base_tp = baseline.sweep.legsPerSec;
     const double cand_tp = candidate.sweep.legsPerSec;
@@ -384,6 +430,12 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
                     ? "[check] FAIL: MPKI changed (simulation is "
                       "deterministic; any delta is a code change)\n"
                     : "[check] MPKI: OK\n";
+        text += result.legsChanged
+                    ? "[check] FAIL: " +
+                          std::to_string(result.legsChanged) +
+                          " legs changed (per-leg counters are "
+                          "deterministic too)\n"
+                    : "[check] legs: OK\n";
         text += result.throughputRegressed
                     ? "[check] FAIL: throughput regressed beyond " +
                           fmt("%.1f%%", options.maxRegressPct) + "\n"
@@ -453,11 +505,14 @@ plotFiles(const RunReport &report)
     struct Structure
     {
         const char *name;
-        const CounterSet Leg::*counters;
+        stats::AccessStats frontend::FrontendResult::*counters;
+        double frontend::FrontendResult::*mpki;
     };
     static constexpr Structure structures[] = {
-        {"icache", &Leg::icache},
-        {"btb", &Leg::btb},
+        {"icache", &frontend::FrontendResult::icache,
+         &frontend::FrontendResult::icacheMpki},
+        {"btb", &frontend::FrontendResult::btb,
+         &frontend::FrontendResult::btbMpki},
     };
 
     for (const Structure &st : structures) {
@@ -468,12 +523,11 @@ plotFiles(const RunReport &report)
         std::map<std::string, std::vector<double>> columns;
         bool any_accesses = false;
         for (const Leg &leg : report.legs) {
-            const CounterSet &c = leg.*(st.counters);
-            if (c.accesses > 0)
+            if ((leg.result.*(st.counters)).accesses > 0)
                 any_accesses = true;
-            if (columns.find(leg.policy) == columns.end())
-                order.push_back(leg.policy);
-            columns[leg.policy].push_back(c.mpki);
+            if (columns.find(leg.policy()) == columns.end())
+                order.push_back(leg.policy());
+            columns[leg.policy()].push_back(leg.result.*(st.mpki));
         }
         if (!any_accesses || order.empty())
             continue;
@@ -526,18 +580,18 @@ plotFiles(const RunReport &report)
     std::vector<std::string> trace_order;
     std::map<std::string, std::vector<const Leg *>> duel_legs;
     for (const Leg &leg : report.legs) {
-        if (!leg.hasDuel)
+        if (!leg.result.hasDuel)
             continue;
-        if (duel_legs.find(leg.trace) == duel_legs.end())
-            trace_order.push_back(leg.trace);
-        duel_legs[leg.trace].push_back(&leg);
+        if (duel_legs.find(leg.trace()) == duel_legs.end())
+            trace_order.push_back(leg.trace());
+        duel_legs[leg.trace()].push_back(&leg);
     }
     for (const std::string &trace : trace_order) {
         const std::vector<const Leg *> &legs = duel_legs[trace];
         std::size_t rows = 0;
         for (const Leg *leg : legs)
-            rows = std::max({rows, leg->duelIcache.trajectory.size(),
-                             leg->duelBtb.trajectory.size()});
+            rows = std::max({rows, leg->result.icacheDuel.trajectory.size(),
+                             leg->result.btbDuel.trajectory.size()});
         if (rows == 0)
             continue;
 
@@ -546,18 +600,18 @@ plotFiles(const RunReport &report)
                           " set-dueling PSEL trajectory (decimated "
                           "samples)\n# sample";
         for (const Leg *leg : legs)
-            dat += " " + leg->policy + ":icache(stride=" +
-                   std::to_string(leg->duelIcache.sampleStride) + ") " +
-                   leg->policy + ":btb(stride=" +
-                   std::to_string(leg->duelBtb.sampleStride) + ")";
+            dat += " " + leg->policy() + ":icache(stride=" +
+                   std::to_string(leg->result.icacheDuel.sampleStride) +
+                   ") " + leg->policy() + ":btb(stride=" +
+                   std::to_string(leg->result.btbDuel.sampleStride) + ")";
         dat += "\n";
         for (std::size_t r = 0; r < rows; ++r) {
             dat += std::to_string(r + 1);
             for (const Leg *leg : legs) {
                 const std::vector<std::int64_t> &ic =
-                    leg->duelIcache.trajectory;
+                    leg->result.icacheDuel.trajectory;
                 const std::vector<std::int64_t> &bt =
-                    leg->duelBtb.trajectory;
+                    leg->result.btbDuel.trajectory;
                 dat += r < ic.size() ? " " + std::to_string(ic[r])
                                      : " nan";
                 dat += r < bt.size() ? " " + std::to_string(bt[r])
@@ -581,10 +635,10 @@ plotFiles(const RunReport &report)
         for (std::size_t l = 0; l < legs.size(); ++l) {
             gp += "    '" + stem + ".dat' using 1:" +
                   std::to_string(col++) + " with linespoints title '" +
-                  legs[l]->policy + " icache', \\\n";
+                  legs[l]->policy() + " icache', \\\n";
             gp += "    '" + stem + ".dat' using 1:" +
                   std::to_string(col++) + " with linespoints title '" +
-                  legs[l]->policy + " btb'";
+                  legs[l]->policy() + " btb'";
             gp += l + 1 < legs.size() ? ", \\\n" : "\n";
         }
         files.emplace_back(stem + ".gp", std::move(gp));
@@ -597,17 +651,17 @@ renderPhases(const RunReport &report)
 {
     std::string out;
     for (const Leg &leg : report.legs) {
-        if (!leg.hasPhases || leg.phases.records.empty())
+        if (!leg.result.hasPhases || leg.result.phases.records.empty())
             continue;
-        const PhaseStats &ph = leg.phases;
-        const std::vector<double> spans = phaseSpans(ph);
+        const frontend::PhaseTrajectory &ph = leg.result.phases;
+        const std::vector<double> icache =
+            intervalMpki(ph, &frontend::PhaseRecord::icacheMisses);
+        const std::vector<double> btb =
+            intervalMpki(ph, &frontend::PhaseRecord::btbMisses);
 
-        std::vector<double> icache, btb, mispredict, dead, psel;
+        std::vector<double> mispredict, dead, psel;
         bool any_outcomes = false, any_psel = false;
-        for (std::size_t i = 0; i < ph.records.size(); ++i) {
-            const frontend::PhaseRecord &r = ph.records[i];
-            icache.push_back(intervalMpki(r.icacheMisses, spans[i]));
-            btb.push_back(intervalMpki(r.btbMisses, spans[i]));
+        for (const frontend::PhaseRecord &r : ph.records) {
             mispredict.push_back(
                 r.condBranches ? 100.0 *
                                      static_cast<double>(
@@ -630,7 +684,7 @@ renderPhases(const RunReport &report)
                 any_psel = true;
         }
 
-        out += leg.trace + "/" + leg.policy + ": " +
+        out += leg.trace() + "/" + leg.policy() + ": " +
                std::to_string(ph.records.size()) + " records, window " +
                std::to_string(ph.window) + ", stride " +
                std::to_string(ph.stride) + "\n";
@@ -667,15 +721,18 @@ phaseFiles(const RunReport &report)
     std::vector<std::string> stems, titles;
 
     for (const Leg &leg : report.legs) {
-        if (!leg.hasPhases || leg.phases.records.empty())
+        if (!leg.result.hasPhases || leg.result.phases.records.empty())
             continue;
-        const PhaseStats &ph = leg.phases;
-        const std::vector<double> spans = phaseSpans(ph);
-        const std::string stem = "phase_" + sanitizeToken(leg.trace) +
-                                 "_" + sanitizeToken(leg.policy);
+        const frontend::PhaseTrajectory &ph = leg.result.phases;
+        const std::vector<double> icache =
+            intervalMpki(ph, &frontend::PhaseRecord::icacheMisses);
+        const std::vector<double> btb =
+            intervalMpki(ph, &frontend::PhaseRecord::btbMisses);
+        const std::string stem = "phase_" + sanitizeToken(leg.trace()) +
+                                 "_" + sanitizeToken(leg.policy());
         std::string dat =
-            "# " + report.experiment + ": " + leg.trace + "/" +
-            leg.policy + " flight-recorder trajectory (window " +
+            "# " + report.experiment + ": " + leg.trace() + "/" +
+            leg.policy() + " flight-recorder trajectory (window " +
             std::to_string(ph.window) + ", stride " +
             std::to_string(ph.stride) + ")\n"
             "# window instructions icacheMpki btbMpki dirMissPct "
@@ -684,9 +741,7 @@ phaseFiles(const RunReport &report)
             const frontend::PhaseRecord &r = ph.records[i];
             dat += std::to_string(r.window) + " " +
                    std::to_string(r.instructions) + " " +
-                   fmt("%.6f", intervalMpki(r.icacheMisses, spans[i])) +
-                   " " +
-                   fmt("%.6f", intervalMpki(r.btbMisses, spans[i])) +
+                   fmt("%.6f", icache[i]) + " " + fmt("%.6f", btb[i]) +
                    " " +
                    fmt("%.6f",
                        r.condBranches
@@ -702,7 +757,7 @@ phaseFiles(const RunReport &report)
         }
         files.emplace_back(stem + ".dat", std::move(dat));
         stems.push_back(stem);
-        titles.push_back(leg.trace + "/" + leg.policy);
+        titles.push_back(leg.trace() + "/" + leg.policy());
     }
     if (stems.empty())
         return files;
@@ -735,15 +790,15 @@ checkPhases(const RunReport &report)
     std::size_t phase_legs = 0, total_records = 0;
     const auto fail = [&](const Leg &leg, const std::string &why) {
         result.ok = false;
-        result.text += "[check] FAIL " + leg.trace + "/" + leg.policy +
+        result.text += "[check] FAIL " + leg.trace() + "/" + leg.policy() +
                        ": " + why + "\n";
     };
 
     for (const Leg &leg : report.legs) {
-        if (!leg.hasPhases)
+        if (!leg.result.hasPhases)
             continue;
         ++phase_legs;
-        const PhaseStats &ph = leg.phases;
+        const frontend::PhaseTrajectory &ph = leg.result.phases;
         total_records += ph.records.size();
         if (ph.window == 0)
             fail(leg, "zero phase window");
@@ -798,50 +853,48 @@ diffPhases(const RunReport &a, const RunReport &b)
                       " (" + a.experiment + ")\n";
     std::map<std::pair<std::string, std::string>, const Leg *> b_legs;
     for (const Leg &leg : b.legs)
-        if (leg.hasPhases)
-            b_legs[{leg.trace, leg.policy}] = &leg;
+        if (leg.result.hasPhases)
+            b_legs[{leg.trace(), leg.policy()}] = &leg;
 
     std::uint64_t total_flips = 0;
     std::size_t matched = 0;
     for (const Leg &la : a.legs) {
-        if (!la.hasPhases)
+        if (!la.result.hasPhases)
             continue;
-        const auto it = b_legs.find({la.trace, la.policy});
+        const std::string name = la.trace() + "/" + la.policy();
+        const auto it = b_legs.find({la.trace(), la.policy()});
         if (it == b_legs.end()) {
-            out += la.trace + "/" + la.policy +
-                   ": no phase records in B, skipped\n";
+            out += name + ": no phase records in B, skipped\n";
             continue;
         }
-        const Leg &lb = *it->second;
-        if (la.phases.window != lb.phases.window ||
-            la.phases.records.size() != lb.phases.records.size()) {
-            out += la.trace + "/" + la.policy +
-                   ": phase geometry differs (A window " +
-                   std::to_string(la.phases.window) + " x " +
-                   std::to_string(la.phases.records.size()) +
-                   ", B window " + std::to_string(lb.phases.window) +
-                   " x " + std::to_string(lb.phases.records.size()) +
-                   "), skipped\n";
+        const frontend::PhaseTrajectory &pa = la.result.phases;
+        const frontend::PhaseTrajectory &pb = it->second->result.phases;
+        if (pa.window != pb.window ||
+            pa.records.size() != pb.records.size()) {
+            out += name + ": phase geometry differs (A window " +
+                   std::to_string(pa.window) + " x " +
+                   std::to_string(pa.records.size()) + ", B window " +
+                   std::to_string(pb.window) + " x " +
+                   std::to_string(pb.records.size()) + "), skipped\n";
             continue;
         }
         ++matched;
 
-        const std::vector<double> spans_a = phaseSpans(la.phases);
-        const std::vector<double> spans_b = phaseSpans(lb.phases);
+        const std::vector<double> mpki_a =
+            intervalMpki(pa, &frontend::PhaseRecord::icacheMisses);
+        const std::vector<double> mpki_b =
+            intervalMpki(pb, &frontend::PhaseRecord::icacheMisses);
         std::string detail;
         std::uint64_t flips = 0;
         int winner = 0;  // 0 unset, 1 = A, 2 = B (ties go to A)
-        for (std::size_t i = 0; i < la.phases.records.size(); ++i) {
-            const double ma = intervalMpki(
-                la.phases.records[i].icacheMisses, spans_a[i]);
-            const double mb = intervalMpki(
-                lb.phases.records[i].icacheMisses, spans_b[i]);
+        for (std::size_t i = 0; i < pa.records.size(); ++i) {
+            const double ma = mpki_a[i];
+            const double mb = mpki_b[i];
             const int now = mb < ma ? 2 : 1;
             if (winner != 0 && now != winner) {
                 ++flips;
                 detail +=
-                    "  window " +
-                    std::to_string(la.phases.records[i].window) +
+                    "  window " + std::to_string(pa.records[i].window) +
                     ": winner " + (now == 2 ? "A -> B" : "B -> A") +
                     " (A " + fmt("%.3f", ma) + ", B " + fmt("%.3f", mb) +
                     " I$ MPKI)\n";
@@ -849,9 +902,9 @@ diffPhases(const RunReport &a, const RunReport &b)
             winner = now;
         }
         total_flips += flips;
-        out += la.trace + "/" + la.policy + ": " +
-               std::to_string(la.phases.records.size()) + " windows, " +
-               std::to_string(flips) + " winner flips\n" + detail;
+        out += name + ": " + std::to_string(pa.records.size()) +
+               " windows, " + std::to_string(flips) + " winner flips\n" +
+               detail;
     }
     out += std::to_string(matched) + " legs compared, " +
            std::to_string(total_flips) + " winner flips total\n";

@@ -47,8 +47,8 @@ bool spliceBlock(std::string &document, const RunReport &report);
 /** Options for diffReports(). */
 struct DiffOptions
 {
-    /** Enforce the gates: MPKI must not change, throughput must not
-     *  regress by more than maxRegressPct. */
+    /** Enforce the gates: MPKI and per-leg counters must not change,
+     *  throughput must not regress by more than maxRegressPct. */
     bool check = false;
     /** Allowed legs/s regression, percent of the baseline. */
     double maxRegressPct = 5.0;
@@ -61,6 +61,8 @@ struct DiffResult
 {
     std::string text;  ///< human-readable diff table + verdict lines
     bool mpkiChanged = false;
+    /** Legs whose counters differ, plus legs only one report has. */
+    std::size_t legsChanged = 0;
     bool throughputRegressed = false;
 
     /** Gate verdict (always true when DiffOptions::check is off). */
@@ -68,15 +70,20 @@ struct DiffResult
     bool
     ok() const
     {
-        return !checked || (!mpkiChanged && !throughputRegressed);
+        return !checked ||
+               (!mpkiChanged && legsChanged == 0 && !throughputRegressed);
     }
 };
 
 /**
  * Compare two reports: per-policy I-cache/BTB mean-MPKI deltas
- * (policies matched by name) and sweep throughput. With
- * options.check, any MPKI change beyond epsilon or a legs/s drop
- * beyond maxRegressPct fails the gate — MPKI is bit-deterministic
+ * (policies matched by name), every (trace, policy) leg's JSON minus
+ * its wall time, and sweep throughput. A duel or phases subtree the
+ * baseline leg does not carry is left out of its comparison, so a
+ * baseline older than that schema minor still gates the rest; a leg
+ * present in only one report is a change. With options.check, any
+ * MPKI change beyond epsilon, any changed leg or a legs/s drop beyond
+ * maxRegressPct fails the gate — counters are bit-deterministic
  * across hosts, throughput is not, hence the split thresholds.
  */
 DiffResult diffReports(const RunReport &baseline, const RunReport &candidate,

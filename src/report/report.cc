@@ -115,132 +115,79 @@ stamp(RunReport &report)
     report.environment = captureEnvironment();
 }
 
+/** JSON value of one field-list member. */
+template <typename T>
 Json
-counterSetToJson(const CounterSet &c)
+fieldValue(const T &v)
 {
-    Json j = Json::object();
-    j.set("accesses", c.accesses);
-    j.set("hits", c.hits);
-    j.set("misses", c.misses);
-    j.set("bypasses", c.bypasses);
-    j.set("evictions", c.evictions);
-    j.set("deadEvictions", c.deadEvictions);
-    j.set("mpki", c.mpki);
-    return j;
-}
-
-CounterSet
-counterSetFromJson(const Json &j)
-{
-    CounterSet c;
-    c.accesses = j.at("accesses").asUint();
-    c.hits = j.at("hits").asUint();
-    c.misses = j.at("misses").asUint();
-    c.bypasses = j.at("bypasses").asUint();
-    c.evictions = j.at("evictions").asUint();
-    c.deadEvictions = j.at("deadEvictions").asUint();
-    c.mpki = j.at("mpki").asDouble();
-    return c;
+    return Json(v);
 }
 
 Json
-duelStatsToJson(const DuelStats &d)
+fieldValue(const std::vector<std::int64_t> &v)
+{
+    Json a = Json::array();
+    for (std::int64_t x : v)
+        a.push(x);
+    return a;
+}
+
+void
+readValue(const Json &j, std::uint64_t &v)
+{
+    v = j.asUint();
+}
+
+void
+readValue(const Json &j, std::int64_t &v)
+{
+    v = j.asInt();
+}
+
+void
+readValue(const Json &j, std::vector<std::int64_t> &v)
+{
+    for (const Json &x : j.asArray())
+        v.push_back(x.asInt());
+}
+
+/** Serialize every member of @p s named by S::forEachField. */
+template <typename S>
+Json
+fieldsToJson(const S &s)
 {
     Json j = Json::object();
-    j.set("finalPsel", d.finalPsel);
-    j.set("leaderMissesA", d.leaderMissesA);
-    j.set("leaderMissesB", d.leaderMissesB);
-    j.set("winnerFlips", d.winnerFlips);
-    j.set("sampleStride", d.sampleStride);
-    Json traj = Json::array();
-    for (std::int64_t v : d.trajectory)
-        traj.push(v);
-    j.set("trajectory", std::move(traj));
+    S::forEachField([&](const char *key, auto member) {
+        j.set(key, fieldValue(s.*member));
+    });
     return j;
 }
 
-DuelStats
-duelStatsFromJson(const Json &j)
+/** Inverse of fieldsToJson. */
+template <typename S>
+S
+fieldsFromJson(const Json &j)
 {
-    DuelStats d;
-    d.finalPsel = j.at("finalPsel").asInt();
-    d.leaderMissesA = j.at("leaderMissesA").asUint();
-    d.leaderMissesB = j.at("leaderMissesB").asUint();
-    d.winnerFlips = j.at("winnerFlips").asUint();
-    d.sampleStride = j.at("sampleStride").asUint();
-    for (const Json &v : j.at("trajectory").asArray())
-        d.trajectory.push_back(v.asInt());
-    return d;
+    S s;
+    S::forEachField([&](const char *key, auto member) {
+        readValue(j.at(key), s.*member);
+    });
+    return s;
 }
 
 Json
-phaseRecordToJson(const frontend::PhaseRecord &r)
+accessJson(const stats::AccessStats &s, double mpki)
 {
-    Json j = Json::object();
-    j.set("window", r.window);
-    j.set("instructions", r.instructions);
-    j.set("icacheAccesses", r.icacheAccesses);
-    j.set("icacheMisses", r.icacheMisses);
-    j.set("icacheEvictions", r.icacheEvictions);
-    j.set("btbAccesses", r.btbAccesses);
-    j.set("btbMisses", r.btbMisses);
-    j.set("btbEvictions", r.btbEvictions);
-    j.set("condBranches", r.condBranches);
-    j.set("condMispredicts", r.condMispredicts);
-    j.set("btbTargetMismatches", r.btbTargetMismatches);
-    j.set("deadHits", r.deadHits);
-    j.set("liveHits", r.liveHits);
-    j.set("deadEvictions", r.deadEvictions);
-    j.set("liveEvictions", r.liveEvictions);
-    j.set("psel", r.psel);
+    Json j = fieldsToJson(s);
+    j.set("mpki", mpki);
     return j;
 }
 
-frontend::PhaseRecord
-phaseRecordFromJson(const Json &j)
+stats::AccessStats
+accessFromJson(const Json &j, double &mpki)
 {
-    frontend::PhaseRecord r;
-    r.window = j.at("window").asUint();
-    r.instructions = j.at("instructions").asUint();
-    r.icacheAccesses = j.at("icacheAccesses").asUint();
-    r.icacheMisses = j.at("icacheMisses").asUint();
-    r.icacheEvictions = j.at("icacheEvictions").asUint();
-    r.btbAccesses = j.at("btbAccesses").asUint();
-    r.btbMisses = j.at("btbMisses").asUint();
-    r.btbEvictions = j.at("btbEvictions").asUint();
-    r.condBranches = j.at("condBranches").asUint();
-    r.condMispredicts = j.at("condMispredicts").asUint();
-    r.btbTargetMismatches = j.at("btbTargetMismatches").asUint();
-    r.deadHits = j.at("deadHits").asUint();
-    r.liveHits = j.at("liveHits").asUint();
-    r.deadEvictions = j.at("deadEvictions").asUint();
-    r.liveEvictions = j.at("liveEvictions").asUint();
-    r.psel = j.at("psel").asInt();
-    return r;
-}
-
-Json
-phaseStatsToJson(const PhaseStats &p)
-{
-    Json j = Json::object();
-    j.set("window", p.window);
-    j.set("stride", p.stride);
-    Json records = Json::array();
-    for (const frontend::PhaseRecord &r : p.records)
-        records.push(phaseRecordToJson(r));
-    j.set("records", std::move(records));
-    return j;
-}
-
-PhaseStats
-phaseStatsFromJson(const Json &j)
-{
-    PhaseStats p;
-    p.window = j.at("window").asUint();
-    p.stride = j.at("stride").asUint();
-    for (const Json &r : j.at("records").asArray())
-        p.records.push_back(phaseRecordFromJson(r));
-    return p;
+    mpki = j.at("mpki").asDouble();
+    return fieldsFromJson<stats::AccessStats>(j);
 }
 
 } // anonymous namespace
@@ -248,48 +195,52 @@ phaseStatsFromJson(const Json &j)
 Json
 phaseRecordJson(const frontend::PhaseRecord &record)
 {
-    return phaseRecordToJson(record);
+    return fieldsToJson(record);
 }
 
 Json
 legToJson(const Leg &leg)
 {
+    const frontend::FrontendResult &r = leg.result;
     Json j = Json::object();
-    j.set("trace", leg.trace);
-    j.set("policy", leg.policy);
+    j.set("trace", r.traceName);
+    j.set("policy", r.policy);
     j.set("seconds", leg.seconds);
 
     Json instr = Json::object();
-    instr.set("total", leg.totalInstructions);
-    instr.set("warmup", leg.warmupInstructions);
-    instr.set("measured", leg.measuredInstructions);
+    instr.set("total", r.totalInstructions);
+    instr.set("warmup", r.warmupInstructions);
+    instr.set("measured", r.measuredInstructions);
     j.set("instructions", std::move(instr));
 
-    j.set("icache", counterSetToJson(leg.icache));
-    j.set("btb", counterSetToJson(leg.btb));
+    j.set("icache", accessJson(r.icache, r.icacheMpki));
+    j.set("btb", accessJson(r.btb, r.btbMpki));
 
     Json branch = Json::object();
-    branch.set("condBranches", leg.condBranches);
-    branch.set("condMispredicts", leg.condMispredicts);
-    branch.set("btbTargetMismatches", leg.btbTargetMismatches);
-    branch.set("rasReturns", leg.rasReturns);
-    branch.set("rasMispredicts", leg.rasMispredicts);
-    branch.set("indirectBranches", leg.indirectBranches);
-    branch.set("indirectMispredicts", leg.indirectMispredicts);
+    frontend::FrontendResult::forEachBranchCounter(
+        [&](const char *key, auto member) { branch.set(key, r.*member); });
     j.set("branch", std::move(branch));
 
     // Schema minor 3: emitted only for duel legs so pre-dueling
     // documents serialize byte-identically.
-    if (leg.hasDuel) {
+    if (r.hasDuel) {
         Json duel = Json::object();
-        duel.set("icache", duelStatsToJson(leg.duelIcache));
-        duel.set("btb", duelStatsToJson(leg.duelBtb));
+        duel.set("icache", fieldsToJson(r.icacheDuel));
+        duel.set("btb", fieldsToJson(r.btbDuel));
         j.set("duel", std::move(duel));
     }
     // Schema minor 4: emitted only for phase-sampled legs so
     // pre-flight-recorder documents serialize byte-identically.
-    if (leg.hasPhases)
-        j.set("phases", phaseStatsToJson(leg.phases));
+    if (r.hasPhases) {
+        Json phases = Json::object();
+        phases.set("window", r.phases.window);
+        phases.set("stride", r.phases.stride);
+        Json records = Json::array();
+        for (const frontend::PhaseRecord &record : r.phases.records)
+            records.push(fieldsToJson(record));
+        phases.set("records", std::move(records));
+        j.set("phases", std::move(phases));
+    }
     return j;
 }
 
@@ -298,33 +249,34 @@ legFromJson(const Json &j)
 {
     try {
         Leg leg;
-        leg.trace = j.at("trace").asString();
-        leg.policy = j.at("policy").asString();
+        frontend::FrontendResult &r = leg.result;
+        r.traceName = j.at("trace").asString();
+        r.policy = j.at("policy").asString();
         leg.seconds = j.at("seconds").asDouble();
         const Json &instr = j.at("instructions");
-        leg.totalInstructions = instr.at("total").asUint();
-        leg.warmupInstructions = instr.at("warmup").asUint();
-        leg.measuredInstructions = instr.at("measured").asUint();
-        leg.icache = counterSetFromJson(j.at("icache"));
-        leg.btb = counterSetFromJson(j.at("btb"));
+        r.totalInstructions = instr.at("total").asUint();
+        r.warmupInstructions = instr.at("warmup").asUint();
+        r.measuredInstructions = instr.at("measured").asUint();
+        r.icache = accessFromJson(j.at("icache"), r.icacheMpki);
+        r.btb = accessFromJson(j.at("btb"), r.btbMpki);
         const Json &branch = j.at("branch");
-        leg.condBranches = branch.at("condBranches").asUint();
-        leg.condMispredicts = branch.at("condMispredicts").asUint();
-        leg.btbTargetMismatches =
-            branch.at("btbTargetMismatches").asUint();
-        leg.rasReturns = branch.at("rasReturns").asUint();
-        leg.rasMispredicts = branch.at("rasMispredicts").asUint();
-        leg.indirectBranches = branch.at("indirectBranches").asUint();
-        leg.indirectMispredicts =
-            branch.at("indirectMispredicts").asUint();
+        frontend::FrontendResult::forEachBranchCounter(
+            [&](const char *key, auto member) {
+                r.*member = branch.at(key).asUint();
+            });
         if (const Json *duel = j.find("duel")) {
-            leg.hasDuel = true;
-            leg.duelIcache = duelStatsFromJson(duel->at("icache"));
-            leg.duelBtb = duelStatsFromJson(duel->at("btb"));
+            r.hasDuel = true;
+            r.icacheDuel =
+                fieldsFromJson<cache::DuelTelemetry>(duel->at("icache"));
+            r.btbDuel = fieldsFromJson<cache::DuelTelemetry>(duel->at("btb"));
         }
         if (const Json *phases = j.find("phases")) {
-            leg.hasPhases = true;
-            leg.phases = phaseStatsFromJson(*phases);
+            r.hasPhases = true;
+            r.phases.window = phases->at("window").asUint();
+            r.phases.stride = phases->at("stride").asUint();
+            for (const Json &record : phases->at("records").asArray())
+                r.phases.records.push_back(
+                    fieldsFromJson<frontend::PhaseRecord>(record));
         }
         return leg;
     } catch (const JsonError &e) {
@@ -598,7 +550,7 @@ ReportBuilder::setSweep(double wall_seconds, unsigned jobs,
     s.legs = legs_override ? legs_override : report.legs.size();
     s.simulatedInstructions = 0;
     for (const Leg &leg : report.legs)
-        s.simulatedInstructions += leg.totalInstructions;
+        s.simulatedInstructions += leg.result.totalInstructions;
     s.legsPerSec = wall_seconds > 0
                        ? static_cast<double>(s.legs) / wall_seconds
                        : 0.0;
@@ -622,119 +574,11 @@ ReportBuilder::finish()
 
 Leg
 makeLeg(const std::string &trace, const std::string &label,
-        const frontend::FrontendResult &result, double seconds)
+        frontend::FrontendResult result, double seconds)
 {
-    Leg leg;
-    leg.trace = trace;
-    leg.policy = label;
-    leg.seconds = seconds;
-    leg.totalInstructions = result.totalInstructions;
-    leg.warmupInstructions = result.warmupInstructions;
-    leg.measuredInstructions = result.measuredInstructions;
-
-    const auto counters = [](const stats::AccessStats &s, double mpki) {
-        CounterSet c;
-        c.accesses = s.accesses;
-        c.hits = s.hits;
-        c.misses = s.misses;
-        c.bypasses = s.bypasses;
-        c.evictions = s.evictions;
-        c.deadEvictions = s.deadEvictions;
-        c.mpki = mpki;
-        return c;
-    };
-    leg.icache = counters(result.icache, result.icacheMpki);
-    leg.btb = counters(result.btb, result.btbMpki);
-
-    leg.condBranches = result.condBranches;
-    leg.condMispredicts = result.condMispredicts;
-    leg.btbTargetMismatches = result.btbTargetMismatches;
-    leg.rasReturns = result.rasReturns;
-    leg.rasMispredicts = result.rasMispredicts;
-    leg.indirectBranches = result.indirectBranches;
-    leg.indirectMispredicts = result.indirectMispredicts;
-
-    const auto duel = [](const cache::DuelTelemetry &t) {
-        DuelStats d;
-        d.finalPsel = t.finalPsel;
-        d.leaderMissesA = t.leaderMissesA;
-        d.leaderMissesB = t.leaderMissesB;
-        d.winnerFlips = t.winnerFlips;
-        d.sampleStride = t.sampleStride;
-        d.trajectory = t.trajectory;
-        return d;
-    };
-    leg.hasDuel = result.hasDuel;
-    if (result.hasDuel) {
-        leg.duelIcache = duel(result.icacheDuel);
-        leg.duelBtb = duel(result.btbDuel);
-    }
-
-    leg.hasPhases = result.hasPhases;
-    if (result.hasPhases) {
-        leg.phases.window = result.phases.window;
-        leg.phases.stride = result.phases.stride;
-        leg.phases.records = result.phases.records;
-    }
-    return leg;
-}
-
-frontend::FrontendResult
-toFrontendResult(const Leg &leg)
-{
-    frontend::FrontendResult result;
-    result.traceName = leg.trace;
-    result.policy = leg.policy;
-    result.totalInstructions = leg.totalInstructions;
-    result.warmupInstructions = leg.warmupInstructions;
-    result.measuredInstructions = leg.measuredInstructions;
-
-    const auto access = [](const CounterSet &c) {
-        stats::AccessStats s;
-        s.accesses = c.accesses;
-        s.hits = c.hits;
-        s.misses = c.misses;
-        s.bypasses = c.bypasses;
-        s.evictions = c.evictions;
-        s.deadEvictions = c.deadEvictions;
-        return s;
-    };
-    result.icache = access(leg.icache);
-    result.btb = access(leg.btb);
-    result.icacheMpki = leg.icache.mpki;
-    result.btbMpki = leg.btb.mpki;
-
-    result.condBranches = leg.condBranches;
-    result.condMispredicts = leg.condMispredicts;
-    result.btbTargetMismatches = leg.btbTargetMismatches;
-    result.rasReturns = leg.rasReturns;
-    result.rasMispredicts = leg.rasMispredicts;
-    result.indirectBranches = leg.indirectBranches;
-    result.indirectMispredicts = leg.indirectMispredicts;
-
-    const auto duel = [](const DuelStats &d) {
-        cache::DuelTelemetry t;
-        t.finalPsel = d.finalPsel;
-        t.leaderMissesA = d.leaderMissesA;
-        t.leaderMissesB = d.leaderMissesB;
-        t.winnerFlips = d.winnerFlips;
-        t.sampleStride = d.sampleStride;
-        t.trajectory = d.trajectory;
-        return t;
-    };
-    result.hasDuel = leg.hasDuel;
-    if (leg.hasDuel) {
-        result.icacheDuel = duel(leg.duelIcache);
-        result.btbDuel = duel(leg.duelBtb);
-    }
-
-    result.hasPhases = leg.hasPhases;
-    if (leg.hasPhases) {
-        result.phases.window = leg.phases.window;
-        result.phases.stride = leg.phases.stride;
-        result.phases.records = leg.phases.records;
-    }
-    return result;
+    result.traceName = trace;
+    result.policy = label;
+    return Leg{std::move(result), seconds};
 }
 
 namespace
@@ -788,6 +632,24 @@ directionFromName(const std::string &name)
 }
 
 } // anonymous namespace
+
+std::vector<std::optional<double>>
+phaseIntervalMpki(const frontend::PhaseTrajectory &phases,
+                  std::uint64_t frontend::PhaseRecord::*misses)
+{
+    std::vector<std::optional<double>> mpki;
+    mpki.reserve(phases.records.size());
+    std::uint64_t prev = 0;
+    for (const frontend::PhaseRecord &record : phases.records) {
+        if (record.instructions > prev)
+            mpki.push_back(static_cast<double>(record.*misses) * 1000.0 /
+                           static_cast<double>(record.instructions - prev));
+        else
+            mpki.emplace_back();
+        prev = record.instructions;
+    }
+    return mpki;
+}
 
 Json
 suiteOptionsToJson(const core::SuiteOptions &options)
@@ -1024,16 +886,6 @@ buildSuiteReport(const std::string &experiment,
     }
 
     if (!duel_policies.empty()) {
-        const auto duelJson = [](const cache::DuelTelemetry &t) {
-            DuelStats d;
-            d.finalPsel = t.finalPsel;
-            d.leaderMissesA = t.leaderMissesA;
-            d.leaderMissesB = t.leaderMissesB;
-            d.winnerFlips = t.winnerFlips;
-            d.sampleStride = t.sampleStride;
-            d.trajectory = t.trajectory;
-            return duelStatsToJson(d);
-        };
         const auto structureJson = [&](double mean_mpki,
                                        const std::vector<double> &oracle) {
             Json s = Json::object();
@@ -1067,8 +919,8 @@ buildSuiteReport(const std::string &experiment,
             for (std::size_t t = 0; t < runs.size(); ++t) {
                 Json row = Json::object();
                 row.set("trace", results.specs[t].name);
-                row.set("icache", duelJson(runs[t].icacheDuel));
-                row.set("btb", duelJson(runs[t].btbDuel));
+                row.set("icache", fieldsToJson(runs[t].icacheDuel));
+                row.set("btb", fieldsToJson(runs[t].btbDuel));
                 per_trace.push(std::move(row));
             }
             d.set("perTrace", std::move(per_trace));
@@ -1111,21 +963,16 @@ buildSuiteReport(const std::string &experiment,
                     records += run.phases.records.size();
                     max_stride =
                         std::max(max_stride, run.phases.stride);
-                    std::uint64_t prev = 0;
-                    for (const frontend::PhaseRecord &r :
-                         run.phases.records) {
-                        const std::uint64_t span =
-                            r.instructions - prev;
-                        prev = r.instructions;
-                        if (span == 0)
+                    for (const std::optional<double> mpki :
+                         phaseIntervalMpki(
+                             run.phases,
+                             &frontend::PhaseRecord::icacheMisses)) {
+                        if (!mpki)
                             continue;
-                        const double mpki =
-                            static_cast<double>(r.icacheMisses) *
-                            1000.0 / static_cast<double>(span);
-                        if (!have_mpki || mpki < mpki_min)
-                            mpki_min = mpki;
-                        if (!have_mpki || mpki > mpki_max)
-                            mpki_max = mpki;
+                        if (!have_mpki || *mpki < mpki_min)
+                            mpki_min = *mpki;
+                        if (!have_mpki || *mpki > mpki_max)
+                            mpki_max = *mpki;
                         have_mpki = true;
                     }
                 }
@@ -1213,26 +1060,25 @@ mergeShardReports(const std::string &experiment,
 
         for (const Leg &leg : shard.legs) {
             const frontend::PolicySpec policy =
-                policyFromName(leg.policy);
+                policyFromName(leg.policy());
             const auto fit = filled.find(policy);
             if (fit == filled.end())
                 throw ReportError("merge: shard '" + shard.runId +
-                                  "' carries policy '" + leg.policy +
+                                  "' carries policy '" + leg.policy() +
                                   "' which is not in this cell");
-            const auto sit = spec_index.find(leg.trace);
+            const auto sit = spec_index.find(leg.trace());
             if (sit == spec_index.end())
                 throw ReportError("merge: shard '" + shard.runId +
-                                  "' carries trace '" + leg.trace +
+                                  "' carries trace '" + leg.trace() +
                                   "' which is not in this cell");
             char &slot = fit->second[sit->second];
             if (slot)
-                throw ReportError("merge: duplicate leg (" + leg.trace +
-                                  ", " + leg.policy + ")");
+                throw ReportError("merge: duplicate leg (" + leg.trace() +
+                                  ", " + leg.policy() + ")");
             slot = 1;
             // The crash-resume injection path: the slot holds exactly
             // what the shard's runner produced.
-            results.results.at(policy)[sit->second] =
-                toFrontendResult(leg);
+            results.results.at(policy)[sit->second] = leg.result;
             results.legSeconds.at(policy)[sit->second] = leg.seconds;
         }
 

@@ -18,6 +18,7 @@
 #define GHRP_REPORT_REPORT_HH
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -56,75 +57,22 @@ inline constexpr char kSchemaName[] = "ghrp-run-report";
 inline constexpr int kSchemaMajor = 1;
 inline constexpr int kSchemaMinor = 4;
 
-/** Counters of one cache-like structure in one leg. */
-struct CounterSet
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t bypasses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t deadEvictions = 0;
-    double mpki = 0.0;
-};
-
-/** Set-dueling statistics of one structure in one leg (schema minor
- *  3). Mirrors cache::DuelTelemetry; everything is a pure function of
- *  the access stream, so legs carrying it merge/resume
- *  bit-identically. */
-struct DuelStats
-{
-    std::int64_t finalPsel = 0;
-    std::uint64_t leaderMissesA = 0;
-    std::uint64_t leaderMissesB = 0;
-    std::uint64_t winnerFlips = 0;
-    std::uint64_t sampleStride = 1;
-    std::vector<std::int64_t> trajectory;
-};
-
-/** Phase flight-recorder trajectory of one leg (schema minor 4).
- *  Mirrors frontend::PhaseTrajectory; a pure function of the access
- *  stream, so legs carrying it merge/resume bit-identically. */
-struct PhaseStats
-{
-    std::uint64_t window = 0;  ///< raw window size, instructions
-    std::uint64_t stride = 1;  ///< raw windows per record after decimation
-    std::vector<frontend::PhaseRecord> records;
-};
-
-/** One simulated (trace, policy/variant) leg. */
+/**
+ * One simulated (trace, policy/variant) leg: the simulator's own
+ * result plus the leg's wall time. The result's traceName and policy
+ * are the leg's label (a bench may label a variant, e.g.
+ * "GHRP+path-itp"). Its optional duel (schema minor 3) and phases
+ * (minor 4) subtrees are serialized only when result.hasDuel /
+ * result.hasPhases, so documents without them render byte-identically
+ * to the older minors.
+ */
 struct Leg
 {
-    std::string trace;
-    std::string policy;  ///< policy or variant label
+    frontend::FrontendResult result;
     double seconds = 0.0;  ///< leg wall time (0 when not measured)
 
-    std::uint64_t totalInstructions = 0;
-    std::uint64_t warmupInstructions = 0;
-    std::uint64_t measuredInstructions = 0;
-
-    CounterSet icache;
-    CounterSet btb;
-
-    std::uint64_t condBranches = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t btbTargetMismatches = 0;
-    std::uint64_t rasReturns = 0;
-    std::uint64_t rasMispredicts = 0;
-    std::uint64_t indirectBranches = 0;
-    std::uint64_t indirectMispredicts = 0;
-
-    /** Present (serialized) only for duel:<A>,<B> legs, so documents
-     *  without dueling render byte-identically to schema minor 2. */
-    bool hasDuel = false;
-    DuelStats duelIcache;
-    DuelStats duelBtb;
-
-    /** Present (serialized) only for legs simulated with a non-zero
-     *  phase window, so documents without phase sampling render
-     *  byte-identically to schema minor 3. */
-    bool hasPhases = false;
-    PhaseStats phases;
+    const std::string &trace() const { return result.traceName; }
+    const std::string &policy() const { return result.policy; }
 };
 
 /** Relative-to-LRU statistics of one structure, in percent. */
@@ -248,9 +196,9 @@ class ReportBuilder
     RunReport report;
 };
 
-/** Convert one FrontendResult into a leg record. */
+/** Label @p result as the leg (@p trace, @p label). */
 Leg makeLeg(const std::string &trace, const std::string &label,
-            const frontend::FrontendResult &result, double seconds = 0.0);
+            frontend::FrontendResult result, double seconds = 0.0);
 
 /** Serialize one leg as its report-schema JSON object. */
 Json legToJson(const Leg &leg);
@@ -260,16 +208,20 @@ Json legToJson(const Leg &leg);
  *  trace/policy members added, inside service progress frames). */
 Json phaseRecordJson(const frontend::PhaseRecord &record);
 
-/** Parse one leg object; throws ReportError on missing members. */
+/** Parse one leg object — the exact inverse of legToJson, so a
+ *  journaled or shard leg's result refills a runner slot
+ *  bit-identically; throws ReportError on missing members. */
 Leg legFromJson(const Json &json);
 
 /**
- * Reconstruct the FrontendResult a leg was built from (the exact
- * inverse of makeLeg). Used by the service journal to refill skipped
- * runner slots on crash resume so the rebuilt report is bit-identical
- * to an uninterrupted run.
+ * Interval MPKI of each flight-recorder record of @p phases: the
+ * record's @p misses per 1000 instructions of its span since the
+ * previous record's commit (the first spans from instruction 0), or
+ * nullopt when the span is empty.
  */
-frontend::FrontendResult toFrontendResult(const Leg &leg);
+std::vector<std::optional<double>>
+phaseIntervalMpki(const frontend::PhaseTrajectory &phases,
+                  std::uint64_t frontend::PhaseRecord::*misses);
 
 /** Serialize suite options as the report's "options" subtree. */
 Json suiteOptionsToJson(const core::SuiteOptions &options);
@@ -307,10 +259,10 @@ RunReport buildSuiteReport(const std::string &experiment,
  * baseSeed, instruction override, frontend config — everything except
  * the policy subset, jobs and cache/fused execution knobs, which never
  * affect results) carrying some subset of the cell's (trace, policy)
- * legs. The legs are reassembled into their runner slots via
- * toFrontendResult — the same injection path crash resume uses — so
- * the merged document's legs and per-policy aggregates are
- * bit-identical to the unsharded run.
+ * legs. Each leg's result is reassembled into its runner slot — the
+ * same injection path crash resume uses — so the merged document's
+ * legs and per-policy aggregates are bit-identical to the unsharded
+ * run.
  *
  * Throws ReportError on an incompatible shard, an unknown trace or
  * policy, a duplicated leg, or a cell with missing legs after all

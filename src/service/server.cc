@@ -928,8 +928,7 @@ ServiceServer::executeJob(const std::string &job_id, unsigned lease)
         // would have.
         for (const auto &[key, leg] : recovered) {
             const auto [trace_index, policy] = key;
-            results.results.at(policy).at(trace_index) =
-                report::toFrontendResult(leg);
+            results.results.at(policy).at(trace_index) = leg.result;
             results.legSeconds.at(policy).at(trace_index) = leg.seconds;
         }
 

@@ -22,6 +22,21 @@ struct AccessStats
     std::uint64_t evictions = 0;
     std::uint64_t deadEvictions = 0;  ///< victims chosen by dead prediction
 
+    /** The field list: calls visit(key, &AccessStats::member) for
+     *  every counter, in report order — the one place a counter is
+     *  named for serialization. */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        visit("accesses", &AccessStats::accesses);
+        visit("hits", &AccessStats::hits);
+        visit("misses", &AccessStats::misses);
+        visit("bypasses", &AccessStats::bypasses);
+        visit("evictions", &AccessStats::evictions);
+        visit("deadEvictions", &AccessStats::deadEvictions);
+    }
+
     void
     recordHit()
     {

@@ -61,27 +61,26 @@ TEST(DuelLeg, RoundTripsThroughJsonBitIdentically)
 {
     const report::Leg leg =
         report::makeLeg("trace-0", "duel:GHRP,LRU", duelResult(), 0.5);
-    ASSERT_TRUE(leg.hasDuel);
-    EXPECT_EQ(leg.duelIcache.finalPsel, -37);
-    EXPECT_EQ(leg.duelBtb.trajectory,
+    ASSERT_TRUE(leg.result.hasDuel);
+    EXPECT_EQ(leg.result.icacheDuel.finalPsel, -37);
+    EXPECT_EQ(leg.result.btbDuel.trajectory,
               (std::vector<std::int64_t>{1, 2, 12}));
 
     const std::string once = report::legToJson(leg).dump(2);
     const report::Leg reparsed =
         report::legFromJson(Json::parse(once));
     EXPECT_EQ(report::legToJson(reparsed).dump(2), once);
-    EXPECT_TRUE(reparsed.hasDuel);
-    EXPECT_EQ(reparsed.duelIcache.sampleStride, 4u);
-    EXPECT_EQ(reparsed.duelIcache.trajectory, leg.duelIcache.trajectory);
 
-    // toFrontendResult is the exact inverse of makeLeg — the resume
-    // path must restore the duel telemetry too.
-    const frontend::FrontendResult restored =
-        report::toFrontendResult(reparsed);
+    // The parsed leg's result is what crash resume injects into the
+    // runner slot, so the duel telemetry must come back whole.
+    const frontend::FrontendResult &restored = reparsed.result;
     EXPECT_TRUE(restored.hasDuel);
     EXPECT_EQ(restored.icacheDuel.finalPsel, -37);
     EXPECT_EQ(restored.icacheDuel.leaderMissesA, 420u);
     EXPECT_EQ(restored.icacheDuel.winnerFlips, 5u);
+    EXPECT_EQ(restored.icacheDuel.sampleStride, 4u);
+    EXPECT_EQ(restored.icacheDuel.trajectory,
+              leg.result.icacheDuel.trajectory);
     EXPECT_EQ(restored.btbDuel.finalPsel, 12);
     EXPECT_EQ(restored.btbDuel.trajectory, duelResult().btbDuel.trajectory);
 }
@@ -91,10 +90,10 @@ TEST(DuelLeg, NonDuelLegsSerializeWithoutDuelSubtree)
     frontend::FrontendResult r = duelResult();
     r.hasDuel = false;
     const report::Leg leg = report::makeLeg("trace-0", "LRU", r, 0.0);
-    EXPECT_FALSE(leg.hasDuel);
+    EXPECT_FALSE(leg.result.hasDuel);
     const Json j = report::legToJson(leg);
     EXPECT_EQ(j.find("duel"), nullptr);
-    EXPECT_FALSE(report::legFromJson(j).hasDuel);
+    EXPECT_FALSE(report::legFromJson(j).result.hasDuel);
 }
 
 core::SuiteOptions

@@ -138,6 +138,14 @@ TEST(Json, ParseErrors)
     EXPECT_THROW(Json::parse(R"("unterminated)"), JsonError);
     EXPECT_THROW(Json::parse(R"({"a" 1})"), JsonError);
     EXPECT_THROW(Json::parse("--1"), JsonError);
+    // Unbounded nesting is refused, not recursed into until the stack
+    // overflows; nesting up to the bound still parses.
+    EXPECT_THROW(Json::parse(std::string(1'000'000, '[')), JsonError);
+    EXPECT_THROW(Json::parse(std::string(Json::kMaxDepth + 1, '[') +
+                             std::string(Json::kMaxDepth + 1, ']')),
+                 JsonError);
+    EXPECT_NO_THROW(Json::parse(std::string(Json::kMaxDepth, '[') +
+                                std::string(Json::kMaxDepth, ']')));
 }
 
 TEST(Json, ParseWhitespaceTolerant)

@@ -17,6 +17,7 @@
 #include "core/runner.hh"
 #include "report/render.hh"
 #include "report/report.hh"
+#include "workload/suite.hh"
 
 namespace
 {
@@ -72,35 +73,145 @@ phaseResult()
     return r;
 }
 
+void
+assignDistinct(std::uint64_t &v, std::uint64_t &next)
+{
+    v = next++;
+}
+
+void
+assignDistinct(std::int64_t &v, std::uint64_t &next)
+{
+    v = -static_cast<std::int64_t>(next++);
+}
+
+void
+assignDistinct(std::vector<std::int64_t> &v, std::uint64_t &next)
+{
+    v = {static_cast<std::int64_t>(next), -static_cast<std::int64_t>(next)};
+    ++next;
+}
+
+/** Give every member on @p S's field list a distinct non-zero value. */
+template <typename S>
+void
+fillDistinct(S &s, std::uint64_t &next)
+{
+    S::forEachField([&](const char *, auto member) {
+        assignDistinct(s.*member, next);
+    });
+}
+
+/** Bytes of @p S covered by its field list: sizeof(S) exactly when the
+ *  list names every member once (the structs have no padding). */
+template <typename S>
+std::size_t
+listedBytes()
+{
+    std::size_t bytes = 0;
+    S::forEachField([&](const char *, auto member) {
+        bytes += sizeof(std::declval<S &>().*member);
+    });
+    return bytes;
+}
+
+template <typename S>
+void
+expectSameFields(const S &a, const S &b, const std::string &where)
+{
+    S::forEachField([&](const char *key, auto member) {
+        EXPECT_EQ(a.*member, b.*member) << where << "." << key;
+    });
+}
+
 TEST(PhaseLeg, RoundTripsThroughJsonBitIdentically)
 {
-    const report::Leg leg =
-        report::makeLeg("trace-0", "GHRP", phaseResult(), 0.5);
-    ASSERT_TRUE(leg.hasPhases);
-    EXPECT_EQ(leg.phases.window, 10'000u);
-    EXPECT_EQ(leg.phases.stride, 2u);
-    ASSERT_EQ(leg.phases.records.size(), 3u);
+    // Each field list names every member of its struct...
+    EXPECT_EQ(listedBytes<stats::AccessStats>(),
+              sizeof(stats::AccessStats));
+    EXPECT_EQ(listedBytes<cache::DuelTelemetry>(),
+              sizeof(cache::DuelTelemetry));
+    EXPECT_EQ(listedBytes<frontend::PhaseRecord>(),
+              sizeof(frontend::PhaseRecord));
 
+    // ...so a duel + phase leg whose every counter is distinct and
+    // non-zero must survive Leg -> JSON -> Leg member by member.
+    frontend::FrontendResult r = phaseResult();
+    std::uint64_t next = 1;
+    r.totalInstructions = next++;
+    r.warmupInstructions = next++;
+    r.measuredInstructions = next++;
+    fillDistinct(r.icache, next);
+    fillDistinct(r.btb, next);
+    r.icacheMpki = 1.5;
+    r.btbMpki = 0.25;
+    frontend::FrontendResult::forEachBranchCounter(
+        [&](const char *, auto member) { r.*member = next++; });
+    r.hasDuel = true;
+    fillDistinct(r.icacheDuel, next);
+    fillDistinct(r.btbDuel, next);
+    r.phases.window = next++;
+    r.phases.stride = next++;
+    for (frontend::PhaseRecord &record : r.phases.records)
+        fillDistinct(record, next);
+
+    const report::Leg leg = report::makeLeg("trace-0", "GHRP", r, 0.5);
     const std::string once = report::legToJson(leg).dump(2);
     const report::Leg reparsed =
         report::legFromJson(Json::parse(once));
     EXPECT_EQ(report::legToJson(reparsed).dump(2), once);
-    ASSERT_TRUE(reparsed.hasPhases);
-    EXPECT_EQ(reparsed.phases.stride, 2u);
+    EXPECT_EQ(reparsed.seconds, 0.5);
 
-    // toFrontendResult is the exact inverse of makeLeg — the resume
-    // path must restore the flight-recorder trajectory too.
-    const frontend::FrontendResult restored =
-        report::toFrontendResult(reparsed);
-    ASSERT_TRUE(restored.hasPhases);
-    EXPECT_EQ(restored.phases.window, 10'000u);
-    ASSERT_EQ(restored.phases.records.size(), 3u);
-    for (std::size_t i = 0; i < restored.phases.records.size(); ++i)
-        EXPECT_EQ(
-            report::phaseRecordJson(restored.phases.records[i]).dump(2),
-            report::phaseRecordJson(phaseResult().phases.records[i])
-                .dump(2))
-            << "record " << i;
+    const frontend::FrontendResult &b = reparsed.result;
+    EXPECT_EQ(b.traceName, "trace-0");
+    EXPECT_EQ(b.policy, "GHRP");
+    EXPECT_EQ(b.totalInstructions, r.totalInstructions);
+    EXPECT_EQ(b.warmupInstructions, r.warmupInstructions);
+    EXPECT_EQ(b.measuredInstructions, r.measuredInstructions);
+    expectSameFields(r.icache, b.icache, "icache");
+    expectSameFields(r.btb, b.btb, "btb");
+    EXPECT_EQ(b.icacheMpki, r.icacheMpki);
+    EXPECT_EQ(b.btbMpki, r.btbMpki);
+    frontend::FrontendResult::forEachBranchCounter(
+        [&](const char *key, auto member) {
+            EXPECT_EQ(b.*member, r.*member) << key;
+        });
+    ASSERT_TRUE(b.hasDuel);
+    expectSameFields(r.icacheDuel, b.icacheDuel, "icacheDuel");
+    expectSameFields(r.btbDuel, b.btbDuel, "btbDuel");
+    ASSERT_TRUE(b.hasPhases);
+    EXPECT_EQ(b.phases.window, r.phases.window);
+    EXPECT_EQ(b.phases.stride, r.phases.stride);
+    ASSERT_EQ(b.phases.records.size(), 3u);
+    for (std::size_t i = 0; i < b.phases.records.size(); ++i)
+        expectSameFields(r.phases.records[i], b.phases.records[i],
+                         "record " + std::to_string(i));
+
+    // Decimation conserves every counter: a trajectory decimated to
+    // stride s equals, record by record, the one sampled directly at
+    // s times the window.
+    const trace::Trace tr =
+        workload::buildTrace(workload::makeSuite(1, 42)[0], 400'000);
+    frontend::FrontendConfig config;
+    config.policy = frontend::PolicyKind::Ghrp;
+    config.phaseWindow = 1'000;
+    const frontend::FrontendResult fine = frontend::simulateTrace(config, tr);
+    ASSERT_GT(fine.phases.stride, 1u);
+    config.phaseWindow *= fine.phases.stride;
+    const frontend::FrontendResult coarse =
+        frontend::simulateTrace(config, tr);
+    ASSERT_EQ(coarse.phases.stride, 1u);
+    ASSERT_EQ(fine.phases.records.size(), coarse.phases.records.size());
+    for (std::size_t i = 0; i < fine.phases.records.size(); ++i) {
+        const frontend::PhaseRecord &f = fine.phases.records[i];
+        const frontend::PhaseRecord &c = coarse.phases.records[i];
+        EXPECT_EQ(f.instructions, c.instructions) << "record " << i;
+        frontend::PhaseRecord::forEachCounter(
+            [&](const char *key, auto member) {
+                EXPECT_EQ(f.*member, c.*member)
+                    << "record " << i << "." << key;
+            });
+    }
 }
 
 TEST(PhaseLeg, NonPhaseLegsSerializeWithoutPhasesSubtree)
@@ -108,10 +219,10 @@ TEST(PhaseLeg, NonPhaseLegsSerializeWithoutPhasesSubtree)
     frontend::FrontendResult r = phaseResult();
     r.hasPhases = false;
     const report::Leg leg = report::makeLeg("trace-0", "GHRP", r, 0.0);
-    EXPECT_FALSE(leg.hasPhases);
+    EXPECT_FALSE(leg.result.hasPhases);
     const Json j = report::legToJson(leg);
     EXPECT_EQ(j.find("phases"), nullptr);
-    EXPECT_FALSE(report::legFromJson(j).hasPhases);
+    EXPECT_FALSE(report::legFromJson(j).result.hasPhases);
 }
 
 core::SuiteOptions
@@ -136,9 +247,10 @@ TEST(PhaseReport, BuildSuiteReportSynthesizesPhasesExtras)
 
     EXPECT_EQ(report.options.at("phaseWindow").asUint(), 20'000u);
     for (const report::Leg &leg : report.legs) {
-        ASSERT_TRUE(leg.hasPhases) << leg.trace << "/" << leg.policy;
-        EXPECT_EQ(leg.phases.window, 20'000u);
-        EXPECT_FALSE(leg.phases.records.empty());
+        ASSERT_TRUE(leg.result.hasPhases)
+            << leg.trace() << "/" << leg.policy();
+        EXPECT_EQ(leg.result.phases.window, 20'000u);
+        EXPECT_FALSE(leg.result.phases.records.empty());
     }
 
     const Json *phases = report.extras.find("phases");
@@ -168,7 +280,7 @@ TEST(PhaseReport, WindowZeroProducesZeroReportDelta)
 
     EXPECT_EQ(report.extras.find("phases"), nullptr);
     for (const report::Leg &leg : report.legs) {
-        EXPECT_FALSE(leg.hasPhases);
+        EXPECT_FALSE(leg.result.hasPhases);
         EXPECT_EQ(report::legToJson(leg).find("phases"), nullptr);
     }
     EXPECT_EQ(report.options.at("phaseWindow").asUint(), 0u);
@@ -213,7 +325,7 @@ TEST(PhaseReport, ShardMergeReproducesPhasesBitIdentically)
               phaseNormalizedDump(reference));
     ASSERT_NE(merged.extras.find("phases"), nullptr);
     for (const report::Leg &leg : merged.legs)
-        EXPECT_TRUE(leg.hasPhases);
+        EXPECT_TRUE(leg.result.hasPhases);
 }
 
 TEST(PhaseRender, RenderCheckAndDiffSurfaces)

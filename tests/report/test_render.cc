@@ -194,6 +194,53 @@ TEST(Diff, AddedAndRemovedPoliciesAreChanges)
     EXPECT_NE(result.text.find("removed"), std::string::npos);
 }
 
+TEST(Diff, PerLegCounterDeltaFailsCheckWithMeansUnchanged)
+{
+    frontend::FrontendResult r;
+    r.icache.accesses = 1'000;
+    r.icache.misses = 40;
+    r.icache.evictions = 30;
+    r.icacheMpki = 4.0;
+    RunReport base = frozenHeadlineReport();
+    base.legs = {report::makeLeg("trace-0", "LRU", r, 0.1),
+                 report::makeLeg("trace-1", "LRU", r, 0.2)};
+
+    // One eviction more in one leg leaves every policy mean as it was;
+    // the per-leg gate must still fail. Wall time is never compared.
+    frontend::FrontendResult changed = r;
+    ++changed.icache.evictions;
+    RunReport cand = base;
+    cand.legs[1] = report::makeLeg("trace-1", "LRU", changed, 9.0);
+    DiffOptions options;
+    options.check = true;
+    const DiffResult result = report::diffReports(base, cand, options);
+    EXPECT_FALSE(result.mpkiChanged);
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.text.find("trace-1/LRU: counters differ"),
+              std::string::npos)
+        << result.text;
+
+    cand = base;
+    cand.legs[0].seconds = 5.0;
+    EXPECT_TRUE(report::diffReports(base, cand, options).ok());
+
+    // A leg only one report carries is a change.
+    cand = base;
+    cand.legs.pop_back();
+    EXPECT_FALSE(report::diffReports(base, cand, options).ok());
+    EXPECT_FALSE(report::diffReports(cand, base, options).ok());
+
+    // A phases subtree the baseline predates is not compared; one the
+    // candidate lost is.
+    frontend::FrontendResult phased = r;
+    phased.hasPhases = true;
+    phased.phases.window = 50'000;
+    cand = base;
+    cand.legs[0] = report::makeLeg("trace-0", "LRU", phased, 0.1);
+    EXPECT_TRUE(report::diffReports(base, cand, options).ok());
+    EXPECT_FALSE(report::diffReports(cand, base, options).ok());
+}
+
 TEST(Diff, MetricOnlyReportsCompareMetrics)
 {
     RunReport base, cand;

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "report/report.hh"
 
@@ -67,9 +69,9 @@ TEST(RunReport, BuilderPopulatesSchema)
     EXPECT_FALSE(report.build.empty());
     EXPECT_FALSE(report.environment.empty());
     ASSERT_EQ(report.legs.size(), 2u);
-    EXPECT_EQ(report.legs[0].policy, "LRU");
-    EXPECT_DOUBLE_EQ(report.legs[0].icache.mpki, 4.0);
-    EXPECT_EQ(report.legs[0].icache.misses, 2'000u);
+    EXPECT_EQ(report.legs[0].policy(), "LRU");
+    EXPECT_DOUBLE_EQ(report.legs[0].result.icacheMpki, 4.0);
+    EXPECT_EQ(report.legs[0].result.icache.misses, 2'000u);
     EXPECT_EQ(report.sweep.legs, 2u);
     EXPECT_EQ(report.sweep.simulatedInstructions, 2'000'000u);
     EXPECT_DOUBLE_EQ(report.sweep.wallSeconds, 0.75);
@@ -90,6 +92,25 @@ TEST(RunReport, JsonRoundTripIsBitIdentical)
     EXPECT_EQ(reparsed.legs.size(), report.legs.size());
     EXPECT_EQ(reparsed.metrics.size(), report.metrics.size());
     EXPECT_EQ(reparsed.build, report.build);
+
+    // The committed seed reports (schema minors 1.2 to 1.4) reload and
+    // re-serialize to their exact bytes.
+    const std::filesystem::path seeds =
+        std::filesystem::path(GHRP_SOURCE_DIR) / "reports" / "seed";
+    std::size_t checked = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(seeds)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::ifstream file(entry.path());
+        const std::string bytes((std::istreambuf_iterator<char>(file)),
+                                std::istreambuf_iterator<char>());
+        EXPECT_EQ(RunReport::load(entry.path().string()).toJson().dump(2) +
+                      "\n",
+                  bytes)
+            << entry.path();
+        ++checked;
+    }
+    EXPECT_GE(checked, 3u);
 }
 
 TEST(RunReport, WriteAndLoad)

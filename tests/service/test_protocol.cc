@@ -86,6 +86,21 @@ TEST(Protocol, MalformedPayloadThrows)
     EXPECT_THROW(decoder.next(), report::JsonError);
 }
 
+TEST(Protocol, DeeplyNestedPayloadThrows)
+{
+    // A million '[' fits one frame; parsing it must fail cleanly
+    // rather than overflow the daemon's stack.
+    const std::string payload(1'000'000, '[');
+    const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
+    const char header[4] = {
+        static_cast<char>(size >> 24), static_cast<char>(size >> 16),
+        static_cast<char>(size >> 8), static_cast<char>(size)};
+    FrameDecoder decoder;
+    decoder.feed(header, sizeof(header));
+    decoder.feed(payload.data(), payload.size());
+    EXPECT_THROW(decoder.next(), report::JsonError);
+}
+
 TEST(Protocol, ChecksProtocolNameAndMajor)
 {
     report::Json wrong_name = makeMessage("ping");

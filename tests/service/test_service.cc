@@ -635,8 +635,9 @@ sigkillResumeCase(const std::string &scratch, bool fused,
     // comparison above; make the coverage explicit.
     if (phase_window > 0)
         for (const report::Leg &leg : served.legs) {
-            EXPECT_TRUE(leg.hasPhases) << leg.trace << "/" << leg.policy;
-            EXPECT_FALSE(leg.phases.records.empty());
+            EXPECT_TRUE(leg.result.hasPhases)
+                << leg.trace() << "/" << leg.policy();
+            EXPECT_FALSE(leg.result.phases.records.empty());
         }
 }
 

@@ -10,10 +10,12 @@
  *       committed seed reports.
  *
  *   ghrp-report diff BASELINE CANDIDATE [--check] [--max-regress PCT]
- *       Per-policy MPKI deltas and sweep-throughput comparison. With
- *       --check, exit 1 when any MPKI changed (simulation is
- *       deterministic — a delta is a code change) or when legs/s
- *       regressed by more than PCT (default 5).
+ *       Per-policy MPKI deltas, per-leg counter comparison and
+ *       sweep-throughput comparison. With --check, exit 1 when any
+ *       MPKI or any leg's counters changed, or a leg is in only one
+ *       report (simulation is deterministic — a delta is a code
+ *       change), or when legs/s regressed by more than PCT
+ *       (default 5).
  *
  *   ghrp-report trajectory FILE... [--out-dir DIR]
  *       Write BENCH_<name>.json trajectory points (throughput,
