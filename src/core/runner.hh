@@ -228,7 +228,7 @@ struct RunHooks
 /**
  * Run the full suite: for each trace spec, acquire the trace (from the
  * content-addressed store when enabled, generating otherwise), decode
- * it once into the compact fetch-op stream, and simulate that shared
+ * it once into the compact branch stream, and simulate that shared
  * read-only stream under every requested policy, one lane group at a
  * time (see SuiteOptions::fused).
  *

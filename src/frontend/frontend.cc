@@ -513,7 +513,7 @@ FrontendSim::beginRun(const trace::DecodedTrace &dec)
         cfg.warmupCapInstructions);
 
     pendingWarm = pending.warmupInstructions == 0;
-    pendingBlockMask = ~static_cast<Addr>(cfg.icache.blockBytes - 1);
+    pendingCursor = dec.fetchCursor();
 
     // Arm the phase flight recorder; a saturated boundary keeps the
     // per-record check to one always-false compare when it is off.
@@ -538,16 +538,18 @@ void
 FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
 {
     FrontendResult &result = pending;
-    const Addr block_mask = pendingBlockMask;
     const bool pre_resolved = pendingPreResolved;
 
+    const Addr pc = dec.brPc[i];
+    const Addr target = dec.brTarget[i];
+    const std::uint8_t meta = dec.brMeta[i];
+    const bool taken = trace::branch_meta::taken(meta);
+
     // ---- fetch ops of the run ending at this branch ------------
-    // Fetch-buffer coalescing already happened at decode time; every
-    // op here is a real I-cache access.
-    const std::uint64_t op_end = dec.opBegin[i + 1];
-    for (std::uint64_t op = dec.opBegin[i]; op < op_end; ++op) {
-        const Addr fetch_pc = dec.fetchPc[op];
-        const Addr block_addr = fetch_pc & block_mask;
+    // The cursor applies fetch-buffer coalescing; every op it visits
+    // is a real I-cache access.
+    pendingCursor.advance(pc, target, taken, [&](Addr block_addr,
+                                                 Addr fetch_pc) {
         const cache::AccessOutcome out =
             icache->access(block_addr, fetch_pc);
         if (!out.hit && cfg.nextLinePrefetch > 0) {
@@ -564,12 +566,7 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
             ghrpPredictor->updateSpecHistory(fetch_pc);
             ghrpPredictor->updateRetiredHistory(fetch_pc);
         }
-    }
-
-    const Addr pc = dec.brPc[i];
-    const Addr target = dec.brTarget[i];
-    const std::uint8_t meta = dec.brMeta[i];
-    const bool taken = trace::branch_meta::taken(meta);
+    });
 
     // ---- direction prediction ----------------------------------
     if (trace::branch_meta::conditional(meta)) {
@@ -628,8 +625,8 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
         ras.push(pc + cfg.instBytes);
 
     // ---- warm-up boundary ---------------------------------------
-    if (!pendingWarm &&
-        dec.cumInstructions[i] >= result.warmupInstructions) {
+    const std::uint64_t cum = pendingCursor.instructionCount();
+    if (!pendingWarm && cum >= result.warmupInstructions) {
         pendingWarm = true;
         if (phaseNextBoundary == ~std::uint64_t{0}) {
             resetMeasurement(result);
@@ -648,8 +645,7 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
     }
 
     // ---- phase flight recorder ----------------------------------
-    if (dec.cumInstructions[i] >= phaseNextBoundary) {
-        const std::uint64_t cum = dec.cumInstructions[i];
+    if (cum >= phaseNextBoundary) {
         phaseSample(cum);
         do {
             phaseNextBoundary += cfg.phaseWindow;

@@ -360,10 +360,10 @@ class FrontendSim
     ~FrontendSim();
 
     /**
-     * Simulate one decoded fetch-op stream and return the post-warm-up
-     * statistics. This is the hot path: no fetch-stream walking, no
-     * per-block callback dispatch and no separate instruction-count
-     * pass — all of that happened once, in decodeTrace(). The decode
+     * Simulate one decoded branch stream and return the post-warm-up
+     * statistics. This is the hot path: branch classification and the
+     * instruction total were done once, in decodeTrace(); each record's
+     * fetch ops are re-derived inline by a FetchCursor. The decode
      * granularity must match the configuration (asserted).
      */
     FrontendResult run(const trace::DecodedTrace &decoded);
@@ -434,7 +434,9 @@ class FrontendSim
     FrontendResult pending;
     bool pendingWarm = false;
     bool pendingPreResolved = false;
-    Addr pendingBlockMask = 0;
+    /** Re-derives each record's fetch ops and running instruction
+     *  count from the records already stepped. */
+    trace::FetchCursor pendingCursor;
 
     // ---- phase flight recorder (see FrontendConfig::phaseWindow) ----
     /** Cumulative counters at @p out, read from the live structures. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fused multi-policy executor: simulate N replacement policies over
- * ONE walk of a shared decoded fetch-op stream. Each policy is an
+ * ONE walk of a shared decoded branch stream. Each policy is an
  * independent lane (its own FrontendSim — tag stores, predictors, RAS
  * and counters), and the walk is chunked so a chunk of the decoded
  * SoA stream is pulled from memory once and then replayed to every
@@ -41,8 +41,8 @@ class FusedSim
   public:
     /**
      * Records fed to every lane per chunk. Sized so one chunk of the
-     * decoded SoA stream (~34 B/record plus its fetch ops) stays
-     * resident in L2 while every lane consumes it.
+     * decoded SoA stream (~18 B/record) stays resident in L2 while
+     * every lane consumes it.
      */
     static constexpr std::size_t kChunkRecords = 2048;
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Decode-once fetch-op stream: the per-record work the front-end used
- * to redo for every policy leg — fetch-run reconstruction, fetch-buffer
- * coalescing, branch-type classification and instruction counting — is
- * performed once per trace and stored as a compact structure-of-arrays
- * stream that every leg then consumes read-only.
+ * Decode-once branch stream: the per-record work the front-end used to
+ * redo for every policy leg — branch-type classification, and counting
+ * the trace's fetch ops and instructions — is performed once per trace
+ * and stored as a compact structure-of-arrays stream that every leg
+ * then consumes read-only. The fetch ops themselves cost a few ALU ops
+ * per record to re-derive, so legs rebuild them while stepping
+ * (FetchCursor) instead of reading them from memory.
  *
  * The decoded stream is exactly equivalent to walking the branch
  * records through FetchStreamWalker with the front-end's coalescing
@@ -16,10 +18,13 @@
 #define GHRP_TRACE_DECODED_TRACE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "trace/branch_record.hh"
+#include "util/bit_ops.hh"
+#include "util/logging.hh"
 
 namespace ghrp::trace
 {
@@ -73,20 +78,92 @@ constexpr bool isReturn(std::uint8_t m) { return (m & returnBit) != 0; }
 } // namespace branch_meta
 
 /**
+ * The fetch-run rule, stepped one branch record at a time. For each
+ * record it visits the I-cache accesses of the sequential fetch run
+ * ending at the branch and keeps the running dynamic instruction count:
+ *   - a record that lies behind the fetch PC (a malformed trace)
+ *     resynchronizes the run at the branch;
+ *   - each block of the run is one fetch op, except a block equal to
+ *     the last fetched one (fetch-buffer coalescing);
+ *   - an op's fetch PC is max(run start, block address), where the
+ *     run start is the fetch PC before any resync;
+ *   - the count grows by (pc - start) / instBytes + 1, where the
+ *     start is the fetch PC after any resync.
+ * Decode counts a trace's ops and instructions with it, and every
+ * simulation leg re-derives them with it while stepping, so the decoded
+ * trace stores neither. FetchStreamWalker is the independently coded
+ * form of the same rule that the differential tests check it against.
+ */
+class FetchCursor
+{
+  public:
+    FetchCursor() = default;
+
+    /** @p block_bytes and @p inst_bytes are powers of two. */
+    FetchCursor(Addr entry_pc, std::uint32_t block_bytes,
+                std::uint32_t inst_bytes)
+        : fetchPc(entry_pc), blockShift(floorLog2(block_bytes)),
+          instShift(floorLog2(inst_bytes)), instBytes(inst_bytes)
+    {
+        GHRP_ASSERT(isPowerOf2(block_bytes));
+        GHRP_ASSERT(isPowerOf2(inst_bytes));
+        GHRP_ASSERT(block_bytes >= inst_bytes);
+    }
+
+    /**
+     * Consume the branch at @p pc: call visit_op(Addr block_addr, Addr
+     * fetch_pc) once per fetch op of its run, in ascending block order,
+     * then move the fetch PC to the branch outcome.
+     */
+    template <typename VisitOp>
+    void
+    advance(Addr pc, Addr target, bool taken, VisitOp &&visit_op)
+    {
+        const Addr run_start = fetchPc;
+        Addr from = run_start;
+        if (pc < from) {
+            ++resyncCount;
+            from = pc;
+        }
+        const Addr last = pc >> blockShift;
+        for (Addr blk = from >> blockShift; blk <= last; ++blk) {
+            const Addr block_addr = blk << blockShift;
+            if (block_addr == lastBlock)
+                continue;
+            lastBlock = block_addr;
+            visit_op(block_addr,
+                     run_start > block_addr ? run_start : block_addr);
+        }
+        instructions += ((pc - from) >> instShift) + 1;
+        fetchPc = taken ? target : pc + instBytes;
+    }
+
+    /** Dynamic instructions up to and including the last record. */
+    std::uint64_t instructionCount() const { return instructions; }
+
+    /** Records that lay behind the fetch PC so far. */
+    std::uint64_t resyncs() const { return resyncCount; }
+
+  private:
+    Addr fetchPc = 0;
+    Addr lastBlock = ~Addr{0};
+    unsigned blockShift = 0;
+    unsigned instShift = 0;
+    std::uint32_t instBytes = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t resyncCount = 0;
+};
+
+/**
  * A branch trace decoded at a fixed (block size, instruction size)
  * granularity. Built once per trace by decodeTrace() and shared
  * read-only across all policy legs simulating that trace.
  *
- * Record i carries:
- *   - brPc[i] / brTarget[i] / brMeta[i]: the branch itself;
- *   - fetchPc[opBegin[i] .. opBegin[i+1]): the I-cache accesses of the
- *     sequential fetch run ending at the branch, *after* fetch-buffer
- *     coalescing (a run that stays within the previously fetched block
- *     contributes no ops). Each op's block address is fetchPc & ~(
- *     blockBytes - 1);
- *   - cumInstructions[i]: dynamic instructions reconstructed up to and
- *     including record i (the walker's running count), which gives the
- *     warm-up boundary and the total without a second pass.
+ * Record i carries brPc[i] / brTarget[i] / brMeta[i] (and, once
+ * resolved, dirPredictedTaken[i]): 18 bytes. Its fetch ops and the
+ * running instruction count are not stored; each leg re-derives them
+ * from the records with a FetchCursor as it steps. Decode runs the same
+ * cursor once to count the totals below.
  */
 struct DecodedTrace
 {
@@ -102,15 +179,14 @@ struct DecodedTrace
      *  traces; mirrors FetchStreamWalker::resyncs()). */
     std::uint64_t resyncs = 0;
 
+    /** Reconstructed dynamic instructions and I-cache fetch ops of the
+     *  whole trace, counted at decode. */
+    std::uint64_t instructions = 0;
+    std::uint64_t fetchOps = 0;
+
     std::vector<Addr> brPc;
     std::vector<Addr> brTarget;
     std::vector<std::uint8_t> brMeta;
-    std::vector<std::uint64_t> cumInstructions;
-
-    /** opBegin[i] .. opBegin[i+1] index record i's ops in fetchPc;
-     *  size numRecords() + 1, opBegin[0] == 0. */
-    std::vector<std::uint64_t> opBegin;
-    std::vector<Addr> fetchPc;
 
     /**
      * Optional pre-resolved direction stream. Like the fetch ops, the
@@ -138,13 +214,16 @@ struct DecodedTrace
     }
 
     std::size_t numRecords() const { return brPc.size(); }
-    std::size_t numFetchOps() const { return fetchPc.size(); }
+    std::size_t numFetchOps() const { return fetchOps; }
 
     /** Total reconstructed dynamic instruction count. */
-    std::uint64_t
-    totalInstructions() const
+    std::uint64_t totalInstructions() const { return instructions; }
+
+    /** A cursor at the start of this trace's fetch stream. */
+    FetchCursor
+    fetchCursor() const
     {
-        return cumInstructions.empty() ? 0 : cumInstructions.back();
+        return FetchCursor(entryPc, blockBytes, instBytes);
     }
 
     /** Approximate resident size, for cache budgeting. */
@@ -161,10 +240,11 @@ DecodedTrace decodeTrace(const Trace &trace, std::uint32_t block_bytes,
 /**
  * Decode directly from an mmap-backed trace file without materializing
  * a Trace: records are unpacked from the map as they are consumed.
+ * std::nullopt when a record's branch-type byte is corrupt.
  */
-DecodedTrace decodeTrace(const MappedTrace &mapped,
-                         std::uint32_t block_bytes,
-                         std::uint32_t inst_bytes);
+std::optional<DecodedTrace> tryDecodeTrace(const MappedTrace &mapped,
+                                           std::uint32_t block_bytes,
+                                           std::uint32_t inst_bytes);
 
 } // namespace ghrp::trace
 

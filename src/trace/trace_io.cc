@@ -283,7 +283,7 @@ MappedTrace::release() noexcept
     length = 0;
 }
 
-Trace
+std::optional<Trace>
 MappedTrace::materialize() const
 {
     Trace trace;
@@ -291,8 +291,12 @@ MappedTrace::materialize() const
     trace.category = traceCategory;
     trace.entryPc = entry;
     trace.records.reserve(nRecords);
-    for (std::uint64_t i = 0; i < nRecords; ++i)
-        trace.records.push_back(record(i));
+    for (std::uint64_t i = 0; i < nRecords; ++i) {
+        const std::optional<BranchRecord> rec = record(i);
+        if (!rec)
+            return std::nullopt;
+        trace.records.push_back(*rec);
+    }
     return trace;
 }
 

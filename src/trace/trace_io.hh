@@ -86,30 +86,31 @@ class MappedTrace
     Addr entryPc() const { return entry; }
     std::uint64_t numRecords() const { return nRecords; }
 
-    /** Unpack record @p i (no bounds check beyond the debug assert;
-     *  fatal() on a corrupt branch-type byte). Inline: the decode loop
-     *  unpacks every record of a trace through this accessor, and an
-     *  out-of-line call per record dominated its profile. */
-    BranchRecord
+    /** Unpack record @p i (no bounds check beyond the debug assert);
+     *  std::nullopt when its branch-type byte is corrupt — tryOpen
+     *  validates only the header. Inline: the decode loop unpacks every
+     *  record of a trace through this accessor, and an out-of-line call
+     *  per record dominated its profile. */
+    std::optional<BranchRecord>
     record(std::uint64_t i) const
     {
         GHRP_ASSERT(i < nRecords);
         const unsigned char *p = records + i * traceRecordStride;
+        const std::uint8_t type = p[16];
+        if (type >= numBranchTypes)
+            return std::nullopt;
         BranchRecord rec;
         std::memcpy(&rec.pc, p, sizeof(rec.pc));
         std::memcpy(&rec.target, p + 8, sizeof(rec.target));
-        const std::uint8_t type = p[16];
-        if (type >= numBranchTypes)
-            fatal("corrupt branch type %u in mapped trace '%s'", type,
-                  traceName.c_str());
         rec.type = static_cast<BranchType>(type);
         rec.taken = p[17] != 0;
         return rec;
     }
 
     /** Materialize the full in-memory Trace (used where a caller needs
-     *  the record vector rather than streaming access). */
-    Trace materialize() const;
+     *  the record vector rather than streaming access); std::nullopt
+     *  when any record is corrupt. */
+    std::optional<Trace> materialize() const;
 
   private:
     MappedTrace() = default;

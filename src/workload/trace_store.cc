@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <system_error>
 #include <vector>
 
@@ -249,14 +250,16 @@ TraceStore::acquire(const TraceSpec &spec,
         return buildTrace(spec, instruction_override);
 
     const std::string path = pathFor(spec, instruction_override);
-    if (auto mapped = trace::MappedTrace::tryOpen(path)) {
+    std::optional<trace::Trace> cached;
+    if (auto mapped = trace::MappedTrace::tryOpen(path))
+        cached = mapped->materialize();
+    if (cached) {
         hitCount.fetch_add(1, std::memory_order_relaxed);
         storeMetrics().hits.add();
         storeMetrics().readBytes.add(fileBytes(path));
-        trace::Trace tr = mapped->materialize();
-        tr.name = spec.name;
-        tr.category = categoryName(spec.category);
-        return tr;
+        cached->name = spec.name;
+        cached->category = categoryName(spec.category);
+        return std::move(*cached);
     }
 
     missCount.fetch_add(1, std::memory_order_relaxed);
@@ -394,15 +397,18 @@ TraceStore::acquireDecoded(const TraceSpec &spec,
 {
     if (enabled()) {
         const std::string path = pathFor(spec, instruction_override);
-        if (auto mapped = trace::MappedTrace::tryOpen(path)) {
+        // A file that fails to open or to decode (a corrupt record) is
+        // a miss: regenerate and overwrite it.
+        std::optional<trace::DecodedTrace> cached;
+        if (auto mapped = trace::MappedTrace::tryOpen(path))
+            cached = trace::tryDecodeTrace(*mapped, block_bytes, inst_bytes);
+        if (cached) {
             hitCount.fetch_add(1, std::memory_order_relaxed);
             storeMetrics().hits.add();
             storeMetrics().readBytes.add(fileBytes(path));
-            trace::DecodedTrace dec =
-                trace::decodeTrace(*mapped, block_bytes, inst_bytes);
-            dec.name = spec.name;
-            dec.category = categoryName(spec.category);
-            return dec;
+            cached->name = spec.name;
+            cached->category = categoryName(spec.category);
+            return std::move(*cached);
         }
         missCount.fetch_add(1, std::memory_order_relaxed);
         storeMetrics().misses.add();

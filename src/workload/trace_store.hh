@@ -87,10 +87,11 @@ class TraceStore
                          std::uint64_t instruction_override = 0);
 
     /**
-     * The decoded fetch-op stream for @p spec at the given granularity.
+     * The decoded branch stream for @p spec at the given granularity.
      * On a store hit the decode streams records directly from the mmap
-     * (zero-copy: no intermediate record vector); on a miss the trace
-     * is generated, persisted, and decoded in memory.
+     * (zero-copy: no intermediate record vector); on a miss — including
+     * a file with a corrupt record — the trace is generated, persisted
+     * over the old file, and decoded in memory.
      */
     trace::DecodedTrace acquireDecoded(const TraceSpec &spec,
                                        std::uint64_t instruction_override,

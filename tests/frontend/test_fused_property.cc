@@ -3,9 +3,11 @@
  * Property test for the fused multi-policy executor: seed-randomized
  * short traces and geometries (splitMix64-derived lengths, set counts,
  * associativities — including non-power-of-two and 1-way sets) are
- * hammered through FusedSim and checked lane-by-lane against the
- * independent runWalker oracle. On a mismatch the failing seed is
- * printed so the exact case replays with a one-line test.
+ * hammered through FusedSim and per-leg runs and checked lane-by-lane
+ * against the independent runWalker oracle. The traces include
+ * malformed records that force a fetch-run resync. On a mismatch the
+ * failing seed is printed so the exact case replays with a one-line
+ * test.
  */
 
 #include <gtest/gtest.h>
@@ -30,13 +32,20 @@ constexpr PolicyKind allPolicies[] = {
 };
 
 /**
- * Random short trace. Well-formed by construction: each branch pc lies
- * a random distance past the current fetch pc (the walker's "record.pc
- * >= fetch pc" contract), and the next fetch pc follows the outcome.
- * Targets are drawn from a small pool so control flow revisits blocks
- * (cache reuse, predictor training); calls/returns exercise the RAS
- * and indirect jumps occasionally switch targets so the BTB sees
- * target mismatches, not just presence misses.
+ * Random short trace. Mostly well-formed: each branch pc lies a random
+ * distance past the current fetch pc (the walker's "record.pc >= fetch
+ * pc" contract), and the next fetch pc follows the outcome. Targets
+ * are drawn from a small pool so control flow revisits blocks (cache
+ * reuse, predictor training); calls/returns exercise the RAS and
+ * indirect jumps occasionally switch targets so the BTB sees target
+ * mismatches, not just presence misses.
+ *
+ * A seed-derived share of records (none for half the seeds) is
+ * malformed on purpose: its pc lies up to 64 instructions *behind* the
+ * fetch pc, within the run-start block or several blocks back, so the
+ * fetch-run rule must resync. Another share loops back to the start of
+ * its own block, giving back-to-back runs in one block that the
+ * fetch-buffer coalescing must skip.
  */
 trace::Trace
 randomTrace(Rng &rng)
@@ -47,13 +56,19 @@ randomTrace(Rng &rng)
     std::vector<Addr> targets(4 + rng.nextBounded(16));
     for (Addr &target : targets)
         target = 0x1000 + rng.nextBounded(2048) * 4;
+    const double backward_share =
+        rng.nextBool(0.5) ? 0.0 : 0.01 * (1 + rng.nextBounded(10));
+    const double same_block_share = 0.02 * rng.nextBounded(10);
 
     Addr fetch = t.entryPc;
     const std::size_t len = 50 + rng.nextBounded(3000);
     t.records.reserve(len);
     for (std::size_t i = 0; i < len; ++i) {
         trace::BranchRecord r;
-        r.pc = fetch + rng.nextBounded(12) * 4;  // 0..11-inst run
+        if (rng.nextBool(backward_share))
+            r.pc = fetch - (1 + rng.nextBounded(64)) * 4;  // resync
+        else
+            r.pc = fetch + rng.nextBounded(12) * 4;  // 0..11-inst run
         const std::uint64_t kind = rng.nextBounded(8);
         r.type = kind == 0   ? trace::BranchType::UncondDirect
                  : kind == 1 ? trace::BranchType::Call
@@ -67,6 +82,12 @@ randomTrace(Rng &rng)
                            rng.nextBool(0.3)
                        ? 0x1000 + rng.nextBounded(2048) * 4
                        : targets[rng.nextBounded(targets.size())];
+        if (rng.nextBool(same_block_share)) {
+            // A tight loop within the smallest (32-byte) block.
+            r.type = trace::BranchType::CondDirect;
+            r.taken = true;
+            r.target = r.pc & ~Addr{31};
+        }
         t.records.push_back(r);
         fetch = r.taken ? r.target : r.pc + 4;
     }
@@ -86,6 +107,34 @@ randomGeometry(Rng &rng, std::uint32_t block_bytes)
     const std::uint32_t sets = 1u << (1 + rng.nextBounded(5));  // 2..32
     cfg.sizeBytes = sets * cfg.assoc * cfg.blockBytes;
     return cfg;
+}
+
+/** Every counter of @p got equals the walker oracle's @p ref. */
+void
+expectSameResult(const FrontendResult &got, const FrontendResult &ref)
+{
+    ASSERT_EQ(got.totalInstructions, ref.totalInstructions);
+    ASSERT_EQ(got.measuredInstructions, ref.measuredInstructions);
+    ASSERT_EQ(got.icache.accesses, ref.icache.accesses);
+    ASSERT_EQ(got.icache.hits, ref.icache.hits);
+    ASSERT_EQ(got.icache.misses, ref.icache.misses);
+    ASSERT_EQ(got.icache.bypasses, ref.icache.bypasses);
+    ASSERT_EQ(got.icache.evictions, ref.icache.evictions);
+    ASSERT_EQ(got.icache.deadEvictions, ref.icache.deadEvictions);
+    ASSERT_EQ(got.btb.accesses, ref.btb.accesses);
+    ASSERT_EQ(got.btb.hits, ref.btb.hits);
+    ASSERT_EQ(got.btb.misses, ref.btb.misses);
+    ASSERT_EQ(got.btb.evictions, ref.btb.evictions);
+    ASSERT_EQ(got.btb.deadEvictions, ref.btb.deadEvictions);
+    ASSERT_EQ(got.condBranches, ref.condBranches);
+    ASSERT_EQ(got.condMispredicts, ref.condMispredicts);
+    ASSERT_EQ(got.btbTargetMismatches, ref.btbTargetMismatches);
+    ASSERT_EQ(got.rasReturns, ref.rasReturns);
+    ASSERT_EQ(got.rasMispredicts, ref.rasMispredicts);
+    ASSERT_EQ(got.indirectBranches, ref.indirectBranches);
+    ASSERT_EQ(got.indirectMispredicts, ref.indirectMispredicts);
+    ASSERT_EQ(got.icacheMpki, ref.icacheMpki);
+    ASSERT_EQ(got.btbMpki, ref.btbMpki);
 }
 
 void
@@ -122,36 +171,20 @@ runOneSeed(std::uint64_t seed)
         cfg.policy = policies[i];
         FrontendSim oracle(cfg);
         const FrontendResult ref = oracle.runWalker(tr);
-        const FrontendResult &got = fused[i];
+        const FrontendResult per_leg = simulateDecoded(cfg, dec);
 
         SCOPED_TRACE(::testing::Message()
                      << "REPLAY: runOneSeed(" << seed << ") policy "
                      << policyName(policies[i]) << " icache "
                      << base.icache.describe() << " btb "
                      << base.btb.describe() << " records "
-                     << tr.records.size());
-        ASSERT_EQ(got.totalInstructions, ref.totalInstructions);
-        ASSERT_EQ(got.measuredInstructions, ref.measuredInstructions);
-        ASSERT_EQ(got.icache.accesses, ref.icache.accesses);
-        ASSERT_EQ(got.icache.hits, ref.icache.hits);
-        ASSERT_EQ(got.icache.misses, ref.icache.misses);
-        ASSERT_EQ(got.icache.bypasses, ref.icache.bypasses);
-        ASSERT_EQ(got.icache.evictions, ref.icache.evictions);
-        ASSERT_EQ(got.icache.deadEvictions, ref.icache.deadEvictions);
-        ASSERT_EQ(got.btb.accesses, ref.btb.accesses);
-        ASSERT_EQ(got.btb.hits, ref.btb.hits);
-        ASSERT_EQ(got.btb.misses, ref.btb.misses);
-        ASSERT_EQ(got.btb.evictions, ref.btb.evictions);
-        ASSERT_EQ(got.btb.deadEvictions, ref.btb.deadEvictions);
-        ASSERT_EQ(got.condBranches, ref.condBranches);
-        ASSERT_EQ(got.condMispredicts, ref.condMispredicts);
-        ASSERT_EQ(got.btbTargetMismatches, ref.btbTargetMismatches);
-        ASSERT_EQ(got.rasReturns, ref.rasReturns);
-        ASSERT_EQ(got.rasMispredicts, ref.rasMispredicts);
-        ASSERT_EQ(got.indirectBranches, ref.indirectBranches);
-        ASSERT_EQ(got.indirectMispredicts, ref.indirectMispredicts);
-        ASSERT_EQ(got.icacheMpki, ref.icacheMpki);
-        ASSERT_EQ(got.btbMpki, ref.btbMpki);
+                     << tr.records.size() << " resyncs " << dec.resyncs);
+        for (const FrontendResult *got : {&per_leg, &fused[i]}) {
+            SCOPED_TRACE(got == &per_leg ? "per-leg" : "fused");
+            expectSameResult(*got, ref);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
     }
 }
 
@@ -170,6 +203,20 @@ TEST(FusedProperty, RandomTracesAndGeometriesMatchWalkerOracle)
             return;
         }
     }
+}
+
+/** The draw above must actually exercise the resync path. */
+TEST(FusedProperty, DrawIncludesMalformedRecords)
+{
+    std::size_t resyncing = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(splitMix64(seed));
+        const trace::Trace tr = randomTrace(rng);
+        if (trace::decodeTrace(tr, 64, 4).resyncs > 0)
+            ++resyncing;
+    }
+    EXPECT_GE(resyncing, 10u);
+    EXPECT_LE(resyncing, 30u);
 }
 
 /** 1-way structures force an eviction on every conflicting fill; keep

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <optional>
+#include <vector>
 
+#include "fetch_oracle.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/fetch_stream.hh"
 #include "trace/trace_io.hh"
@@ -52,42 +56,27 @@ TEST(DecodedTrace, MirrorsWalkerExactly)
 {
     const Trace tr = loopTrace();
     const DecodedTrace dec = decodeTrace(tr, 64, 4);
-
-    ASSERT_EQ(dec.numRecords(), tr.records.size());
-    ASSERT_EQ(dec.opBegin.size(), tr.records.size() + 1);
-    EXPECT_EQ(dec.opBegin.front(), 0u);
-    EXPECT_EQ(dec.opBegin.back(), dec.numFetchOps());
-    EXPECT_EQ(dec.entryPc, tr.entryPc);
     EXPECT_EQ(dec.resyncs, 0u);
+    expectCursorMirrorsWalker(tr, dec);
+}
 
-    // Replay the walker with the front-end's coalescing rule and
-    // compare op-for-op.
-    FetchStreamWalker walker(tr.entryPc, 64, 4);
-    Addr last_block = ~Addr{0};
-    std::size_t op = 0;
-    for (std::size_t i = 0; i < tr.records.size(); ++i) {
-        const Addr run_start = walker.currentPc();
-        walker.advance(tr.records[i], [&](Addr block_addr) {
-            if (block_addr == last_block)
-                return;
-            last_block = block_addr;
-            ASSERT_LT(op, dec.numFetchOps());
-            const Addr fetch_pc = std::max(run_start, block_addr);
-            EXPECT_EQ(dec.fetchPc[op], fetch_pc);
-            // The block address must be recoverable from the fetch pc.
-            EXPECT_EQ(dec.fetchPc[op] & ~Addr{63}, block_addr);
-            ++op;
-        });
-        EXPECT_EQ(dec.opBegin[i + 1], op);
-        EXPECT_EQ(dec.cumInstructions[i], walker.instructionCount());
-        EXPECT_EQ(dec.brPc[i], tr.records[i].pc);
-        EXPECT_EQ(dec.brTarget[i], tr.records[i].target);
-        EXPECT_EQ(branch_meta::type(dec.brMeta[i]), tr.records[i].type);
-        EXPECT_EQ(branch_meta::taken(dec.brMeta[i]),
-                  tr.records[i].taken);
+TEST(DecodedTrace, CursorMirrorsWalkerThroughResyncs)
+{
+    // Records behind the fetch PC — within the run-start block, one
+    // block back, and far back — plus back-to-back runs in one block.
+    Trace t;
+    t.entryPc = 0x1000;
+    t.records.push_back({0x1010, 0x1030, BranchType::UncondDirect, true});
+    t.records.push_back({0x1020, 0x1100, BranchType::CondDirect, true});
+    t.records.push_back({0x10c8, 0x2000, BranchType::CondDirect, false});
+    t.records.push_back({0x0800, 0x0804, BranchType::UncondDirect, true});
+    t.records.push_back({0x0808, 0x0800, BranchType::CondDirect, true});
+    t.records.push_back({0x0808, 0x0800, BranchType::CondDirect, false});
+    for (std::uint32_t block : {64u, 32u}) {
+        const DecodedTrace dec = decodeTrace(t, block, 4);
+        EXPECT_EQ(dec.resyncs, 3u);
+        expectCursorMirrorsWalker(t, dec);
     }
-    EXPECT_EQ(op, dec.numFetchOps());
-    EXPECT_EQ(dec.totalInstructions(), walker.instructionCount());
 }
 
 TEST(DecodedTrace, CoalescesIntraBlockRuns)
@@ -101,7 +90,17 @@ TEST(DecodedTrace, CoalescesIntraBlockRuns)
             {0x1010, 0x1000, BranchType::CondDirect, true});
     const DecodedTrace dec = decodeTrace(t, 64, 4);
     EXPECT_EQ(dec.numFetchOps(), 1u);
-    EXPECT_EQ(dec.fetchPc[0], 0x1000u);
+
+    std::vector<Addr> fetch_pcs;
+    FetchCursor cursor = dec.fetchCursor();
+    for (std::size_t i = 0; i < dec.numRecords(); ++i)
+        cursor.advance(dec.brPc[i], dec.brTarget[i],
+                       branch_meta::taken(dec.brMeta[i]),
+                       [&](Addr, Addr fetch_pc) {
+                           fetch_pcs.push_back(fetch_pc);
+                       });
+    EXPECT_EQ(fetch_pcs, std::vector<Addr>{0x1000});
+    expectCursorMirrorsWalker(t, dec);
 }
 
 TEST(DecodedTrace, EmptyTrace)
@@ -112,8 +111,7 @@ TEST(DecodedTrace, EmptyTrace)
     EXPECT_EQ(dec.numRecords(), 0u);
     EXPECT_EQ(dec.numFetchOps(), 0u);
     EXPECT_EQ(dec.totalInstructions(), 0u);
-    ASSERT_EQ(dec.opBegin.size(), 1u);
-    EXPECT_EQ(dec.opBegin[0], 0u);
+    EXPECT_EQ(dec.fetchCursor().instructionCount(), 0u);
     EXPECT_FALSE(dec.hasDirectionStream());
 }
 
@@ -126,16 +124,42 @@ TEST(DecodedTrace, MappedDecodeMatchesInMemoryDecode)
 
     const auto mapped = MappedTrace::tryOpen(path);
     ASSERT_TRUE(mapped.has_value());
-    const DecodedTrace from_map = decodeTrace(*mapped, 64, 4);
+    const std::optional<DecodedTrace> from_map =
+        tryDecodeTrace(*mapped, 64, 4);
+    ASSERT_TRUE(from_map.has_value());
     const DecodedTrace from_mem = decodeTrace(tr, 64, 4);
 
-    EXPECT_EQ(from_map.brPc, from_mem.brPc);
-    EXPECT_EQ(from_map.brTarget, from_mem.brTarget);
-    EXPECT_EQ(from_map.brMeta, from_mem.brMeta);
-    EXPECT_EQ(from_map.cumInstructions, from_mem.cumInstructions);
-    EXPECT_EQ(from_map.opBegin, from_mem.opBegin);
-    EXPECT_EQ(from_map.fetchPc, from_mem.fetchPc);
-    EXPECT_EQ(from_map.resyncs, from_mem.resyncs);
+    EXPECT_EQ(from_map->entryPc, from_mem.entryPc);
+    EXPECT_EQ(from_map->brPc, from_mem.brPc);
+    EXPECT_EQ(from_map->brTarget, from_mem.brTarget);
+    EXPECT_EQ(from_map->brMeta, from_mem.brMeta);
+    EXPECT_EQ(from_map->totalInstructions(), from_mem.totalInstructions());
+    EXPECT_EQ(from_map->numFetchOps(), from_mem.numFetchOps());
+    EXPECT_EQ(from_map->resyncs, from_mem.resyncs);
+    expectCursorMirrorsWalker(tr, *from_map);
+    std::remove(path.c_str());
+}
+
+TEST(DecodedTrace, MappedDecodeRejectsCorruptBranchType)
+{
+    Trace tr = loopTrace();
+    const std::string path = ::testing::TempDir() + "/corrupt.ghrptrc";
+    writeTrace(tr, path);
+    {
+        // The type byte of the last record: 16 bytes into its stride.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekp(-static_cast<std::streamoff>(traceRecordStride) + 16,
+                std::ios::end);
+        const char bogus = 127;
+        f.write(&bogus, 1);
+    }
+    const auto mapped = MappedTrace::tryOpen(path);
+    ASSERT_TRUE(mapped.has_value());  // the header is intact
+    EXPECT_FALSE(mapped->record(tr.records.size() - 1).has_value());
+    EXPECT_FALSE(mapped->materialize().has_value());
+    EXPECT_FALSE(tryDecodeTrace(*mapped, 64, 4).has_value());
     std::remove(path.c_str());
 }
 
@@ -145,12 +169,9 @@ TEST(DecodedTrace, SuiteTraceDecodeIsSelfConsistent)
     for (const auto &spec : specs) {
         const Trace tr = workload::buildTrace(spec, 100'000);
         const DecodedTrace dec = decodeTrace(tr, 64, 4);
-        ASSERT_EQ(dec.numRecords(), tr.records.size());
-        // Generated traces never resync and monotonic cumulative
-        // counts are what places the warm-up boundary.
+        // Generated traces never resync.
         EXPECT_EQ(dec.resyncs, 0u);
-        for (std::size_t i = 1; i < dec.cumInstructions.size(); ++i)
-            EXPECT_GE(dec.cumInstructions[i], dec.cumInstructions[i - 1]);
+        expectCursorMirrorsWalker(tr, dec);
         EXPECT_GT(dec.totalInstructions(), 90'000u);
         EXPECT_GT(dec.memoryBytes(), 0u);
     }

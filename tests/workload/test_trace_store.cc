@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
+#include "../trace/fetch_oracle.hh"
 #include "frontend/frontend.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/trace_io.hh"
@@ -41,6 +43,35 @@ sameTrace(const trace::Trace &a, const trace::Trace &b)
         if (!(a.records[i] == b.records[i]))
             return false;
     return true;
+}
+
+/** Overwrite the branch-type byte of the last record of the trace
+ *  file at @p path with an invalid type. */
+void
+corruptLastBranchType(const std::string &path)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(-static_cast<std::streamoff>(trace::traceRecordStride) + 16,
+            std::ios::end);
+    const char bogus = 127;
+    f.write(&bogus, 1);
+}
+
+/** Equality on every field and count a decoded trace keeps. */
+void
+expectSameDecoded(const trace::DecodedTrace &a,
+                  const trace::DecodedTrace &b)
+{
+    EXPECT_EQ(a.entryPc, b.entryPc);
+    EXPECT_EQ(a.blockBytes, b.blockBytes);
+    EXPECT_EQ(a.instBytes, b.instBytes);
+    EXPECT_EQ(a.brPc, b.brPc);
+    EXPECT_EQ(a.brTarget, b.brTarget);
+    EXPECT_EQ(a.brMeta, b.brMeta);
+    EXPECT_EQ(a.totalInstructions(), b.totalInstructions());
+    EXPECT_EQ(a.numFetchOps(), b.numFetchOps());
+    EXPECT_EQ(a.resyncs, b.resyncs);
 }
 
 TEST(ContentKey, StableAcrossCalls)
@@ -120,30 +151,71 @@ TEST(TraceStoreTest, MappedReadEqualsStreamedRead)
     EXPECT_EQ(mapped->entryPc(), streamed.entryPc);
     for (std::size_t i = 0; i < streamed.records.size(); ++i)
         EXPECT_EQ(mapped->record(i), streamed.records[i]);
-    EXPECT_TRUE(sameTrace(mapped->materialize(), streamed));
+    const std::optional<trace::Trace> materialized = mapped->materialize();
+    ASSERT_TRUE(materialized.has_value());
+    EXPECT_TRUE(sameTrace(*materialized, streamed));
 }
 
 TEST(TraceStoreTest, AcquireDecodedMatchesInMemoryPipeline)
 {
     TraceStore store(scratchDir("decoded"));
     const auto sp = specs(1);
-    const trace::DecodedTrace reference =
-        trace::decodeTrace(buildTrace(sp[0], 40'000), 64, 4);
+    const trace::Trace built = buildTrace(sp[0], 40'000);
+    const trace::DecodedTrace reference = trace::decodeTrace(built, 64, 4);
 
     // Cold (generate + persist) and warm (decode from the mmap) must
-    // both reproduce the in-memory pipeline exactly.
+    // both reproduce the in-memory pipeline exactly, and replay the
+    // walker's fetch stream record by record.
     for (int round = 0; round < 2; ++round) {
         const trace::DecodedTrace dec =
             store.acquireDecoded(sp[0], 40'000, 64, 4);
-        EXPECT_EQ(dec.brPc, reference.brPc);
-        EXPECT_EQ(dec.brTarget, reference.brTarget);
-        EXPECT_EQ(dec.brMeta, reference.brMeta);
-        EXPECT_EQ(dec.cumInstructions, reference.cumInstructions);
-        EXPECT_EQ(dec.opBegin, reference.opBegin);
-        EXPECT_EQ(dec.fetchPc, reference.fetchPc);
+        expectSameDecoded(dec, reference);
         EXPECT_EQ(dec.name, sp[0].name);
+        trace::expectCursorMirrorsWalker(built, dec);
     }
     EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().hits, 1u);
+}
+
+TEST(TraceStoreTest, CorruptBranchTypeIsAMiss)
+{
+    const std::string dir = scratchDir("corrupt-type");
+    const auto sp = specs(1);
+    (void)TraceStore(dir).acquire(sp[0], 40'000);  // prime the file
+    TraceStore store(dir);
+    const std::string path = store.pathFor(sp[0], 40'000);
+
+    // The header still opens; only decoding the record can tell.
+    corruptLastBranchType(path);
+    ASSERT_TRUE(trace::MappedTrace::tryOpen(path).has_value());
+
+    const trace::DecodedTrace dec =
+        store.acquireDecoded(sp[0], 40'000, 64, 4);
+    expectSameDecoded(dec, trace::decodeTrace(buildTrace(sp[0], 40'000),
+                                              64, 4));
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().stores, 1u);
+
+    // The corrupt file was overwritten: the next acquire hits.
+    (void)store.acquireDecoded(sp[0], 40'000, 64, 4);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().misses, 1u);
+}
+
+TEST(TraceStoreTest, CorruptBranchTypeIsAMissForAcquire)
+{
+    const std::string dir = scratchDir("corrupt-type-acquire");
+    const auto sp = specs(1);
+    (void)TraceStore(dir).acquire(sp[0], 40'000);
+    TraceStore store(dir);
+    const std::string path = store.pathFor(sp[0], 40'000);
+    corruptLastBranchType(path);
+    EXPECT_TRUE(sameTrace(store.acquire(sp[0], 40'000),
+                          buildTrace(sp[0], 40'000)));
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().stores, 1u);
+    (void)store.acquire(sp[0], 40'000);
     EXPECT_EQ(store.stats().hits, 1u);
 }
 
