@@ -1,7 +1,5 @@
 #include "branch/perceptron.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace ghrp::branch
@@ -29,74 +27,25 @@ HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
         trainTheta = static_cast<std::int32_t>(1.93 * mean + 14);
     }
 
-    tables.assign(cfg.historyLengths.size(),
-                  std::vector<std::int16_t>(cfg.tableEntries, 0));
-    prevIndices.assign(cfg.historyLengths.size(), 0);
+    weights.assign(cfg.historyLengths.size() * cfg.tableEntries, 0);
 
     // Hoist everything that only depends on the configuration out of
-    // the per-prediction loop: this indexing runs twice per history
-    // table for every conditional branch and dominated sweep profiles.
+    // the per-prediction loop: this indexing runs for every history
+    // table on every conditional branch and dominated sweep profiles.
     foldBits = floorLog2(cfg.tableEntries) + 3;
+    GHRP_ASSERT(foldBits < 64);
     foldMask = mask(foldBits);
-    lenMasks.reserve(cfg.historyLengths.size());
-    tableMuls.reserve(cfg.historyLengths.size());
-    for (std::size_t t = 0; t < cfg.historyLengths.size(); ++t) {
-        lenMasks.push_back(mask(cfg.historyLengths[t]));
-        tableMuls.push_back(0x2545F4914F6CDD1Dull + 2 * t);
-    }
-}
-
-std::uint32_t
-HashedPerceptron::tableIndex(std::size_t table, Addr pc) const
-{
-    std::uint64_t h = pc >> 2;
-    if (lenMasks[table] != 0) {
-        const std::uint64_t outcome_seg = outcomeHistory & lenMasks[table];
-        const std::uint64_t path_seg = pathHistory & lenMasks[table];
-        // Merge gshare-style outcome history and path history; a
-        // per-table odd multiplier skews the tables against each other.
-        // The outcome segment is masked to the table's history length,
-        // so its fold stops there; the path segment is multiplied up to
-        // full 64-bit population first and needs the whole sweep.
-        h ^= foldHistory(outcome_seg, cfg.historyLengths[table]);
-        h ^= foldHistory(path_seg * 0x9E3779B97F4A7C15ull, 64);
-    }
-    h *= tableMuls[table];
-    return static_cast<std::uint32_t>((h >> 13) & (cfg.tableEntries - 1));
-}
-
-bool
-HashedPerceptron::predict(Addr pc)
-{
-    std::int32_t sum = 0;
+    indexMask = cfg.tableEntries - 1;
+    tables.resize(cfg.historyLengths.size());
     for (std::size_t t = 0; t < tables.size(); ++t) {
-        prevIndices[t] = tableIndex(t, pc);
-        sum += tables[t][prevIndices[t]];
+        Table &table = tables[t];
+        table.length = cfg.historyLengths[t];
+        GHRP_ASSERT(table.length <= 64);
+        table.foldOutPos = table.length % foldBits;
+        table.lengthMask = mask(table.length);
+        table.multiplier = 0x2545F4914F6CDD1Dull + 2 * t;
+        table.base = static_cast<std::uint32_t>(t * cfg.tableEntries);
     }
-    prevSum = sum;
-    prevPrediction = sum >= 0;
-    return prevPrediction;
-}
-
-void
-HashedPerceptron::update(Addr pc, bool taken)
-{
-    const bool mispredicted = prevPrediction != taken;
-    if (mispredicted || std::abs(prevSum) <= trainTheta) {
-        for (std::size_t t = 0; t < tables.size(); ++t) {
-            std::int16_t &weight = tables[t][prevIndices[t]];
-            if (taken) {
-                if (weight < weightMax)
-                    ++weight;
-            } else {
-                if (weight > weightMin)
-                    --weight;
-            }
-        }
-    }
-
-    outcomeHistory = (outcomeHistory << 1) | (taken ? 1 : 0);
-    pathHistory = (pathHistory << 3) ^ ((pc >> 2) & 0x3F);
 }
 
 } // namespace ghrp::branch

@@ -6,12 +6,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "frontend/fused.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+#include "workload/suite.hh"
 
 namespace ghrp::core
 {
@@ -148,6 +150,10 @@ sweepMetrics()
     return m;
 }
 
+/** Lane groups of every trace: all policies in one group when fused,
+ *  otherwise one single-lane group per policy. */
+using LaneGroups = std::vector<std::vector<frontend::PolicySpec>>;
+
 /** Shared bookkeeping for one sweep: pre-sized result slots plus a
  *  serialised progress tick, with the optional RunHooks control
  *  points (skip / cancel / leg-done journaling) applied per leg. */
@@ -155,8 +161,10 @@ class SweepSink
 {
   public:
     SweepSink(SuiteResults &out, const SuiteOptions &options,
-              const ProgressFn &progress, const RunHooks &hooks)
+              const ProgressFn &progress, const RunHooks &hooks,
+              workload::TraceStore &store)
         : out(out), options(options), progress(progress), hooks(hooks),
+          store(store),
           totalUnits(out.specs.size() * options.policies.size())
     {
         for (const frontend::PolicySpec &policy : options.policies) {
@@ -187,47 +195,144 @@ class SweepSink
     }
 
     /**
-     * Simulate one lane group of @p trace_index — a per-leg run is a
-     * one-lane group — and store each lane's result in its slot.
-     * Journaled legs are ticked and dropped from the lane set, and
-     * nothing starts once the hooks cancel; the remaining lanes run in
-     * one FusedSim walk of the shared decoded stream, which decoding
-     * produced exactly once, upstream. Lanes execute the per-leg
-     * stepwise code on independent state, so the grouping never
-     * changes results. Group wall time is split evenly across lanes
-     * for the per-leg timing views.
+     * The build task of @p trace_index. A decode the hooks or the store
+     * provide is materialized and returned, for the trace's lane-group
+     * tasks (runGroup) to share read-only. A generated trace — no
+     * store, or a store miss — is never materialized: it streams from
+     * the executor through decode, direction resolve and every lane of
+     * every group in this task (persisted as it goes on a miss), and
+     * null is returned.
+     */
+    DecodedPtr
+    build(std::size_t trace_index, const LaneGroups &groups)
+    {
+        const workload::TraceSpec &spec = out.specs[trace_index];
+        if (hooks.acquireDecoded)
+            return hooks.acquireDecoded(spec, options);
+        const auto start = std::chrono::steady_clock::now();
+        std::optional<trace::DecodedTrace> dec;
+        {
+            TELEMETRY_SPAN("decode", spec.name);
+            dec = store.loadDecoded(spec, options.instructionOverride,
+                                    options.base.icache.blockBytes,
+                                    options.base.instBytes);
+        }
+        sweepMetrics().tracesDecoded.add();
+        if (!dec) {
+            runStreamed(trace_index, groups);
+            return nullptr;
+        }
+        // The resolved direction stream is a pure function of (trace
+        // content, direction kind), so the store serves it from a
+        // sidecar; a miss resolves live and persists for the next run.
+        const int dir_kind = static_cast<int>(options.base.direction);
+        if (!store.loadDirectionStream(spec, options.instructionOverride,
+                                       dir_kind, *dec)) {
+            frontend::resolveDirectionStream(*dec, options.base.direction);
+            store.storeDirectionStream(spec, options.instructionOverride,
+                                       dir_kind, *dec);
+        }
+        sweepMetrics().decodeSeconds.observeSeconds(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
+        return std::make_shared<const trace::DecodedTrace>(std::move(*dec));
+    }
+
+    /**
+     * Simulate one lane group of @p trace_index over its materialized
+     * decode — a per-leg run is a one-lane group — in one FusedSim
+     * walk. Lanes execute the per-leg stepwise code on independent
+     * state, so the grouping never changes results.
      */
     void
     runGroup(std::size_t trace_index,
              const std::vector<frontend::PolicySpec> &group,
              const trace::DecodedTrace &dec)
     {
-        std::vector<frontend::PolicySpec> lanes;
-        lanes.reserve(group.size());
-        for (const frontend::PolicySpec &policy : group) {
-            if (hooks.skipLeg && hooks.skipLeg(trace_index, policy))
-                tick(trace_index, policy, nullptr, 0.0);
-            else
-                lanes.push_back(policy);
-        }
-        if (lanes.empty() || (hooks.cancelled && hooks.cancelled()))
+        const std::vector<frontend::PolicySpec> lanes =
+            lanesToRun(trace_index, {group});
+        if (lanes.empty())
             return;
-
         const auto start = std::chrono::steady_clock::now();
         std::vector<frontend::FrontendResult> results = [&] {
-            std::string names;
-            for (const frontend::PolicySpec &policy : lanes)
-                names += (names.empty() ? "" : ",") +
-                         frontend::policyName(policy);
-            TELEMETRY_SPAN("simulate",
-                           out.specs[trace_index].name + " / " + names);
+            TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
             return frontend::simulateFused(options.base, lanes, dec);
         }();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        const double per_lane =
-            elapsed.count() / static_cast<double>(lanes.size());
+        harvest(trace_index, lanes, std::move(results),
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count());
+    }
 
+  private:
+    /**
+     * Stream @p trace_index from the executor through every lane of
+     * every group at once (frontend::StreamSim): per-trace memory is a
+     * chunk plus the program and the model state, whatever the trace
+     * length. On a store miss the trace file and its direction sidecar
+     * are written from the same chunks.
+     */
+    void
+    runStreamed(std::size_t trace_index, const LaneGroups &groups)
+    {
+        const std::vector<frontend::PolicySpec> lanes =
+            lanesToRun(trace_index, groups);
+        if (lanes.empty())
+            return;
+        const workload::TraceSpec &spec = out.specs[trace_index];
+        const std::unique_ptr<workload::TraceStore::Writer> writer =
+            store.writer(spec, options.instructionOverride,
+                         static_cast<int>(options.base.direction));
+        frontend::StreamSim sim(options.base, lanes, writer.get());
+        {
+            TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
+            workload::streamTrace(spec, options.instructionOverride, sim);
+        }
+        if (writer)
+            writer->finish();
+        harvest(trace_index, lanes, sim.finish(), sim.laneSeconds());
+    }
+
+    /** The lanes of @p groups still to simulate: journaled legs are
+     *  ticked and dropped, and none run once the hooks cancel. */
+    std::vector<frontend::PolicySpec>
+    lanesToRun(std::size_t trace_index, const LaneGroups &groups)
+    {
+        std::vector<frontend::PolicySpec> lanes;
+        for (const std::vector<frontend::PolicySpec> &group : groups)
+            for (const frontend::PolicySpec &policy : group) {
+                if (hooks.skipLeg && hooks.skipLeg(trace_index, policy))
+                    tick(trace_index, policy, nullptr, 0.0);
+                else
+                    lanes.push_back(policy);
+            }
+        if (hooks.cancelled && hooks.cancelled())
+            lanes.clear();
+        return lanes;
+    }
+
+    std::string
+    legLabel(std::size_t trace_index,
+             const std::vector<frontend::PolicySpec> &lanes) const
+    {
+        std::string label = out.specs[trace_index].name + " / ";
+        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+            if (lane)
+                label += ',';
+            label += frontend::policyName(lanes[lane]);
+        }
+        return label;
+    }
+
+    /** Store each lane's result in its slot, splitting @p seconds of
+     *  simulation evenly across lanes for the per-leg timing views. */
+    void
+    harvest(std::size_t trace_index,
+            const std::vector<frontend::PolicySpec> &lanes,
+            std::vector<frontend::FrontendResult> results, double seconds)
+    {
+        const double per_lane = seconds / static_cast<double>(lanes.size());
         for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
             const frontend::PolicySpec &policy = lanes[lane];
             sweepMetrics().legs.add();
@@ -276,6 +381,7 @@ class SweepSink
     const SuiteOptions &options;
     const ProgressFn &progress;
     const RunHooks &hooks;
+    workload::TraceStore &store;
     const std::size_t totalUnits;
     std::mutex progressMutex;
     std::size_t done = 0;
@@ -342,41 +448,7 @@ submitLeased(util::ThreadPool &pool, TaskThrottle *throttle, F fn)
     });
 }
 
-/** Acquire + decode + direction-resolve one trace, honouring the
- *  hooks' decoded-trace provider when present. */
-DecodedPtr
-buildDecoded(const workload::TraceSpec &spec, const SuiteOptions &options,
-             workload::TraceStore &store, const RunHooks &hooks)
-{
-    if (hooks.acquireDecoded)
-        return hooks.acquireDecoded(spec, options);
-    TELEMETRY_SPAN("decode", spec.name);
-    const auto start = std::chrono::steady_clock::now();
-    auto dec = std::make_shared<trace::DecodedTrace>(store.acquireDecoded(
-        spec, options.instructionOverride, options.base.icache.blockBytes,
-        options.base.instBytes));
-    // The resolved direction stream is a pure function of (trace
-    // content, direction kind), so the store can serve it from a
-    // sidecar; a miss resolves live and persists for the next run.
-    const int dir_kind = static_cast<int>(options.base.direction);
-    if (!store.loadDirectionStream(spec, options.instructionOverride,
-                                   dir_kind, *dec)) {
-        frontend::resolveDirectionStream(*dec, options.base.direction);
-        store.storeDirectionStream(spec, options.instructionOverride,
-                                   dir_kind, *dec);
-    }
-    sweepMetrics().tracesDecoded.add();
-    sweepMetrics().decodeSeconds.observeSeconds(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count());
-    return DecodedPtr(std::move(dec));
-}
-
-/** Lane groups of every trace: all policies in one group when fused,
- *  otherwise one single-lane group per policy. */
-using LaneGroups = std::vector<std::vector<frontend::PolicySpec>>;
-
+/** The lane groups of every trace. */
 LaneGroups
 laneGroups(const SuiteOptions &options)
 {
@@ -391,8 +463,7 @@ laneGroups(const SuiteOptions &options)
 /** Serial reference path: same slot discipline, no threads. */
 void
 runSerial(SweepSink &sink, const SuiteResults &out,
-          const SuiteOptions &options, const LaneGroups &groups,
-          workload::TraceStore &store, const RunHooks &hooks)
+          const LaneGroups &groups, const RunHooks &hooks)
 {
     for (std::size_t i = 0; i < out.specs.size(); ++i) {
         if (hooks.cancelled && hooks.cancelled())
@@ -403,37 +474,37 @@ runSerial(SweepSink &sink, const SuiteResults &out,
             sink.tickSkipped(i);
             continue;
         }
-        // Acquire and decode the trace once and reuse the stream for
-        // every policy so the comparison is paired (identical access
-        // streams) and the decode cost is paid once, not per leg. The
-        // direction predictor is policy-independent, so its stream is
-        // resolved here too instead of once per leg.
-        const DecodedPtr dec = buildDecoded(out.specs[i], options, store,
-                                            hooks);
-        for (const std::vector<frontend::PolicySpec> &group : groups)
-            sink.runGroup(i, group, *dec);
+        // Every policy consumes the same stream, so the comparison is
+        // paired (identical access streams) and the trace is generated
+        // or loaded, decoded and direction-resolved once, not per leg.
+        if (const DecodedPtr dec = sink.build(i, groups))
+            for (const std::vector<frontend::PolicySpec> &group : groups)
+                sink.runGroup(i, group, *dec);
     }
 }
 
 /**
- * Parallel path: every lane group of every trace is an independent
- * pool job. The decoded stream for trace i is produced by a per-trace
- * job (store lookup or generation, then one decode) and shared
- * read-only by that trace's groups via shared_ptr; builds run at most
- * `window` traces ahead of the harvest cursor so memory stays bounded
- * on large suites.
+ * Parallel path: one build task per trace. A streamed trace is
+ * simulated inside it; a materialized decode (store hit or the hooks'
+ * provider) is shared read-only via shared_ptr by its lane groups,
+ * each an independent pool job. Materialized decodes stay resident
+ * until their groups finish, so such builds run at most `window`
+ * traces ahead of the harvest cursor; when nothing can materialize,
+ * every build opens at once, since a streamed trace holds only a chunk.
  */
 void
 runParallel(SweepSink &sink, const SuiteResults &out,
-            const SuiteOptions &options, const LaneGroups &groups,
-            workload::TraceStore &store, util::ThreadPool &pool,
+            const LaneGroups &groups, const workload::TraceStore &store, util::ThreadPool &pool,
             const RunHooks &hooks, TaskThrottle *throttle, unsigned lease)
 {
     const std::size_t num_traces = out.specs.size();
     // The build window follows the lease, not the pool: a run leasing
     // 2 of 16 shared workers must not decode 32 traces ahead.
+    const bool materializes = store.enabled() || hooks.acquireDecoded;
     const std::size_t window =
-        std::max<std::size_t>(2 * static_cast<std::size_t>(lease), 4);
+        materializes
+            ? std::max<std::size_t>(2 * static_cast<std::size_t>(lease), 4)
+            : num_traces;
 
     std::vector<std::future<DecodedPtr>> builds(num_traces);
     std::vector<char> elided(num_traces, 0);
@@ -451,10 +522,9 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                 elided[next_build] = 1;
                 continue;
             }
-            const workload::TraceSpec &spec = out.specs[next_build];
             builds[next_build] = submitLeased(
-                pool, throttle, [&spec, &options, &store, &hooks]() {
-                    return buildDecoded(spec, options, store, hooks);
+                pool, throttle, [&sink, &groups, i = next_build]() {
+                    return sink.build(i, groups);
                 });
         }
     };
@@ -470,12 +540,14 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             break;  // cancelled before this trace's build was scheduled
         const DecodedPtr dec = builds[i].get();  // rethrows build errors
         builds[i] = {};
-        jobs[i].reserve(groups.size());
-        for (const std::vector<frontend::PolicySpec> &group : groups)
-            jobs[i].push_back(submitLeased(
-                pool, throttle, [&sink, i, &group, dec]() {
-                    sink.runGroup(i, group, *dec);
-                }));
+        if (dec) {
+            jobs[i].reserve(groups.size());
+            for (const std::vector<frontend::PolicySpec> &group : groups)
+                jobs[i].push_back(submitLeased(
+                    pool, throttle, [&sink, i, &group, dec]() {
+                        sink.runGroup(i, group, *dec);
+                    }));
+        }
         // Keep at most `window` traces with outstanding groups before
         // opening new builds, then harvest (and rethrow from) the
         // oldest trace's groups.
@@ -486,7 +558,7 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                     f.get();
     }
     // Harvest (and rethrow from) every group not already collected;
-    // groups of elided or unscheduled traces are simply absent.
+    // groups of elided, streamed or unscheduled traces are absent.
     for (std::vector<std::future<void>> &trace_jobs : jobs)
         for (std::future<void> &f : trace_jobs)
             if (f.valid())
@@ -506,9 +578,9 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
                        " policies");
     out.specs = workload::makeSuite(options.numTraces, options.baseSeed);
 
-    SweepSink sink(out, options, progress, hooks);
-    const LaneGroups groups = laneGroups(options);
     workload::TraceStore store(options.traceCacheDir);
+    SweepSink sink(out, options, progress, hooks, store);
+    const LaneGroups groups = laneGroups(options);
     const unsigned jobs =
         options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
 
@@ -520,16 +592,16 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
         const unsigned lease =
             std::min(std::max(jobs, 1u), hooks.pool->size());
         TaskThrottle throttle(lease);
-        runParallel(sink, out, options, groups, store, *hooks.pool, hooks,
+        runParallel(sink, out, groups, store, *hooks.pool, hooks,
                     &throttle, lease);
     } else if (jobs <= 1 ||
                out.specs.size() * options.policies.size() <= 1) {
-        runSerial(sink, out, options, groups, store, hooks);
+        runSerial(sink, out, groups, hooks);
     } else {
         // Destroyed before `out` and `sink`, so no job outlives the
         // state it references even on exception unwind.
         util::ThreadPool pool(jobs);
-        runParallel(sink, out, options, groups, store, pool, hooks,
+        runParallel(sink, out, groups, store, pool, hooks,
                     nullptr, pool.size());
     }
     out.wallSeconds =

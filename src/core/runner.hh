@@ -226,17 +226,19 @@ struct RunHooks
 };
 
 /**
- * Run the full suite: for each trace spec, acquire the trace (from the
- * content-addressed store when enabled, generating otherwise), decode
- * it once into the compact branch stream, and simulate that shared
- * read-only stream under every requested policy, one lane group at a
- * time (see SuiteOptions::fused).
+ * Run the full suite under every requested policy. A trace found in
+ * the content-addressed store (or provided by hooks.acquireDecoded) is
+ * decoded once into the compact branch stream and simulated, shared
+ * read-only, one lane group at a time (see SuiteOptions::fused). A
+ * generated trace — no store, or a store miss — is never materialized:
+ * one task streams it from the executor through decode, direction
+ * resolve and every lane in 2048-record chunks (persisting it on a
+ * miss), so its memory does not grow with its length.
  *
- * With options.jobs != 1 the lane groups run on a work-stealing
- * thread pool. Trace acquisition + decoding is bounded
- * to a sliding window of roughly 2 x jobs traces ahead of the slowest
- * outstanding leg, so a 662-trace sweep never holds the whole suite in
- * memory.
+ * With options.jobs != 1 the tasks run on a work-stealing thread pool.
+ * Materialized decodes are bounded to a sliding window of roughly
+ * 2 x jobs traces ahead of the slowest outstanding leg, so a 662-trace
+ * sweep never holds the whole suite in memory.
  * The progress callback is serialised (never invoked concurrently),
  * but completion order is scheduling-dependent; only the *results* are
  * deterministic. Exceptions thrown by a leg are rethrown here.

@@ -432,22 +432,11 @@ FrontendSim::phaseCapture(PhaseRecord &out) const
 }
 
 void
-FrontendSim::resetMeasurement(FrontendResult &result)
-{
-    icache->resetStats();
-    btb->resetStats();
-    FrontendResult::forEachBranchCounter(
-        [&](const char *, auto member) { result.*member = 0; });
-}
-
-void
 FrontendSim::phaseSample(std::uint64_t cum)
 {
     PhaseRecord cur;
     phaseCapture(cur);
     addPhaseDelta(phasePending, cur, phaseSnapshot);
-    addPhaseDelta(phasePending, phaseCarry);
-    phaseCarry = PhaseRecord{};
     phaseSnapshot = cur;
     phasePending.window = phaseWindowId;
     phasePending.instructions = cum;
@@ -493,34 +482,53 @@ FrontendSim::stepRecords(const trace::DecodedTrace &dec, std::size_t begin,
         stepRecord(dec, i);
 }
 
+std::uint64_t
+FrontendSim::warmupPoint(std::uint64_t total) const
+{
+    return std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(cfg.warmupFraction *
+                                   static_cast<double>(total)),
+        cfg.warmupCapInstructions);
+}
+
 void
 FrontendSim::beginRun(const trace::DecodedTrace &dec)
+{
+    beginRun(dec, dec.totalInstructions(), dec.totalInstructions());
+}
+
+void
+FrontendSim::beginRun(const trace::DecodedTrace &dec,
+                      std::uint64_t min_total, std::uint64_t max_total)
 {
     // The decoded stream bakes in the fetch granularity; a mismatched
     // configuration would silently simulate the wrong block stream.
     GHRP_ASSERT(dec.blockBytes == cfg.icache.blockBytes);
     GHRP_ASSERT(dec.instBytes == cfg.instBytes);
+    GHRP_ASSERT(min_total <= max_total);
 
     pending = FrontendResult{};
     pending.traceName = dec.name;
     pending.policy = policyName(cfg.policy);
-
-    pending.totalInstructions = dec.totalInstructions();
-    pending.warmupInstructions = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(
-            cfg.warmupFraction *
-            static_cast<double>(pending.totalInstructions)),
-        cfg.warmupCapInstructions);
-
-    pendingWarm = pending.warmupInstructions == 0;
     pendingCursor = dec.fetchCursor();
+
+    // The warm-up point is monotone in the total, so every candidate
+    // lies in [warmupPoint(min), warmupPoint(max)]. A zero point
+    // excludes nothing and needs no snapshot.
+    warmupMinTotal = min_total;
+    warmupMaxTotal = max_total;
+    warmupSnapshots.clear();
+    warmupSnapTo = warmupPoint(max_total);
+    warmupSnapFrom =
+        warmupSnapTo == 0
+            ? ~std::uint64_t{0}
+            : std::max<std::uint64_t>(warmupPoint(min_total), 1);
 
     // Arm the phase flight recorder; a saturated boundary keeps the
     // per-record check to one always-false compare when it is off.
     phaseRecords.clear();
     phasePending = PhaseRecord{};
     phaseSnapshot = PhaseRecord{};
-    phaseCarry = PhaseRecord{};
     phasePendingCount = 0;
     phaseStride = 1;
     phaseWindowId = 0;
@@ -532,6 +540,22 @@ FrontendSim::beginRun(const trace::DecodedTrace &dec)
     pendingPreResolved =
         dec.hasDirectionStream() &&
         dec.directionKind == static_cast<int>(cfg.direction);
+}
+
+void
+FrontendSim::warmupSnapshot(std::uint64_t cum)
+{
+    FrontendResult snap;
+    snap.warmupInstructions = cum;
+    snap.icache = icache->accessStats();
+    snap.btb = btb->accessStats();
+    FrontendResult::forEachBranchCounter(
+        [&](const char *, auto member) { snap.*member = pending.*member; });
+    warmupSnapshots.push_back(snap);
+    // The first record to reach the largest candidate point is the
+    // last candidate record.
+    if (cum >= warmupSnapTo)
+        warmupSnapFrom = ~std::uint64_t{0};
 }
 
 void
@@ -624,25 +648,10 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
     if (trace::branch_meta::call(meta) && taken && cfg.useRas)
         ras.push(pc + cfg.instBytes);
 
-    // ---- warm-up boundary ---------------------------------------
+    // ---- warm-up boundary candidates ----------------------------
     const std::uint64_t cum = pendingCursor.instructionCount();
-    if (!pendingWarm && cum >= result.warmupInstructions) {
-        pendingWarm = true;
-        if (phaseNextBoundary == ~std::uint64_t{0}) {
-            resetMeasurement(result);
-        } else {
-            // The reset zeroes the cache stats and branch counters
-            // mid-window. Bank the interval accumulated so far, then
-            // rebase the snapshot on the post-reset values (prediction
-            // outcomes are monotone and keep theirs) so the window's
-            // counts stay exact across the discontinuity.
-            PhaseRecord cur;
-            phaseCapture(cur);
-            addPhaseDelta(phaseCarry, cur, phaseSnapshot);
-            resetMeasurement(result);
-            phaseCapture(phaseSnapshot);
-        }
-    }
+    if (cum >= warmupSnapFrom)
+        warmupSnapshot(cum);
 
     // ---- phase flight recorder ----------------------------------
     if (cum >= phaseNextBoundary) {
@@ -659,13 +668,49 @@ FrontendSim::finishRun()
 {
     FrontendResult result = std::move(pending);
     pending = FrontendResult{};
+    result.totalInstructions = pendingCursor.instructionCount();
+    // Outside its declared bounds a stream may have passed its warm-up
+    // record unsnapshotted: fail rather than return wrong counters.
+    if (result.totalInstructions < warmupMinTotal ||
+        result.totalInstructions > warmupMaxTotal)
+        panic("%s: %llu instructions, outside the stream's declared "
+              "bounds [%llu, %llu]",
+              result.traceName.c_str(),
+              static_cast<unsigned long long>(result.totalInstructions),
+              static_cast<unsigned long long>(warmupMinTotal),
+              static_cast<unsigned long long>(warmupMaxTotal));
+    result.warmupInstructions = warmupPoint(result.totalInstructions);
 
+    // The warm-up record is the first to reach the warm-up point; with
+    // a zero point (or one past the total) nothing is excluded.
+    FrontendResult base;
+    if (result.warmupInstructions > 0) {
+        for (const FrontendResult &snap : warmupSnapshots) {
+            if (snap.warmupInstructions >= result.warmupInstructions) {
+                base = snap;
+                break;
+            }
+        }
+    }
+    warmupSnapshots.clear();
+    return harvest(std::move(result), base);
+}
+
+FrontendResult
+FrontendSim::harvest(FrontendResult result, const FrontendResult &base)
+{
     result.measuredInstructions =
         result.totalInstructions >= result.warmupInstructions
             ? result.totalInstructions - result.warmupInstructions
             : 0;
     result.icache = icache->accessStats();
     result.btb = btb->accessStats();
+    stats::AccessStats::forEachField([&](const char *, auto member) {
+        result.icache.*member -= base.icache.*member;
+        result.btb.*member -= base.btb.*member;
+    });
+    FrontendResult::forEachBranchCounter(
+        [&](const char *, auto member) { result.*member -= base.*member; });
     result.icacheMpki = result.icache.mpki(result.measuredInstructions);
     result.btbMpki = result.btb.mpki(result.measuredInstructions);
 
@@ -815,15 +860,18 @@ FrontendSim::runWalker(const trace::Trace &tr)
         if (trace::isCall(rec.type) && rec.taken && cfg.useRas)
             ras.push(rec.pc + cfg.instBytes);
 
-        // ---- warm-up boundary ---------------------------------------
+        // ---- warm-up boundary: zero the measured statistics ---------
         if (!warm &&
             walker.instructionCount() >= result.warmupInstructions) {
             warm = true;
-            resetMeasurement(result);
+            icache->resetStats();
+            btb->resetStats();
+            FrontendResult::forEachBranchCounter(
+                [&](const char *, auto member) { result.*member = 0; });
         }
     }
 
-    return finishRun();
+    return harvest(std::move(pending), FrontendResult{});
 }
 
 FrontendResult
@@ -841,24 +889,52 @@ simulateDecoded(const FrontendConfig &config,
     return sim.run(decoded);
 }
 
+namespace
+{
+
+/** Feed @p direction exactly the sequence a leg would: predict then
+ *  update, conditional branches only. */
+template <typename Predictor>
 void
-resolveDirectionStream(trace::DecodedTrace &dec, DirectionKind kind)
+resolveWith(Predictor &direction, trace::DecodedTrace &dec)
 {
     const std::size_t n = dec.numRecords();
-    std::vector<std::uint8_t> pred(n, 0);
-    // Feed the predictor exactly the sequence a leg would: predict then
-    // update, conditional branches only.
-    const std::unique_ptr<branch::DirectionPredictor> direction =
-        makeDirection(kind);
+    dec.dirPredictedTaken.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint8_t meta = dec.brMeta[i];
         if (!trace::branch_meta::conditional(meta))
             continue;
-        pred[i] = direction->predict(dec.brPc[i]) ? 1 : 0;
-        direction->update(dec.brPc[i], trace::branch_meta::taken(meta));
+        dec.dirPredictedTaken[i] = direction.predict(dec.brPc[i]) ? 1 : 0;
+        direction.update(dec.brPc[i], trace::branch_meta::taken(meta));
     }
-    dec.dirPredictedTaken = std::move(pred);
+}
+
+} // anonymous namespace
+
+DirectionResolver::DirectionResolver(DirectionKind kind)
+    : kind(kind), direction(makeDirection(kind))
+{
+}
+
+DirectionResolver::~DirectionResolver() = default;
+
+void
+DirectionResolver::resolve(trace::DecodedTrace &dec)
+{
+    // The paper's predictor is called through its final type, so the
+    // loop inlines it instead of dispatching twice per conditional.
+    if (auto *perceptron =
+            dynamic_cast<branch::HashedPerceptron *>(direction.get()))
+        resolveWith(*perceptron, dec);
+    else
+        resolveWith(*direction, dec);
     dec.directionKind = static_cast<int>(kind);
+}
+
+void
+resolveDirectionStream(trace::DecodedTrace &dec, DirectionKind kind)
+{
+    DirectionResolver(kind).resolve(dec);
 }
 
 } // namespace ghrp::frontend

@@ -376,24 +376,37 @@ class FrontendSim
      * FetchStreamWalker directly, exactly as the simulator did before
      * the decode-once layer. Kept as an independently-coded oracle for
      * the differential tests and the decode-overhead benchmark (only
-     * the end-of-run harvest, finishRun(), is shared); results are
-     * bit-identical to run() on any trace. It has no flight recorder,
-     * so phaseWindow must be 0.
+     * the end-of-run harvest is shared). It still zeroes the measured
+     * statistics at the warm-up record, so it also checks the decoded
+     * path's snapshot-and-subtract warm-up; results are bit-identical
+     * to run() on any trace. It has no flight recorder, so phaseWindow
+     * must be 0.
      */
     FrontendResult runWalker(const trace::Trace &trace);
 
     /**
      * Stepwise interface under run(DecodedTrace): beginRun() primes a
-     * fresh simulation of @p decoded, stepRecords() consumes records
-     * [begin, end) (records must be fed in order, exactly once each),
-     * finishRun() seals and returns the statistics. run(decoded) is
-     * exactly beginRun + stepRecords(0, n) + finishRun; the fused
-     * executor uses the pieces directly to interleave many policy
-     * lanes over one chunked walk of the shared stream, which is why
-     * results are bit-identical to a per-leg run by construction. Like
-     * run(), a sim instance is good for one begin/finish cycle.
+     * fresh simulation of a stream, stepRecords() consumes records
+     * [begin, end) of @p decoded (records must be fed in order, exactly
+     * once each), finishRun() seals and returns the statistics.
+     * run(decoded) is exactly beginRun + stepRecords over the records
+     * + finishRun. The fused executor and the streaming path use the
+     * pieces directly to interleave many policy lanes over one chunked
+     * walk of a shared stream, which is why results are bit-identical
+     * to a per-leg run by construction. Like run(), a sim instance is
+     * good for one begin/finish cycle.
+     *
+     * A streamed trace's records arrive a chunk at a time: @p decoded
+     * then holds the current chunk only, and beginRun takes the
+     * stream's identity from its (empty) first chunk plus the bounds
+     * min_total <= total <= max_total its source declared on the
+     * instruction total — the warm-up point depends on the total, which
+     * is known only at finishRun. A materialized trace knows its total,
+     * so beginRun(decoded) passes it as both bounds.
      */
     void beginRun(const trace::DecodedTrace &decoded);
+    void beginRun(const trace::DecodedTrace &stream, std::uint64_t min_total,
+                  std::uint64_t max_total);
     void stepRecords(const trace::DecodedTrace &decoded, std::size_t begin,
                      std::size_t end);
     FrontendResult finishRun();
@@ -426,17 +439,36 @@ class FrontendSim
     /** Consume decoded record @p i (the body of stepRecords, kept in
      *  this translation unit so the record loop inlines it). */
     void stepRecord(const trace::DecodedTrace &decoded, std::size_t i);
-    /** Zero the measured statistics of @p result and the caches (the
-     *  warm-up boundary). */
-    void resetMeasurement(FrontendResult &result);
+    /** Seal @p result: its measured statistics are the structures'
+     *  counters minus @p base (the counters at the warm-up record). */
+    FrontendResult harvest(FrontendResult result,
+                           const FrontendResult &base);
 
     /** In-flight state of a beginRun/stepRecords/finishRun cycle. */
     FrontendResult pending;
-    bool pendingWarm = false;
     bool pendingPreResolved = false;
     /** Re-derives each record's fetch ops and running instruction
      *  count from the records already stepped. */
     trace::FetchCursor pendingCursor;
+
+    // ---- warm-up boundary ----
+    // Nothing is reset mid-run. The record that ends warm-up is the
+    // first whose running count reaches W = warmupPoint(total), so the
+    // lane snapshots the measured counters (cache AccessStats and the
+    // branch counters, in a FrontendResult) after every record that
+    // can be that record for some total within the stream's bounds —
+    // a few dozen at most, exactly one when the total is known — and
+    // finishRun subtracts the one at the real W.
+    std::uint64_t warmupMinTotal = 0;
+    std::uint64_t warmupMaxTotal = 0;
+    std::uint64_t warmupSnapFrom = ~std::uint64_t{0};
+    std::uint64_t warmupSnapTo = 0;
+    std::vector<FrontendResult> warmupSnapshots;
+    /** warmupFraction x total, capped. */
+    std::uint64_t warmupPoint(std::uint64_t total) const;
+    /** Snapshot the measured counters after the record ending at
+     *  @p cum instructions. */
+    void warmupSnapshot(std::uint64_t cum);
 
     // ---- phase flight recorder (see FrontendConfig::phaseWindow) ----
     /** Cumulative counters at @p out, read from the live structures. */
@@ -450,7 +482,6 @@ class FrontendSim
     std::uint64_t phasePendingCount = 0;
     PhaseRecord phasePending;   ///< stride-group being accumulated
     PhaseRecord phaseSnapshot;  ///< cumulative counters at last boundary
-    PhaseRecord phaseCarry;     ///< counts banked across the stats reset
     std::vector<PhaseRecord> phaseRecords;
 };
 
@@ -468,14 +499,31 @@ FrontendResult simulateDecoded(const FrontendConfig &config,
                                const trace::DecodedTrace &decoded);
 
 /**
- * Resolve the direction-predictor stream of @p dec once: run the
- * @p kind predictor over the conditional-branch sequence and store the
- * per-record predicted-taken bit in the decoded trace. Legs configured
- * with the same predictor kind then read the bit instead of
- * re-simulating the predictor — the predictor only ever observes the
- * branch records, so the bits are exactly what a live predictor would
- * produce and simulation results are unchanged.
+ * The direction predictor run over a branch stream once, ahead of the
+ * legs: each conditional record's predicted-taken bit is stored in the
+ * decoded trace, and legs configured with the same predictor kind read
+ * the bit instead of re-simulating the predictor — the predictor only
+ * ever observes the branch records, so the bits are exactly what a live
+ * predictor would produce and simulation results are unchanged. The
+ * predictor state carries across resolve() calls, so a stream resolved
+ * chunk by chunk gets the bits of the stream resolved whole.
  */
+class DirectionResolver
+{
+  public:
+    explicit DirectionResolver(DirectionKind kind);
+    ~DirectionResolver();
+
+    /** Fill @p dec.dirPredictedTaken for every record of @p dec. */
+    void resolve(trace::DecodedTrace &dec);
+
+  private:
+    DirectionKind kind;
+    std::unique_ptr<branch::DirectionPredictor> direction;
+};
+
+/** Resolve the whole direction stream of @p dec with a fresh
+ *  @p kind predictor (see DirectionResolver). */
 void resolveDirectionStream(trace::DecodedTrace &dec, DirectionKind kind);
 
 } // namespace ghrp::frontend

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "frontend/frontend.hh"
@@ -34,18 +35,12 @@ namespace ghrp::frontend
  * N policy lanes over one decoded stream. Construct with the shared
  * base configuration (geometry, direction predictor, warm-up — the
  * policy field is overridden per lane) and the lane policies; run()
- * walks the stream once and returns per-lane results in lane order.
+ * walks a materialized stream once, and begin/step/finish feed the
+ * lanes a streamed one chunk by chunk. Results are in lane order.
  */
 class FusedSim
 {
   public:
-    /**
-     * Records fed to every lane per chunk. Sized so one chunk of the
-     * decoded SoA stream (~18 B/record) stays resident in L2 while
-     * every lane consumes it.
-     */
-    static constexpr std::size_t kChunkRecords = 2048;
-
     FusedSim(const FrontendConfig &base,
              const std::vector<PolicySpec> &policies);
 
@@ -59,8 +54,52 @@ class FusedSim
      */
     std::vector<FrontendResult> run(const trace::DecodedTrace &decoded);
 
+    /** The pieces of run(): FrontendSim::beginRun on every lane. */
+    void begin(const trace::DecodedTrace &stream, std::uint64_t min_total,
+               std::uint64_t max_total);
+    /** Every lane steps records [first, end) of @p chunk in turn. */
+    void step(const trace::DecodedTrace &chunk, std::size_t first,
+              std::size_t end);
+    std::vector<FrontendResult> finish();
+
   private:
     std::vector<std::unique_ptr<FrontendSim>> lanes;
+};
+
+/**
+ * The chunk path: the sink of one generated trace. Each chunk of
+ * records the executor pushes is decoded (fetch cursor carried across
+ * chunks), direction-resolved (predictor state carried) with the base
+ * configuration's predictor, handed to the optional @p tee — the trace
+ * store writes a missed trace from there — and stepped by every lane.
+ * Nothing outlives the chunk, so a trace of any length costs
+ * O(chunk + model state); results are bit-identical to decoding,
+ * resolving and simulating the materialized trace.
+ */
+class StreamSim final : public trace::RecordSink
+{
+  public:
+    StreamSim(const FrontendConfig &base,
+              const std::vector<PolicySpec> &policies,
+              trace::ChunkSink *tee = nullptr);
+
+    void begin(const trace::StreamHeader &header) override;
+    void records(const trace::BranchRecord *recs, std::size_t n) override;
+
+    /** Seal every lane once the stream has ended. */
+    std::vector<FrontendResult> finish();
+
+    /** Seconds the lanes spent stepping the stream so far. */
+    double laneSeconds() const { return stepSeconds; }
+
+  private:
+    const FrontendConfig base;
+    trace::ChunkSink *tee;
+    FusedSim lanes;
+    DirectionResolver resolver;
+    trace::DecodedTrace chunk;  ///< the current chunk
+    std::optional<trace::StreamDecoder> decoder;  ///< set by begin()
+    double stepSeconds = 0.0;
 };
 
 /**

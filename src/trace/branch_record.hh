@@ -8,6 +8,7 @@
 #ifndef GHRP_TRACE_BRANCH_RECORD_HH
 #define GHRP_TRACE_BRANCH_RECORD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,6 +85,69 @@ struct Trace
 
     /** Category tag (e.g. "SHORT-MOBILE") carried for reporting. */
     std::string category;
+};
+
+/**
+ * Records per chunk of a streamed trace. A generated trace flows from
+ * the executor through decode, direction resolve and every simulation
+ * lane this many records at a time, so each chunk's per-record arrays
+ * (~18 B/record decoded) stay in L2 while every consumer handles them
+ * and a trace's footprint does not grow with its length.
+ */
+constexpr std::size_t kChunkRecords = 2048;
+
+/** What a record stream declares before its first record. */
+struct StreamHeader
+{
+    std::string name;
+    std::string category;
+    Addr entryPc = 0;
+    /** Instruction size the bounds below are counted in. */
+    std::uint32_t instBytes = 4;
+    /**
+     * Bounds on the stream's reconstructed instruction total (the
+     * FetchCursor count after its last record), which is only known
+     * once the stream ends: minInstructions <= total <=
+     * maxInstructions. A consumer that needs the total early — the
+     * warm-up point — keeps its candidates for every total in range.
+     */
+    std::uint64_t minInstructions = 0;
+    std::uint64_t maxInstructions = ~std::uint64_t{0};
+};
+
+/**
+ * Consumer of a branch-record stream: begin() once, then records()
+ * for each chunk of at most kChunkRecords records, in trace order. The
+ * stream has ended when its producer returns.
+ */
+class RecordSink
+{
+  public:
+    virtual ~RecordSink() = default;
+    virtual void begin(const StreamHeader &header) = 0;
+    virtual void records(const BranchRecord *recs, std::size_t n) = 0;
+};
+
+/** The sink that materializes a stream as a Trace. */
+class TraceCollector final : public RecordSink
+{
+  public:
+    void
+    begin(const StreamHeader &header) override
+    {
+        trace.name = header.name;
+        trace.category = header.category;
+        trace.entryPc = header.entryPc;
+        trace.records.reserve(header.minInstructions / 6);
+    }
+
+    void
+    records(const BranchRecord *recs, std::size_t n) override
+    {
+        trace.records.insert(trace.records.end(), recs, recs + n);
+    }
+
+    Trace trace;
 };
 
 /** Summary statistics over a trace, for workload characterization. */

@@ -10,9 +10,7 @@ namespace
 
 /**
  * Shared decode loop: @p read_record(i) yields record i of @p n, or
- * std::nullopt when it is corrupt (which fails the whole decode). The
- * loop packs each record and runs the fetch-run rule once to count the
- * trace's fetch ops and instructions.
+ * std::nullopt when it is corrupt (which fails the whole decode).
  */
 template <typename ReadRecord>
 std::optional<DecodedTrace>
@@ -28,22 +26,14 @@ decodeImpl(Addr entry_pc, std::uint64_t n, std::uint32_t block_bytes,
     dec.brTarget.reserve(n);
     dec.brMeta.reserve(n);
 
-    FetchCursor cursor = dec.fetchCursor();
-    std::uint64_t ops = 0;
+    StreamDecoder decoder(dec);
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::optional<BranchRecord> rec = read_record(i);
         if (!rec)
             return std::nullopt;
-        cursor.advance(rec->pc, rec->target, rec->taken,
-                       [&](Addr, Addr) { ++ops; });
-        dec.brPc.push_back(rec->pc);
-        dec.brTarget.push_back(rec->target);
-        dec.brMeta.push_back(branch_meta::pack(rec->type, rec->taken));
+        decoder.push(*rec);
     }
-
-    dec.instructions = cursor.instructionCount();
-    dec.fetchOps = ops;
-    dec.resyncs = cursor.resyncs();
+    decoder.finish();
     return dec;
 }
 

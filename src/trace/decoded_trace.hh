@@ -219,6 +219,14 @@ struct DecodedTrace
     /** Total reconstructed dynamic instruction count. */
     std::uint64_t totalInstructions() const { return instructions; }
 
+    /** Record @p i as the branch record it was decoded from. */
+    BranchRecord
+    record(std::size_t i) const
+    {
+        return {brPc[i], brTarget[i], branch_meta::type(brMeta[i]),
+                branch_meta::taken(brMeta[i])};
+    }
+
     /** A cursor at the start of this trace's fetch stream. */
     FetchCursor
     fetchCursor() const
@@ -228,6 +236,87 @@ struct DecodedTrace
 
     /** Approximate resident size, for cache budgeting. */
     std::size_t memoryBytes() const;
+};
+
+/**
+ * Decode carried across a record stream: packs each record onto a
+ * DecodedTrace and counts the trace's totals with one FetchCursor. A
+ * trace decoded a chunk at a time — each chunk dropped (startChunk)
+ * once every consumer has stepped it — gets exactly the records the
+ * whole decode would hold at those positions, and the totals of the
+ * whole trace.
+ */
+class StreamDecoder
+{
+  public:
+    /** Decode onto @p out, whose entry PC and granularity are set. */
+    explicit StreamDecoder(DecodedTrace &out)
+        : dec(out), cursor(out.fetchCursor())
+    {
+    }
+
+    /** Append @p rec, counting its fetch ops and instructions. The
+     *  totals stay here until finish(): a store to the trace per record
+     *  could alias the arrays it fills, and serialized the loop. */
+    void
+    push(const BranchRecord &rec)
+    {
+        cursor.advance(rec.pc, rec.target, rec.taken,
+                       [&](Addr, Addr) { ++ops; });
+        dec.brPc.push_back(rec.pc);
+        dec.brTarget.push_back(rec.target);
+        dec.brMeta.push_back(branch_meta::pack(rec.type, rec.taken));
+    }
+
+    /** Append @p n records, with the counting state in locals for
+     *  the loop (this decoder lives across chunks, in memory). */
+    void
+    push(const BranchRecord *recs, std::size_t n)
+    {
+        StreamDecoder local = *this;
+        for (std::size_t i = 0; i < n; ++i)
+            local.push(recs[i]);
+        cursor = local.cursor;
+        ops = local.ops;
+    }
+
+    /** Drop the records decoded so far (the totals keep counting). */
+    void
+    startChunk()
+    {
+        dec.brPc.clear();
+        dec.brTarget.clear();
+        dec.brMeta.clear();
+        dec.dirPredictedTaken.clear();
+    }
+
+    /** Store the totals of every record pushed in the trace. */
+    void
+    finish()
+    {
+        dec.instructions = cursor.instructionCount();
+        dec.fetchOps = ops;
+        dec.resyncs = cursor.resyncs();
+    }
+
+  private:
+    DecodedTrace &dec;
+    FetchCursor cursor;
+    std::uint64_t ops = 0;
+};
+
+/**
+ * Consumer of a decoded stream, chunk by chunk: begin() once with the
+ * stream's header, then chunk() with each decoded (and, on the
+ * simulation path, direction-resolved) chunk in order. The trace store
+ * persists a generated trace through one while the lanes step it.
+ */
+class ChunkSink
+{
+  public:
+    virtual ~ChunkSink() = default;
+    virtual void begin(const StreamHeader &header) = 0;
+    virtual void chunk(const DecodedTrace &chunk) = 0;
 };
 
 /**

@@ -89,30 +89,51 @@ struct ByteCursor
     }
 };
 
+/** Byte offset of n_records: after the magic, version and entry PC. */
+constexpr std::streamoff recordCountOffset =
+    sizeof(traceMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
 } // anonymous namespace
+
+TraceFileWriter::TraceFileWriter(const std::string &path,
+                                 const std::string &name,
+                                 const std::string &category, Addr entry_pc)
+    : file(path, std::ios::binary)
+{
+    file.write(traceMagic, sizeof(traceMagic));
+    writeScalar<std::uint32_t>(file, traceFormatVersion);
+    writeScalar<std::uint64_t>(file, entry_pc);
+    writeScalar<std::uint64_t>(file, 0);  // patched by finish()
+    writeString(file, name);
+    writeString(file, category);
+}
+
+void
+TraceFileWriter::append(const BranchRecord &rec)
+{
+    writeScalar<std::uint64_t>(file, rec.pc);
+    writeScalar<std::uint64_t>(file, rec.target);
+    writeScalar<std::uint8_t>(file, static_cast<std::uint8_t>(rec.type));
+    writeScalar<std::uint8_t>(file, rec.taken ? 1 : 0);
+    ++numRecords;
+}
+
+bool
+TraceFileWriter::finish()
+{
+    file.seekp(recordCountOffset);
+    writeScalar<std::uint64_t>(file, numRecords);
+    file.flush();
+    return static_cast<bool>(file);
+}
 
 bool
 tryWriteTrace(const Trace &trace, const std::string &path)
 {
-    std::ofstream file(path, std::ios::binary);
-    if (!file)
-        return false;
-
-    file.write(traceMagic, sizeof(traceMagic));
-    writeScalar<std::uint32_t>(file, traceFormatVersion);
-    writeScalar<std::uint64_t>(file, trace.entryPc);
-    writeScalar<std::uint64_t>(file, trace.records.size());
-    writeString(file, trace.name);
-    writeString(file, trace.category);
-
-    for (const BranchRecord &rec : trace.records) {
-        writeScalar<std::uint64_t>(file, rec.pc);
-        writeScalar<std::uint64_t>(file, rec.target);
-        writeScalar<std::uint8_t>(file, static_cast<std::uint8_t>(rec.type));
-        writeScalar<std::uint8_t>(file, rec.taken ? 1 : 0);
-    }
-    file.flush();
-    return static_cast<bool>(file);
+    TraceFileWriter writer(path, trace.name, trace.category, trace.entryPc);
+    for (const BranchRecord &rec : trace.records)
+        writer.append(rec);
+    return writer.finish();
 }
 
 void

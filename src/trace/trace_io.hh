@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <string>
 
@@ -45,6 +46,28 @@ void writeTrace(const Trace &trace, const std::string &path);
  * be left behind — write to a temporary path and rename).
  */
 bool tryWriteTrace(const Trace &trace, const std::string &path);
+
+/**
+ * A trace file written as its records arrive: the header goes out
+ * first with a zero record count, each append() writes one record, and
+ * finish() patches the count in. The bytes equal tryWriteTrace() of the
+ * whole trace. Like tryWriteTrace, a failure leaves a partial file.
+ */
+class TraceFileWriter
+{
+  public:
+    TraceFileWriter(const std::string &path, const std::string &name,
+                    const std::string &category, Addr entry_pc);
+
+    void append(const BranchRecord &rec);
+
+    /** Patch the record count and flush; false on any write error. */
+    bool finish();
+
+  private:
+    std::ofstream file;
+    std::uint64_t numRecords = 0;
+};
 
 /**
  * Read a trace from @p path. Calls fatal() on missing files, magic

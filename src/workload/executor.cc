@@ -1,5 +1,7 @@
 #include "workload/executor.hh"
 
+#include <algorithm>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -152,19 +154,68 @@ findLoop(ExecFrame &frame, std::uint32_t block)
     return nullptr;
 }
 
+/**
+ * Bounds on the reconstructed instruction total of @p program's trace
+ * under @p params, declared before the first record. The executor
+ * stops on the first block that takes its count to the budget or past
+ * it, except in main, which first finishes its dispatch iteration:
+ *   - the last record lies at most one record-free run (a chain of
+ *     fall-through blocks) behind the block that crossed the budget;
+ *   - after the crossing, at most one more callee block and the rest of
+ *     main's iteration can execute.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+instructionBounds(const Program &program, const ExecParams &params)
+{
+    std::uint64_t longest_block = 0;
+    std::uint64_t longest_run = 0;
+    for (const Function &func : program.functions) {
+        std::uint64_t run = 0;
+        for (const BasicBlock &block : func.blocks) {
+            longest_block = std::max<std::uint64_t>(longest_block,
+                                                    block.numInstrs);
+            run = block.term == TermKind::None ? run + block.numInstrs : 0;
+            longest_run = std::max(longest_run, run);
+        }
+    }
+    std::uint64_t main_instrs = 0;
+    for (const BasicBlock &block :
+         program.functions[program.mainFunction].blocks)
+        main_instrs += block.numInstrs;
+
+    const std::uint64_t budget = params.maxInstructions;
+    return {budget > longest_run ? budget - longest_run : 0,
+            budget + longest_block + main_instrs};
+}
+
 } // anonymous namespace
 
-trace::Trace
+void
 execute(const Program &program, const ExecParams &params,
-        const std::string &name, const std::string &category)
+        const std::string &name, const std::string &category,
+        trace::RecordSink &sink)
 {
     validateProgram(program);
 
-    trace::Trace out;
-    out.name = name;
-    out.category = category;
-    out.entryPc = program.functions[program.mainFunction].entry;
-    out.records.reserve(params.maxInstructions / 6);
+    trace::StreamHeader header;
+    header.name = name;
+    header.category = category;
+    header.entryPc = program.functions[program.mainFunction].entry;
+    header.instBytes = program.instBytes;
+    std::tie(header.minInstructions, header.maxInstructions) =
+        instructionBounds(program, params);
+    sink.begin(header);
+
+    // Records leave in chunks: the trace is never resident as a whole.
+    std::vector<BranchRecord> chunk;
+    chunk.reserve(trace::kChunkRecords);
+    const auto emit = [&](const BranchRecord &rec) {
+        chunk.push_back(rec);
+        if (chunk.size() == trace::kChunkRecords) {
+            sink.records(chunk.data(), chunk.size());
+            chunk.clear();
+        }
+    };
 
     Rng rng(params.seed ^ 0xA5A5A5A55A5A5A5Aull);
     PhaseScheduler scheduler(program, params, rng);
@@ -228,8 +279,7 @@ execute(const Program &program, const ExecParams &params,
                 taken = rng.nextBool(block.takenBias);
             }
             const Addr target = func.blocks[block.targetBlock].start;
-            out.records.push_back(
-                {term_pc, target, BranchType::CondDirect, taken});
+            emit({term_pc, target, BranchType::CondDirect, taken});
             frame.block = taken ? block.targetBlock : frame.block + 1;
             break;
           }
@@ -263,16 +313,14 @@ execute(const Program &program, const ExecParams &params,
                 }
             }
             const Addr target = func.blocks[block.targetBlock].start;
-            out.records.push_back(
-                {term_pc, target, BranchType::CondDirect, taken});
+            emit({term_pc, target, BranchType::CondDirect, taken});
             frame.block = taken ? block.targetBlock : frame.block + 1;
             break;
           }
 
           case TermKind::Jump: {
             const Addr target = func.blocks[block.targetBlock].start;
-            out.records.push_back(
-                {term_pc, target, BranchType::UncondDirect, true});
+            emit({term_pc, target, BranchType::UncondDirect, true});
             frame.block = block.targetBlock;
             break;
           }
@@ -296,11 +344,10 @@ execute(const Program &program, const ExecParams &params,
                     block.callees.size(), 1.3)];
             }
             const Function &target_fn = program.functions[callee];
-            out.records.push_back({term_pc, target_fn.entry,
-                                   block.term == TermKind::Call
-                                       ? BranchType::Call
-                                       : BranchType::IndirectCall,
-                                   true});
+            emit({term_pc, target_fn.entry,
+                  block.term == TermKind::Call ? BranchType::Call
+                                               : BranchType::IndirectCall,
+                  true});
             ++frame.block;  // return resumes at the next block
             stack.push_back({callee, 0, term_pc + ib, {}});
             break;
@@ -316,8 +363,7 @@ execute(const Program &program, const ExecParams &params,
             const std::uint32_t target_block =
                 block.switchTargets[choice];
             const Addr target = func.blocks[target_block].start;
-            out.records.push_back(
-                {term_pc, target, BranchType::UncondIndirect, true});
+            emit({term_pc, target, BranchType::UncondIndirect, true});
             frame.block = target_block;
             break;
           }
@@ -330,8 +376,7 @@ execute(const Program &program, const ExecParams &params,
                 // the final return (there is nowhere to return to).
                 break;
             }
-            out.records.push_back(
-                {term_pc, return_pc, BranchType::Return, true});
+            emit({term_pc, return_pc, BranchType::Return, true});
             break;
           }
         }
@@ -343,8 +388,17 @@ execute(const Program &program, const ExecParams &params,
             break;
         }
     }
+    if (!chunk.empty())
+        sink.records(chunk.data(), chunk.size());
+}
 
-    return out;
+trace::Trace
+execute(const Program &program, const ExecParams &params,
+        const std::string &name, const std::string &category)
+{
+    trace::TraceCollector collector;
+    execute(program, params, name, category, collector);
+    return std::move(collector.trace);
 }
 
 } // namespace ghrp::workload

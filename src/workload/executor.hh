@@ -36,7 +36,11 @@ struct ExecParams
 };
 
 /**
- * Execute @p program and return the branch trace.
+ * Execute @p program, streaming its branch trace into @p sink in
+ * chunks of trace::kChunkRecords records: the trace is never resident
+ * as a whole. Before the first record the sink learns the trace's
+ * identity and bounds on its reconstructed instruction total, derived
+ * from the budget and the program's shape.
  *
  * The dispatcher's indirect call site is steered by a phase schedule:
  * each phase concentrates calls on one module's functions (zipf-ranked,
@@ -50,6 +54,11 @@ struct ExecParams
  * @param name trace name recorded in the output.
  * @param category category tag recorded in the output.
  */
+void execute(const Program &program, const ExecParams &params,
+             const std::string &name, const std::string &category,
+             trace::RecordSink &sink);
+
+/** Execute @p program and return the whole branch trace. */
 trace::Trace execute(const Program &program, const ExecParams &params,
                      const std::string &name,
                      const std::string &category);

@@ -36,8 +36,9 @@ makeSuite(std::uint32_t num_traces, std::uint64_t base_seed)
     return suite;
 }
 
-trace::Trace
-buildTrace(const TraceSpec &spec, std::uint64_t instruction_override)
+void
+streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
+            trace::RecordSink &sink)
 {
     WorkloadParams params = makeParams(spec.category, spec.seed);
     if (instruction_override != 0)
@@ -54,8 +55,15 @@ buildTrace(const TraceSpec &spec, std::uint64_t instruction_override)
     exec.bigLoopCallProbability = params.bigLoopCallProbability;
     exec.stubCallProbability = params.stubCallProbability;
 
-    return execute(program, exec, spec.name,
-                   categoryName(spec.category));
+    execute(program, exec, spec.name, categoryName(spec.category), sink);
+}
+
+trace::Trace
+buildTrace(const TraceSpec &spec, std::uint64_t instruction_override)
+{
+    trace::TraceCollector collector;
+    streamTrace(spec, instruction_override, collector);
+    return std::move(collector.trace);
 }
 
 } // namespace ghrp::workload

@@ -50,6 +50,14 @@ std::vector<TraceSpec> makeSuite(std::uint32_t num_traces,
 trace::Trace buildTrace(const TraceSpec &spec,
                         std::uint64_t instruction_override = 0);
 
+/**
+ * Generate the trace for one spec into @p sink, a chunk at a time
+ * (see execute()); buildTrace is this stream collected. Pure like
+ * buildTrace.
+ */
+void streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
+                 trace::RecordSink &sink);
+
 } // namespace ghrp::workload
 
 #endif // GHRP_WORKLOAD_SUITE_HH

@@ -191,18 +191,9 @@ TraceStore::pathFor(const TraceSpec &spec,
     return dir + "/" + name;
 }
 
-void
-TraceStore::persist(const trace::Trace &tr, const std::string &path)
+std::string
+TraceStore::tempPathFor(const std::string &path)
 {
-    if (writeFailed.load(std::memory_order_relaxed))
-        return;
-
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-
-    // Unique temp name per process and call: concurrent producers of
-    // the same key never collide, and the final rename is atomic, so a
-    // reader sees either nothing or a complete file.
     char suffix[64];
     std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
                   static_cast<long>(
@@ -214,32 +205,44 @@ TraceStore::persist(const trace::Trace &tr, const std::string &path)
                           ),
                   static_cast<unsigned long long>(
                       tempCounter.fetch_add(1, std::memory_order_relaxed)));
-    const std::string tmp = path + suffix;
+    return path + suffix;
+}
 
-    if (ec || !trace::tryWriteTrace(tr, tmp)) {
-        if (!writeFailed.exchange(true))
-            warn("trace store: cannot write under '%s'; continuing "
-                 "without persisting", dir.c_str());
-        std::filesystem::remove(tmp, ec);
-        return;
-    }
+bool
+TraceStore::publish(const std::string &tmp, const std::string &path,
+                    bool written)
+{
     // A failed publish (rename) is the same condition as a failed
     // write — a full or broken disk, a directory swapped for something
-    // unwritable — so it also flips the store to read-only instead of
+    // unwritable — so both flip the store to read-only instead of
     // re-paying a doomed serialize+rename for every later trace.
-    std::error_code rename_ec;
-    std::filesystem::rename(tmp, path, rename_ec);
-    if (rename_ec) {
+    std::error_code ec;
+    if (written)
+        std::filesystem::rename(tmp, path, ec);
+    if (!written || ec) {
         if (!writeFailed.exchange(true))
-            warn("trace store: cannot publish '%s' (%s); continuing "
-                 "without persisting", path.c_str(),
-                 rename_ec.message().c_str());
+            warn("trace store: cannot write '%s'%s%s; continuing "
+                 "without persisting", path.c_str(), ec ? ": " : "",
+                 ec ? ec.message().c_str() : "");
         std::filesystem::remove(tmp, ec);
-        return;
+        return false;
     }
-    storeCount.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().stores.add();
     storeMetrics().writtenBytes.add(fileBytes(path));
+    return true;
+}
+
+void
+TraceStore::persist(const trace::Trace &tr, const std::string &path)
+{
+    if (writeFailed.load(std::memory_order_relaxed))
+        return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::string tmp = tempPathFor(path);
+    if (publish(tmp, path, !ec && trace::tryWriteTrace(tr, tmp))) {
+        storeCount.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().stores.add();
+    }
 }
 
 trace::Trace
@@ -335,59 +338,178 @@ TraceStore::storeDirectionStream(const TraceSpec &spec,
                                  int direction_kind,
                                  const trace::DecodedTrace &dec)
 {
-    if (!enabled() || writeFailed.load(std::memory_order_relaxed))
-        return;
     GHRP_ASSERT(dec.hasDirectionStream() &&
                 dec.directionKind == direction_kind);
+    const std::unique_ptr<Writer> w =
+        writer(spec, instruction_override, direction_kind);
+    if (!w)
+        return;
+    w->chunk(dec);
+    w->finish();
+}
 
+std::unique_ptr<TraceStore::Writer>
+TraceStore::writer(const TraceSpec &spec,
+                   std::uint64_t instruction_override, int direction_kind)
+{
+    if (!enabled() || writeFailed.load(std::memory_order_relaxed))
+        return nullptr;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return;
-
-    const std::string path =
-        directionPathFor(spec, instruction_override, direction_kind);
-    char suffix[64];
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
-                  static_cast<long>(
-#if defined(__unix__) || defined(__APPLE__)
-                      ::getpid()
-#else
-                      0
-#endif
-                          ),
-                  static_cast<unsigned long long>(
-                      tempCounter.fetch_add(1, std::memory_order_relaxed)));
-    const std::string tmp = path + suffix;
-
-    DirectionHeader hdr;
-    hdr.contentKey = contentKey(spec, instruction_override);
-    hdr.directionKind = static_cast<std::uint32_t>(direction_kind);
-    hdr.numRecords = dec.dirPredictedTaken.size();
-
-    bool ok = false;
-    if (FilePtr f{std::fopen(tmp.c_str(), "wb")}) {
-        ok = std::fwrite(&hdr, sizeof(hdr), 1, f.get()) == 1 &&
-             (dec.dirPredictedTaken.empty() ||
-              std::fwrite(dec.dirPredictedTaken.data(), 1,
-                          dec.dirPredictedTaken.size(),
-                          f.get()) == dec.dirPredictedTaken.size());
-    }
-    std::error_code rename_ec;
-    if (ok)
-        std::filesystem::rename(tmp, path, rename_ec);
-    if (!ok || rename_ec) {
-        // Same policy as persist(): a sidecar write failure means the
-        // directory is unusable, so stop retrying for this process.
-        if (!writeFailed.exchange(true))
-            warn("trace store: cannot write direction sidecar under "
-                 "'%s'; continuing without persisting", dir.c_str());
-        std::filesystem::remove(tmp, ec);
-        return;
-    }
-    directionMetrics().stores.add();
-    storeMetrics().writtenBytes.add(fileBytes(path));
+    return std::make_unique<Writer>(
+        *this, pathFor(spec, instruction_override),
+        direction_kind >= 0 ? directionPathFor(spec, instruction_override,
+                                               direction_kind)
+                            : std::string(),
+        direction_kind, contentKey(spec, instruction_override));
 }
+
+TraceStore::Writer::Writer(TraceStore &store, std::string path,
+                           std::string direction_path, int direction_kind,
+                           std::uint64_t content_key)
+    : store(store), path(std::move(path)), tmp(store.tempPathFor(this->path)),
+      directionPath(std::move(direction_path)),
+      directionKind(direction_kind), contentKey(content_key)
+{
+    if (directionKind < 0)
+        return;
+    directionTmp = store.tempPathFor(directionPath);
+    direction = std::fopen(directionTmp.c_str(), "wb");
+    // Header first; its record count is patched by finish().
+    const DirectionHeader hdr;
+    directionOk = direction != nullptr &&
+                  std::fwrite(&hdr, sizeof(hdr), 1, direction) == 1;
+}
+
+TraceStore::Writer::~Writer()
+{
+    // Unfinished (the stream threw): drop the temp files.
+    std::error_code ec;
+    if (direction) {
+        std::fclose(direction);
+        std::filesystem::remove(directionTmp, ec);
+    }
+    if (file) {
+        file.reset();
+        std::filesystem::remove(tmp, ec);
+    }
+}
+
+void
+TraceStore::Writer::begin(const trace::StreamHeader &header)
+{
+    file.emplace(tmp, header.name, header.category, header.entryPc);
+}
+
+void
+TraceStore::Writer::chunk(const trace::DecodedTrace &chunk)
+{
+    const std::size_t n = chunk.numRecords();
+    if (file)
+        for (std::size_t i = 0; i < n; ++i)
+            file->append(chunk.record(i));
+    if (direction && directionOk) {
+        GHRP_ASSERT(chunk.hasDirectionStream() &&
+                    chunk.directionKind == directionKind);
+        directionOk = n == 0 || std::fwrite(chunk.dirPredictedTaken.data(),
+                                            1, n, direction) == n;
+    }
+    numRecords += n;
+}
+
+void
+TraceStore::Writer::finish()
+{
+    if (file) {
+        const bool written = file->finish();
+        file.reset();
+        if (store.publish(tmp, path, written)) {
+            store.storeCount.fetch_add(1, std::memory_order_relaxed);
+            storeMetrics().stores.add();
+        }
+    }
+    if (directionKind >= 0) {
+        DirectionHeader hdr;
+        hdr.contentKey = contentKey;
+        hdr.directionKind = static_cast<std::uint32_t>(directionKind);
+        hdr.numRecords = numRecords;
+        bool written =
+            directionOk && std::fseek(direction, 0, SEEK_SET) == 0 &&
+            std::fwrite(&hdr, sizeof(hdr), 1, direction) == 1;
+        if (direction)
+            written = std::fclose(direction) == 0 && written;
+        direction = nullptr;
+        if (store.publish(directionTmp, directionPath, written))
+            directionMetrics().stores.add();
+    }
+}
+
+std::optional<trace::DecodedTrace>
+TraceStore::loadDecoded(const TraceSpec &spec,
+                        std::uint64_t instruction_override,
+                        std::uint32_t block_bytes, std::uint32_t inst_bytes)
+{
+    if (!enabled())
+        return std::nullopt;
+    const std::string path = pathFor(spec, instruction_override);
+    // A file that fails to open or to decode (a corrupt record) is a
+    // miss: the caller regenerates and overwrites it.
+    std::optional<trace::DecodedTrace> cached;
+    if (auto mapped = trace::MappedTrace::tryOpen(path))
+        cached = trace::tryDecodeTrace(*mapped, block_bytes, inst_bytes);
+    if (!cached) {
+        missCount.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().misses.add();
+        return std::nullopt;
+    }
+    hitCount.fetch_add(1, std::memory_order_relaxed);
+    storeMetrics().hits.add();
+    storeMetrics().readBytes.add(fileBytes(path));
+    cached->name = spec.name;
+    cached->category = categoryName(spec.category);
+    return cached;
+}
+
+namespace
+{
+
+/** Decodes a whole stream into one DecodedTrace. */
+class DecodeCollector final : public trace::RecordSink
+{
+  public:
+    DecodeCollector(std::uint32_t block_bytes, std::uint32_t inst_bytes)
+    {
+        dec.blockBytes = block_bytes;
+        dec.instBytes = inst_bytes;
+    }
+
+    void
+    begin(const trace::StreamHeader &header) override
+    {
+        this->header = header;
+        dec.name = header.name;
+        dec.category = header.category;
+        dec.entryPc = header.entryPc;
+        decoder.emplace(dec);
+    }
+
+    void
+    records(const trace::BranchRecord *recs, std::size_t n) override
+    {
+        decoder->push(recs, n);
+    }
+
+    /** Seal the decode once the stream has ended. */
+    void finish() { decoder->finish(); }
+
+    trace::StreamHeader header;
+    trace::DecodedTrace dec;
+
+  private:
+    std::optional<trace::StreamDecoder> decoder;
+};
+
+} // anonymous namespace
 
 trace::DecodedTrace
 TraceStore::acquireDecoded(const TraceSpec &spec,
@@ -395,29 +517,19 @@ TraceStore::acquireDecoded(const TraceSpec &spec,
                            std::uint32_t block_bytes,
                            std::uint32_t inst_bytes)
 {
-    if (enabled()) {
-        const std::string path = pathFor(spec, instruction_override);
-        // A file that fails to open or to decode (a corrupt record) is
-        // a miss: regenerate and overwrite it.
-        std::optional<trace::DecodedTrace> cached;
-        if (auto mapped = trace::MappedTrace::tryOpen(path))
-            cached = trace::tryDecodeTrace(*mapped, block_bytes, inst_bytes);
-        if (cached) {
-            hitCount.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().hits.add();
-            storeMetrics().readBytes.add(fileBytes(path));
-            cached->name = spec.name;
-            cached->category = categoryName(spec.category);
-            return std::move(*cached);
-        }
-        missCount.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().misses.add();
-        const trace::Trace tr = buildTrace(spec, instruction_override);
-        persist(tr, path);
-        return trace::decodeTrace(tr, block_bytes, inst_bytes);
+    if (std::optional<trace::DecodedTrace> cached = loadDecoded(
+            spec, instruction_override, block_bytes, inst_bytes))
+        return std::move(*cached);
+    DecodeCollector collector(block_bytes, inst_bytes);
+    streamTrace(spec, instruction_override, collector);
+    collector.finish();
+    if (const std::unique_ptr<Writer> w =
+            writer(spec, instruction_override, -1)) {
+        w->begin(collector.header);
+        w->chunk(collector.dec);
+        w->finish();
     }
-    return trace::decodeTrace(buildTrace(spec, instruction_override),
-                              block_bytes, inst_bytes);
+    return std::move(collector.dec);
 }
 
 } // namespace ghrp::workload

@@ -24,9 +24,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/decoded_trace.hh"
+#include "trace/trace_io.hh"
 #include "workload/suite.hh"
 
 namespace ghrp::workload
@@ -90,13 +94,36 @@ class TraceStore
      * The decoded branch stream for @p spec at the given granularity.
      * On a store hit the decode streams records directly from the mmap
      * (zero-copy: no intermediate record vector); on a miss — including
-     * a file with a corrupt record — the trace is generated, persisted
-     * over the old file, and decoded in memory.
+     * a file with a corrupt record — the trace is generated as a
+     * stream, decoded chunk by chunk and persisted over the old file
+     * from the decoded records.
      */
     trace::DecodedTrace acquireDecoded(const TraceSpec &spec,
                                        std::uint64_t instruction_override,
                                        std::uint32_t block_bytes,
                                        std::uint32_t inst_bytes);
+
+    /**
+     * The hit half of acquireDecoded: the stored trace decoded from the
+     * mmap, counting a hit, or std::nullopt — counting a miss when the
+     * store is enabled — when there is no usable file. The caller then
+     * generates the trace itself, persisting it through writer().
+     */
+    std::optional<trace::DecodedTrace>
+    loadDecoded(const TraceSpec &spec, std::uint64_t instruction_override,
+                std::uint32_t block_bytes, std::uint32_t inst_bytes);
+
+    class Writer;
+
+    /**
+     * A writer persisting @p spec's trace from its decoded chunks as
+     * they are generated, with its direction sidecar when
+     * @p direction_kind >= 0 (the chunks then carry that stream).
+     * Null when the store is disabled or read-only.
+     */
+    std::unique_ptr<Writer> writer(const TraceSpec &spec,
+                                   std::uint64_t instruction_override,
+                                   int direction_kind);
 
     /**
      * Load a cached pre-resolved direction stream for @p dec into
@@ -139,9 +166,19 @@ class TraceStore
     }
 
   private:
-    /** Persist @p tr at @p path via temp-file + atomic rename; failures
-     *  warn once and leave the store read-only for this process. */
+    /** Persist @p tr at @p path via temp-file + atomic rename. */
     void persist(const trace::Trace &tr, const std::string &path);
+
+    /** A unique temp name next to @p path: concurrent producers of the
+     *  same key never collide. */
+    std::string tempPathFor(const std::string &path);
+
+    /** Move the temp file @p tmp, written with success @p written, to
+     *  @p path by atomic rename, so a reader sees either nothing or a
+     *  complete file. A failed write or rename warns once, removes the
+     *  temp file and leaves the store read-only for this process. */
+    bool publish(const std::string &tmp, const std::string &path,
+                 bool written);
 
     /** Sidecar path: <dir>/<key16hex>.dir<kind>. */
     std::string directionPathFor(const TraceSpec &spec,
@@ -154,6 +191,40 @@ class TraceStore
     std::atomic<std::uint64_t> storeCount{0};
     std::atomic<std::uint64_t> tempCounter{0};
     std::atomic<bool> writeFailed{false};
+};
+
+/**
+ * A store miss persisted from the generated stream: the trace file and
+ * (optionally) its direction sidecar are written as decoded chunks
+ * arrive and published by finish(). Their bytes equal persisting the
+ * materialized trace and storeDirectionStream() of its whole resolved
+ * stream. A writer that is never finished publishes nothing.
+ */
+class TraceStore::Writer final : public trace::ChunkSink
+{
+  public:
+    Writer(TraceStore &store, std::string path, std::string direction_path,
+           int direction_kind, std::uint64_t content_key);
+    ~Writer() override;
+
+    void begin(const trace::StreamHeader &header) override;
+    void chunk(const trace::DecodedTrace &chunk) override;
+
+    /** Publish the trace file (counting a store), then the sidecar. */
+    void finish();
+
+  private:
+    TraceStore &store;
+    const std::string path;
+    const std::string tmp;
+    std::optional<trace::TraceFileWriter> file;
+    const std::string directionPath;
+    std::string directionTmp;
+    std::FILE *direction = nullptr;
+    const int directionKind;
+    const std::uint64_t contentKey;
+    std::uint64_t numRecords = 0;
+    bool directionOk = true;
 };
 
 } // namespace ghrp::workload

@@ -26,6 +26,60 @@ smallTrace(Category cat = Category::ShortMobile, std::uint64_t seed = 3,
     return buildTrace(spec, instructions);
 }
 
+/** Keeps what a stream declares and the chunk sizes it arrives in. */
+struct HeaderProbe final : trace::RecordSink
+{
+    void begin(const trace::StreamHeader &h) override { header = h; }
+    void
+    records(const trace::BranchRecord *recs, std::size_t n) override
+    {
+        EXPECT_GT(n, 0u);
+        EXPECT_LE(n, trace::kChunkRecords);
+        EXPECT_TRUE(chunks.empty() || chunks.back() == trace::kChunkRecords)
+            << "only the last chunk may be short";
+        chunks.push_back(n);
+        collected.records.insert(collected.records.end(), recs, recs + n);
+    }
+    trace::StreamHeader header;
+    trace::Trace collected;
+    std::vector<std::size_t> chunks;
+};
+
+TEST(Executor, DeclaredBoundsHoldTheReconstructedTotal)
+{
+    // The streamed warm-up relies on these bounds: they must hold for
+    // every category, seed and budget, and stay a few hundred
+    // instructions wide (tens of candidate warm-up records).
+    const Category cats[] = {Category::ShortMobile, Category::ShortServer,
+                             Category::LongMobile, Category::LongServer};
+    for (const Category cat : cats)
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const Program program = generateProgram(makeParams(cat, seed));
+            for (const std::uint64_t budget :
+                 {1ull, 9ull, 100ull, 5'000ull, 40'000ull}) {
+                SCOPED_TRACE(std::string(categoryName(cat)) + " seed " +
+                             std::to_string(seed) + " budget " +
+                             std::to_string(budget));
+                ExecParams exec;
+                exec.seed = seed;
+                exec.maxInstructions = budget;
+                HeaderProbe probe;
+                execute(program, exec, "t", "c", probe);
+                trace::FetchStreamWalker walker(probe.header.entryPc, 64,
+                                                probe.header.instBytes);
+                for (const trace::BranchRecord &rec :
+                     probe.collected.records)
+                    walker.advance(rec, [](Addr) {});
+                const std::uint64_t total = walker.instructionCount();
+                EXPECT_LE(probe.header.minInstructions, total);
+                EXPECT_GE(probe.header.maxInstructions, total);
+                EXPECT_LT(probe.header.maxInstructions -
+                              probe.header.minInstructions,
+                          400u);
+            }
+        }
+}
+
 TEST(Executor, ProducesRecords)
 {
     const trace::Trace t = smallTrace();
