@@ -42,6 +42,9 @@
  *                      telemetry record every N instructions per leg
  *                      (or GHRP_PHASE_WINDOW; 0 = off, the default;
  *                      records land under each report leg's "phases")
+ *   --journal FILE     crash resume: append every finished leg to FILE
+ *                      and, when FILE already holds legs of the same
+ *                      sweep, skip them (see report/journal.hh)
  */
 
 #ifndef GHRP_BENCH_BENCH_COMMON_HH
@@ -56,6 +59,7 @@
 
 #include "core/cli.hh"
 #include "core/runner.hh"
+#include "report/journal.hh"
 #include "report/report.hh"
 #include "telemetry/span.hh"
 #include "util/logging.hh"
@@ -273,7 +277,8 @@ reportThroughput(const core::SuiteResults &results, unsigned jobs,
 }
 
 /**
- * Run the standard sweep on the parallel path with progress and a
+ * Run the standard sweep on the parallel path with progress, crash
+ * resume through --journal FILE (none without the flag) and a
  * throughput report, then honor --report / GHRP_REPORT_DIR with the
  * standard suite report for @p experiment. Drop-in replacement for
  * core::runSuite in the figure binaries.
@@ -282,8 +287,13 @@ inline core::SuiteResults
 runSuiteTimed(const core::SuiteOptions &options,
               const core::CliOptions &cli, const std::string &experiment)
 {
-    const core::SuiteResults results =
-        core::runSuite(options, progressMeter());
+    core::SuiteResults results;
+    try {
+        results = report::runJournaled(
+            options, cli.getString("journal", ""), progressMeter());
+    } catch (const report::JournalError &e) {
+        fatal("%s", e.what());
+    }
     reportThroughput(results, effectiveJobs(options),
                      cli.has("leg-times"));
     writeReport(report::buildSuiteReport(experiment, options, results),

@@ -92,6 +92,9 @@ knownCliFlags()
          "(or GHRP_TRACE_DIR)"},
         {"report",
          "write a versioned JSON run report to FILE (or GHRP_REPORT_DIR)"},
+        {"journal",
+         "crash resume: journal every finished leg to FILE and skip the "
+         "legs FILE already holds for the same sweep"},
         {"kb", "I-cache size in KiB"},
         {"assoc", "I-cache associativity"},
         {"btb-entries", "BTB entry count"},
@@ -105,57 +108,12 @@ knownCliFlags()
         {"replay", "trace-tool mode: replay a trace file"},
         {"info", "trace-tool mode: print trace metadata"},
         {"pgm", "heat-map tools: write PGM images"},
-        {"socket", "service tools: unix-domain socket path"},
-        {"journal-dir",
-         "ghrp-served: directory for job journals and reports"},
-        {"max-queue",
-         "ghrp-served: queued-job bound before submits are rejected"},
-        {"fsync",
-         "ghrp-served: journal durability (every|close|off)"},
-        {"experiment", "ghrp-client submit: experiment name"},
-        {"priority", "ghrp-client submit: queue priority"},
-        {"timeout",
-         "ghrp-client: job wall-clock limit / connect timeout seconds"},
-        {"wait", "ghrp-client submit: follow the job and fetch its report"},
-        {"job", "ghrp-client: job id for status/watch/result/cancel"},
-        {"out", "ghrp-client/ghrp-report: output file or directory"},
-        {"prometheus",
-         "ghrp-client metrics: render Prometheus text instead of JSON"},
-        {"watch",
-         "ghrp-client metrics: refresh the snapshot every SECS seconds"},
-        {"total-threads",
-         "ghrp-served: global simulation thread budget shared by all "
-         "running jobs (0 = hardware concurrency)"},
-        {"max-active",
-         "ghrp-served: jobs running concurrently (0 = total-threads, "
-         "1 = serial daemon)"},
-        {"start-paused",
-         "ghrp-served: accept and journal submissions but run nothing "
-         "(fault-injection hook)"},
-        {"daemons",
-         "ghrp-client sweep: comma-separated daemon socket paths"},
-        {"daemons-file",
-         "ghrp-client sweep: discovery file, one daemon socket per line"},
-        {"seeds",
-         "ghrp-client sweep: comma-separated base seeds (one cell each)"},
-        {"policies",
-         "ghrp-client sweep: comma-separated policy names or "
-         "duel:<A>,<B> specs per cell"},
-        {"shard-attempts",
-         "ghrp-client sweep: submit attempts per shard before giving up"},
-        {"poll-ms",
-         "ghrp-client sweep: fleet poll interval in milliseconds"},
-        {"out-dir",
-         "ghrp-client sweep: directory for the merged cell reports"},
         {"duel",
          "append a duel:<A>,<B> set-dueling leg to the suite's "
          "policy axis (bench suites)"},
         {"phase-window",
          "phase flight recorder: sample a windowed telemetry record "
          "every N instructions (or GHRP_PHASE_WINDOW; 0 = off)"},
-        {"phases",
-         "ghrp-client watch: render a rolling per-leg phase readout "
-         "from the streamed flight-recorder records"},
         {"diff",
          "ghrp-report phases: align two reports' trajectories and "
          "print per-window I-cache MPKI winner flips"},

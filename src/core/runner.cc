@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -156,7 +155,7 @@ using LaneGroups = std::vector<std::vector<frontend::PolicySpec>>;
 
 /** Shared bookkeeping for one sweep: pre-sized result slots plus a
  *  serialised progress tick, with the optional RunHooks control
- *  points (skip / cancel / leg-done journaling) applied per leg. */
+ *  points (skip / leg-done journaling) applied per leg. */
 class SweepSink
 {
   public:
@@ -295,7 +294,7 @@ class SweepSink
     }
 
     /** The lanes of @p groups still to simulate: journaled legs are
-     *  ticked and dropped, and none run once the hooks cancel. */
+     *  ticked and dropped. */
     std::vector<frontend::PolicySpec>
     lanesToRun(std::size_t trace_index, const LaneGroups &groups)
     {
@@ -307,8 +306,6 @@ class SweepSink
                 else
                     lanes.push_back(policy);
             }
-        if (hooks.cancelled && hooks.cancelled())
-            lanes.clear();
         return lanes;
     }
 
@@ -354,8 +351,8 @@ class SweepSink
          const frontend::FrontendResult *result, double seconds)
     {
         std::lock_guard<std::mutex> lock(progressMutex);
-        // Journal before progress: a watcher that reacts to the
-        // progress tick may already rely on the leg being durable.
+        // Journal before progress, so a progress tick always means
+        // the leg is already durable.
         if (result && hooks.onLegDone)
             hooks.onLegDone(trace_index, policy, *result, seconds);
         if (result && options.slowLegMs > 0.0 &&
@@ -387,67 +384,6 @@ class SweepSink
     std::size_t done = 0;
 };
 
-/**
- * Caps one run's in-flight pool tasks at its thread lease, so several
- * concurrent runs can share one pool without any of them swamping the
- * queue: a run with lease L keeps at most L tasks submitted-but-
- * unfinished, leaving the remaining workers to other runs. acquire()
- * blocks the coordinating (non-pool) thread only; pool tasks never
- * block, so the shared pool cannot deadlock.
- */
-class TaskThrottle
-{
-  public:
-    explicit TaskThrottle(std::size_t limit)
-        : limit(std::max<std::size_t>(limit, 1))
-    {
-    }
-
-    void
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [this] { return inFlight < limit; });
-        ++inFlight;
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            --inFlight;
-        }
-        cv.notify_one();
-    }
-
-  private:
-    const std::size_t limit;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t inFlight = 0;
-};
-
-/** Submit @p fn to @p pool, holding one throttle permit (when a
- *  throttle is present) from submission until the task finishes,
- *  normally or by exception. */
-template <typename F>
-auto
-submitLeased(util::ThreadPool &pool, TaskThrottle *throttle, F fn)
-{
-    if (!throttle)
-        return pool.submit(std::move(fn));
-    throttle->acquire();
-    return pool.submit([throttle, fn = std::move(fn)]() {
-        struct Permit
-        {
-            TaskThrottle *throttle;
-            ~Permit() { throttle->release(); }
-        } permit{throttle};
-        return fn();
-    });
-}
-
 /** The lane groups of every trace. */
 LaneGroups
 laneGroups(const SuiteOptions &options)
@@ -463,11 +399,9 @@ laneGroups(const SuiteOptions &options)
 /** Serial reference path: same slot discipline, no threads. */
 void
 runSerial(SweepSink &sink, const SuiteResults &out,
-          const LaneGroups &groups, const RunHooks &hooks)
+          const LaneGroups &groups)
 {
     for (std::size_t i = 0; i < out.specs.size(); ++i) {
-        if (hooks.cancelled && hooks.cancelled())
-            return;
         // A fully-journaled trace never needs acquiring or decoding on
         // resume — tick its legs and move on.
         if (sink.allSkipped(i)) {
@@ -494,17 +428,13 @@ runSerial(SweepSink &sink, const SuiteResults &out,
  */
 void
 runParallel(SweepSink &sink, const SuiteResults &out,
-            const LaneGroups &groups, const workload::TraceStore &store, util::ThreadPool &pool,
-            const RunHooks &hooks, TaskThrottle *throttle, unsigned lease)
+            const LaneGroups &groups, bool materializes,
+            util::ThreadPool &pool)
 {
     const std::size_t num_traces = out.specs.size();
-    // The build window follows the lease, not the pool: a run leasing
-    // 2 of 16 shared workers must not decode 32 traces ahead.
-    const bool materializes = store.enabled() || hooks.acquireDecoded;
     const std::size_t window =
-        materializes
-            ? std::max<std::size_t>(2 * static_cast<std::size_t>(lease), 4)
-            : num_traces;
+        materializes ? std::max<std::size_t>(2 * pool.size(), 4)
+                     : num_traces;
 
     std::vector<std::future<DecodedPtr>> builds(num_traces);
     std::vector<char> elided(num_traces, 0);
@@ -513,17 +443,12 @@ runParallel(SweepSink &sink, const SuiteResults &out,
     std::size_t next_build = 0;
     const auto pump = [&](std::size_t upto) {
         for (; next_build < std::min(upto, num_traces); ++next_build) {
-            // Stop opening new builds once cancelled: queued group jobs
-            // drain as no-ops and the harvest loop below ends at the
-            // first unscheduled build.
-            if (hooks.cancelled && hooks.cancelled())
-                return;
             if (sink.allSkipped(next_build)) {
                 elided[next_build] = 1;
                 continue;
             }
-            builds[next_build] = submitLeased(
-                pool, throttle, [&sink, &groups, i = next_build]() {
+            builds[next_build] =
+                pool.submit([&sink, &groups, i = next_build]() {
                     return sink.build(i, groups);
                 });
         }
@@ -536,17 +461,14 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             pump(i + 1 + window);
             continue;
         }
-        if (!builds[i].valid())
-            break;  // cancelled before this trace's build was scheduled
         const DecodedPtr dec = builds[i].get();  // rethrows build errors
         builds[i] = {};
         if (dec) {
             jobs[i].reserve(groups.size());
             for (const std::vector<frontend::PolicySpec> &group : groups)
-                jobs[i].push_back(submitLeased(
-                    pool, throttle, [&sink, i, &group, dec]() {
-                        sink.runGroup(i, group, *dec);
-                    }));
+                jobs[i].push_back(pool.submit([&sink, i, &group, dec]() {
+                    sink.runGroup(i, group, *dec);
+                }));
         }
         // Keep at most `window` traces with outstanding groups before
         // opening new builds, then harvest (and rethrow from) the
@@ -558,7 +480,7 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                     f.get();
     }
     // Harvest (and rethrow from) every group not already collected;
-    // groups of elided, streamed or unscheduled traces are absent.
+    // groups of elided or streamed traces are absent.
     for (std::vector<std::future<void>> &trace_jobs : jobs)
         for (std::future<void> &f : trace_jobs)
             if (f.valid())
@@ -585,24 +507,14 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
         options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
 
     const auto start = std::chrono::steady_clock::now();
-    if (hooks.pool) {
-        // Shared pool: options.jobs is this run's thread lease, and a
-        // throttle keeps at most that many of its tasks in flight so
-        // concurrent runs on the same pool share the budget fairly.
-        const unsigned lease =
-            std::min(std::max(jobs, 1u), hooks.pool->size());
-        TaskThrottle throttle(lease);
-        runParallel(sink, out, groups, store, *hooks.pool, hooks,
-                    &throttle, lease);
-    } else if (jobs <= 1 ||
-               out.specs.size() * options.policies.size() <= 1) {
-        runSerial(sink, out, groups, hooks);
+    if (jobs <= 1 || out.specs.size() * options.policies.size() <= 1) {
+        runSerial(sink, out, groups);
     } else {
         // Destroyed before `out` and `sink`, so no job outlives the
         // state it references even on exception unwind.
         util::ThreadPool pool(jobs);
-        runParallel(sink, out, groups, store, pool, hooks,
-                    nullptr, pool.size());
+        runParallel(sink, out, groups,
+                    store.enabled() || bool(hooks.acquireDecoded), pool);
     }
     out.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

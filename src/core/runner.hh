@@ -18,7 +18,6 @@
 
 #include "frontend/frontend.hh"
 #include "stats/confidence.hh"
-#include "util/thread_pool.hh"
 #include "workload/suite.hh"
 #include "workload/trace_store.hh"
 
@@ -58,7 +57,7 @@ struct SuiteOptions
      * and with jobs > 1 each group is one pool job. Results are
      * bit-identical either way: lanes share no mutable state and step
      * through the exact same simulation code. RunHooks semantics are
-     * the same for every grouping — journaled legs are dropped from
+     * the same for every grouping — skipped legs are dropped from
      * their group's lane set and onLegDone fires once per simulated
      * leg. Per-leg timing is the group wall time split evenly across
      * its lanes (timing is outside the determinism guarantee).
@@ -156,11 +155,10 @@ using ProgressFn =
     std::function<void(std::size_t, std::size_t, const std::string &)>;
 
 /**
- * Optional control hooks for a suite run, used by long-lived callers
- * (the sweep-serving daemon) that need journaling, crash resume,
- * cooperative cancellation, or a shared decoded-trace cache. All
- * members are optional; a default-constructed RunHooks reproduces
- * plain runSuite behaviour exactly.
+ * Optional control hooks for a suite run: crash resume through a leg
+ * journal (report::runJournaled) and an external decoded-trace
+ * provider. All members are optional; a default-constructed RunHooks
+ * reproduces plain runSuite behaviour exactly.
  */
 struct RunHooks
 {
@@ -187,18 +185,8 @@ struct RunHooks
         onLegDone;
 
     /**
-     * Polled before each leg starts (and before each trace build is
-     * scheduled): returning true prevents new legs from starting while
-     * in-flight legs complete normally, so runSuite drains quickly and
-     * returns with the unstarted slots default-initialized. Unstarted
-     * legs are NOT reported through onLegDone — a journaling caller
-     * can therefore resume exactly the missing legs later.
-     */
-    std::function<bool()> cancelled;
-
-    /**
-     * Override trace acquisition + decoding, e.g. with a cross-run
-     * decoded-trace cache. The returned stream must be decoded at
+     * Override trace acquisition + decoding, e.g. with a materialized
+     * reference decode. The returned stream must be decoded at
      * (options.base.icache.blockBytes, options.base.instBytes)
      * granularity and have its direction stream resolved for
      * options.base.direction; runSuite shares it read-only across the
@@ -208,21 +196,6 @@ struct RunHooks
     std::function<std::shared_ptr<const trace::DecodedTrace>(
         const workload::TraceSpec &, const SuiteOptions &)>
         acquireDecoded;
-
-    /**
-     * Run this sweep's build and simulation tasks on an externally
-     * owned pool instead of a pool created per call, so several
-     * concurrent runSuite calls can share one global thread budget
-     * (the daemon scheduler sizes the shared pool to --total-threads).
-     * options.jobs then acts as this run's *thread lease*: the maximum
-     * number of its tasks in flight on the shared pool at once (0 or
-     * anything above the pool size leases the whole pool). The calling
-     * thread only coordinates — builds the trace window and harvests
-     * futures — and all simulation runs on pool threads, so a blocked
-     * caller costs no budget. Results are bit-identical to an
-     * owned-pool run for every lease value.
-     */
-    util::ThreadPool *pool = nullptr;
 };
 
 /**
@@ -243,7 +216,7 @@ struct RunHooks
  * but completion order is scheduling-dependent; only the *results* are
  * deterministic. Exceptions thrown by a leg are rethrown here.
  *
- * @p hooks adds journaling/resume/cancellation control; see RunHooks.
+ * @p hooks adds journaling/resume control; see RunHooks.
  */
 SuiteResults runSuite(const SuiteOptions &options,
                       const ProgressFn &progress = nullptr,

@@ -113,8 +113,8 @@ std::string policyName(const PolicySpec &spec);
 /** Parse a policy name or duel spec; fatal() on error. */
 PolicySpec parsePolicySpec(const std::string &name);
 
-/** Non-fatal parse for daemons/report readers: returns false instead
- *  of exiting on an unknown name or malformed duel spec. */
+/** Non-fatal parse for journal and report readers: returns false
+ *  instead of exiting on an unknown name or malformed duel spec. */
 bool tryParsePolicySpec(const std::string &name, PolicySpec &out);
 
 /**
@@ -193,8 +193,7 @@ struct FrontendConfig
      * dead-block prediction outcomes, duel PSEL) and are bounded by a
      * 128-slot decimating sampler, so memory stays O(1) per leg and
      * the trajectory is a pure function of the access stream —
-     * bit-identical across --jobs, fused lanes, crash resume and
-     * sweep shard merges.
+     * bit-identical across --jobs, fused lanes and crash resume.
      */
     std::uint64_t phaseWindow = 0;
 };

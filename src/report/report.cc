@@ -595,42 +595,6 @@ cacheConfigToJson(const cache::CacheConfig &config)
     return j;
 }
 
-cache::CacheConfig
-cacheConfigFromJson(const Json &j)
-{
-    cache::CacheConfig config;
-    config.sizeBytes = static_cast<std::uint32_t>(
-        j.at("sizeBytes").asUint());
-    config.blockBytes = static_cast<std::uint32_t>(
-        j.at("blockBytes").asUint());
-    config.assoc = static_cast<std::uint32_t>(j.at("assoc").asUint());
-    return config;
-}
-
-/** Reverse of frontend::policyName that throws instead of fatal()ing,
- *  so a serving daemon can reject a malformed job and keep running. */
-frontend::PolicySpec
-policyFromName(const std::string &name)
-{
-    frontend::PolicySpec spec;
-    if (!frontend::tryParsePolicySpec(name, spec))
-        throw ReportError("unknown policy '" + name + "'");
-    return spec;
-}
-
-frontend::DirectionKind
-directionFromName(const std::string &name)
-{
-    static constexpr frontend::DirectionKind kAll[] = {
-        frontend::DirectionKind::HashedPerceptron,
-        frontend::DirectionKind::Gshare,
-        frontend::DirectionKind::Bimodal};
-    for (frontend::DirectionKind kind : kAll)
-        if (name == directionName(kind))
-            return kind;
-    throw ReportError("unknown direction predictor '" + name + "'");
-}
-
 } // anonymous namespace
 
 std::vector<std::optional<double>>
@@ -679,55 +643,6 @@ suiteOptionsToJson(const core::SuiteOptions &options)
     j.set("instBytes", options.base.instBytes);
     j.set("phaseWindow", options.base.phaseWindow);
     return j;
-}
-
-core::SuiteOptions
-suiteOptionsFromJson(const Json &json)
-{
-    try {
-        core::SuiteOptions options;
-        options.numTraces = static_cast<std::uint32_t>(
-            json.at("numTraces").asUint());
-        options.baseSeed = json.at("baseSeed").asUint();
-        options.instructionOverride =
-            json.at("instructionOverride").asUint();
-        options.jobs = static_cast<unsigned>(json.at("jobs").asUint());
-        // Optional: reports older than the fused executor lack it.
-        if (const Json *fused = json.find("fused"))
-            options.fused = fused->asBool();
-        options.traceCacheDir = json.at("traceCacheDir").asString();
-        options.policies.clear();
-        for (const Json &name : json.at("policies").asArray())
-            options.policies.push_back(policyFromName(name.asString()));
-        options.base.icache = cacheConfigFromJson(json.at("icache"));
-        options.base.btb = cacheConfigFromJson(json.at("btb"));
-        options.base.direction =
-            directionFromName(json.at("direction").asString());
-        options.base.warmupFraction = json.at("warmupFraction").asDouble();
-        options.base.warmupCapInstructions =
-            json.at("warmupCapInstructions").asUint();
-        options.base.useRas = json.at("useRas").asBool();
-        options.base.useIndirectPredictor =
-            json.at("useIndirectPredictor").asBool();
-        options.base.nextLinePrefetch = static_cast<std::uint32_t>(
-            json.at("nextLinePrefetch").asUint());
-        options.base.ghrpDedicatedBtb =
-            json.at("ghrpDedicatedBtb").asBool();
-        options.base.recoverGhrpHistory =
-            json.at("recoverGhrpHistory").asBool();
-        options.base.wrongPathNoise = static_cast<std::uint32_t>(
-            json.at("wrongPathNoise").asUint());
-        options.base.instBytes = static_cast<std::uint32_t>(
-            json.at("instBytes").asUint());
-        // Optional: reports older than the phase flight recorder
-        // (schema minor < 4) lack it.
-        if (const Json *phase = json.find("phaseWindow"))
-            options.base.phaseWindow = phase->asUint();
-        return options;
-    } catch (const JsonError &e) {
-        throw ReportError(std::string("malformed suite options: ") +
-                          e.what());
-    }
 }
 
 Json
@@ -817,8 +732,7 @@ buildSuiteReport(const std::string &experiment,
 
     // ---- oracle + dueling extras (schema minor 3) ----------------
     // Both subtrees are pure functions of the per-leg counters above,
-    // so reports rebuilt from journals or merged from shards carry
-    // them bit-identically. The oracle is deliberately NOT a policy
+    // so reports rebuilt from journals carry them bit-identically. The oracle is deliberately NOT a policy
     // row: diff/gate tooling matches PolicySummary rows by name and
     // must not see a synthetic policy appear.
     std::vector<frontend::PolicySpec> static_policies;
@@ -1011,95 +925,6 @@ buildSuiteReport(const std::string &experiment,
     sweep.traceStoreMisses = results.traceStore.misses;
     sweep.traceStoreStores = results.traceStore.stores;
     return report;
-}
-
-RunReport
-mergeShardReports(const std::string &experiment,
-                  const core::SuiteOptions &options,
-                  const std::vector<RunReport> &shards)
-{
-    if (shards.empty())
-        throw ReportError("merge: no shard reports");
-
-    // Two shards belong to the same cell iff their options agree on
-    // everything that can change results: policy subset, jobs, fused
-    // and the trace cache are execution knobs with a bit-identical
-    // guarantee, so they are normalized away before comparing.
-    const auto cellIdentity = [](const core::SuiteOptions &o) {
-        core::SuiteOptions norm = o;
-        norm.policies.clear();
-        norm.jobs = 0;
-        norm.fused = false;
-        norm.verbose = false;
-        norm.slowLegMs = 0.0;
-        norm.traceCacheDir.clear();
-        return suiteOptionsToJson(norm).dump(0);
-    };
-    const std::string cell = cellIdentity(options);
-
-    core::SuiteResults results;
-    results.specs =
-        workload::makeSuite(options.numTraces, options.baseSeed);
-    std::map<std::string, std::size_t> spec_index;
-    for (std::size_t i = 0; i < results.specs.size(); ++i)
-        spec_index.emplace(results.specs[i].name, i);
-
-    std::map<frontend::PolicySpec, std::vector<char>> filled;
-    for (const frontend::PolicySpec &policy : options.policies) {
-        results.results[policy].resize(results.specs.size());
-        results.legSeconds[policy].assign(results.specs.size(), 0.0);
-        filled[policy].assign(results.specs.size(), 0);
-    }
-
-    for (const RunReport &shard : shards) {
-        const core::SuiteOptions shard_options =
-            suiteOptionsFromJson(shard.options);
-        if (cellIdentity(shard_options) != cell)
-            throw ReportError("merge: shard '" + shard.runId +
-                              "' ran a different sweep cell");
-
-        for (const Leg &leg : shard.legs) {
-            const frontend::PolicySpec policy =
-                policyFromName(leg.policy());
-            const auto fit = filled.find(policy);
-            if (fit == filled.end())
-                throw ReportError("merge: shard '" + shard.runId +
-                                  "' carries policy '" + leg.policy() +
-                                  "' which is not in this cell");
-            const auto sit = spec_index.find(leg.trace());
-            if (sit == spec_index.end())
-                throw ReportError("merge: shard '" + shard.runId +
-                                  "' carries trace '" + leg.trace() +
-                                  "' which is not in this cell");
-            char &slot = fit->second[sit->second];
-            if (slot)
-                throw ReportError("merge: duplicate leg (" + leg.trace() +
-                                  ", " + leg.policy() + ")");
-            slot = 1;
-            // The crash-resume injection path: the slot holds exactly
-            // what the shard's runner produced.
-            results.results.at(policy)[sit->second] = leg.result;
-            results.legSeconds.at(policy)[sit->second] = leg.seconds;
-        }
-
-        // Shards run concurrently: campaign wall is the slowest shard.
-        results.wallSeconds =
-            std::max(results.wallSeconds, shard.sweep.wallSeconds);
-        results.traceStoreEnabled =
-            results.traceStoreEnabled || shard.sweep.traceStoreEnabled;
-        results.traceStore.hits += shard.sweep.traceStoreHits;
-        results.traceStore.misses += shard.sweep.traceStoreMisses;
-        results.traceStore.stores += shard.sweep.traceStoreStores;
-    }
-
-    for (const auto &[policy, slots] : filled)
-        for (std::size_t i = 0; i < slots.size(); ++i)
-            if (!slots[i])
-                throw ReportError("merge: no shard carried leg (" +
-                                  results.specs[i].name + ", " +
-                                  frontend::policyName(policy) + ")");
-
-    return buildSuiteReport(experiment, options, results);
 }
 
 } // namespace ghrp::report

@@ -204,13 +204,12 @@ Leg makeLeg(const std::string &trace, const std::string &label,
 Json legToJson(const Leg &leg);
 
 /** Serialize one flight-recorder record as its report-schema JSON
- *  object (the shape used inside leg "phases" subtrees and, with
- *  trace/policy members added, inside service progress frames). */
+ *  object (the shape used inside leg "phases" subtrees). */
 Json phaseRecordJson(const frontend::PhaseRecord &record);
 
 /** Parse one leg object — the exact inverse of legToJson, so a
- *  journaled or shard leg's result refills a runner slot
- *  bit-identically; throws ReportError on missing members. */
+ *  journaled leg's result refills a runner slot bit-identically;
+ *  throws ReportError on missing members. */
 Leg legFromJson(const Json &json);
 
 /**
@@ -225,14 +224,6 @@ phaseIntervalMpki(const frontend::PhaseTrajectory &phases,
 
 /** Serialize suite options as the report's "options" subtree. */
 Json suiteOptionsToJson(const core::SuiteOptions &options);
-
-/**
- * Parse an "options" subtree produced by suiteOptionsToJson back into
- * SuiteOptions. Unlike the CLI parsers this never fatal()s: unknown
- * policy or direction names and missing members throw ReportError, so
- * a daemon can reject a bad job without dying.
- */
-core::SuiteOptions suiteOptionsFromJson(const Json &json);
 
 /**
  * Per-frame efficiency matrix of one tracker as JSON: geometry, mean,
@@ -251,28 +242,6 @@ Json efficiencyMatrixJson(const stats::EfficiencyTracker &tracker);
 RunReport buildSuiteReport(const std::string &experiment,
                            const core::SuiteOptions &options,
                            const core::SuiteResults &results);
-
-/**
- * Merge per-policy shard reports of ONE sweep cell back into the
- * report an in-process runSuite over @p options would have produced.
- * Each shard must be a suite report over the same cell (numTraces,
- * baseSeed, instruction override, frontend config — everything except
- * the policy subset, jobs and cache/fused execution knobs, which never
- * affect results) carrying some subset of the cell's (trace, policy)
- * legs. Each leg's result is reassembled into its runner slot — the
- * same injection path crash resume uses — so the merged document's
- * legs and per-policy aggregates are bit-identical to the unsharded
- * run.
- *
- * Throws ReportError on an incompatible shard, an unknown trace or
- * policy, a duplicated leg, or a cell with missing legs after all
- * shards are consumed. Wall-clock is the max over shards (shards run
- * concurrently) and trace-store traffic the sum; both are outside the
- * determinism guarantee.
- */
-RunReport mergeShardReports(const std::string &experiment,
-                            const core::SuiteOptions &options,
-                            const std::vector<RunReport> &shards);
 
 } // namespace ghrp::report
 

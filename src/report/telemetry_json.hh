@@ -2,13 +2,13 @@
  * @file
  * Converters between a telemetry::Snapshot and the ordered report
  * JSON, used for the `extras.telemetry` subtree of run reports
- * (schema minor 2) and the service `metrics` reply.
+ * (schema minor 2).
  *
  * Layout (all members optional on read, unknown members ignored):
  *
  *   {
  *     "counters":   {"pool.tasks": 42, ...},
- *     "gauges":     {"service.queue_depth": 0, ...},
+ *     "gauges":     {"pool.queue_depth": 0, ...},
  *     "histograms": {
  *       "sweep.leg_seconds": {
  *         "count": 120,

@@ -16,7 +16,7 @@
  *     reason.
  *  3. Snapshots are deterministic: instruments are stored in ordered
  *     maps, so Snapshot iterates names lexicographically and the JSON
- *     / Prometheus renderings are byte-stable for a given state.
+ *     rendering is byte-stable for a given state.
  *
  * Histograms are log-scale over nanoseconds: bucket i counts
  * observations with ns < 2^i (see Histogram::bucketIndex). 44 buckets

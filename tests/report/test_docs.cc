@@ -164,7 +164,7 @@ TEST(Docs, CoreSweepFlagsDocumented)
     const std::string readme = readFile(sourceDir() / "README.md");
     for (const char *name : {"traces", "instructions", "seed", "jobs",
                              "trace-cache", "leg-times", "quiet",
-                             "report"})
+                             "report", "journal"})
         EXPECT_NE(readme.find(std::string("--") + name),
                   std::string::npos)
             << "README.md does not document --" << name;

@@ -1,20 +1,22 @@
 /**
  * @file
  * Schema-minor-3 tests: the per-leg "duel" subtree must round-trip
- * bit-identically (legs are the crash-resume/shard-merge currency),
+ * bit-identically (legs are the crash-resume currency),
  * buildSuiteReport must synthesize the extras.oracle per-trace
  * best-static aggregate and the extras.dueling summaries from the
- * suite results alone, merged shard reports must carry identical duel
- * extras, and the rendered block must show the oracle comparison.
+ * suite results alone, a sweep resumed from its journal must carry
+ * identical duel extras, and the rendered block must show the oracle comparison.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/runner.hh"
+#include "report/journal.hh"
 #include "report/render.hh"
 #include "report/report.hh"
 
@@ -223,24 +225,32 @@ duelNormalizedDump(RunReport r)
     return r.toJson().dump(2);
 }
 
-TEST(DuelReport, ShardMergeReproducesDuelExtrasBitIdentically)
+TEST(DuelReport, JournalResumeReproducesDuelExtrasBitIdentically)
 {
-    const core::SuiteOptions cell = duelSuiteOptions();
+    // Replayed legs carry their duel telemetry, so a sweep resumed from
+    // a half-written journal synthesizes the same oracle and dueling
+    // extras as an uninterrupted run.
+    const core::SuiteOptions options = duelSuiteOptions();
     const RunReport reference = report::buildSuiteReport(
-        "duel-merge", cell, core::runSuite(cell));
+        "duel-resume", options, core::runSuite(options));
 
-    std::vector<RunReport> shards;
-    for (const frontend::PolicySpec &policy : cell.policies) {
-        core::SuiteOptions shard = cell;
-        shard.policies = {policy};
-        shards.push_back(report::buildSuiteReport(
-            "duel-merge", shard, core::runSuite(shard)));
+    const std::string journal =
+        ::testing::TempDir() + "/duel-resume.journal";
+    std::filesystem::remove(journal);
+    report::runJournaled(options, journal);
+    const std::vector<Json> records = report::readJournal(journal).records;
+    {
+        // Keep the sweep record and the first half of the legs.
+        report::Journal half;
+        half.open(journal, 0);
+        for (std::size_t i = 0; i < 1 + (records.size() - 1) / 2; ++i)
+            half.append(records[i]);
     }
-    const RunReport merged =
-        report::mergeShardReports("duel-merge", cell, shards);
-    EXPECT_EQ(duelNormalizedDump(merged), duelNormalizedDump(reference));
-    ASSERT_NE(merged.extras.find("oracle"), nullptr);
-    ASSERT_NE(merged.extras.find("dueling"), nullptr);
+    const RunReport resumed = report::buildSuiteReport(
+        "duel-resume", options, report::runJournaled(options, journal));
+    EXPECT_EQ(duelNormalizedDump(resumed), duelNormalizedDump(reference));
+    ASSERT_NE(resumed.extras.find("oracle"), nullptr);
+    ASSERT_NE(resumed.extras.find("dueling"), nullptr);
 }
 
 } // anonymous namespace

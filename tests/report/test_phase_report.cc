@@ -1,20 +1,22 @@
 /**
  * @file
  * Schema-minor-4 tests: the per-leg "phases" subtree must round-trip
- * bit-identically (legs are the crash-resume/shard-merge currency),
+ * bit-identically (legs are the crash-resume currency),
  * buildSuiteReport must synthesize the extras.phases digest from the
- * suite results alone, merged shard reports must carry identical
- * phase data, and the phase render/check/diff surfaces must behave on
+ * suite results alone, a sweep resumed from its journal must carry
+ * identical phase data, and the phase render/check/diff surfaces must behave on
  * real and degenerate reports.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/runner.hh"
+#include "report/journal.hh"
 #include "report/render.hh"
 #include "report/report.hh"
 #include "workload/suite.hh"
@@ -306,25 +308,33 @@ phaseNormalizedDump(RunReport r)
     return r.toJson().dump(2);
 }
 
-TEST(PhaseReport, ShardMergeReproducesPhasesBitIdentically)
+TEST(PhaseReport, JournalResumeReproducesPhasesBitIdentically)
 {
-    const core::SuiteOptions cell = phaseSuiteOptions();
+    // Replayed legs carry their phase records, so a sweep resumed from
+    // a half-written journal synthesizes the same extras.phases as an
+    // uninterrupted run.
+    const core::SuiteOptions options = phaseSuiteOptions();
     const RunReport reference = report::buildSuiteReport(
-        "phase-merge", cell, core::runSuite(cell));
+        "phase-resume", options, core::runSuite(options));
 
-    std::vector<RunReport> shards;
-    for (const frontend::PolicySpec &policy : cell.policies) {
-        core::SuiteOptions shard = cell;
-        shard.policies = {policy};
-        shards.push_back(report::buildSuiteReport(
-            "phase-merge", shard, core::runSuite(shard)));
+    const std::string journal =
+        ::testing::TempDir() + "/phase-resume.journal";
+    std::filesystem::remove(journal);
+    report::runJournaled(options, journal);
+    const std::vector<Json> records = report::readJournal(journal).records;
+    {
+        // Keep the sweep record and the first half of the legs.
+        report::Journal half;
+        half.open(journal, 0);
+        for (std::size_t i = 0; i < 1 + (records.size() - 1) / 2; ++i)
+            half.append(records[i]);
     }
-    const RunReport merged =
-        report::mergeShardReports("phase-merge", cell, shards);
-    EXPECT_EQ(phaseNormalizedDump(merged),
+    const RunReport resumed = report::buildSuiteReport(
+        "phase-resume", options, report::runJournaled(options, journal));
+    EXPECT_EQ(phaseNormalizedDump(resumed),
               phaseNormalizedDump(reference));
-    ASSERT_NE(merged.extras.find("phases"), nullptr);
-    for (const report::Leg &leg : merged.legs)
+    ASSERT_NE(resumed.extras.find("phases"), nullptr);
+    for (const report::Leg &leg : resumed.legs)
         EXPECT_TRUE(leg.result.hasPhases);
 }
 

@@ -3,7 +3,9 @@
  * Metrics registry tests: hot-path correctness under concurrency (the
  * TSan target — N threads hammering shared instruments must lose no
  * updates and trip no races), log-bucket mapping, snapshot
- * determinism, and the reference-stability contract of resetForTest().
+ * determinism, the reference-stability contract of resetForTest(),
+ * and the JSON exposition: the extras.telemetry subtree survives a
+ * full round trip through the run-report JSON losslessly.
  */
 
 #include <cmath>
@@ -12,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include "report/report.hh"
+#include "report/telemetry_json.hh"
 #include "telemetry/metrics.hh"
 
 namespace
 {
 
+using namespace ghrp;
 using namespace ghrp::telemetry;
 
 TEST(TelemetryMetrics, CounterAddAndReset)
@@ -195,6 +200,64 @@ TEST(TelemetryMetrics, ConcurrentUpdatesLoseNothing)
 TEST(TelemetryMetrics, GlobalRegistryIsASingleton)
 {
     EXPECT_EQ(&Registry::global(), &metrics());
+}
+
+Snapshot
+exampleSnapshot()
+{
+    Registry registry;
+    registry.counter("pool.tasks").add(42);
+    registry.counter("trace_store.hits").add(7);
+    registry.gauge("pool.queue_depth").set(3);
+    Histogram &h = registry.histogram("sweep.leg_seconds");
+    h.observeNanos(100);     // bucket 7 (< 128ns)
+    h.observeNanos(100);
+    h.observeNanos(100000);  // bucket 17 (< ~131us)
+    return registry.snapshot();
+}
+
+TEST(TelemetryExposition, JsonRoundTripIsLossless)
+{
+    const Snapshot before = exampleSnapshot();
+    const report::Json json = report::telemetryToJson(before);
+    const Snapshot after = report::telemetryFromJson(json);
+    EXPECT_EQ(before, after);
+    // And the JSON text itself is a fixed point.
+    EXPECT_EQ(report::telemetryToJson(after).dump(2), json.dump(2));
+}
+
+TEST(TelemetryExposition, FromJsonToleratesMissingSections)
+{
+    const Snapshot empty =
+        report::telemetryFromJson(report::Json::object());
+    EXPECT_TRUE(empty.empty());
+}
+
+TEST(TelemetryExposition, FromJsonRejectsMalformedInput)
+{
+    report::Json bad = report::Json::object();
+    bad.set("counters", "not an object");
+    EXPECT_THROW(report::telemetryFromJson(bad), report::ReportError);
+}
+
+TEST(TelemetryExposition, SnapshotRoundTripsThroughRunReport)
+{
+    // The extras.telemetry subtree must survive the full report path:
+    // embed -> serialize (schema minor >= 2) -> parse -> extract.
+    const Snapshot before = exampleSnapshot();
+
+    report::RunReport report;
+    report.experiment = "telemetry_roundtrip";
+    report.extras.set("telemetry", report::telemetryToJson(before));
+    ASSERT_GE(report.versionMinor, 2);
+
+    const std::string text = report.toJson().dump(2);
+    const report::RunReport parsed =
+        report::RunReport::fromJson(report::Json::parse(text));
+
+    const report::Json *embedded = parsed.extras.find("telemetry");
+    ASSERT_NE(embedded, nullptr);
+    EXPECT_EQ(report::telemetryFromJson(*embedded), before);
 }
 
 } // anonymous namespace
