@@ -68,50 +68,30 @@ main(int argc, char **argv)
          [](frontend::FrontendConfig &c) { c.ghrpDedicatedBtb = true; }},
     };
 
-    // Generate traces once; run LRU plus every variant on each.
+    // LRU plus every variant, each a lane of one fused walk per trace
+    // (lane 0 is LRU, lane 1 + v is variant v).
     const std::vector<workload::TraceSpec> specs =
         workload::makeSuite(num_traces, base_seed);
-
-    // One pool job per trace; the serial reduction below keeps the
-    // RunningStats accumulation order identical to the serial loop.
-    struct PerTrace
-    {
-        double lruIcache = 0, lruBtb = 0;
-        std::vector<double> icache, btb;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, variants.size() + 1,
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig lru_config;
-            lru_config.policy = frontend::PolicyKind::Lru;
-            const frontend::FrontendResult lru =
-                frontend::simulateTrace(lru_config, tr);
-            out.lruIcache = lru.icacheMpki;
-            out.lruBtb = lru.btbMpki;
-            for (const Variant &variant : variants) {
-                frontend::FrontendConfig config;
-                config.policy = frontend::PolicyKind::Ghrp;
-                variant.apply(config);
-                const frontend::FrontendResult r =
-                    frontend::simulateTrace(config, tr);
-                out.icache.push_back(r.icacheMpki);
-                out.btb.push_back(r.btbMpki);
-            }
-            return out;
-        },
-        &sweep_wall);
+    std::vector<frontend::FrontendConfig> lanes(1);
+    lanes[0].policy = frontend::PolicyKind::Lru;
+    for (const Variant &variant : variants) {
+        frontend::FrontendConfig config;
+        config.policy = frontend::PolicyKind::Ghrp;
+        variant.apply(config);
+        lanes.push_back(config);
+    }
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
 
     stats::RunningStats lru_icache, lru_btb;
     std::vector<stats::RunningStats> var_icache(variants.size());
     std::vector<stats::RunningStats> var_btb(variants.size());
-    for (const PerTrace &row : rows) {
-        lru_icache.add(row.lruIcache);
-        lru_btb.add(row.lruBtb);
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+        lru_icache.add(run.results[0][t].icacheMpki);
+        lru_btb.add(run.results[0][t].btbMpki);
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            var_icache[v].add(row.icache[v]);
-            var_btb[v].add(row.btb[v]);
+            var_icache[v].add(run.results[1 + v][t].icacheMpki);
+            var_btb[v].add(run.results[1 + v][t].btbMpki);
         }
     }
 
@@ -160,7 +140,7 @@ main(int argc, char **argv)
         builder.addMetric(key + "_icache_mpki", var_icache[v].mean());
         builder.addMetric(key + "_btb_mpki", var_btb[v].mean());
     }
-    builder.setSweep(sweep_wall, jobs,
+    builder.setSweep(run.wallSeconds, jobs,
                      specs.size() * (variants.size() + 1));
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ablation_ghrp");

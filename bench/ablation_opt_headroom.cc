@@ -36,25 +36,28 @@ main(int argc, char **argv)
     stats::TextTable table({"trace", "LRU MPKI", "GHRP MPKI", "OPT MPKI",
                             "headroom %", "captured %"});
 
+    // LRU (lane 0) and GHRP (lane 1) cold, fused per trace; OPT needs
+    // the whole future of the trace, so it replays each materialized
+    // trace in turn.
+    std::vector<frontend::FrontendConfig> lanes(2);
+    for (frontend::FrontendConfig &cfg : lanes)
+        cfg.warmupFraction = 0.0;  // OPT replays the whole trace
+    lanes[0].policy = frontend::PolicyKind::Lru;
+    lanes[1].policy = frontend::PolicyKind::Ghrp;
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
+
     struct PerTrace
     {
         double lru = 0, ghrp = 0, opt = 0;
     };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 3,
-        [](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig cfg;
-            cfg.warmupFraction = 0.0;  // OPT replays the whole trace
-            cfg.policy = frontend::PolicyKind::Lru;
-            out.lru = frontend::simulateTrace(cfg, tr).icacheMpki;
-            cfg.policy = frontend::PolicyKind::Ghrp;
-            out.ghrp = frontend::simulateTrace(cfg, tr).icacheMpki;
-            out.opt = core::simulateOptIcache(tr, cfg.icache).mpki();
-            return out;
-        },
-        &sweep_wall);
+    std::vector<PerTrace> rows;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const trace::Trace tr = workload::buildTrace(specs[i], instructions);
+        rows.push_back({run.results[0][i].icacheMpki,
+                        run.results[1][i].icacheMpki,
+                        core::simulateOptIcache(tr, lanes[0].icache).mpki()});
+    }
 
     double sum_headroom = 0, sum_captured = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -85,7 +88,7 @@ main(int argc, char **argv)
     }
     builder.addMetric("mean_headroom_pct", sum_headroom / num_traces);
     builder.addMetric("mean_captured_pct", sum_captured / num_traces);
-    builder.setSweep(sweep_wall, jobs, specs.size() * 3);
+    builder.setSweep(run.wallSeconds, jobs, specs.size() * 3);
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ablation_opt_headroom");
     return 0;

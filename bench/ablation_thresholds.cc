@@ -78,52 +78,39 @@ main(int argc, char **argv)
     const std::vector<workload::TraceSpec> specs =
         workload::makeSuite(num_traces, base_seed);
 
-    // One pool job per trace; the serial reduction below keeps the
-    // accumulation order identical to the old serial loop.
-    struct PerTrace
-    {
-        frontend::FrontendResult lru;
-        std::vector<frontend::FrontendResult> ghrp, sdbp;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs,
-        1 + ghrp_variants.size() + sdbp_variants.size(),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig config;
-            config.policy = frontend::PolicyKind::Lru;
-            out.lru = frontend::simulateTrace(config, tr);
-
-            for (const GhrpVariant &v : ghrp_variants) {
-                config = frontend::FrontendConfig{};
-                config.policy = frontend::PolicyKind::Ghrp;
-                config.ghrp.counterBits = v.counterBits;
-                config.ghrp.deadThreshold = v.dead;
-                config.ghrp.bypassThreshold = v.bypass;
-                config.ghrp.btbDeadThreshold = v.btbDead;
-                out.ghrp.push_back(frontend::simulateTrace(config, tr));
-            }
-            for (const SdbpVariant &v : sdbp_variants) {
-                config = frontend::FrontendConfig{};
-                config.policy = frontend::PolicyKind::Sdbp;
-                config.sdbp.deadThreshold = v.dead;
-                config.sdbp.bypassThreshold = v.bypass;
-                out.sdbp.push_back(frontend::simulateTrace(config, tr));
-            }
-            return out;
-        },
-        &sweep_wall);
+    // LRU, then every GHRP and every SDBP variant, each a lane of one
+    // fused walk per trace.
+    std::vector<frontend::FrontendConfig> lanes(1);
+    lanes[0].policy = frontend::PolicyKind::Lru;
+    for (const GhrpVariant &v : ghrp_variants) {
+        frontend::FrontendConfig config;
+        config.policy = frontend::PolicyKind::Ghrp;
+        config.ghrp.counterBits = v.counterBits;
+        config.ghrp.deadThreshold = v.dead;
+        config.ghrp.bypassThreshold = v.bypass;
+        config.ghrp.btbDeadThreshold = v.btbDead;
+        lanes.push_back(config);
+    }
+    for (const SdbpVariant &v : sdbp_variants) {
+        frontend::FrontendConfig config;
+        config.policy = frontend::PolicyKind::Sdbp;
+        config.sdbp.deadThreshold = v.dead;
+        config.sdbp.bypassThreshold = v.bypass;
+        lanes.push_back(config);
+    }
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const std::size_t first_sdbp = 1 + ghrp_variants.size();
 
     Accumulator lru;
     std::vector<Accumulator> ghrp_acc(ghrp_variants.size());
     std::vector<Accumulator> sdbp_acc(sdbp_variants.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        lru.add(specs[i], rows[i].lru);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        lru.add(specs[i], run.results[0][i]);
         for (std::size_t v = 0; v < ghrp_variants.size(); ++v)
-            ghrp_acc[v].add(specs[i], rows[i].ghrp[v]);
+            ghrp_acc[v].add(specs[i], run.results[1 + v][i]);
         for (std::size_t v = 0; v < sdbp_variants.size(); ++v)
-            sdbp_acc[v].add(specs[i], rows[i].sdbp[v]);
+            sdbp_acc[v].add(specs[i], run.results[first_sdbp + v][i]);
     }
 
     std::printf("=== Predictor threshold sweep (%u traces) ===\n\n",
@@ -194,7 +181,7 @@ main(int argc, char **argv)
         builder.addMetric(std::string(key) + "_server_icache_mpki",
                           sdbp_acc[v].server.mean());
     }
-    builder.setSweep(sweep_wall, jobs,
+    builder.setSweep(run.wallSeconds, jobs,
                      specs.size() *
                          (1 + ghrp_variants.size() + sdbp_variants.size()));
     bench::maybeWriteReport(cli, builder.finish());

@@ -1,8 +1,11 @@
 /**
  * @file
  * Shared helpers for the figure/table regeneration binaries: suite
- * options from the command line, progress reporting, parallel sweep
- * execution, and throughput accounting.
+ * options from the command line, progress reporting, throughput
+ * accounting and reports. Every simulation goes through the lane
+ * engine in core/runner.hh — a policy sweep through runSuiteTimed
+ * (core::runSuite), a config sweep through runLanesTimed
+ * (core::runLanes).
  *
  * Every bench binary accepts:
  *   --traces N         suite size (default varies per figure)
@@ -10,6 +13,21 @@
  *   --seed S           suite base seed
  *   --jobs N           sweep worker threads (0 = hardware concurrency,
  *                      1 = serial; results are bit-identical either way)
+ *   --quiet            suppress progress and throughput reporting
+ *                      (equivalent to --log-level warn)
+ *   --log-level L      verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)
+ *   --trace-out FILE   record spans and write a Chrome trace_event
+ *                      JSON (perfetto-loadable) of the run to FILE;
+ *                      with no flag, the GHRP_TRACE_DIR environment
+ *                      variable (when set) selects
+ *                      <dir>/<experiment>.trace.json
+ *   --report FILE      write a versioned JSON run report (schema
+ *                      "ghrp-run-report") to FILE; with no flag, the
+ *                      GHRP_REPORT_DIR environment variable (when set)
+ *                      selects <dir>/<experiment>.json — handy for
+ *                      fleet runs that report every binary
+ *
+ * The policy-sweep binaries (suiteOptions + runSuiteTimed) also accept:
  *   --fused            fuse all policy legs of a trace into one chunked
  *                      walk of its decoded stream (or GHRP_FUSED=1);
  *                      results are bit-identical to per-leg runs, the
@@ -21,21 +39,8 @@
  *                      neither is set — results are identical, warm
  *                      runs just skip regeneration)
  *   --leg-times        print the per-leg wall-time table
- *   --quiet            suppress progress and throughput reporting
- *                      (equivalent to --log-level warn)
- *   --log-level L      verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)
  *   --slow-leg-ms N    warn() about (trace, policy) legs slower than
  *                      N milliseconds
- *   --trace-out FILE   record spans and write a Chrome trace_event
- *                      JSON (perfetto-loadable) of the run to FILE;
- *                      with no flag, the GHRP_TRACE_DIR environment
- *                      variable (when set) selects
- *                      <dir>/<experiment>.trace.json
- *   --report FILE      write a versioned JSON run report (schema
- *                      "ghrp-run-report") to FILE; with no flag, the
- *                      GHRP_REPORT_DIR environment variable (when set)
- *                      selects <dir>/<experiment>.json — handy for
- *                      fleet runs that report every binary
  *   --duel A,B[,...]   append a duel:A,B[,psel=N][,leaders=K]
  *                      set-dueling leg to the suite's policy axis
  *   --phase-window N   phase flight recorder: sample a windowed
@@ -45,15 +50,15 @@
  *   --journal FILE     crash resume: append every finished leg to FILE
  *                      and, when FILE already holds legs of the same
  *                      sweep, skip them (see report/journal.hh)
+ *
+ * The config sweeps read the trace store from GHRP_TRACE_CACHE only.
  */
 
 #ifndef GHRP_BENCH_BENCH_COMMON_HH
 #define GHRP_BENCH_BENCH_COMMON_HH
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <string_view>
 #include <vector>
 
@@ -64,7 +69,6 @@
 #include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
-#include "workload/trace_store.hh"
 
 namespace ghrp::bench
 {
@@ -180,7 +184,7 @@ writeReport(const report::RunReport &report, const std::string &path)
 }
 
 /**
- * Report hook for the custom bench loops: write @p report to the
+ * Report hook for the custom bench reports: write @p report to the
  * --report / GHRP_REPORT_DIR destination, if any.
  */
 inline void
@@ -190,11 +194,11 @@ maybeWriteReport(const core::CliOptions &cli,
     writeReport(report, reportPath(cli, report.experiment));
 }
 
-/** Worker count a set of SuiteOptions will actually use. */
+/** Worker count a --jobs value selects (0 = hardware concurrency). */
 inline unsigned
-effectiveJobs(const core::SuiteOptions &options)
+effectiveJobs(unsigned jobs)
 {
-    return options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
+    return jobs ? jobs : util::ThreadPool::hardwareJobs();
 }
 
 /** Progress meter printing to stderr (suppressed by --quiet). */
@@ -215,65 +219,50 @@ progressMeter()
 /**
  * Throughput report for a finished sweep: legs/sec and simulated
  * instructions/sec over the wall clock, plus the slowest leg (the
- * critical path any further parallelism has to beat). Suppressed by
- * --quiet. Pass print_leg_times (the --leg-times flag) for the full
- * per-leg wall-time table.
+ * critical path any further parallelism has to beat). Only legs this
+ * process simulated count; journal replays do not. Suppressed by
+ * --quiet.
  */
 inline void
-reportThroughput(const core::SuiteResults &results, unsigned jobs,
-                 bool print_leg_times = false)
+reportThroughput(const core::SweepRun &run, unsigned jobs)
 {
     if (!informEnabled())
         return;
 
-    const std::size_t legs = results.totalLegs();
-    const double wall = results.wallSeconds;
-    const double instr =
-        static_cast<double>(results.simulatedInstructions());
-
-    double busy = 0.0, slowest = 0.0;
-    std::string slow_trace;
-    std::string slow_policy;
-    for (const auto &[policy, seconds] : results.legSeconds) {
-        for (std::size_t i = 0; i < seconds.size(); ++i) {
-            busy += seconds[i];
-            if (seconds[i] > slowest) {
-                slowest = seconds[i];
-                slow_trace = results.specs[i].name;
-                slow_policy = frontend::policyName(policy);
-            }
-        }
-    }
-
+    const double wall = run.wallSeconds;
     std::fprintf(stderr,
                  "[sweep] %zu legs in %.2f s with %u jobs — "
                  "%.2f legs/s, %.1f Minstr/s, speedup %.2fx "
-                 "(busy %.2f s; slowest leg %.2f s: %s/%s)\n",
-                 legs, wall, jobs, wall > 0 ? legs / wall : 0.0,
-                 wall > 0 ? instr / wall / 1e6 : 0.0,
-                 wall > 0 ? busy / wall : 0.0, busy, slowest,
-                 slow_trace.c_str(), slow_policy.c_str());
+                 "(busy %.2f s; slowest leg %.2f s: %s)\n",
+                 run.legsRun, wall, jobs,
+                 wall > 0 ? static_cast<double>(run.legsRun) / wall : 0.0,
+                 wall > 0 ? static_cast<double>(run.instructionsRun) /
+                                wall / 1e6
+                          : 0.0,
+                 wall > 0 ? run.busySeconds / wall : 0.0, run.busySeconds,
+                 run.slowestSeconds, run.slowestLeg.c_str());
 
-    if (results.traceStoreEnabled)
+    if (run.traceStoreEnabled)
         std::fprintf(stderr,
                      "[sweep] trace store: %llu hits, %llu misses, "
                      "%llu persisted\n",
-                     static_cast<unsigned long long>(
-                         results.traceStore.hits),
-                     static_cast<unsigned long long>(
-                         results.traceStore.misses),
-                     static_cast<unsigned long long>(
-                         results.traceStore.stores));
+                     static_cast<unsigned long long>(run.traceStore.hits),
+                     static_cast<unsigned long long>(run.traceStore.misses),
+                     static_cast<unsigned long long>(run.traceStore.stores));
+}
 
-    if (print_leg_times) {
-        std::fprintf(stderr, "[sweep] per-leg wall time (seconds):\n");
-        for (const auto &[policy, seconds] : results.legSeconds)
-            for (std::size_t i = 0; i < seconds.size(); ++i)
-                std::fprintf(stderr, "[sweep]   %-18s %-8s %8.3f\n",
-                             results.specs[i].name.c_str(),
-                             frontend::policyName(policy).c_str(),
-                             seconds[i]);
-    }
+/** The per-leg wall-time table (--leg-times), suppressed by --quiet. */
+inline void
+reportLegTimes(const core::SuiteResults &results)
+{
+    if (!informEnabled())
+        return;
+    std::fprintf(stderr, "[sweep] per-leg wall time (seconds):\n");
+    for (const auto &[policy, seconds] : results.legSeconds)
+        for (std::size_t i = 0; i < seconds.size(); ++i)
+            std::fprintf(stderr, "[sweep]   %-18s %-8s %8.3f\n",
+                         results.specs[i].name.c_str(),
+                         frontend::policyName(policy).c_str(), seconds[i]);
 }
 
 /**
@@ -294,8 +283,9 @@ runSuiteTimed(const core::SuiteOptions &options,
     } catch (const report::JournalError &e) {
         fatal("%s", e.what());
     }
-    reportThroughput(results, effectiveJobs(options),
-                     cli.has("leg-times"));
+    reportThroughput(results, effectiveJobs(options.jobs));
+    if (cli.has("leg-times"))
+        reportLegTimes(results);
     writeReport(report::buildSuiteReport(experiment, options, results),
                 reportPath(cli, experiment));
     writeTraceIfRequested(cli, experiment);
@@ -303,74 +293,20 @@ runSuiteTimed(const core::SuiteOptions &options,
 }
 
 /**
- * Parallel per-trace sweep for the custom bench loops that do not go
- * through core::runSuite (config sweeps, ablations, OPT replays):
- * builds each trace on a work-stealing pool, applies @p fn, and
- * returns the per-trace values in suite order, so downstream
- * aggregation is deterministic regardless of scheduling. @p fn must
- * not touch shared mutable state. Prints a throughput report based on
- * @p legs_per_trace (simulation runs per trace inside fn). When
- * @p wall_seconds_out is non-null, the sweep wall time is stored there
- * (for run-report sweep stats).
+ * Run a config sweep (core::runLanes) with progress and a throughput
+ * report: every lane of @p lanes on every trace of @p specs, results
+ * in lanes x traces order whatever the scheduling.
  */
-template <typename Fn>
-auto
-mapTraceSweep(const std::vector<workload::TraceSpec> &specs,
-              std::uint64_t instruction_override, unsigned jobs,
-              std::size_t legs_per_trace, Fn &&fn,
-              double *wall_seconds_out = nullptr)
-    -> std::vector<decltype(fn(specs.front(), trace::Trace{}))>
+inline core::LaneResults
+runLanesTimed(const std::vector<workload::TraceSpec> &specs,
+              std::uint64_t instruction_override,
+              const std::vector<frontend::FrontendConfig> &lanes,
+              unsigned jobs)
 {
-    using R = decltype(fn(specs.front(), trace::Trace{}));
-
-    const unsigned n = jobs ? jobs : util::ThreadPool::hardwareJobs();
-    std::vector<R> out(specs.size());
-    // Env-driven store (GHRP_TRACE_CACHE): warm custom sweeps skip
-    // trace regeneration just like core::runSuite does.
-    workload::TraceStore store;
-    const auto start = std::chrono::steady_clock::now();
-
-    if (n <= 1 || specs.size() <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const trace::Trace tr =
-                store.acquire(specs[i], instruction_override);
-            out[i] = fn(specs[i], tr);
-            if (informEnabled())
-                std::fprintf(stderr, "\r[%3zu/%3zu traces]", i + 1,
-                             specs.size());
-        }
-    } else {
-        util::ThreadPool pool(n);
-        std::vector<std::future<void>> futures;
-        futures.reserve(specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            futures.push_back(pool.submit([&, i]() {
-                const trace::Trace tr =
-                    store.acquire(specs[i], instruction_override);
-                out[i] = fn(specs[i], tr);
-            }));
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            futures[i].get();
-            if (informEnabled())
-                std::fprintf(stderr, "\r[%3zu/%3zu traces]", i + 1,
-                             specs.size());
-        }
-    }
-
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    if (wall_seconds_out)
-        *wall_seconds_out = wall;
-    if (informEnabled()) {
-        const std::size_t legs = specs.size() * legs_per_trace;
-        std::fprintf(stderr,
-                     "\n[sweep] %zu traces (%zu legs) in %.2f s with "
-                     "%u jobs — %.2f legs/s\n",
-                     specs.size(), legs, wall, n,
-                     wall > 0 ? legs / wall : 0.0);
-    }
-    return out;
+    core::LaneResults results = core::runLanes(
+        specs, instruction_override, lanes, jobs, progressMeter());
+    reportThroughput(results, effectiveJobs(jobs));
+    return results;
 }
 
 } // namespace ghrp::bench

@@ -30,28 +30,19 @@ main(int argc, char **argv)
     const std::vector<workload::TraceSpec> specs =
         workload::makeSuite(num_traces, base_seed);
 
-    struct PerTrace
-    {
-        frontend::FrontendResult base, itp;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 2,
-        [](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig cfg;
-            cfg.policy = frontend::PolicyKind::Ghrp;
-            out.base = frontend::simulateTrace(cfg, tr);
-            cfg.useIndirectPredictor = true;
-            out.itp = frontend::simulateTrace(cfg, tr);
-            return out;
-        },
-        &sweep_wall);
+    // GHRP with the BTB's last-seen target (lane 0) and with the
+    // path-history target predictor (lane 1), fused per trace.
+    std::vector<frontend::FrontendConfig> lanes(2);
+    for (frontend::FrontendConfig &cfg : lanes)
+        cfg.policy = frontend::PolicyKind::Ghrp;
+    lanes[1].useIndirectPredictor = true;
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
 
     stats::RunningStats base_rate, itp_rate, base_mpki, itp_mpki;
-    for (const PerTrace &row : rows) {
-        const frontend::FrontendResult &base = row.base;
-        const frontend::FrontendResult &itp = row.itp;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const frontend::FrontendResult &base = run.results[0][i];
+        const frontend::FrontendResult &itp = run.results[1][i];
         if (base.indirectBranches > 0) {
             base_rate.add(100.0 *
                           static_cast<double>(base.indirectMispredicts) /
@@ -82,15 +73,15 @@ main(int argc, char **argv)
                 "what last-target prediction cannot capture.\n");
 
     report::ReportBuilder builder("ext_indirect");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        builder.addLeg(specs[i].name, "GHRP+last-target", rows[i].base);
-        builder.addLeg(specs[i].name, "GHRP+path-itp", rows[i].itp);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        builder.addLeg(specs[i].name, "GHRP+last-target", run.results[0][i]);
+        builder.addLeg(specs[i].name, "GHRP+path-itp", run.results[1][i]);
     }
     builder.addMetric("base_indirect_mispredict_pct", base_rate.mean());
     builder.addMetric("itp_indirect_mispredict_pct", itp_rate.mean());
     builder.addMetric("base_indirect_mpki", base_mpki.mean());
     builder.addMetric("itp_indirect_mpki", itp_mpki.mean());
-    builder.setSweep(sweep_wall, jobs);
+    builder.setSweep(run.wallSeconds, jobs);
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ext_indirect");
     return 0;

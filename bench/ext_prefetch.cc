@@ -33,32 +33,25 @@ main(int argc, char **argv)
 
     const std::uint32_t degrees[] = {0, 1, 2};
 
-    struct PerTrace
-    {
-        double lru[3] = {}, ghrp[3] = {};
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 2 * std::size(degrees),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            for (std::size_t d = 0; d < std::size(degrees); ++d) {
-                frontend::FrontendConfig cfg;
-                cfg.nextLinePrefetch = degrees[d];
-                cfg.policy = frontend::PolicyKind::Lru;
-                out.lru[d] = frontend::simulateTrace(cfg, tr).icacheMpki;
-                cfg.policy = frontend::PolicyKind::Ghrp;
-                out.ghrp[d] = frontend::simulateTrace(cfg, tr).icacheMpki;
-            }
-            return out;
-        },
-        &sweep_wall);
+    // LRU and GHRP at every degree, lanes 2d and 2d + 1 of one fused
+    // walk per trace.
+    std::vector<frontend::FrontendConfig> lanes;
+    for (std::uint32_t degree : degrees)
+        for (frontend::PolicyKind policy :
+             {frontend::PolicyKind::Lru, frontend::PolicyKind::Ghrp}) {
+            frontend::FrontendConfig cfg;
+            cfg.nextLinePrefetch = degree;
+            cfg.policy = policy;
+            lanes.push_back(cfg);
+        }
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
 
     stats::RunningStats lru_acc[3], ghrp_acc[3];
-    for (const PerTrace &row : rows) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         for (std::size_t d = 0; d < std::size(degrees); ++d) {
-            lru_acc[d].add(row.lru[d]);
-            ghrp_acc[d].add(row.ghrp[d]);
+            lru_acc[d].add(run.results[2 * d][i].icacheMpki);
+            ghrp_acc[d].add(run.results[2 * d + 1][i].icacheMpki);
         }
     }
 
@@ -89,7 +82,7 @@ main(int argc, char **argv)
         builder.addMetric(key + "_lru_mpki", lru_acc[d].mean());
         builder.addMetric(key + "_ghrp_mpki", ghrp_acc[d].mean());
     }
-    builder.setSweep(sweep_wall, jobs,
+    builder.setSweep(run.wallSeconds, jobs,
                      specs.size() * 2 * std::size(degrees));
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ext_prefetch");

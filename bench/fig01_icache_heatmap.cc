@@ -68,7 +68,7 @@ main(int argc, char **argv)
                 std::snprintf(head, sizeof(head),
                               "--- %s: mean efficiency %.3f, "
                               "MPKI %.3f ---\n",
-                              frontend::policyName(config.policy),
+                              frontend::policyName(config.policy).c_str(),
                               eff.meanEfficiency(), r.icacheMpki);
                 outputs[p].text =
                     std::string(head) + eff.renderAscii(16) + "\n";

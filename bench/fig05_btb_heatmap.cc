@@ -66,7 +66,7 @@ main(int argc, char **argv)
                 std::snprintf(head, sizeof(head),
                               "--- %s: mean efficiency %.3f, "
                               "BTB MPKI %.3f ---\n",
-                              frontend::policyName(config.policy),
+                              frontend::policyName(config.policy).c_str(),
                               eff.meanEfficiency(), r.btbMpki);
                 outputs[p].text =
                     std::string(head) + eff.renderAscii(16) + "\n";

@@ -36,39 +36,25 @@ main(int argc, char **argv)
     const std::vector<workload::TraceSpec> specs =
         workload::makeSuite(num_traces, base_seed);
 
-    // Per-trace MPKI grid, computed one trace per pool job; the serial
-    // reduction below keeps the summation order fixed.
-    struct PerTrace
-    {
-        double mpki[8][5] = {};
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> grids = bench::mapTraceSweep(
-        specs, instructions, jobs,
-        std::size(configs) * std::size(frontend::paperPolicies),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            for (std::size_t c = 0; c < std::size(configs); ++c) {
-                for (std::size_t p = 0;
-                     p < std::size(frontend::paperPolicies); ++p) {
-                    frontend::FrontendConfig config;
-                    config.policy = frontend::paperPolicies[p];
-                    config.icache = cache::CacheConfig::icache(
-                        configs[c].kb, configs[c].assoc);
-                    out.mpki[c][p] =
-                        frontend::simulateTrace(config, tr).icacheMpki;
-                }
-            }
-            return out;
-        },
-        &sweep_wall);
+    // Every (config, policy) pair is a lane of one fused walk per
+    // trace; lane c * 5 + p runs configs[c] under paperPolicies[p].
+    std::vector<frontend::FrontendConfig> lanes;
+    for (const Config &c : configs)
+        for (frontend::PolicyKind policy : frontend::paperPolicies) {
+            frontend::FrontendConfig config;
+            config.policy = policy;
+            config.icache = cache::CacheConfig::icache(c.kb, c.assoc);
+            lanes.push_back(config);
+        }
+    const core::LaneResults run =
+        bench::runLanesTimed(specs, instructions, lanes, jobs);
 
-    // means[config][policy]
+    // means[config][policy], summed in trace order.
     double sums[8][5] = {};
-    for (const PerTrace &grid : grids)
+    for (std::size_t t = 0; t < specs.size(); ++t)
         for (std::size_t c = 0; c < std::size(configs); ++c)
             for (std::size_t p = 0; p < 5; ++p)
-                sums[c][p] += grid.mpki[c][p];
+                sums[c][p] += run.results[c * 5 + p][t].icacheMpki;
 
     std::printf("=== Figure 7: average I-cache MPKI by configuration "
                 "(%u traces) ===\n\n",
@@ -101,7 +87,7 @@ main(int argc, char **argv)
                     "_mpki",
                 sums[c][p] / static_cast<double>(num_traces));
     }
-    builder.setSweep(sweep_wall, jobs,
+    builder.setSweep(run.wallSeconds, jobs,
                      specs.size() * std::size(configs) *
                          std::size(frontend::paperPolicies));
     bench::maybeWriteReport(cli, builder.finish());

@@ -2,9 +2,8 @@
  * @file
  * Micro-benchmark (google-benchmark): per-access software cost of each
  * replacement policy on the I-cache model, of GHRP's prediction
- * primitives, of the decoded-stream front-end path against the
- * per-leg walker path and the fused all-policies walk, and of trace
- * acquisition through the
+ * primitives, of a front-end leg on the decoded stream against the
+ * fused all-policies walk, of trace acquisition through the
  * content-addressed store (cold generate-and-persist vs. warm mmap),
  * and of the telemetry hot paths (counter add, histogram observe,
  * disabled/enabled spans) that back the subsystem's low-overhead
@@ -143,7 +142,7 @@ BM_GhrpVoteAndTrain(benchmark::State &state)
 }
 BENCHMARK(BM_GhrpVoteAndTrain);
 
-// ------------------------------------------------ decoded vs. walker
+// ------------------------------------------------ per-leg vs. fused
 
 /** One representative suite trace, kept modest so the benchmark loop
  *  turns over in tens of milliseconds. */
@@ -165,40 +164,9 @@ benchConfig(frontend::PolicyKind policy)
     return cfg;
 }
 
-/** Per-access cost of a full leg on the legacy walker path: every
- *  iteration re-walks and re-classifies the record stream. */
-void
-BM_LegWalker(benchmark::State &state)
-{
-    const trace::Trace &tr = benchTrace();
-    const trace::DecodedTrace dec = trace::decodeTrace(tr, 64, 4);
-    for (auto _ : state) {
-        frontend::FrontendSim sim(benchConfig(frontend::PolicyKind::Ghrp));
-        benchmark::DoNotOptimize(sim.runWalker(tr));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dec.numFetchOps()));
-}
-BENCHMARK(BM_LegWalker)->Unit(benchmark::kMillisecond);
-
-/** Per-access cost of the same leg on the decode-once path: the stream
- *  is decoded a single time outside the loop, as the suite runner does,
- *  so each iteration is pure simulation. */
-void
-BM_LegDecoded(benchmark::State &state)
-{
-    const trace::DecodedTrace dec = trace::decodeTrace(benchTrace(), 64, 4);
-    for (auto _ : state) {
-        frontend::FrontendSim sim(benchConfig(frontend::PolicyKind::Ghrp));
-        benchmark::DoNotOptimize(sim.run(dec));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dec.numFetchOps()));
-}
-BENCHMARK(BM_LegDecoded)->Unit(benchmark::kMillisecond);
-
-/** Decode-once path with the direction stream also pre-resolved (the
- *  full configuration core::runSuite uses for every leg). */
+/** Per-access cost of a full leg: the stream is decoded and its
+ *  direction stream resolved once outside the loop, as the suite
+ *  runner does, so each iteration is pure simulation. */
 void
 BM_LegDecodedPreResolved(benchmark::State &state)
 {

@@ -149,38 +149,62 @@ sweepMetrics()
     return m;
 }
 
-/** Lane groups of every trace: all policies in one group when fused,
- *  otherwise one single-lane group per policy. */
-using LaneGroups = std::vector<std::vector<frontend::PolicySpec>>;
+/** Lane indices, and the lane groups of every trace: each group is one
+ *  FusedSim walk. */
+using Lanes = std::vector<std::size_t>;
+using LaneGroups = std::vector<Lanes>;
+
+/**
+ * A sweep as the engine runs it: lane configurations that share one
+ * decoded, direction-resolved stream per trace, grouped into fused
+ * walks, with the RunHooks control points keyed by lane index.
+ * runSuite and runLanes are its two fronts.
+ */
+struct Sweep
+{
+    std::vector<frontend::FrontendConfig> lanes;
+    std::vector<std::string> names;  ///< lane labels (progress, spans)
+    LaneGroups groups;
+    std::uint64_t instructionOverride = 0;
+    unsigned jobs = 0;
+    std::string traceCacheDir;
+    double slowLegMs = 0.0;
+    bool verbose = false;
+
+    std::function<bool(std::size_t, std::size_t)> skipLeg;
+    std::function<void(std::size_t, std::size_t,
+                       const frontend::FrontendResult &, double)>
+        onLegDone;
+    std::function<DecodedPtr(const workload::TraceSpec &)> acquireDecoded;
+};
 
 /** Shared bookkeeping for one sweep: pre-sized result slots plus a
- *  serialised progress tick, with the optional RunHooks control
- *  points (skip / leg-done journaling) applied per leg. */
+ *  serialised progress tick, with the optional skip / leg-done control
+ *  points applied per leg. */
 class SweepSink
 {
   public:
-    SweepSink(SuiteResults &out, const SuiteOptions &options,
-              const ProgressFn &progress, const RunHooks &hooks,
-              workload::TraceStore &store)
-        : out(out), options(options), progress(progress), hooks(hooks),
-          store(store),
-          totalUnits(out.specs.size() * options.policies.size())
+    SweepSink(LaneResults &out, const Sweep &sweep,
+              const ProgressFn &progress, workload::TraceStore &store)
+        : out(out), sweep(sweep), progress(progress), store(store),
+          totalUnits(out.specs.size() * sweep.lanes.size())
     {
-        for (const frontend::PolicySpec &policy : options.policies) {
-            out.results[policy].resize(out.specs.size());
-            out.legSeconds[policy].resize(out.specs.size(), 0.0);
-        }
+        out.results.assign(
+            sweep.lanes.size(),
+            std::vector<frontend::FrontendResult>(out.specs.size()));
+        out.legSeconds.assign(sweep.lanes.size(),
+                              std::vector<double>(out.specs.size(), 0.0));
     }
 
-    /** True when every policy leg of @p trace_index is skipped — the
-     *  trace build itself can then be elided on resume. */
+    /** True when every lane of @p trace_index is skipped — the trace
+     *  build itself can then be elided on resume. */
     bool
     allSkipped(std::size_t trace_index) const
     {
-        if (!hooks.skipLeg || options.policies.empty())
+        if (!sweep.skipLeg)
             return false;
-        for (const frontend::PolicySpec &policy : options.policies)
-            if (!hooks.skipLeg(trace_index, policy))
+        for (std::size_t lane = 0; lane < sweep.lanes.size(); ++lane)
+            if (!sweep.skipLeg(trace_index, lane))
                 return false;
         return true;
     }
@@ -189,8 +213,8 @@ class SweepSink
     void
     tickSkipped(std::size_t trace_index)
     {
-        for (const frontend::PolicySpec &policy : options.policies)
-            tick(trace_index, policy, nullptr, 0.0);
+        for (std::size_t lane = 0; lane < sweep.lanes.size(); ++lane)
+            tick(trace_index, lane, nullptr, 0.0);
     }
 
     /**
@@ -203,32 +227,33 @@ class SweepSink
      * null is returned.
      */
     DecodedPtr
-    build(std::size_t trace_index, const LaneGroups &groups)
+    build(std::size_t trace_index)
     {
         const workload::TraceSpec &spec = out.specs[trace_index];
-        if (hooks.acquireDecoded)
-            return hooks.acquireDecoded(spec, options);
+        if (sweep.acquireDecoded)
+            return sweep.acquireDecoded(spec);
+        const frontend::FrontendConfig &stream = sweep.lanes.front();
         const auto start = std::chrono::steady_clock::now();
         std::optional<trace::DecodedTrace> dec;
         {
             TELEMETRY_SPAN("decode", spec.name);
-            dec = store.loadDecoded(spec, options.instructionOverride,
-                                    options.base.icache.blockBytes,
-                                    options.base.instBytes);
+            dec = store.loadDecoded(spec, sweep.instructionOverride,
+                                    stream.icache.blockBytes,
+                                    stream.instBytes);
         }
         sweepMetrics().tracesDecoded.add();
         if (!dec) {
-            runStreamed(trace_index, groups);
+            runStreamed(trace_index);
             return nullptr;
         }
         // The resolved direction stream is a pure function of (trace
         // content, direction kind), so the store serves it from a
         // sidecar; a miss resolves live and persists for the next run.
-        const int dir_kind = static_cast<int>(options.base.direction);
-        if (!store.loadDirectionStream(spec, options.instructionOverride,
+        const int dir_kind = static_cast<int>(stream.direction);
+        if (!store.loadDirectionStream(spec, sweep.instructionOverride,
                                        dir_kind, *dec)) {
-            frontend::resolveDirectionStream(*dec, options.base.direction);
-            store.storeDirectionStream(spec, options.instructionOverride,
+            frontend::resolveDirectionStream(*dec, stream.direction);
+            store.storeDirectionStream(spec, sweep.instructionOverride,
                                        dir_kind, *dec);
         }
         sweepMetrics().decodeSeconds.observeSeconds(
@@ -245,18 +270,16 @@ class SweepSink
      * state, so the grouping never changes results.
      */
     void
-    runGroup(std::size_t trace_index,
-             const std::vector<frontend::PolicySpec> &group,
+    runGroup(std::size_t trace_index, const Lanes &group,
              const trace::DecodedTrace &dec)
     {
-        const std::vector<frontend::PolicySpec> lanes =
-            lanesToRun(trace_index, {group});
+        const Lanes lanes = lanesToRun(trace_index, {group});
         if (lanes.empty())
             return;
         const auto start = std::chrono::steady_clock::now();
         std::vector<frontend::FrontendResult> results = [&] {
             TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
-            return frontend::simulateFused(options.base, lanes, dec);
+            return frontend::FusedSim(configs(lanes)).run(dec);
         }();
         harvest(trace_index, lanes, std::move(results),
                 std::chrono::duration<double>(
@@ -273,20 +296,19 @@ class SweepSink
      * are written from the same chunks.
      */
     void
-    runStreamed(std::size_t trace_index, const LaneGroups &groups)
+    runStreamed(std::size_t trace_index)
     {
-        const std::vector<frontend::PolicySpec> lanes =
-            lanesToRun(trace_index, groups);
+        const Lanes lanes = lanesToRun(trace_index, sweep.groups);
         if (lanes.empty())
             return;
         const workload::TraceSpec &spec = out.specs[trace_index];
         const std::unique_ptr<workload::TraceStore::Writer> writer =
-            store.writer(spec, options.instructionOverride,
-                         static_cast<int>(options.base.direction));
-        frontend::StreamSim sim(options.base, lanes, writer.get());
+            store.writer(spec, sweep.instructionOverride,
+                         static_cast<int>(sweep.lanes.front().direction));
+        frontend::StreamSim sim(configs(lanes), writer.get());
         {
             TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
-            workload::streamTrace(spec, options.instructionOverride, sim);
+            workload::streamTrace(spec, sweep.instructionOverride, sim);
         }
         if (writer)
             writer->finish();
@@ -295,29 +317,38 @@ class SweepSink
 
     /** The lanes of @p groups still to simulate: journaled legs are
      *  ticked and dropped. */
-    std::vector<frontend::PolicySpec>
+    Lanes
     lanesToRun(std::size_t trace_index, const LaneGroups &groups)
     {
-        std::vector<frontend::PolicySpec> lanes;
-        for (const std::vector<frontend::PolicySpec> &group : groups)
-            for (const frontend::PolicySpec &policy : group) {
-                if (hooks.skipLeg && hooks.skipLeg(trace_index, policy))
-                    tick(trace_index, policy, nullptr, 0.0);
+        Lanes lanes;
+        for (const Lanes &group : groups)
+            for (std::size_t lane : group) {
+                if (sweep.skipLeg && sweep.skipLeg(trace_index, lane))
+                    tick(trace_index, lane, nullptr, 0.0);
                 else
-                    lanes.push_back(policy);
+                    lanes.push_back(lane);
             }
         return lanes;
     }
 
+    std::vector<frontend::FrontendConfig>
+    configs(const Lanes &lanes) const
+    {
+        std::vector<frontend::FrontendConfig> out;
+        out.reserve(lanes.size());
+        for (std::size_t lane : lanes)
+            out.push_back(sweep.lanes[lane]);
+        return out;
+    }
+
     std::string
-    legLabel(std::size_t trace_index,
-             const std::vector<frontend::PolicySpec> &lanes) const
+    legLabel(std::size_t trace_index, const Lanes &lanes) const
     {
         std::string label = out.specs[trace_index].name + " / ";
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-            if (lane)
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            if (i)
                 label += ',';
-            label += frontend::policyName(lanes[lane]);
+            label += sweep.names[lanes[i]];
         }
         return label;
     }
@@ -325,81 +356,72 @@ class SweepSink
     /** Store each lane's result in its slot, splitting @p seconds of
      *  simulation evenly across lanes for the per-leg timing views. */
     void
-    harvest(std::size_t trace_index,
-            const std::vector<frontend::PolicySpec> &lanes,
+    harvest(std::size_t trace_index, const Lanes &lanes,
             std::vector<frontend::FrontendResult> results, double seconds)
     {
         const double per_lane = seconds / static_cast<double>(lanes.size());
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-            const frontend::PolicySpec &policy = lanes[lane];
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            const std::size_t lane = lanes[i];
             sweepMetrics().legs.add();
             sweepMetrics().legSeconds.observeSeconds(per_lane);
-            results[lane].traceName = out.specs[trace_index].name;
-            // Slot writes: distinct (policy, trace_index) pairs never
+            results[i].traceName = out.specs[trace_index].name;
+            // Slot writes: distinct (lane, trace_index) pairs never
             // alias, and the vectors were sized up front, so concurrent
             // groups need no lock here.
-            out.results[policy][trace_index] = std::move(results[lane]);
-            out.legSeconds[policy][trace_index] = per_lane;
-            tick(trace_index, policy,
-                 &out.results[policy][trace_index], per_lane);
+            out.results[lane][trace_index] = std::move(results[i]);
+            out.legSeconds[lane][trace_index] = per_lane;
+            tick(trace_index, lane, &out.results[lane][trace_index],
+                 per_lane);
         }
     }
 
-  private:
     void
-    tick(std::size_t trace_index, const frontend::PolicySpec &policy,
+    tick(std::size_t trace_index, std::size_t lane,
          const frontend::FrontendResult *result, double seconds)
     {
+        const std::string &trace_name = out.specs[trace_index].name;
+        const std::string &lane_name = sweep.names[lane];
         std::lock_guard<std::mutex> lock(progressMutex);
-        // Journal before progress, so a progress tick always means
-        // the leg is already durable.
-        if (result && hooks.onLegDone)
-            hooks.onLegDone(trace_index, policy, *result, seconds);
-        if (result && options.slowLegMs > 0.0 &&
-            seconds * 1000.0 > options.slowLegMs) {
-            sweepMetrics().slowLegs.add();
-            warn("slow leg: %s / %s took %.1f ms (threshold %.1f ms)",
-                 out.specs[trace_index].name.c_str(),
-                 frontend::policyName(policy).c_str(), seconds * 1000.0,
-                 options.slowLegMs);
+        if (result) {
+            // Journal before progress, so a progress tick always means
+            // the leg is already durable.
+            if (sweep.onLegDone)
+                sweep.onLegDone(trace_index, lane, *result, seconds);
+            if (sweep.slowLegMs > 0.0 &&
+                seconds * 1000.0 > sweep.slowLegMs) {
+                sweepMetrics().slowLegs.add();
+                warn("slow leg: %s / %s took %.1f ms (threshold %.1f ms)",
+                     trace_name.c_str(), lane_name.c_str(),
+                     seconds * 1000.0, sweep.slowLegMs);
+            }
+            ++out.legsRun;
+            out.instructionsRun += result->totalInstructions;
+            out.busySeconds += seconds;
+            if (seconds > out.slowestSeconds) {
+                out.slowestSeconds = seconds;
+                out.slowestLeg = trace_name + "/" + lane_name;
+            }
         }
         ++done;
         if (progress)
-            progress(done, totalUnits,
-                     out.specs[trace_index].name + " / " +
-                         frontend::policyName(policy));
-        else if (options.verbose)
-            inform("[%zu/%zu] %s %s", done, totalUnits,
-                   out.specs[trace_index].name.c_str(),
-                   frontend::policyName(policy).c_str());
+            progress(done, totalUnits, trace_name + " / " + lane_name);
+        else if (sweep.verbose)
+            inform("[%zu/%zu] %s %s", done, totalUnits, trace_name.c_str(),
+                   lane_name.c_str());
     }
 
-    SuiteResults &out;
-    const SuiteOptions &options;
+    LaneResults &out;
+    const Sweep &sweep;
     const ProgressFn &progress;
-    const RunHooks &hooks;
     workload::TraceStore &store;
     const std::size_t totalUnits;
     std::mutex progressMutex;
     std::size_t done = 0;
 };
 
-/** The lane groups of every trace. */
-LaneGroups
-laneGroups(const SuiteOptions &options)
-{
-    if (options.fused)
-        return {options.policies};
-    LaneGroups groups;
-    for (const frontend::PolicySpec &policy : options.policies)
-        groups.push_back({policy});
-    return groups;
-}
-
 /** Serial reference path: same slot discipline, no threads. */
 void
-runSerial(SweepSink &sink, const SuiteResults &out,
-          const LaneGroups &groups)
+runSerial(SweepSink &sink, const SweepRun &out, const LaneGroups &groups)
 {
     for (std::size_t i = 0; i < out.specs.size(); ++i) {
         // A fully-journaled trace never needs acquiring or decoding on
@@ -408,11 +430,11 @@ runSerial(SweepSink &sink, const SuiteResults &out,
             sink.tickSkipped(i);
             continue;
         }
-        // Every policy consumes the same stream, so the comparison is
+        // Every lane consumes the same stream, so the comparison is
         // paired (identical access streams) and the trace is generated
         // or loaded, decoded and direction-resolved once, not per leg.
-        if (const DecodedPtr dec = sink.build(i, groups))
-            for (const std::vector<frontend::PolicySpec> &group : groups)
+        if (const DecodedPtr dec = sink.build(i))
+            for (const Lanes &group : groups)
                 sink.runGroup(i, group, *dec);
     }
 }
@@ -427,9 +449,8 @@ runSerial(SweepSink &sink, const SuiteResults &out,
  * every build opens at once, since a streamed trace holds only a chunk.
  */
 void
-runParallel(SweepSink &sink, const SuiteResults &out,
-            const LaneGroups &groups, bool materializes,
-            util::ThreadPool &pool)
+runParallel(SweepSink &sink, const SweepRun &out, const LaneGroups &groups,
+            bool materializes, util::ThreadPool &pool)
 {
     const std::size_t num_traces = out.specs.size();
     const std::size_t window =
@@ -447,10 +468,8 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                 elided[next_build] = 1;
                 continue;
             }
-            builds[next_build] =
-                pool.submit([&sink, &groups, i = next_build]() {
-                    return sink.build(i, groups);
-                });
+            builds[next_build] = pool.submit(
+                [&sink, i = next_build]() { return sink.build(i); });
         }
     };
 
@@ -465,7 +484,7 @@ runParallel(SweepSink &sink, const SuiteResults &out,
         builds[i] = {};
         if (dec) {
             jobs[i].reserve(groups.size());
-            for (const std::vector<frontend::PolicySpec> &group : groups)
+            for (const Lanes &group : groups)
                 jobs[i].push_back(pool.submit([&sink, i, &group, dec]() {
                     sink.runGroup(i, group, *dec);
                 }));
@@ -487,34 +506,30 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                 f.get();
 }
 
-} // anonymous namespace
-
-SuiteResults
-runSuite(const SuiteOptions &options, const ProgressFn &progress,
-         const RunHooks &hooks)
+/** Run @p sweep over @p specs: the engine under runSuite and runLanes. */
+LaneResults
+runSweep(std::vector<workload::TraceSpec> specs, const Sweep &sweep,
+         const ProgressFn &progress)
 {
-    SuiteResults out;
-    TELEMETRY_SPAN("sweep",
-                   std::to_string(options.numTraces) + " traces x " +
-                       std::to_string(options.policies.size()) +
-                       " policies");
-    out.specs = workload::makeSuite(options.numTraces, options.baseSeed);
-
-    workload::TraceStore store(options.traceCacheDir);
-    SweepSink sink(out, options, progress, hooks, store);
-    const LaneGroups groups = laneGroups(options);
+    LaneResults out;
+    out.specs = std::move(specs);
+    workload::TraceStore store(sweep.traceCacheDir);
+    SweepSink sink(out, sweep, progress, store);
     const unsigned jobs =
-        options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
+        sweep.jobs ? sweep.jobs : util::ThreadPool::hardwareJobs();
 
     const auto start = std::chrono::steady_clock::now();
-    if (jobs <= 1 || out.specs.size() * options.policies.size() <= 1) {
-        runSerial(sink, out, groups);
-    } else {
-        // Destroyed before `out` and `sink`, so no job outlives the
-        // state it references even on exception unwind.
-        util::ThreadPool pool(jobs);
-        runParallel(sink, out, groups,
-                    store.enabled() || bool(hooks.acquireDecoded), pool);
+    if (!sweep.lanes.empty()) {
+        frontend::requireSharedStream(sweep.lanes);
+        if (jobs <= 1 || out.specs.size() * sweep.lanes.size() <= 1) {
+            runSerial(sink, out, sweep.groups);
+        } else {
+            // Destroyed before `out` and `sink`, so no job outlives the
+            // state it references even on exception unwind.
+            util::ThreadPool pool(jobs);
+            runParallel(sink, out, sweep.groups,
+                        store.enabled() || bool(sweep.acquireDecoded), pool);
+        }
     }
     out.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -523,6 +538,81 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
     out.traceStore = store.stats();
     out.traceStoreEnabled = store.enabled();
     return out;
+}
+
+} // anonymous namespace
+
+SuiteResults
+runSuite(const SuiteOptions &options, const ProgressFn &progress,
+         const RunHooks &hooks)
+{
+    TELEMETRY_SPAN("sweep",
+                   std::to_string(options.numTraces) + " traces x " +
+                       std::to_string(options.policies.size()) +
+                       " policies");
+    const std::vector<frontend::PolicySpec> &policies = options.policies;
+    Sweep sweep;
+    for (std::size_t lane = 0; lane < policies.size(); ++lane) {
+        sweep.lanes.push_back(options.base);
+        sweep.lanes.back().policy = policies[lane];
+        sweep.names.push_back(frontend::policyName(policies[lane]));
+        // Fused: all policy lanes of a trace in one group; per-leg: one
+        // single-lane group per policy.
+        if (!options.fused || sweep.groups.empty())
+            sweep.groups.emplace_back();
+        sweep.groups.back().push_back(lane);
+    }
+    sweep.instructionOverride = options.instructionOverride;
+    sweep.jobs = options.jobs;
+    sweep.traceCacheDir = options.traceCacheDir;
+    sweep.slowLegMs = options.slowLegMs;
+    sweep.verbose = options.verbose;
+    if (hooks.skipLeg)
+        sweep.skipLeg = [&](std::size_t trace_index, std::size_t lane) {
+            return hooks.skipLeg(trace_index, policies[lane]);
+        };
+    if (hooks.onLegDone)
+        sweep.onLegDone = [&](std::size_t trace_index, std::size_t lane,
+                              const frontend::FrontendResult &result,
+                              double seconds) {
+            hooks.onLegDone(trace_index, policies[lane], result, seconds);
+        };
+    if (hooks.acquireDecoded)
+        sweep.acquireDecoded = [&](const workload::TraceSpec &spec) {
+            return hooks.acquireDecoded(spec, options);
+        };
+
+    LaneResults lanes = runSweep(
+        workload::makeSuite(options.numTraces, options.baseSeed), sweep,
+        progress);
+    SuiteResults out;
+    static_cast<SweepRun &>(out) = std::move(lanes);
+    for (std::size_t lane = 0; lane < policies.size(); ++lane) {
+        out.results[policies[lane]] = std::move(lanes.results[lane]);
+        out.legSeconds[policies[lane]] = std::move(lanes.legSeconds[lane]);
+    }
+    return out;
+}
+
+LaneResults
+runLanes(const std::vector<workload::TraceSpec> &specs,
+         std::uint64_t instruction_override,
+         const std::vector<frontend::FrontendConfig> &lanes, unsigned jobs,
+         const ProgressFn &progress)
+{
+    TELEMETRY_SPAN("sweep", std::to_string(specs.size()) + " traces x " +
+                                std::to_string(lanes.size()) + " lanes");
+    Sweep sweep;
+    sweep.lanes = lanes;
+    sweep.groups.emplace_back();
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        sweep.names.push_back("lane" + std::to_string(lane) + ":" +
+                              frontend::policyName(lanes[lane].policy));
+        sweep.groups.back().push_back(lane);
+    }
+    sweep.instructionOverride = instruction_override;
+    sweep.jobs = jobs;
+    return runSweep(specs, sweep, progress);
 }
 
 } // namespace ghrp::core

@@ -82,18 +82,16 @@ struct SuiteOptions
     double slowLegMs = 0.0;
 };
 
-/** All results of a suite run. */
-struct SuiteResults
+/**
+ * What one sweep did, as opposed to the results it holds: its traces,
+ * wall time, trace-store traffic, and the legs this process simulated.
+ * Legs replayed from a journal are not counted, so every throughput
+ * figure divides only work done in this run.
+ */
+struct SweepRun
 {
     std::vector<workload::TraceSpec> specs;
-    /** results[policy][trace index] */
-    std::map<frontend::PolicySpec, std::vector<frontend::FrontendResult>>
-        results;
 
-    /** Wall-clock seconds each leg spent simulating its decoded
-     *  stream: legSeconds[policy][trace index]. Timing only — excluded
-     *  from the determinism guarantee. */
-    std::map<frontend::PolicySpec, std::vector<double>> legSeconds;
     /** End-to-end wall-clock seconds for the whole sweep. */
     double wallSeconds = 0.0;
 
@@ -102,10 +100,31 @@ struct SuiteResults
     /** Whether a trace store directory was in effect. */
     bool traceStoreEnabled = false;
 
-    /** Number of (trace, policy) legs simulated. */
+    /** Legs simulated by this process, their dynamic instructions and
+     *  summed wall seconds, and the slowest of them ("trace/lane"). */
+    std::size_t legsRun = 0;
+    std::uint64_t instructionsRun = 0;
+    double busySeconds = 0.0;
+    double slowestSeconds = 0.0;
+    std::string slowestLeg;
+};
+
+/** All results of a suite run. */
+struct SuiteResults : SweepRun
+{
+    /** results[policy][trace index] */
+    std::map<frontend::PolicySpec, std::vector<frontend::FrontendResult>>
+        results;
+
+    /** Wall-clock seconds each leg spent simulating its decoded
+     *  stream: legSeconds[policy][trace index]. Timing only — excluded
+     *  from the determinism guarantee. */
+    std::map<frontend::PolicySpec, std::vector<double>> legSeconds;
+
+    /** Number of (trace, policy) legs held. */
     std::size_t totalLegs() const;
 
-    /** Sum of simulated dynamic instructions over all legs. */
+    /** Sum of dynamic instructions over all legs held. */
     std::uint64_t simulatedInstructions() const;
 
     /** Per-trace I-cache MPKI series for @p policy. */
@@ -208,6 +227,9 @@ struct RunHooks
  * resolve and every lane in 2048-record chunks (persisting it on a
  * miss), so its memory does not grow with its length.
  *
+ * This is the policy-axis front of the lane engine runLanes() also
+ * drives: lane i is options.base with options.policies[i].
+ *
  * With options.jobs != 1 the tasks run on a work-stealing thread pool.
  * Materialized decodes are bounded to a sliding window of roughly
  * 2 x jobs traces ahead of the slowest outstanding leg, so a 662-trace
@@ -221,6 +243,31 @@ struct RunHooks
 SuiteResults runSuite(const SuiteOptions &options,
                       const ProgressFn &progress = nullptr,
                       const RunHooks &hooks = {});
+
+/** Results of a config sweep: results[lane][trace index]. */
+struct LaneResults : SweepRun
+{
+    std::vector<std::vector<frontend::FrontendResult>> results;
+    /** Wall seconds per leg, legSeconds[lane][trace index] (timing
+     *  only, as in SuiteResults). */
+    std::vector<std::vector<double>> legSeconds;
+};
+
+/**
+ * Config sweep: simulate every trace of @p specs under every
+ * configuration in @p lanes, all lanes of a trace in ONE fused walk of
+ * its stream, which is generated (or loaded from the GHRP_TRACE_CACHE
+ * store), decoded and direction-resolved once. The lanes may differ in
+ * policy, geometry, predictor parameters, prefetch or indirect
+ * prediction, but must share the I-cache block size, the instruction
+ * size and the direction predictor (panics otherwise). Results are
+ * bit-identical to simulateTrace per (trace, lane), for any @p jobs
+ * (0 = hardware concurrency).
+ */
+LaneResults runLanes(const std::vector<workload::TraceSpec> &specs,
+                     std::uint64_t instruction_override,
+                     const std::vector<frontend::FrontendConfig> &lanes,
+                     unsigned jobs, const ProgressFn &progress = nullptr);
 
 } // namespace ghrp::core
 

@@ -6,7 +6,6 @@
 
 #include "branch/perceptron.hh"
 #include "cache/basic_policies.hh"
-#include "trace/fetch_stream.hh"
 #include "util/logging.hh"
 
 namespace ghrp::frontend
@@ -368,7 +367,6 @@ FrontendSim::FrontendSim(const FrontendConfig &config) : cfg(config)
             cfg.btb, makeBtbPolicy(cfg.policy.kind));
     }
 
-    direction = makeDirection(cfg.direction);
     if (cfg.useIndirectPredictor)
         indirect = std::make_unique<branch::IndirectPredictor>(
             cfg.indirect);
@@ -534,12 +532,15 @@ FrontendSim::beginRun(const trace::DecodedTrace &dec,
     phaseWindowId = 0;
     phaseNextBoundary =
         cfg.phaseWindow == 0 ? ~std::uint64_t{0} : cfg.phaseWindow;
-    // A pre-resolved direction stream replaces the per-leg predictor
-    // simulation when it was resolved with this leg's predictor kind;
-    // otherwise the predictor runs live (identical results, more work).
-    pendingPreResolved =
-        dec.hasDirectionStream() &&
-        dec.directionKind == static_cast<int>(cfg.direction);
+
+    // The direction predictor runs once per trace, in a
+    // DirectionResolver; every leg reads its outcomes.
+    if (!dec.hasDirectionStream() ||
+        dec.directionKind != static_cast<int>(cfg.direction))
+        panic("%s: the stream is not resolved with this leg's direction "
+              "predictor (stream kind %d, leg kind %d)",
+              dec.name.c_str(), dec.directionKind,
+              static_cast<int>(cfg.direction));
 }
 
 void
@@ -562,7 +563,6 @@ void
 FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
 {
     FrontendResult &result = pending;
-    const bool pre_resolved = pendingPreResolved;
 
     const Addr pc = dec.brPc[i];
     const Addr target = dec.brTarget[i];
@@ -595,13 +595,7 @@ FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
     // ---- direction prediction ----------------------------------
     if (trace::branch_meta::conditional(meta)) {
         ++result.condBranches;
-        bool predicted;
-        if (pre_resolved) {
-            predicted = dec.dirPredictedTaken[i] != 0;
-        } else {
-            predicted = direction->predict(pc);
-            direction->update(pc, taken);
-        }
+        const bool predicted = dec.dirPredictedTaken[i] != 0;
         const bool mispredicted = predicted != taken;
         if (mispredicted)
             ++result.condMispredicts;
@@ -743,135 +737,10 @@ FrontendSim::harvest(FrontendResult result, const FrontendResult &base)
 FrontendResult
 FrontendSim::run(const trace::Trace &tr)
 {
-    return run(trace::decodeTrace(tr, cfg.icache.blockBytes,
-                                  cfg.instBytes));
-}
-
-FrontendResult
-FrontendSim::runWalker(const trace::Trace &tr)
-{
-    // The reference walk has no flight recorder.
-    GHRP_ASSERT(cfg.phaseWindow == 0);
-    pending = FrontendResult{};
-    FrontendResult &result = pending;
-    result.traceName = tr.name;
-    result.policy = policyName(cfg.policy);
-
-    // One counting pre-pass through the canonical walker (rather than a
-    // third, hand-rolled reimplementation of the fetch-run arithmetic)
-    // gives the total needed to place the warm-up boundary.
-    {
-        trace::FetchStreamWalker counter(
-            tr.entryPc, cfg.icache.blockBytes, cfg.instBytes);
-        for (const trace::BranchRecord &rec : tr.records)
-            counter.advance(rec, [](Addr) {});
-        result.totalInstructions = counter.instructionCount();
-    }
-    result.warmupInstructions = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(
-            cfg.warmupFraction *
-            static_cast<double>(result.totalInstructions)),
-        cfg.warmupCapInstructions);
-
-    trace::FetchStreamWalker walker(tr.entryPc, cfg.icache.blockBytes,
-                                    cfg.instBytes);
-    bool warm = result.warmupInstructions == 0;
-    // Fetch-buffer coalescing: consecutive fetch runs that stay within
-    // the block just fetched do not re-access the I-cache (a real
-    // front-end fetches the whole block once; short intra-block jumps
-    // consume it from the fetch buffer).
-    Addr last_block = ~Addr{0};
-
-    for (const trace::BranchRecord &rec : tr.records) {
-        // ---- fetch the sequential run ending at this branch --------
-        const Addr run_start = walker.currentPc();
-        walker.advance(rec, [&](Addr block_addr) {
-            if (block_addr == last_block)
-                return;
-            last_block = block_addr;
-            const Addr fetch_pc = std::max(run_start, block_addr);
-            const cache::AccessOutcome out =
-                icache->access(block_addr, fetch_pc);
-            if (!out.hit && cfg.nextLinePrefetch > 0) {
-                for (std::uint32_t n = 1; n <= cfg.nextLinePrefetch; ++n)
-                    icache->prefetch(
-                        block_addr +
-                            static_cast<Addr>(n) * cfg.icache.blockBytes,
-                        fetch_pc);
-            }
-            if (ghrpPredictor) {
-                // The fetch-address stream updates both the speculative
-                // and the retired path history; in a trace-driven model
-                // fetch and commit coincide.
-                ghrpPredictor->updateSpecHistory(fetch_pc);
-                ghrpPredictor->updateRetiredHistory(fetch_pc);
-            }
-        });
-
-        // ---- direction prediction ----------------------------------
-        if (trace::isConditional(rec.type)) {
-            ++result.condBranches;
-            const bool predicted = direction->predict(rec.pc);
-            const bool mispredicted = predicted != rec.taken;
-            if (mispredicted)
-                ++result.condMispredicts;
-            direction->update(rec.pc, rec.taken);
-
-            if (mispredicted && ghrpPredictor) {
-                // Model wrong-path pollution of the speculative history
-                // and its recovery from the retired history.
-                const Addr wrong_base =
-                    predicted ? rec.target : rec.pc + cfg.instBytes;
-                for (std::uint32_t i = 0; i < cfg.wrongPathNoise; ++i)
-                    ghrpPredictor->updateSpecHistory(
-                        wrong_base + static_cast<Addr>(i) * cfg.instBytes);
-                if (cfg.recoverGhrpHistory)
-                    ghrpPredictor->recoverHistory();
-            }
-        }
-
-        // ---- BTB and RAS -------------------------------------------
-        if (rec.taken) {
-            if (rec.type == trace::BranchType::Return && cfg.useRas) {
-                ++result.rasReturns;
-                if (ras.pop() != rec.target)
-                    ++result.rasMispredicts;
-            } else {
-                // Indirect target prediction: the indirect predictor
-                // (when attached) overrides the BTB's last-seen target.
-                if (trace::isIndirect(rec.type)) {
-                    ++result.indirectBranches;
-                    std::optional<Addr> predicted;
-                    if (indirect)
-                        predicted = indirect->predict(rec.pc);
-                    if (!predicted)
-                        predicted = btb->predictTarget(rec.pc);
-                    if (!predicted || *predicted != rec.target)
-                        ++result.indirectMispredicts;
-                    if (indirect)
-                        indirect->update(rec.pc, rec.target);
-                }
-                const branch::BtbResult br =
-                    btb->accessTaken(rec.pc, rec.target);
-                if (br.hit && !br.targetMatched)
-                    ++result.btbTargetMismatches;
-            }
-        }
-        if (trace::isCall(rec.type) && rec.taken && cfg.useRas)
-            ras.push(rec.pc + cfg.instBytes);
-
-        // ---- warm-up boundary: zero the measured statistics ---------
-        if (!warm &&
-            walker.instructionCount() >= result.warmupInstructions) {
-            warm = true;
-            icache->resetStats();
-            btb->resetStats();
-            FrontendResult::forEachBranchCounter(
-                [&](const char *, auto member) { result.*member = 0; });
-        }
-    }
-
-    return harvest(std::move(pending), FrontendResult{});
+    trace::DecodedTrace dec =
+        trace::decodeTrace(tr, cfg.icache.blockBytes, cfg.instBytes);
+    resolveDirectionStream(dec, cfg.direction);
+    return run(dec);
 }
 
 FrontendResult

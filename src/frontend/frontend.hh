@@ -2,9 +2,10 @@
  * @file
  * Trace-driven decoupled front-end simulator: replays a branch trace,
  * reconstructs the fetch-block stream, and drives the I-cache, BTB,
- * direction predictor, return address stack and (for GHRP) the shared
- * dead-block predictor. Not cycle accurate — MPKI is the figure of
- * merit, as in the paper (Section IV-A).
+ * return address stack and (for GHRP) the shared dead-block predictor;
+ * direction predictions come from a stream resolved once per trace.
+ * Not cycle accurate — MPKI is the figure of merit, as in the paper
+ * (Section IV-A).
  */
 
 #ifndef GHRP_FRONTEND_FRONTEND_HH
@@ -360,28 +361,19 @@ class FrontendSim
 
     /**
      * Simulate one decoded branch stream and return the post-warm-up
-     * statistics. This is the hot path: branch classification and the
-     * instruction total were done once, in decodeTrace(); each record's
-     * fetch ops are re-derived inline by a FetchCursor. The decode
-     * granularity must match the configuration (asserted).
+     * statistics. This is the hot path: branch classification, the
+     * instruction total and the direction predictor's outcomes were
+     * done once per trace, in decodeTrace() and a DirectionResolver;
+     * each record's fetch ops are re-derived inline by a FetchCursor.
+     * The decode granularity must match the configuration (asserted),
+     * and the stream must be resolved with the configured direction
+     * predictor (panics otherwise) — the sim owns no predictor.
      */
     FrontendResult run(const trace::DecodedTrace &decoded);
 
-    /** Simulate one trace: decodes once, then runs the decoded path. */
+    /** Simulate one trace: decodes and resolves it once, then runs the
+     *  decoded path. */
     FrontendResult run(const trace::Trace &trace);
-
-    /**
-     * Reference implementation: replay the branch records through
-     * FetchStreamWalker directly, exactly as the simulator did before
-     * the decode-once layer. Kept as an independently-coded oracle for
-     * the differential tests and the decode-overhead benchmark (only
-     * the end-of-run harvest is shared). It still zeroes the measured
-     * statistics at the warm-up record, so it also checks the decoded
-     * path's snapshot-and-subtract warm-up; results are bit-identical
-     * to run() on any trace. It has no flight recorder, so phaseWindow
-     * must be 0.
-     */
-    FrontendResult runWalker(const trace::Trace &trace);
 
     /**
      * Stepwise interface under run(DecodedTrace): beginRun() primes a
@@ -390,10 +382,10 @@ class FrontendSim
      * once each), finishRun() seals and returns the statistics.
      * run(decoded) is exactly beginRun + stepRecords over the records
      * + finishRun. The fused executor and the streaming path use the
-     * pieces directly to interleave many policy lanes over one chunked
-     * walk of a shared stream, which is why results are bit-identical
-     * to a per-leg run by construction. Like run(), a sim instance is
-     * good for one begin/finish cycle.
+     * pieces directly to interleave many lanes over one chunked walk
+     * of a shared stream, which is why results are bit-identical to a
+     * per-leg run by construction. Like run(), a sim instance is good
+     * for one begin/finish cycle.
      *
      * A streamed trace's records arrive a chunk at a time: @p decoded
      * then holds the current chunk only, and beginRun takes the
@@ -417,6 +409,8 @@ class FrontendSim
     /** Underlying structures, for white-box tests. */
     cache::CacheModel<cache::NoPayload> &icacheModel() { return *icache; }
     branch::Btb &btbModel() { return *btb; }
+    /** The shared dead-block predictor (null unless GHRP takes part). */
+    predictor::GhrpPredictor *ghrpModel() { return ghrpPredictor.get(); }
 
   private:
     FrontendConfig cfg;
@@ -428,7 +422,6 @@ class FrontendSim
 
     std::unique_ptr<cache::CacheModel<cache::NoPayload>> icache;
     std::unique_ptr<branch::Btb> btb;
-    std::unique_ptr<branch::DirectionPredictor> direction;
     std::unique_ptr<branch::IndirectPredictor> indirect;
     branch::ReturnAddressStack ras;
 
@@ -445,7 +438,6 @@ class FrontendSim
 
     /** In-flight state of a beginRun/stepRecords/finishRun cycle. */
     FrontendResult pending;
-    bool pendingPreResolved = false;
     /** Re-derives each record's fetch ops and running instruction
      *  count from the records already stepped. */
     trace::FetchCursor pendingCursor;
@@ -485,14 +477,16 @@ class FrontendSim
 };
 
 /**
- * Convenience: simulate @p trace under @p config and return results.
+ * Convenience: simulate @p trace under @p config and return results
+ * (decodes and resolves it first).
  */
 FrontendResult simulateTrace(const FrontendConfig &config,
                              const trace::Trace &trace);
 
 /**
- * Convenience: simulate a pre-decoded stream under @p config. Use this
- * when several policy legs share one trace — decode once, run many.
+ * Convenience: simulate a pre-decoded stream, resolved with
+ * config.direction, under @p config. Use this when several legs share
+ * one trace — decode and resolve once, run many.
  */
 FrontendResult simulateDecoded(const FrontendConfig &config,
                                const trace::DecodedTrace &decoded);
@@ -500,12 +494,11 @@ FrontendResult simulateDecoded(const FrontendConfig &config,
 /**
  * The direction predictor run over a branch stream once, ahead of the
  * legs: each conditional record's predicted-taken bit is stored in the
- * decoded trace, and legs configured with the same predictor kind read
- * the bit instead of re-simulating the predictor — the predictor only
- * ever observes the branch records, so the bits are exactly what a live
- * predictor would produce and simulation results are unchanged. The
- * predictor state carries across resolve() calls, so a stream resolved
- * chunk by chunk gets the bits of the stream resolved whole.
+ * decoded trace, and every leg reads the bit — the only place a
+ * direction predictor runs. The predictor only ever observes the branch
+ * records, so the bits are exactly what a live predictor would produce.
+ * The predictor state carries across resolve() calls, so a stream
+ * resolved chunk by chunk gets the bits of the stream resolved whole.
  */
 class DirectionResolver
 {

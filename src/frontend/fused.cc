@@ -3,18 +3,29 @@
 #include <algorithm>
 #include <chrono>
 
+#include "util/logging.hh"
+
 namespace ghrp::frontend
 {
 
-FusedSim::FusedSim(const FrontendConfig &base,
-                   const std::vector<PolicySpec> &policies)
+void
+requireSharedStream(const std::vector<FrontendConfig> &lanes)
 {
-    lanes.reserve(policies.size());
-    for (const PolicySpec &policy : policies) {
-        FrontendConfig cfg = base;
-        cfg.policy = policy;
+    for (const FrontendConfig &lane : lanes)
+        if (lane.icache.blockBytes != lanes.front().icache.blockBytes ||
+            lane.instBytes != lanes.front().instBytes ||
+            lane.direction != lanes.front().direction)
+            panic("fused lanes must share the I-cache block size, the "
+                  "instruction size and the direction predictor: one "
+                  "decoded, resolved stream feeds them all");
+}
+
+FusedSim::FusedSim(const std::vector<FrontendConfig> &configs)
+{
+    requireSharedStream(configs);
+    lanes.reserve(configs.size());
+    for (const FrontendConfig &cfg : configs)
         lanes.push_back(std::make_unique<FrontendSim>(cfg));
-    }
 }
 
 std::vector<FrontendResult>
@@ -58,13 +69,13 @@ FusedSim::finish()
     return results;
 }
 
-StreamSim::StreamSim(const FrontendConfig &base,
-                     const std::vector<PolicySpec> &policies,
+StreamSim::StreamSim(const std::vector<FrontendConfig> &configs,
                      trace::ChunkSink *tee)
-    : base(base), tee(tee), lanes(base, policies), resolver(base.direction)
+    : tee(tee), lanes(configs), resolver(configs.at(0).direction)
 {
-    chunk.blockBytes = base.icache.blockBytes;
-    chunk.instBytes = base.instBytes;
+    chunk.blockBytes = configs.front().icache.blockBytes;
+    chunk.instBytes = configs.front().instBytes;
+    chunk.directionKind = static_cast<int>(configs.front().direction);
     chunk.brPc.reserve(trace::kChunkRecords);
     chunk.brTarget.reserve(trace::kChunkRecords);
     chunk.brMeta.reserve(trace::kChunkRecords);
@@ -75,11 +86,10 @@ void
 StreamSim::begin(const trace::StreamHeader &header)
 {
     // The bounds count instructions of the source's size.
-    GHRP_ASSERT(header.instBytes == base.instBytes);
+    GHRP_ASSERT(header.instBytes == chunk.instBytes);
     chunk.name = header.name;
     chunk.category = header.category;
     chunk.entryPc = header.entryPc;
-    chunk.directionKind = static_cast<int>(base.direction);
     decoder.emplace(chunk);
     if (tee)
         tee->begin(header);
@@ -112,8 +122,10 @@ simulateFused(const FrontendConfig &base,
               const std::vector<PolicySpec> &policies,
               const trace::DecodedTrace &decoded)
 {
-    FusedSim sim(base, policies);
-    return sim.run(decoded);
+    std::vector<FrontendConfig> lanes(policies.size(), base);
+    for (std::size_t i = 0; i < policies.size(); ++i)
+        lanes[i].policy = policies[i];
+    return FusedSim(lanes).run(decoded);
 }
 
 } // namespace ghrp::frontend

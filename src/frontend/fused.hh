@@ -1,21 +1,24 @@
 /**
  * @file
- * Fused multi-policy executor: simulate N replacement policies over
- * ONE walk of a shared decoded branch stream. Each policy is an
+ * Fused lane executor: simulate N front-end configurations over ONE
+ * walk of a shared decoded branch stream. Each configuration is an
  * independent lane (its own FrontendSim — tag stores, predictors, RAS
  * and counters), and the walk is chunked so a chunk of the decoded
  * SoA stream is pulled from memory once and then replayed to every
  * lane while it is still cache-hot, turning the per-leg memory-bound
  * re-read into a compute-dense pass.
  *
+ * Lanes may differ in anything the stream does not fix: policy,
+ * geometry, predictor thresholds, prefetch, indirect prediction. They
+ * must share the fetch granularity (I-cache block and instruction
+ * bytes) and the direction predictor, because one stream is decoded
+ * and direction-resolved once for all of them.
+ *
  * Correctness contract: lanes never share mutable state and each lane
  * consumes records through the exact FrontendSim stepwise interface a
  * per-leg run uses, so fused results are bit-identical to running the
  * legs one at a time — the fused differential and property tests
- * enforce that for every policy, geometry and direction-stream
- * mismatch (lanes whose configured direction predictor does not match
- * the stream fall back to simulating their predictor live, exactly as
- * a per-leg run would).
+ * enforce that for every policy and geometry.
  */
 
 #ifndef GHRP_FRONTEND_FUSED_HH
@@ -32,17 +35,21 @@ namespace ghrp::frontend
 {
 
 /**
- * N policy lanes over one decoded stream. Construct with the shared
- * base configuration (geometry, direction predictor, warm-up — the
- * policy field is overridden per lane) and the lane policies; run()
- * walks a materialized stream once, and begin/step/finish feed the
- * lanes a streamed one chunk by chunk. Results are in lane order.
+ * panic() unless every lane of @p lanes shares the first lane's fetch
+ * granularity and direction predictor — the stream they all read.
+ */
+void requireSharedStream(const std::vector<FrontendConfig> &lanes);
+
+/**
+ * N lanes over one decoded stream, one configuration each (checked by
+ * requireSharedStream). run() walks a materialized stream once, and
+ * begin/step/finish feed the lanes a streamed one chunk by chunk.
+ * Results are in lane order.
  */
 class FusedSim
 {
   public:
-    FusedSim(const FrontendConfig &base,
-             const std::vector<PolicySpec> &policies);
+    explicit FusedSim(const std::vector<FrontendConfig> &lanes);
 
     /** Number of lanes. */
     std::size_t numLanes() const { return lanes.size(); }
@@ -50,7 +57,7 @@ class FusedSim
     /**
      * Simulate @p decoded once for every lane. A FusedSim instance is
      * good for one run, like FrontendSim. Results are in the order the
-     * policies were given to the constructor.
+     * configurations were given to the constructor.
      */
     std::vector<FrontendResult> run(const trace::DecodedTrace &decoded);
 
@@ -69,8 +76,8 @@ class FusedSim
 /**
  * The chunk path: the sink of one generated trace. Each chunk of
  * records the executor pushes is decoded (fetch cursor carried across
- * chunks), direction-resolved (predictor state carried) with the base
- * configuration's predictor, handed to the optional @p tee — the trace
+ * chunks), direction-resolved (predictor state carried) with the
+ * lanes' shared predictor, handed to the optional @p tee — the trace
  * store writes a missed trace from there — and stepped by every lane.
  * Nothing outlives the chunk, so a trace of any length costs
  * O(chunk + model state); results are bit-identical to decoding,
@@ -79,9 +86,10 @@ class FusedSim
 class StreamSim final : public trace::RecordSink
 {
   public:
-    StreamSim(const FrontendConfig &base,
-              const std::vector<PolicySpec> &policies,
-              trace::ChunkSink *tee = nullptr);
+    /** @p lanes must be non-empty and share one stream (see
+     *  requireSharedStream). */
+    explicit StreamSim(const std::vector<FrontendConfig> &lanes,
+                       trace::ChunkSink *tee = nullptr);
 
     void begin(const trace::StreamHeader &header) override;
     void records(const trace::BranchRecord *recs, std::size_t n) override;
@@ -93,7 +101,6 @@ class StreamSim final : public trace::RecordSink
     double laneSeconds() const { return stepSeconds; }
 
   private:
-    const FrontendConfig base;
     trace::ChunkSink *tee;
     FusedSim lanes;
     DirectionResolver resolver;
@@ -103,9 +110,9 @@ class StreamSim final : public trace::RecordSink
 };
 
 /**
- * Convenience: simulate @p decoded under every policy in @p policies
- * in one fused pass. Bit-identical to calling simulateDecoded once
- * per policy.
+ * Convenience: simulate @p decoded under @p base with every policy in
+ * @p policies (lane i = base with policies[i]) in one fused pass.
+ * Bit-identical to calling simulateDecoded once per policy.
  */
 std::vector<FrontendResult>
 simulateFused(const FrontendConfig &base,

@@ -911,13 +911,15 @@ buildSuiteReport(const std::string &experiment,
     sweep.simulatedInstructions = results.simulatedInstructions();
     sweep.jobs = options.jobs ? options.jobs
                               : util::ThreadPool::hardwareJobs();
+    // Rates count only the legs this process simulated: legs replayed
+    // from a journal took no time here.
     sweep.legsPerSec = sweep.wallSeconds > 0
-                           ? static_cast<double>(sweep.legs) /
+                           ? static_cast<double>(results.legsRun) /
                                  sweep.wallSeconds
                            : 0.0;
     sweep.mInstrPerSec =
         sweep.wallSeconds > 0
-            ? static_cast<double>(sweep.simulatedInstructions) /
+            ? static_cast<double>(results.instructionsRun) /
                   sweep.wallSeconds / 1e6
             : 0.0;
     sweep.traceStoreEnabled = results.traceStoreEnabled;

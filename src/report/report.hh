@@ -94,7 +94,10 @@ struct PolicySummary
     RelToLru btbVsLru;
 };
 
-/** Sweep-level wall-clock and throughput accounting. */
+/** Sweep-level wall-clock and throughput accounting. legs and
+ *  simulatedInstructions cover every leg of the sweep; the rates count
+ *  only legs simulated by the run that wrote the report, so a resumed
+ *  run's journal replays add nothing to them. */
 struct SweepStats
 {
     double wallSeconds = 0.0;

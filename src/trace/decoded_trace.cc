@@ -9,8 +9,9 @@ namespace
 {
 
 /**
- * Shared decode loop: @p read_record(i) yields record i of @p n, or
- * std::nullopt when it is corrupt (which fails the whole decode).
+ * Shared decode loop: @p read_record(i, fetch_pc) yields record i of
+ * @p n, whose run starts at fetch_pc, or std::nullopt when it is
+ * corrupt (which fails the whole decode).
  */
 template <typename ReadRecord>
 std::optional<DecodedTrace>
@@ -28,7 +29,8 @@ decodeImpl(Addr entry_pc, std::uint64_t n, std::uint32_t block_bytes,
 
     StreamDecoder decoder(dec);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const std::optional<BranchRecord> rec = read_record(i);
+        const std::optional<BranchRecord> rec =
+            read_record(i, decoder.currentPc());
         if (!rec)
             return std::nullopt;
         decoder.push(*rec);
@@ -53,7 +55,7 @@ decodeTrace(const Trace &trace, std::uint32_t block_bytes,
 {
     DecodedTrace dec = *decodeImpl(
         trace.entryPc, trace.records.size(), block_bytes, inst_bytes,
-        [&](std::uint64_t i) {
+        [&](std::uint64_t i, Addr) {
             return std::optional<BranchRecord>(trace.records[i]);
         });
     dec.name = trace.name;
@@ -67,7 +69,13 @@ tryDecodeTrace(const MappedTrace &mapped, std::uint32_t block_bytes,
 {
     std::optional<DecodedTrace> dec = decodeImpl(
         mapped.entryPc(), mapped.numRecords(), block_bytes, inst_bytes,
-        [&](std::uint64_t i) { return mapped.record(i); });
+        [&](std::uint64_t i, Addr fetch_pc) -> std::optional<BranchRecord> {
+            std::optional<BranchRecord> rec = mapped.record(i);
+            if (rec && rec->pc > fetch_pc &&
+                rec->pc - fetch_pc > kMaxFetchRunBytes)
+                return std::nullopt;
+            return rec;
+        });
     if (dec) {
         dec->name = mapped.name();
         dec->category = mapped.category();

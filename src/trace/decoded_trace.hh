@@ -144,6 +144,9 @@ class FetchCursor
     /** Records that lay behind the fetch PC so far. */
     std::uint64_t resyncs() const { return resyncCount; }
 
+    /** The next instruction to be fetched. */
+    Addr currentPc() const { return fetchPc; }
+
   private:
     Addr fetchPc = 0;
     Addr lastBlock = ~Addr{0};
@@ -189,19 +192,17 @@ struct DecodedTrace
     std::vector<std::uint8_t> brMeta;
 
     /**
-     * Optional pre-resolved direction stream. Like the fetch ops, the
+     * The pre-resolved direction stream. Like the fetch ops, the
      * direction predictor's behaviour is a pure function of the branch
      * record sequence — it never observes cache or BTB state — so its
-     * per-conditional-branch prediction can be resolved once per trace
-     * and shared across policy legs instead of re-simulating the
-     * predictor in every leg.
+     * per-conditional-branch prediction is resolved once per trace and
+     * shared across the legs, which simulate no predictor of their own.
      *
      * directionKind holds the frontend::DirectionKind this stream was
      * resolved with (as an int, to keep this layer below the frontend),
-     * or -1 when absent; dirPredictedTaken[i] is meaningful only for
-     * conditional records. Legs whose configured predictor does not
-     * match fall back to simulating the predictor live — results are
-     * bit-identical either way.
+     * or -1 while unresolved; dirPredictedTaken[i] is meaningful only
+     * for conditional records. A leg runs only on a stream resolved
+     * with its configured predictor.
      */
     int directionKind = -1;
     std::vector<std::uint8_t> dirPredictedTaken;
@@ -290,6 +291,9 @@ class StreamDecoder
         dec.dirPredictedTaken.clear();
     }
 
+    /** The fetch PC the next record's run starts from. */
+    Addr currentPc() const { return cursor.currentPc(); }
+
     /** Store the totals of every record pushed in the trace. */
     void
     finish()
@@ -327,9 +331,17 @@ DecodedTrace decodeTrace(const Trace &trace, std::uint32_t block_bytes,
                          std::uint32_t inst_bytes);
 
 /**
+ * Longest fetch run a stored record may imply. Generated runs are
+ * basic blocks; a corrupt pc far past the fetch PC would make its run,
+ * and every leg's walk of it, practically endless.
+ */
+constexpr Addr kMaxFetchRunBytes = Addr{1} << 24;
+
+/**
  * Decode directly from an mmap-backed trace file without materializing
  * a Trace: records are unpacked from the map as they are consumed.
- * std::nullopt when a record's branch-type byte is corrupt.
+ * std::nullopt when a record is corrupt: a bad branch-type byte, or a
+ * pc more than kMaxFetchRunBytes past the fetch PC.
  */
 std::optional<DecodedTrace> tryDecodeTrace(const MappedTrace &mapped,
                                            std::uint32_t block_bytes,

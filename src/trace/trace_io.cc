@@ -28,35 +28,11 @@ writeScalar(std::ofstream &file, T value)
     file.write(reinterpret_cast<const char *>(&value), sizeof(value));
 }
 
-template <typename T>
-T
-readScalar(std::ifstream &file, const std::string &path)
-{
-    T value{};
-    file.read(reinterpret_cast<char *>(&value), sizeof(value));
-    if (!file)
-        fatal("truncated trace file '%s'", path.c_str());
-    return value;
-}
-
 void
 writeString(std::ofstream &file, const std::string &s)
 {
     writeScalar<std::uint32_t>(file, static_cast<std::uint32_t>(s.size()));
     file.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string
-readString(std::ifstream &file, const std::string &path)
-{
-    const auto len = readScalar<std::uint32_t>(file, path);
-    if (len > (1u << 20))
-        fatal("corrupt string length in trace file '%s'", path.c_str());
-    std::string s(len, '\0');
-    file.read(s.data(), len);
-    if (!file)
-        fatal("truncated trace file '%s'", path.c_str());
-    return s;
 }
 
 /** Bounds-checked cursor over the mapped header bytes. */
@@ -127,58 +103,23 @@ TraceFileWriter::finish()
     return static_cast<bool>(file);
 }
 
-bool
-tryWriteTrace(const Trace &trace, const std::string &path)
+void
+writeTrace(const Trace &trace, const std::string &path)
 {
     TraceFileWriter writer(path, trace.name, trace.category, trace.entryPc);
     for (const BranchRecord &rec : trace.records)
         writer.append(rec);
-    return writer.finish();
-}
-
-void
-writeTrace(const Trace &trace, const std::string &path)
-{
-    if (!tryWriteTrace(trace, path))
+    if (!writer.finish())
         fatal("cannot write trace file '%s'", path.c_str());
 }
 
 Trace
 readTrace(const std::string &path)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        fatal("cannot open trace file '%s'", path.c_str());
-
-    char magic[8];
-    file.read(magic, sizeof(magic));
-    if (!file || std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
-        fatal("'%s' is not a GHRP trace file", path.c_str());
-
-    const auto version = readScalar<std::uint32_t>(file, path);
-    if (version != traceFormatVersion)
-        fatal("trace file '%s' has version %u, expected %u", path.c_str(),
-              version, traceFormatVersion);
-
-    Trace trace;
-    trace.entryPc = readScalar<std::uint64_t>(file, path);
-    const auto n = readScalar<std::uint64_t>(file, path);
-    trace.name = readString(file, path);
-    trace.category = readString(file, path);
-
-    trace.records.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        BranchRecord rec;
-        rec.pc = readScalar<std::uint64_t>(file, path);
-        rec.target = readScalar<std::uint64_t>(file, path);
-        const auto type = readScalar<std::uint8_t>(file, path);
-        if (type >= numBranchTypes)
-            fatal("corrupt branch type %u in '%s'", type, path.c_str());
-        rec.type = static_cast<BranchType>(type);
-        rec.taken = readScalar<std::uint8_t>(file, path) != 0;
-        trace.records.push_back(rec);
-    }
-    return trace;
+    std::optional<Trace> trace = MappedTrace::open(path).materialize();
+    if (!trace)
+        fatal("corrupt branch record in trace file '%s'", path.c_str());
+    return std::move(*trace);
 }
 
 // --------------------------------------------------------- MappedTrace
@@ -186,73 +127,90 @@ readTrace(const std::string &path)
 std::optional<MappedTrace>
 MappedTrace::tryOpen(const std::string &path)
 {
+    std::string why;
+    return map(path, why);
+}
+
+MappedTrace
+MappedTrace::open(const std::string &path)
+{
+    std::string why;
+    std::optional<MappedTrace> mt = map(path, why);
+    if (!mt)
+        fatal("%s", why.c_str());
+    return std::move(*mt);
+}
+
+std::optional<MappedTrace>
+MappedTrace::map(const std::string &path, std::string &why)
+{
     MappedTrace mt;
+    const auto fail = [&](const char *reason) {
+        why = reason + (" '" + path + "'");
+        return std::nullopt;
+    };
 
 #if GHRP_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
-        return std::nullopt;
+        return fail("cannot open trace file");
     struct stat st{};
     if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
         ::close(fd);
-        return std::nullopt;
+        return fail("not a GHRP trace file (empty or unreadable):");
     }
     const std::size_t len = static_cast<std::size_t>(st.st_size);
-    void *map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    void *bytes = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd); // the mapping keeps its own reference
-    if (map == MAP_FAILED)
-        return std::nullopt;
-    mt.base = static_cast<const unsigned char *>(map);
+    if (bytes == MAP_FAILED)
+        return fail("cannot map trace file");
+    mt.base = static_cast<const unsigned char *>(bytes);
     mt.length = len;
     mt.mapped = true;
 #else
     std::ifstream file(path, std::ios::binary | std::ios::ate);
     if (!file)
-        return std::nullopt;
+        return fail("cannot open trace file");
     const std::streamoff size = file.tellg();
     if (size <= 0)
-        return std::nullopt;
+        return fail("not a GHRP trace file (empty or unreadable):");
     auto *buffer = new unsigned char[static_cast<std::size_t>(size)];
     file.seekg(0);
     file.read(reinterpret_cast<char *>(buffer),
               static_cast<std::streamsize>(size));
     if (!file) {
         delete[] buffer;
-        return std::nullopt;
+        return fail("cannot read trace file");
     }
     mt.base = buffer;
     mt.length = static_cast<std::size_t>(size);
     mt.mapped = false;
 #endif
 
-    // Parse and validate the header against the mapped length.
+    // Parse and validate the header against the mapped length; mt's
+    // destructor unmaps on every failure.
     ByteCursor cur{mt.base, mt.length};
     if (mt.length < sizeof(traceMagic) ||
         std::memcmp(mt.base, traceMagic, sizeof(traceMagic)) != 0)
-        return std::nullopt; // mt's destructor unmaps
+        return fail("not a GHRP trace file:");
     cur.pos = sizeof(traceMagic);
 
     std::uint32_t version = 0;
-    if (!cur.read(version) || version != traceFormatVersion)
-        return std::nullopt;
+    if (!cur.read(version))
+        return fail("truncated trace file");
+    if (version != traceFormatVersion)
+        return fail("unsupported trace format version in");
     if (!cur.read(mt.entry) || !cur.read(mt.nRecords) ||
         !cur.readString(mt.traceName) || !cur.readString(mt.traceCategory))
-        return std::nullopt;
+        return fail("truncated or corrupt header in trace file");
+    // The record count comes from disk: check it against the bytes
+    // that are there before anything is sized by it.
     if ((mt.length - cur.pos) / traceRecordStride < mt.nRecords)
-        return std::nullopt; // truncated record array
+        return fail("truncated trace file (fewer records than its header "
+                    "declares):");
     mt.records = mt.base + cur.pos;
 
     return mt;
-}
-
-MappedTrace
-MappedTrace::open(const std::string &path)
-{
-    auto mt = tryOpen(path);
-    if (!mt)
-        fatal("cannot map trace file '%s' (missing, corrupt, or wrong "
-              "version)", path.c_str());
-    return std::move(*mt);
 }
 
 MappedTrace::MappedTrace(MappedTrace &&other) noexcept

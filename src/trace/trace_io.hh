@@ -41,17 +41,11 @@ constexpr std::size_t traceRecordStride = 18;
 void writeTrace(const Trace &trace, const std::string &path);
 
 /**
- * Write @p trace to @p path, reporting failure instead of dying: false
- * when the file cannot be created or fully written (a partial file may
- * be left behind — write to a temporary path and rename).
- */
-bool tryWriteTrace(const Trace &trace, const std::string &path);
-
-/**
  * A trace file written as its records arrive: the header goes out
  * first with a zero record count, each append() writes one record, and
- * finish() patches the count in. The bytes equal tryWriteTrace() of the
- * whole trace. Like tryWriteTrace, a failure leaves a partial file.
+ * finish() patches the count in. The bytes equal writeTrace() of the
+ * whole trace. A failure leaves a partial file — write to a temporary
+ * path and rename.
  */
 class TraceFileWriter
 {
@@ -70,8 +64,10 @@ class TraceFileWriter
 };
 
 /**
- * Read a trace from @p path. Calls fatal() on missing files, magic
- * mismatch, or version mismatch.
+ * Read a trace from @p path: MappedTrace::open() plus materialize(),
+ * so the one header parser validates it. Calls fatal() on a missing
+ * file, a bad magic or version, a header or record array shorter than
+ * it declares, or a corrupt record.
  */
 Trace readTrace(const std::string &path);
 
@@ -137,6 +133,10 @@ class MappedTrace
 
   private:
     MappedTrace() = default;
+
+    /** tryOpen, setting @p why to the reason on failure. */
+    static std::optional<MappedTrace> map(const std::string &path,
+                                          std::string &why);
 
     void release() noexcept;
 

@@ -231,47 +231,6 @@ TraceStore::publish(const std::string &tmp, const std::string &path,
     return true;
 }
 
-void
-TraceStore::persist(const trace::Trace &tr, const std::string &path)
-{
-    if (writeFailed.load(std::memory_order_relaxed))
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string tmp = tempPathFor(path);
-    if (publish(tmp, path, !ec && trace::tryWriteTrace(tr, tmp))) {
-        storeCount.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().stores.add();
-    }
-}
-
-trace::Trace
-TraceStore::acquire(const TraceSpec &spec,
-                    std::uint64_t instruction_override)
-{
-    if (!enabled())
-        return buildTrace(spec, instruction_override);
-
-    const std::string path = pathFor(spec, instruction_override);
-    std::optional<trace::Trace> cached;
-    if (auto mapped = trace::MappedTrace::tryOpen(path))
-        cached = mapped->materialize();
-    if (cached) {
-        hitCount.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().hits.add();
-        storeMetrics().readBytes.add(fileBytes(path));
-        cached->name = spec.name;
-        cached->category = categoryName(spec.category);
-        return std::move(*cached);
-    }
-
-    missCount.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().misses.add();
-    trace::Trace tr = buildTrace(spec, instruction_override);
-    persist(tr, path);
-    return tr;
-}
-
 std::string
 TraceStore::directionPathFor(const TraceSpec &spec,
                              std::uint64_t instruction_override,

@@ -59,8 +59,8 @@ class TraceStore
     /**
      * @param directory store root. Empty selects the GHRP_TRACE_CACHE
      *        environment variable; if that is also unset/empty the
-     *        store is disabled and every acquire degenerates to an
-     *        in-memory buildTrace().
+     *        store is disabled: every load misses without counting and
+     *        writer() returns null.
      */
     explicit TraceStore(std::string directory = {});
 
@@ -79,16 +79,6 @@ class TraceStore
     /** Store path for (spec, override): <dir>/<key16hex>.ghrptrc. */
     std::string pathFor(const TraceSpec &spec,
                         std::uint64_t instruction_override) const;
-
-    /**
-     * The trace for @p spec: loaded from the store when cached,
-     * otherwise generated and persisted. Identical to
-     * buildTrace(spec, override) in either case. Thread-safe;
-     * concurrent writers of the same key are harmless (atomic
-     * temp-file + rename, identical content).
-     */
-    trace::Trace acquire(const TraceSpec &spec,
-                         std::uint64_t instruction_override = 0);
 
     /**
      * The decoded branch stream for @p spec at the given granularity.
@@ -166,9 +156,6 @@ class TraceStore
     }
 
   private:
-    /** Persist @p tr at @p path via temp-file + atomic rename. */
-    void persist(const trace::Trace &tr, const std::string &path);
-
     /** A unique temp name next to @p path: concurrent producers of the
      *  same key never collide. */
     std::string tempPathFor(const std::string &path);

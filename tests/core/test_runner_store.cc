@@ -148,7 +148,7 @@ TEST(RunnerStore, StreamedMissWritesTheMaterializedBytes)
             store.pathFor(spec, options.instructionOverride);
         const std::string expected =
             reference.pathFor(spec, options.instructionOverride);
-        ASSERT_TRUE(trace::tryWriteTrace(tr, expected));
+        trace::writeTrace(tr, expected);
         EXPECT_EQ(fileBytes(stored), fileBytes(expected));
 
         trace::DecodedTrace dec = trace::decodeTrace(

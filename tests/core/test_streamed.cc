@@ -187,7 +187,7 @@ TEST(StreamedTrace, WarmupTrapTracesMatchMaterialized)
         const std::vector<FrontendResult> whole =
             frontend::simulateFused(base, lanes, dec);
 
-        frontend::StreamSim sim(base, lanes);
+        frontend::StreamSim sim({base});
         workload::streamTrace(spec, 0, sim);
         const std::vector<FrontendResult> streamed = sim.finish();
 
@@ -225,14 +225,14 @@ TEST(StreamedTrace, AnyBoundsContainingTheTotalMatchMaterialized)
     const workload::TraceSpec spec = workload::makeSuite(1, 3)[0];
     const trace::Trace tr = workload::buildTrace(spec, 30'000);
     const frontend::FrontendConfig base;
-    const trace::DecodedTrace dec =
-        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    const std::uint64_t total = dec.totalInstructions();
-    const FrontendResult whole = frontend::simulateDecoded(base, dec);
+    const std::uint64_t total =
+        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes)
+            .totalInstructions();
+    const FrontendResult whole = frontend::simulateTrace(base, tr);
     for (const auto &[lo, hi] :
          {std::pair{total, total}, std::pair{total - 40, total + 40},
           std::pair{std::uint64_t{0}, 2 * total}}) {
-        frontend::StreamSim sim(base, {frontend::PolicyKind::Lru});
+        frontend::StreamSim sim({base});
         replay(tr, lo, hi, sim);
         EXPECT_EQ(legJson(sim.finish()[0]), legJson(whole))
             << "[" << lo << ", " << hi << "]";
@@ -248,7 +248,7 @@ TEST(StreamedTraceDeathTest, BoundsExcludingTheTotalFail)
         trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes)
             .totalInstructions();
     const auto run = [&](std::uint64_t lo, std::uint64_t hi) {
-        frontend::StreamSim sim(base, {frontend::PolicyKind::Lru});
+        frontend::StreamSim sim({base});
         replay(tr, lo, hi, sim);
         (void)sim.finish();
     };

@@ -1,12 +1,14 @@
 /** @file
- * Differential tests: the decode-once fetch-op path must be
- * bit-identical to the reference walker path for every policy, with
- * and without the pre-resolved direction stream.
+ * Differential tests: the decode-once fetch-op path, reading a
+ * direction stream resolved once per trace, must be bit-identical to
+ * the reference walker oracle — which runs its own live predictor —
+ * for every policy and direction predictor.
  */
 
 #include <gtest/gtest.h>
 
 #include "frontend/frontend.hh"
+#include "walker_oracle.hh"
 #include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
 
@@ -70,26 +72,22 @@ TEST_P(DecodedVsWalker, BitIdenticalForEveryPolicy)
     base.icache = cache::CacheConfig::icache(8, 4);
     base.btb = cache::CacheConfig::btb(512, 4);
 
-    trace::DecodedTrace dec =
+    trace::DecodedTrace resolved =
         trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    trace::DecodedTrace resolved = dec;
     resolveDirectionStream(resolved, base.direction);
 
     for (PolicyKind policy : allPolicies) {
         FrontendConfig cfg = base;
         cfg.policy = policy;
-
-        FrontendSim walker_sim(cfg);
-        const FrontendResult ref = walker_sim.runWalker(tr);
-
-        FrontendSim decoded_sim(cfg);
-        expectIdentical(decoded_sim.run(dec), ref,
-                        std::string(policyName(policy)) + " decoded");
+        const FrontendResult ref = runWalker(cfg, tr);
 
         FrontendSim resolved_sim(cfg);
         expectIdentical(resolved_sim.run(resolved), ref,
                         std::string(policyName(policy)) +
                             " decoded+direction");
+        FrontendSim trace_sim(cfg);
+        expectIdentical(trace_sim.run(tr), ref,
+                        std::string(policyName(policy)) + " trace");
     }
 }
 
@@ -115,32 +113,9 @@ TEST(DecodedVsWalkerEdge, TinyHandBuiltTrace)
     cfg.warmupFraction = 0.0;
     for (PolicyKind policy : allPolicies) {
         cfg.policy = policy;
-        FrontendSim a(cfg), b(cfg);
-        expectIdentical(b.run(trace::decodeTrace(t, cfg.icache.blockBytes,
-                                                 cfg.instBytes)),
-                        a.runWalker(t), policyName(policy));
+        FrontendSim sim(cfg);
+        expectIdentical(sim.run(t), runWalker(cfg, t), policyName(policy));
     }
-}
-
-TEST(DecodedVsWalkerEdge, MismatchedDirectionStreamFallsBackLive)
-{
-    const auto specs = workload::makeSuite(1, 5);
-    const trace::Trace tr = workload::buildTrace(specs.front(), 60'000);
-
-    FrontendConfig cfg;
-    cfg.policy = PolicyKind::Ghrp;
-    cfg.direction = DirectionKind::Gshare;
-
-    trace::DecodedTrace dec =
-        trace::decodeTrace(tr, cfg.icache.blockBytes, cfg.instBytes);
-    // Resolve with a *different* predictor kind: the leg must ignore
-    // the stream and simulate its own predictor, still matching the
-    // walker reference.
-    resolveDirectionStream(dec, DirectionKind::Bimodal);
-    ASSERT_TRUE(dec.hasDirectionStream());
-
-    FrontendSim a(cfg), b(cfg);
-    expectIdentical(b.run(dec), a.runWalker(tr), "gshare fallback");
 }
 
 TEST(DecodedVsWalkerEdge, ResolvedStreamMatchesLivePredictor)
@@ -152,19 +127,33 @@ TEST(DecodedVsWalkerEdge, ResolvedStreamMatchesLivePredictor)
          {DirectionKind::HashedPerceptron, DirectionKind::Gshare,
           DirectionKind::Bimodal}) {
         FrontendConfig cfg;
+        cfg.policy = PolicyKind::Ghrp;
         cfg.direction = kind;
 
         trace::DecodedTrace dec =
             trace::decodeTrace(tr, cfg.icache.blockBytes, cfg.instBytes);
         resolveDirectionStream(dec, kind);
 
-        FrontendSim live(cfg), pre(cfg);
-        trace::DecodedTrace plain =
-            trace::decodeTrace(tr, cfg.icache.blockBytes, cfg.instBytes);
-        expectIdentical(pre.run(dec), live.run(plain),
+        FrontendSim pre(cfg);
+        expectIdentical(pre.run(dec), runWalker(cfg, tr),
                         "direction kind " +
                             std::to_string(static_cast<int>(kind)));
     }
+}
+
+/** A leg owns no direction predictor: it refuses a stream that is not
+ *  resolved, or resolved with another predictor. */
+TEST(DirectionStreamDeathTest, UnresolvedOrMismatchedStreamPanics)
+{
+    const auto specs = workload::makeSuite(1, 5);
+    const trace::Trace tr = workload::buildTrace(specs.front(), 20'000);
+    FrontendConfig cfg;
+    cfg.direction = DirectionKind::Gshare;
+    trace::DecodedTrace dec =
+        trace::decodeTrace(tr, cfg.icache.blockBytes, cfg.instBytes);
+    EXPECT_DEATH(FrontendSim(cfg).run(dec), "not resolved");
+    resolveDirectionStream(dec, DirectionKind::Bimodal);
+    EXPECT_DEATH(FrontendSim(cfg).run(dec), "not resolved");
 }
 
 } // anonymous namespace

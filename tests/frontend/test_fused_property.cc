@@ -4,7 +4,8 @@
  * short traces and geometries (splitMix64-derived lengths, set counts,
  * associativities — including non-power-of-two and 1-way sets) are
  * hammered through FusedSim and per-leg runs and checked lane-by-lane
- * against the independent runWalker oracle. The traces include
+ * against the independent walker oracle (walker_oracle.hh), whose live
+ * predictor also checks the direction resolver. The traces include
  * malformed records that force a fetch-run resync. On a mismatch the
  * failing seed is printed so the exact case replays with a one-line
  * test.
@@ -18,6 +19,7 @@
 #include "frontend/fused.hh"
 #include "trace/decoded_trace.hh"
 #include "util/random.hh"
+#include "walker_oracle.hh"
 
 namespace
 {
@@ -157,8 +159,7 @@ runOneSeed(std::uint64_t seed)
 
     trace::DecodedTrace dec =
         trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    if (rng.nextBool(0.8))
-        resolveDirectionStream(dec, base.direction);
+    resolveDirectionStream(dec, base.direction);
 
     const std::vector<PolicySpec> policies(
         allPolicies, allPolicies + std::size(allPolicies));
@@ -169,8 +170,7 @@ runOneSeed(std::uint64_t seed)
     for (std::size_t i = 0; i < policies.size(); ++i) {
         FrontendConfig cfg = base;
         cfg.policy = policies[i];
-        FrontendSim oracle(cfg);
-        const FrontendResult ref = oracle.runWalker(tr);
+        const FrontendResult ref = runWalker(cfg, tr);
         const FrontendResult per_leg = simulateDecoded(cfg, dec);
 
         SCOPED_TRACE(::testing::Message()
@@ -246,8 +246,7 @@ TEST(FusedProperty, DirectMappedStructures)
     for (std::size_t i = 0; i < policies.size(); ++i) {
         FrontendConfig cfg = base;
         cfg.policy = policies[i];
-        FrontendSim oracle(cfg);
-        const FrontendResult ref = oracle.runWalker(tr);
+        const FrontendResult ref = runWalker(cfg, tr);
         SCOPED_TRACE(policyName(policies[i]));
         EXPECT_EQ(fused[i].icache.misses, ref.icache.misses);
         EXPECT_EQ(fused[i].icache.evictions, ref.icache.evictions);

@@ -3,10 +3,8 @@
  * Differential tests for the fused multi-policy executor: one chunked
  * walk of a decoded stream driving every policy lane must be
  * bit-identical to simulating the legs one at a time — per policy, per
- * workload category, for non-default I-cache/BTB geometries, through
- * core::runSuite at any worker count, and for lanes whose configured
- * direction predictor does not match the pre-resolved stream (they
- * must fall back to live prediction exactly as a per-leg run would).
+ * workload category, for non-default I-cache/BTB geometries, and
+ * through core::runSuite at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -120,36 +118,6 @@ TEST(FusedSim, MatchesPerLegForEveryPolicyAndCategory)
     }
 }
 
-/**
- * Lanes whose direction predictor differs from the stream's resolved
- * kind must simulate their predictor live inside the fused walk and
- * still match their per-leg runs exactly.
- */
-TEST(FusedSim, MismatchedDirectionStreamFallsBackLive)
-{
-    const auto specs = workload::makeSuite(1, 5);
-    const trace::Trace tr = workload::buildTrace(specs.front(), 60'000);
-
-    FrontendConfig base;
-    base.direction = DirectionKind::Gshare;
-
-    trace::DecodedTrace dec =
-        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    // Resolved for a different predictor: every lane must ignore it.
-    resolveDirectionStream(dec, DirectionKind::Bimodal);
-    ASSERT_TRUE(dec.hasDirectionStream());
-
-    const std::vector<FrontendResult> fused =
-        simulateFused(base, everyPolicy(), dec);
-    for (std::size_t i = 0; i < std::size(allPolicies); ++i) {
-        FrontendConfig cfg = base;
-        cfg.policy = allPolicies[i];
-        expectIdentical(fused[i], simulateDecoded(cfg, dec),
-                        std::string("gshare fallback / ") +
-                            policyName(allPolicies[i]));
-    }
-}
-
 /** A fused group that is smaller than a full chunk (tiny trace) and a
  *  single-lane group both degenerate cleanly. */
 TEST(FusedSim, TinyTraceAndSingleLane)
@@ -164,8 +132,9 @@ TEST(FusedSim, TinyTraceAndSingleLane)
 
     FrontendConfig base;
     base.warmupFraction = 0.0;
-    const trace::DecodedTrace dec =
+    trace::DecodedTrace dec =
         trace::decodeTrace(t, base.icache.blockBytes, base.instBytes);
+    resolveDirectionStream(dec, base.direction);
 
     const std::vector<FrontendResult> fused =
         simulateFused(base, {PolicyKind::Ghrp}, dec);

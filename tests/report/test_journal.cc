@@ -263,6 +263,47 @@ TEST(JournalSweep, CompleteJournalReplaysWithoutSimulating)
     EXPECT_EQ(legsDump(options, replayed), legsDump(options, first));
 }
 
+TEST(JournalSweep, ThroughputCountsOnlySimulatedLegs)
+{
+    const std::string path = scratchFile("throughput");
+    const core::SuiteOptions options = smallSweep();
+    const core::SuiteResults fresh = runJournaled(options, path);
+    EXPECT_EQ(fresh.legsRun, 6u);
+    EXPECT_EQ(fresh.instructionsRun, fresh.simulatedInstructions());
+
+    // A full replay simulates nothing: no legs and zero throughput,
+    // while the report still holds every leg of the sweep.
+    const core::SuiteResults replayed = runJournaled(options, path);
+    EXPECT_EQ(replayed.legsRun, 0u);
+    EXPECT_EQ(replayed.instructionsRun, 0u);
+    EXPECT_EQ(replayed.busySeconds, 0.0);
+    EXPECT_TRUE(replayed.slowestLeg.empty());
+    const RunReport full = buildSuiteReport("journal", options, replayed);
+    EXPECT_EQ(full.sweep.legs, 6u);
+    EXPECT_EQ(full.sweep.legsPerSec, 0.0);
+    EXPECT_EQ(full.sweep.mInstrPerSec, 0.0);
+
+    // A partial resume counts only the four legs it ran.
+    const std::vector<Json> records = readJournal(path).records;
+    writeRecords(path, std::vector<Json>(records.begin(),
+                                         records.begin() + 3));
+    std::uint64_t journaled = 0;
+    for (std::size_t i = 1; i < 3; ++i)
+        journaled +=
+            legFromJson(records[i].at("leg")).result.totalInstructions;
+    const core::SuiteResults resumed = runJournaled(options, path);
+    EXPECT_EQ(resumed.legsRun, 4u);
+    EXPECT_EQ(resumed.instructionsRun,
+              resumed.simulatedInstructions() - journaled);
+    const RunReport partial = buildSuiteReport("journal", options, resumed);
+    ASSERT_GT(partial.sweep.wallSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(partial.sweep.legsPerSec,
+                     4.0 / partial.sweep.wallSeconds);
+    EXPECT_DOUBLE_EQ(partial.sweep.mInstrPerSec,
+                     static_cast<double>(resumed.instructionsRun) /
+                         partial.sweep.wallSeconds / 1e6);
+}
+
 TEST(JournalSweep, ResumeMayChangeExecutionKnobs)
 {
     // Keep the sweep record and two legs of a per-leg serial run, then

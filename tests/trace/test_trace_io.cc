@@ -93,4 +93,25 @@ TEST(TraceIoDeathTest, TruncatedFileIsFatal)
     std::remove(path.c_str());
 }
 
+/** A record count read from disk is checked against the file length
+ *  before anything is sized by it: a corrupt count is a clean error,
+ *  not an allocation failure. */
+TEST(TraceIoDeathTest, CorruptRecordCountIsFatal)
+{
+    const std::string path = ::testing::TempDir() + "/count.ghrptrc";
+    for (const std::uint64_t count :
+         {std::uint64_t{0x0fffffffffffffff}, std::uint64_t{1} << 40}) {
+        writeTrace(sampleTrace(), path);
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekp(20);  // n_records: after magic, version, entry PC
+            f.write(reinterpret_cast<const char *>(&count), sizeof(count));
+        }
+        EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
+                    "truncated");
+    }
+    std::remove(path.c_str());
+}
+
 } // anonymous namespace

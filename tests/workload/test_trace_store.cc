@@ -45,6 +45,41 @@ sameTrace(const trace::Trace &a, const trace::Trace &b)
     return true;
 }
 
+constexpr std::uint64_t kLength = 40'000;
+
+/**
+ * What a sweep does with the store: load the decoded trace, or on a
+ * miss generate it and persist it through writer() from its decoded
+ * records, as core::runSuite's streamed path does chunk by chunk.
+ */
+trace::DecodedTrace
+loadOrGenerate(TraceStore &store, const TraceSpec &spec)
+{
+    if (std::optional<trace::DecodedTrace> hit =
+            store.loadDecoded(spec, kLength, 64, 4))
+        return std::move(*hit);
+    const trace::Trace tr = buildTrace(spec, kLength);
+    trace::DecodedTrace dec = trace::decodeTrace(tr, 64, 4);
+    if (const std::unique_ptr<TraceStore::Writer> w =
+            store.writer(spec, kLength, -1)) {
+        trace::StreamHeader header;
+        header.name = tr.name;
+        header.category = tr.category;
+        header.entryPc = tr.entryPc;
+        w->begin(header);
+        w->chunk(dec);
+        w->finish();
+    }
+    return dec;
+}
+
+/** The in-memory pipeline's decode of @p spec. */
+trace::DecodedTrace
+reference(const TraceSpec &spec)
+{
+    return trace::decodeTrace(buildTrace(spec, kLength), 64, 4);
+}
+
 /** Overwrite the branch-type byte of the last record of the trace
  *  file at @p path with an invalid type. */
 void
@@ -112,9 +147,9 @@ TEST(TraceStoreTest, DisabledStoreStillBuilds)
     if (store.enabled())
         GTEST_SKIP() << "GHRP_TRACE_CACHE set in environment";
     const auto sp = specs(1);
-    const trace::Trace direct = buildTrace(sp[0], 40'000);
-    const trace::Trace via_store = store.acquire(sp[0], 40'000);
-    EXPECT_TRUE(sameTrace(direct, via_store));
+    EXPECT_FALSE(store.loadDecoded(sp[0], kLength, 64, 4).has_value());
+    EXPECT_EQ(store.writer(sp[0], kLength, -1), nullptr);
+    expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().hits, 0u);
     EXPECT_EQ(store.stats().misses, 0u);
 }
@@ -124,15 +159,15 @@ TEST(TraceStoreTest, MissThenHitRoundTrip)
     TraceStore store(scratchDir("roundtrip"));
     const auto sp = specs(1);
 
-    const trace::Trace first = store.acquire(sp[0], 40'000);
+    const trace::DecodedTrace first = loadOrGenerate(store, sp[0]);
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.stats().stores, 1u);
-    EXPECT_TRUE(std::filesystem::exists(store.pathFor(sp[0], 40'000)));
+    EXPECT_TRUE(std::filesystem::exists(store.pathFor(sp[0], kLength)));
 
-    const trace::Trace second = store.acquire(sp[0], 40'000);
+    const trace::DecodedTrace second = loadOrGenerate(store, sp[0]);
     EXPECT_EQ(store.stats().hits, 1u);
-    EXPECT_TRUE(sameTrace(first, second));
-    EXPECT_TRUE(sameTrace(first, buildTrace(sp[0], 40'000)));
+    expectSameDecoded(first, second);
+    expectSameDecoded(second, reference(sp[0]));
     // Presentation metadata comes from the spec, not the file.
     EXPECT_EQ(second.name, sp[0].name);
 }
@@ -141,9 +176,9 @@ TEST(TraceStoreTest, MappedReadEqualsStreamedRead)
 {
     TraceStore store(scratchDir("mmap"));
     const auto sp = specs(1);
-    (void)store.acquire(sp[0], 40'000);
+    (void)loadOrGenerate(store, sp[0]);
 
-    const std::string path = store.pathFor(sp[0], 40'000);
+    const std::string path = store.pathFor(sp[0], kLength);
     const auto mapped = trace::MappedTrace::tryOpen(path);
     ASSERT_TRUE(mapped.has_value());
     const trace::Trace streamed = trace::readTrace(path);
@@ -151,9 +186,7 @@ TEST(TraceStoreTest, MappedReadEqualsStreamedRead)
     EXPECT_EQ(mapped->entryPc(), streamed.entryPc);
     for (std::size_t i = 0; i < streamed.records.size(); ++i)
         EXPECT_EQ(mapped->record(i), streamed.records[i]);
-    const std::optional<trace::Trace> materialized = mapped->materialize();
-    ASSERT_TRUE(materialized.has_value());
-    EXPECT_TRUE(sameTrace(*materialized, streamed));
+    EXPECT_TRUE(sameTrace(streamed, buildTrace(sp[0], kLength)));
 }
 
 TEST(TraceStoreTest, AcquireDecodedMatchesInMemoryPipeline)
@@ -181,41 +214,44 @@ TEST(TraceStoreTest, CorruptBranchTypeIsAMiss)
 {
     const std::string dir = scratchDir("corrupt-type");
     const auto sp = specs(1);
-    (void)TraceStore(dir).acquire(sp[0], 40'000);  // prime the file
+    {
+        TraceStore primer(dir);
+        (void)loadOrGenerate(primer, sp[0]);  // prime the file
+    }
     TraceStore store(dir);
-    const std::string path = store.pathFor(sp[0], 40'000);
+    const std::string path = store.pathFor(sp[0], kLength);
 
     // The header still opens; only decoding the record can tell.
     corruptLastBranchType(path);
     ASSERT_TRUE(trace::MappedTrace::tryOpen(path).has_value());
 
     const trace::DecodedTrace dec =
-        store.acquireDecoded(sp[0], 40'000, 64, 4);
-    expectSameDecoded(dec, trace::decodeTrace(buildTrace(sp[0], 40'000),
-                                              64, 4));
+        store.acquireDecoded(sp[0], kLength, 64, 4);
+    expectSameDecoded(dec, reference(sp[0]));
     EXPECT_EQ(store.stats().hits, 0u);
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.stats().stores, 1u);
 
     // The corrupt file was overwritten: the next acquire hits.
-    (void)store.acquireDecoded(sp[0], 40'000, 64, 4);
+    (void)store.acquireDecoded(sp[0], kLength, 64, 4);
     EXPECT_EQ(store.stats().hits, 1u);
     EXPECT_EQ(store.stats().misses, 1u);
 }
 
-TEST(TraceStoreTest, CorruptBranchTypeIsAMissForAcquire)
+TEST(TraceStoreTest, CorruptBranchTypeIsAMissThroughTheWriter)
 {
-    const std::string dir = scratchDir("corrupt-type-acquire");
+    const std::string dir = scratchDir("corrupt-type-writer");
     const auto sp = specs(1);
-    (void)TraceStore(dir).acquire(sp[0], 40'000);
+    {
+        TraceStore primer(dir);
+        (void)loadOrGenerate(primer, sp[0]);
+    }
     TraceStore store(dir);
-    const std::string path = store.pathFor(sp[0], 40'000);
-    corruptLastBranchType(path);
-    EXPECT_TRUE(sameTrace(store.acquire(sp[0], 40'000),
-                          buildTrace(sp[0], 40'000)));
+    corruptLastBranchType(store.pathFor(sp[0], kLength));
+    expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.stats().stores, 1u);
-    (void)store.acquire(sp[0], 40'000);
+    (void)loadOrGenerate(store, sp[0]);
     EXPECT_EQ(store.stats().hits, 1u);
 }
 
@@ -223,8 +259,8 @@ TEST(TraceStoreTest, StaleFormatVersionIsAMiss)
 {
     TraceStore store(scratchDir("stale"));
     const auto sp = specs(1);
-    (void)store.acquire(sp[0], 40'000);
-    const std::string path = store.pathFor(sp[0], 40'000);
+    (void)loadOrGenerate(store, sp[0]);
+    const std::string path = store.pathFor(sp[0], kLength);
 
     // Corrupt the format version byte; the mapped open must refuse the
     // file (nullopt, not fatal) and the store must regenerate.
@@ -238,9 +274,8 @@ TEST(TraceStoreTest, StaleFormatVersionIsAMiss)
     }
     EXPECT_FALSE(trace::MappedTrace::tryOpen(path).has_value());
 
-    const trace::Trace rebuilt = store.acquire(sp[0], 40'000);
+    expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().misses, 2u);
-    EXPECT_TRUE(sameTrace(rebuilt, buildTrace(sp[0], 40'000)));
     // The stale file was overwritten with a fresh, valid one.
     EXPECT_TRUE(trace::MappedTrace::tryOpen(path).has_value());
 }
@@ -249,29 +284,28 @@ TEST(TraceStoreTest, CorruptFileIsAMiss)
 {
     TraceStore store(scratchDir("corrupt"));
     const auto sp = specs(1);
-    const std::string path = store.pathFor(sp[0], 40'000);
+    const std::string path = store.pathFor(sp[0], kLength);
     std::filesystem::create_directories(store.directory());
     {
         std::ofstream f(path, std::ios::binary);
         f << "garbage that is not a trace";
     }
     EXPECT_FALSE(trace::MappedTrace::tryOpen(path).has_value());
-    const trace::Trace built = store.acquire(sp[0], 40'000);
+    expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().misses, 1u);
-    EXPECT_TRUE(sameTrace(built, buildTrace(sp[0], 40'000)));
 }
 
 TEST(TraceStoreTest, TruncatedFileIsAMiss)
 {
     TraceStore store(scratchDir("trunc"));
     const auto sp = specs(1);
-    (void)store.acquire(sp[0], 40'000);
-    const std::string path = store.pathFor(sp[0], 40'000);
+    (void)loadOrGenerate(store, sp[0]);
+    const std::string path = store.pathFor(sp[0], kLength);
 
     const auto full = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, full / 2);
     EXPECT_FALSE(trace::MappedTrace::tryOpen(path).has_value());
-    (void)store.acquire(sp[0], 40'000);
+    (void)loadOrGenerate(store, sp[0]);
     EXPECT_EQ(store.stats().misses, 2u);
 }
 
@@ -284,20 +318,20 @@ TEST(TraceStoreTest, FailedPublishFallsBackToStoreless)
     // Occupy the entry's final path with a non-empty directory: the
     // temp-file write succeeds but the atomic rename cannot replace
     // it (a stand-in for ENOSPC or a broken store mount at publish
-    // time). acquire() must still return the trace, not die.
-    std::filesystem::create_directories(store.pathFor(sp[0], 40'000) +
+    // time). The sweep must still get its trace, not die.
+    std::filesystem::create_directories(store.pathFor(sp[0], kLength) +
                                         "/occupied");
-    const trace::Trace first = store.acquire(sp[0], 40'000);
-    EXPECT_TRUE(sameTrace(first, buildTrace(sp[0], 40'000)));
+    expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().stores, 0u);
 
-    // The store flipped to read-only; later acquires keep working
-    // storeless instead of re-paying doomed publish attempts.
-    const trace::Trace second = store.acquire(sp[1], 40'000);
-    EXPECT_TRUE(sameTrace(second, buildTrace(sp[1], 40'000)));
+    // The store flipped to read-only: writer() stops handing out
+    // writers, so later traces run storeless instead of re-paying
+    // doomed publish attempts.
+    EXPECT_EQ(store.writer(sp[1], kLength, -1), nullptr);
+    expectSameDecoded(loadOrGenerate(store, sp[1]), reference(sp[1]));
     EXPECT_EQ(store.stats().stores, 0u);
     EXPECT_FALSE(
-        std::filesystem::exists(store.pathFor(sp[1], 40'000)));
+        std::filesystem::exists(store.pathFor(sp[1], kLength)));
 
     // No temp droppings either: the failed publish cleaned up.
     std::size_t regular_files = 0;
