@@ -31,7 +31,7 @@ main(int argc, char **argv)
         cli.getUint("instructions", 12'000'000);
     const std::uint64_t base_seed = cli.getUint("seed", 42);
     const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_btb_stress");
+    core::applyLogLevel(cli);
 
     // One pool job per stress trace, results in per-trace slots so the
     // reduction below is deterministic. Per-trace seeds use the pure
@@ -137,6 +137,5 @@ main(int argc, char **argv)
     builder.addMetric("ghrp_dead_evict_pct", dead_evict_pct.mean());
     builder.setSweep(sweep_wall, jobs);
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ablation_btb_stress");
     return 0;
 }

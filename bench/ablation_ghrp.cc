@@ -34,12 +34,8 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_ghrp");
+    const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
     const std::vector<Variant> variants = {
         {"GHRP (default)", [](frontend::FrontendConfig &) {}},
@@ -70,8 +66,6 @@ main(int argc, char **argv)
 
     // LRU plus every variant, each a lane of one fused walk per trace
     // (lane 0 is LRU, lane 1 + v is variant v).
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
     std::vector<frontend::FrontendConfig> lanes(1);
     lanes[0].policy = frontend::PolicyKind::Lru;
     for (const Variant &variant : variants) {
@@ -80,8 +74,7 @@ main(int argc, char **argv)
         variant.apply(config);
         lanes.push_back(config);
     }
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
 
     stats::RunningStats lru_icache, lru_btb;
     std::vector<stats::RunningStats> var_icache(variants.size());
@@ -95,7 +88,8 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("=== GHRP ablation study (%u traces) ===\n\n", num_traces);
+    std::printf("=== GHRP ablation study (%zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table({"variant", "icache-MPKI", "vs LRU %",
                             "btb-MPKI", "vs LRU %"});
     table.addRow({"LRU baseline", stats::TextTable::num(lru_icache.mean()),
@@ -140,9 +134,8 @@ main(int argc, char **argv)
         builder.addMetric(key + "_icache_mpki", var_icache[v].mean());
         builder.addMetric(key + "_btb_mpki", var_btb[v].mean());
     }
-    builder.setSweep(run.wallSeconds, jobs,
+    builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * (variants.size() + 1));
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ablation_ghrp");
     return 0;
 }

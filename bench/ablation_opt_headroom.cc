@@ -20,19 +20,11 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 6));
-    const std::uint64_t instructions =
-        cli.getUint("instructions", 4'000'000);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_opt_headroom");
+    const bench::ConfigSuite suite = bench::configSuite(cli, 6, 4'000'000);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
-
-    std::printf("=== OPT headroom (cold caches, %u traces) ===\n\n",
-                num_traces);
+    std::printf("=== OPT headroom (cold caches, %zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table({"trace", "LRU MPKI", "GHRP MPKI", "OPT MPKI",
                             "headroom %", "captured %"});
 
@@ -44,8 +36,7 @@ main(int argc, char **argv)
         cfg.warmupFraction = 0.0;  // OPT replays the whole trace
     lanes[0].policy = frontend::PolicyKind::Lru;
     lanes[1].policy = frontend::PolicyKind::Ghrp;
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
 
     struct PerTrace
     {
@@ -53,7 +44,8 @@ main(int argc, char **argv)
     };
     std::vector<PerTrace> rows;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const trace::Trace tr = workload::buildTrace(specs[i], instructions);
+        const trace::Trace tr =
+            workload::buildTrace(specs[i], suite.instructions);
         rows.push_back({run.results[0][i].icacheMpki,
                         run.results[1][i].icacheMpki,
                         core::simulateOptIcache(tr, lanes[0].icache).mpki()});
@@ -75,10 +67,14 @@ main(int argc, char **argv)
                       stats::TextTable::num(captured, 1)});
     }
 
+    const double mean_headroom =
+        sum_headroom / static_cast<double>(specs.size());
+    const double mean_captured =
+        sum_captured / static_cast<double>(specs.size());
     std::printf("%s\n", table.render().c_str());
     std::printf("mean headroom %.1f%%; mean share captured by GHRP "
                 "%.1f%%\n",
-                sum_headroom / num_traces, sum_captured / num_traces);
+                mean_headroom, mean_captured);
 
     report::ReportBuilder builder("ablation_opt_headroom");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -86,10 +82,9 @@ main(int argc, char **argv)
         builder.addMetric(specs[i].name + "_ghrp_mpki", rows[i].ghrp);
         builder.addMetric(specs[i].name + "_opt_mpki", rows[i].opt);
     }
-    builder.addMetric("mean_headroom_pct", sum_headroom / num_traces);
-    builder.addMetric("mean_captured_pct", sum_captured / num_traces);
-    builder.setSweep(run.wallSeconds, jobs, specs.size() * 3);
+    builder.addMetric("mean_headroom_pct", mean_headroom);
+    builder.addMetric("mean_captured_pct", mean_captured);
+    builder.setSweep(run.wallSeconds, suite.jobs, specs.size() * 3);
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ablation_opt_headroom");
     return 0;
 }

@@ -47,12 +47,8 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_thresholds");
+    const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
     struct GhrpVariant
     {
@@ -75,8 +71,6 @@ main(int argc, char **argv)
         {16, 40}, {32, 80}, {64, 160}, {128, 300},
     };
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
 
     // LRU, then every GHRP and every SDBP variant, each a lane of one
     // fused walk per trace.
@@ -98,8 +92,7 @@ main(int argc, char **argv)
         config.sdbp.bypassThreshold = v.bypass;
         lanes.push_back(config);
     }
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
     const std::size_t first_sdbp = 1 + ghrp_variants.size();
 
     Accumulator lru;
@@ -113,8 +106,8 @@ main(int argc, char **argv)
             sdbp_acc[v].add(specs[i], run.results[first_sdbp + v][i]);
     }
 
-    std::printf("=== Predictor threshold sweep (%u traces) ===\n\n",
-                num_traces);
+    std::printf("=== Predictor threshold sweep (%zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table({"variant", "mob icache", "srv icache",
                             "mob %", "srv %", "btb MPKI", "btb %"});
     auto rel = [](double v, double base) {
@@ -181,10 +174,9 @@ main(int argc, char **argv)
         builder.addMetric(std::string(key) + "_server_icache_mpki",
                           sdbp_acc[v].server.mean());
     }
-    builder.setSweep(run.wallSeconds, jobs,
+    builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() *
                          (1 + ghrp_variants.size() + sdbp_variants.size()));
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ablation_thresholds");
     return 0;
 }

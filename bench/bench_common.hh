@@ -16,31 +16,29 @@
  *   --quiet            suppress progress and throughput reporting
  *                      (equivalent to --log-level warn)
  *   --log-level L      verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)
- *   --trace-out FILE   record spans and write a Chrome trace_event
- *                      JSON (perfetto-loadable) of the run to FILE;
- *                      with no flag, the GHRP_TRACE_DIR environment
- *                      variable (when set) selects
- *                      <dir>/<experiment>.trace.json
  *   --report FILE      write a versioned JSON run report (schema
  *                      "ghrp-run-report") to FILE; with no flag, the
  *                      GHRP_REPORT_DIR environment variable (when set)
  *                      selects <dir>/<experiment>.json — handy for
  *                      fleet runs that report every binary
  *
- * The policy-sweep binaries (suiteOptions + runSuiteTimed) also accept:
- *   --fused            fuse all policy legs of a trace into one chunked
- *                      walk of its decoded stream (or GHRP_FUSED=1);
- *                      results are bit-identical to per-leg runs, the
- *                      stream is just read from memory once per trace
- *                      instead of once per policy
+ * The sweeps — policy sweeps (suiteOptions + runSuiteTimed) and config
+ * sweeps (configSuite + runLanesTimed) — also accept:
  *   --trace-cache DIR  content-addressed trace store directory
  *                      (default: the GHRP_TRACE_CACHE environment
  *                      variable; traces are generated in memory when
  *                      neither is set — results are identical, warm
  *                      runs just skip regeneration)
+ *   --slow-leg-ms N    warn() about legs slower than N milliseconds
+ *
+ * The policy sweeps alone also accept the flags below; a config sweep
+ * given one of them exits with an error naming it:
+ *   --fused            fuse all policy legs of a trace into one chunked
+ *                      walk of its decoded stream (or GHRP_FUSED=1);
+ *                      results are bit-identical to per-leg runs, the
+ *                      stream is just read from memory once per trace
+ *                      instead of once per policy
  *   --leg-times        print the per-leg wall-time table
- *   --slow-leg-ms N    warn() about (trace, policy) legs slower than
- *                      N milliseconds
  *   --duel A,B[,...]   append a duel:A,B[,psel=N][,leaders=K]
  *                      set-dueling leg to the suite's policy axis
  *   --phase-window N   phase flight recorder: sample a windowed
@@ -50,8 +48,6 @@
  *   --journal FILE     crash resume: append every finished leg to FILE
  *                      and, when FILE already holds legs of the same
  *                      sweep, skip them (see report/journal.hh)
- *
- * The config sweeps read the trace store from GHRP_TRACE_CACHE only.
  */
 
 #ifndef GHRP_BENCH_BENCH_COMMON_HH
@@ -66,68 +62,16 @@
 #include "core/runner.hh"
 #include "report/journal.hh"
 #include "report/report.hh"
-#include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace ghrp::bench
 {
 
-/**
- * Where this run's Chrome trace JSON should go: the --trace-out flag,
- * else <GHRP_TRACE_DIR>/<experiment>.trace.json when the environment
- * variable is set, else empty (tracing stays off).
- */
-inline std::string
-tracePath(const core::CliOptions &cli, const std::string &experiment)
-{
-    const std::string path = cli.getString("trace-out", "");
-    if (!path.empty() || experiment.empty())
-        return path;
-    if (const char *dir = std::getenv("GHRP_TRACE_DIR"); dir && *dir)
-        return std::string(dir) + "/" + experiment + ".trace.json";
-    return "";
-}
-
-/**
- * Per-binary telemetry setup: apply the unified log level (--log-level
- * / --quiet / GHRP_LOG_LEVEL), name the main thread's trace row, and
- * enable span recording when a --trace-out / GHRP_TRACE_DIR
- * destination exists. Called by suiteOptions(); custom bench loops
- * that bypass it call this directly.
- */
-inline void
-initTelemetry(const core::CliOptions &cli, const std::string &experiment)
-{
-    core::applyLogLevel(cli);
-    telemetry::setThreadName("main");
-    if (!tracePath(cli, experiment).empty())
-        telemetry::setTracingEnabled(true);
-}
-
-/**
- * Serialize the spans recorded so far to the --trace-out /
- * GHRP_TRACE_DIR destination, if any. No-op (and no file) when
- * tracing was never enabled.
- */
-inline void
-writeTraceIfRequested(const core::CliOptions &cli,
-                      const std::string &experiment)
-{
-    const std::string path = tracePath(cli, experiment);
-    if (path.empty() || !telemetry::tracingEnabled())
-        return;
-    if (!telemetry::writeChromeTrace(path))
-        warn("cannot write trace '%s'", path.c_str());
-    else if (informEnabled())
-        std::fprintf(stderr, "[trace] wrote %s\n", path.c_str());
-}
-
 /** Build SuiteOptions from CLI flags with per-binary defaults. */
 inline core::SuiteOptions
 suiteOptions(const core::CliOptions &cli, std::uint32_t default_traces,
-             std::uint64_t default_instructions,
-             const std::string &experiment = "")
+             std::uint64_t default_instructions)
 {
     core::SuiteOptions options;
     options.numTraces =
@@ -152,8 +96,45 @@ suiteOptions(const core::CliOptions &cli, std::uint32_t default_traces,
     if (const std::string duel = cli.getString("duel", ""); !duel.empty())
         options.policies.push_back(
             frontend::parsePolicySpec("duel:" + duel));
-    initTelemetry(cli, experiment);
+    core::applyLogLevel(cli);
     return options;
+}
+
+/** A config sweep's suite and sweep settings, from the command line. */
+struct ConfigSuite
+{
+    std::vector<workload::TraceSpec> specs;
+    std::uint64_t instructions = 0;  ///< per-trace override (0 = default)
+    unsigned jobs = 0;
+    std::string traceCacheDir;
+    double slowLegMs = 0.0;
+};
+
+/**
+ * Parse a config sweep's flags with per-binary defaults. The flags that
+ * only mean something on the policy axis are fatal() here rather than
+ * silently ignored.
+ */
+inline ConfigSuite
+configSuite(const core::CliOptions &cli, std::uint32_t default_traces,
+            std::uint64_t default_instructions)
+{
+    for (const char *flag :
+         {"fused", "journal", "leg-times", "duel", "phase-window"})
+        if (cli.has(flag))
+            fatal("--%s applies to the policy sweeps only; this config "
+                  "sweep does not take it",
+                  flag);
+    ConfigSuite suite;
+    suite.specs = workload::makeSuite(
+        static_cast<std::uint32_t>(cli.getUint("traces", default_traces)),
+        cli.getUint("seed", 42));
+    suite.instructions = cli.getUint("instructions", default_instructions);
+    suite.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    suite.traceCacheDir = cli.getString("trace-cache", "");
+    suite.slowLegMs = cli.getDouble("slow-leg-ms", 0.0);
+    core::applyLogLevel(cli);
+    return suite;
 }
 
 /**
@@ -288,24 +269,22 @@ runSuiteTimed(const core::SuiteOptions &options,
         reportLegTimes(results);
     writeReport(report::buildSuiteReport(experiment, options, results),
                 reportPath(cli, experiment));
-    writeTraceIfRequested(cli, experiment);
     return results;
 }
 
 /**
  * Run a config sweep (core::runLanes) with progress and a throughput
- * report: every lane of @p lanes on every trace of @p specs, results
+ * report: every lane of @p lanes on every trace of @p suite, results
  * in lanes x traces order whatever the scheduling.
  */
 inline core::LaneResults
-runLanesTimed(const std::vector<workload::TraceSpec> &specs,
-              std::uint64_t instruction_override,
-              const std::vector<frontend::FrontendConfig> &lanes,
-              unsigned jobs)
+runLanesTimed(const ConfigSuite &suite,
+              const std::vector<frontend::FrontendConfig> &lanes)
 {
     core::LaneResults results = core::runLanes(
-        specs, instruction_override, lanes, jobs, progressMeter());
-    reportThroughput(results, effectiveJobs(jobs));
+        suite.specs, suite.instructions, lanes, suite.jobs,
+        suite.traceCacheDir, suite.slowLegMs, progressMeter());
+    reportThroughput(results, effectiveJobs(suite.jobs));
     return results;
 }
 

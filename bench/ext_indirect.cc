@@ -20,15 +20,8 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ext_indirect");
-
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
     // GHRP with the BTB's last-seen target (lane 0) and with the
     // path-history target predictor (lane 1), fused per trace.
@@ -36,8 +29,7 @@ main(int argc, char **argv)
     for (frontend::FrontendConfig &cfg : lanes)
         cfg.policy = frontend::PolicyKind::Ghrp;
     lanes[1].useIndirectPredictor = true;
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
 
     stats::RunningStats base_rate, itp_rate, base_mpki, itp_mpki;
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -56,8 +48,8 @@ main(int argc, char **argv)
     }
 
     std::printf("=== Extension: indirect target prediction (GHRP "
-                "replacement, %u traces) ===\n\n",
-                num_traces);
+                "replacement, %zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table({"scheme", "indirect mispredict %",
                             "indirect MPKI"});
     table.addRow({"BTB last-seen target",
@@ -81,8 +73,7 @@ main(int argc, char **argv)
     builder.addMetric("itp_indirect_mispredict_pct", itp_rate.mean());
     builder.addMetric("base_indirect_mpki", base_mpki.mean());
     builder.addMetric("itp_indirect_mpki", itp_mpki.mean());
-    builder.setSweep(run.wallSeconds, jobs);
+    builder.setSweep(run.wallSeconds, suite.jobs);
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ext_indirect");
     return 0;
 }

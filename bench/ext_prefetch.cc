@@ -21,15 +21,8 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ext_prefetch");
-
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
     const std::uint32_t degrees[] = {0, 1, 2};
 
@@ -44,8 +37,7 @@ main(int argc, char **argv)
             cfg.policy = policy;
             lanes.push_back(cfg);
         }
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
 
     stats::RunningStats lru_acc[3], ghrp_acc[3];
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -56,8 +48,8 @@ main(int argc, char **argv)
     }
 
     std::printf("=== Extension: next-line prefetch x replacement "
-                "(%u traces) ===\n\n",
-                num_traces);
+                "(%zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table({"prefetch degree", "LRU MPKI", "GHRP MPKI",
                             "GHRP vs LRU %"});
     for (std::size_t d = 0; d < std::size(degrees); ++d) {
@@ -82,9 +74,8 @@ main(int argc, char **argv)
         builder.addMetric(key + "_lru_mpki", lru_acc[d].mean());
         builder.addMetric(key + "_ghrp_mpki", ghrp_acc[d].mean());
     }
-    builder.setSweep(run.wallSeconds, jobs,
+    builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * 2 * std::size(degrees));
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "ext_prefetch");
     return 0;
 }

@@ -24,8 +24,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    core::SuiteOptions options =
-        bench::suiteOptions(cli, 24, 0, "fig03_duel");
+    core::SuiteOptions options = bench::suiteOptions(cli, 24, 0);
     const frontend::PolicySpec duel =
         frontend::parsePolicySpec("duel:ghrp,lru");
     options.policies = {frontend::PolicyKind::Lru,

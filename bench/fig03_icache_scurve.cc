@@ -23,7 +23,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    core::SuiteOptions options = bench::suiteOptions(cli, 24, 0, "fig03_icache_scurve");
+    core::SuiteOptions options = bench::suiteOptions(cli, 24, 0);
 
     const core::SuiteResults results =
         bench::runSuiteTimed(options, cli, "fig03_icache_scurve");

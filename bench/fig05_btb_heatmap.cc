@@ -24,7 +24,7 @@ main(int argc, char **argv)
     const std::uint64_t instructions =
         cli.getUint("instructions", 4'000'000);
     const std::string pgm_prefix = cli.getString("pgm", "");
-    bench::initTelemetry(cli, "fig05_btb_heatmap");
+    core::applyLogLevel(cli);
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
 
@@ -107,6 +107,5 @@ main(int argc, char **argv)
     builder.setSweep(sweep_wall,
                      static_cast<unsigned>(cli.getUint("jobs", 0)));
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "fig05_btb_heatmap");
     return 0;
 }

@@ -16,7 +16,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    core::SuiteOptions options = bench::suiteOptions(cli, 10, 0, "fig06_icache_perbench");
+    core::SuiteOptions options = bench::suiteOptions(cli, 10, 0);
 
     const core::SuiteResults results =
         bench::runSuiteTimed(options, cli, "fig06_icache_perbench");

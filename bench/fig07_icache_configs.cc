@@ -17,13 +17,8 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions =
-        cli.getUint("instructions", 4'000'000);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "fig07_icache_configs");
+    const bench::ConfigSuite suite = bench::configSuite(cli, 8, 4'000'000);
+    const std::vector<workload::TraceSpec> &specs = suite.specs;
 
     struct Config
     {
@@ -33,8 +28,6 @@ main(int argc, char **argv)
     const Config configs[] = {{8, 4},  {8, 8},  {16, 4}, {16, 8},
                               {32, 4}, {32, 8}, {64, 4}, {64, 8}};
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
 
     // Every (config, policy) pair is a lane of one fused walk per
     // trace; lane c * 5 + p runs configs[c] under paperPolicies[p].
@@ -46,8 +39,7 @@ main(int argc, char **argv)
             config.icache = cache::CacheConfig::icache(c.kb, c.assoc);
             lanes.push_back(config);
         }
-    const core::LaneResults run =
-        bench::runLanesTimed(specs, instructions, lanes, jobs);
+    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
 
     // means[config][policy], summed in trace order.
     double sums[8][5] = {};
@@ -57,8 +49,8 @@ main(int argc, char **argv)
                 sums[c][p] += run.results[c * 5 + p][t].icacheMpki;
 
     std::printf("=== Figure 7: average I-cache MPKI by configuration "
-                "(%u traces) ===\n\n",
-                num_traces);
+                "(%zu traces) ===\n\n",
+                specs.size());
     stats::TextTable table(
         {"config", "LRU", "Random", "SRRIP", "SDBP", "GHRP"});
     for (std::size_t c = 0; c < std::size(configs); ++c) {
@@ -68,7 +60,7 @@ main(int argc, char **argv)
         std::vector<std::string> row{name};
         for (std::size_t p = 0; p < 5; ++p)
             row.push_back(stats::TextTable::num(
-                sums[c][p] / static_cast<double>(num_traces)));
+                sums[c][p] / static_cast<double>(specs.size())));
         table.addRow(std::move(row));
     }
     std::printf("%s\n", table.render().c_str());
@@ -85,12 +77,11 @@ main(int argc, char **argv)
                 std::string(key) + "_" +
                     frontend::policyName(frontend::paperPolicies[p]) +
                     "_mpki",
-                sums[c][p] / static_cast<double>(num_traces));
+                sums[c][p] / static_cast<double>(specs.size()));
     }
-    builder.setSweep(run.wallSeconds, jobs,
+    builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * std::size(configs) *
                          std::size(frontend::paperPolicies));
     bench::maybeWriteReport(cli, builder.finish());
-    bench::writeTraceIfRequested(cli, "fig07_icache_configs");
     return 0;
 }

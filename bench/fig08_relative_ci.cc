@@ -16,7 +16,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    core::SuiteOptions options = bench::suiteOptions(cli, 16, 0, "fig08_relative_ci");
+    core::SuiteOptions options = bench::suiteOptions(cli, 16, 0);
 
     const core::SuiteResults results =
         bench::runSuiteTimed(options, cli, "fig08_relative_ci");

@@ -4,10 +4,8 @@
  * replacement policy on the I-cache model, of GHRP's prediction
  * primitives, of a front-end leg on the decoded stream against the
  * fused all-policies walk, of trace acquisition through the
- * content-addressed store (cold generate-and-persist vs. warm mmap),
- * and of the telemetry hot paths (counter add, histogram observe,
- * disabled/enabled spans) that back the subsystem's low-overhead
- * claim. These measure simulator overhead, not hardware latency — the
+ * content-addressed store (cold generate-and-persist vs. warm mmap).
+ * These measure simulator overhead, not hardware latency — the
  * paper argues all GHRP operations are off the critical path.
  */
 
@@ -26,8 +24,6 @@
 #include "frontend/fused.hh"
 #include "predictor/ghrp.hh"
 #include "predictor/sdbp.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
 #include "trace/decoded_trace.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
@@ -267,55 +263,6 @@ BM_TraceStoreWarm(benchmark::State &state)
             store.acquireDecoded(specs.front(), 500'000, 64, 4));
 }
 BENCHMARK(BM_TraceStoreWarm)->Unit(benchmark::kMillisecond);
-
-/** Telemetry hot paths: the costs the 2%-overhead budget rests on. */
-void
-BM_TelemetryCounterAdd(benchmark::State &state)
-{
-    telemetry::Counter counter;
-    for (auto _ : state)
-        counter.add();
-    benchmark::DoNotOptimize(counter.get());
-}
-BENCHMARK(BM_TelemetryCounterAdd);
-
-void
-BM_TelemetryHistogramObserve(benchmark::State &state)
-{
-    telemetry::Histogram histogram;
-    std::uint64_t nanos = 1;
-    for (auto _ : state) {
-        histogram.observeNanos(nanos);
-        nanos = (nanos * 2862933555777941757ull + 3037000493ull) &
-                0xffffffffull;
-    }
-    benchmark::DoNotOptimize(histogram.count());
-}
-BENCHMARK(BM_TelemetryHistogramObserve);
-
-void
-BM_TelemetrySpanDisabled(benchmark::State &state)
-{
-    telemetry::setTracingEnabled(false);
-    for (auto _ : state) {
-        TELEMETRY_SPAN("bench");
-        benchmark::ClobberMemory();
-    }
-}
-BENCHMARK(BM_TelemetrySpanDisabled);
-
-void
-BM_TelemetrySpanEnabled(benchmark::State &state)
-{
-    telemetry::setTracingEnabled(true);
-    for (auto _ : state) {
-        TELEMETRY_SPAN("bench");
-        benchmark::ClobberMemory();
-    }
-    telemetry::setTracingEnabled(false);
-    telemetry::clearSpans();
-}
-BENCHMARK(BM_TelemetrySpanEnabled);
 
 /**
  * Console reporter that additionally collects each benchmark's

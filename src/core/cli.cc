@@ -87,9 +87,6 @@ knownCliFlags()
          "verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)"},
         {"slow-leg-ms",
          "warn about (trace, policy) legs slower than N milliseconds"},
-        {"trace-out",
-         "write a Chrome trace_event JSON of the run to FILE "
-         "(or GHRP_TRACE_DIR)"},
         {"report",
          "write a versioned JSON run report to FILE (or GHRP_REPORT_DIR)"},
         {"journal",

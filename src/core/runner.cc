@@ -8,8 +8,6 @@
 #include <optional>
 
 #include "frontend/fused.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "workload/suite.hh"
@@ -126,29 +124,6 @@ namespace
 
 using DecodedPtr = std::shared_ptr<const trace::DecodedTrace>;
 
-/** Sweep telemetry, resolved once per process. */
-struct SweepMetrics
-{
-    telemetry::Counter &legs;
-    telemetry::Counter &slowLegs;
-    telemetry::Counter &tracesDecoded;
-    telemetry::Histogram &legSeconds;
-    telemetry::Histogram &decodeSeconds;
-};
-
-SweepMetrics &
-sweepMetrics()
-{
-    static SweepMetrics m{
-        telemetry::metrics().counter("sweep.legs"),
-        telemetry::metrics().counter("sweep.slow_legs"),
-        telemetry::metrics().counter("sweep.traces_decoded"),
-        telemetry::metrics().histogram("sweep.leg_seconds"),
-        telemetry::metrics().histogram("sweep.decode_seconds"),
-    };
-    return m;
-}
-
 /** Lane indices, and the lane groups of every trace: each group is one
  *  FusedSim walk. */
 using Lanes = std::vector<std::size_t>;
@@ -163,7 +138,7 @@ using LaneGroups = std::vector<Lanes>;
 struct Sweep
 {
     std::vector<frontend::FrontendConfig> lanes;
-    std::vector<std::string> names;  ///< lane labels (progress, spans)
+    std::vector<std::string> names;  ///< lane labels (progress)
     LaneGroups groups;
     std::uint64_t instructionOverride = 0;
     unsigned jobs = 0;
@@ -233,15 +208,9 @@ class SweepSink
         if (sweep.acquireDecoded)
             return sweep.acquireDecoded(spec);
         const frontend::FrontendConfig &stream = sweep.lanes.front();
-        const auto start = std::chrono::steady_clock::now();
-        std::optional<trace::DecodedTrace> dec;
-        {
-            TELEMETRY_SPAN("decode", spec.name);
-            dec = store.loadDecoded(spec, sweep.instructionOverride,
-                                    stream.icache.blockBytes,
-                                    stream.instBytes);
-        }
-        sweepMetrics().tracesDecoded.add();
+        std::optional<trace::DecodedTrace> dec =
+            store.loadDecoded(spec, sweep.instructionOverride,
+                              stream.icache.blockBytes, stream.instBytes);
         if (!dec) {
             runStreamed(trace_index);
             return nullptr;
@@ -256,10 +225,6 @@ class SweepSink
             store.storeDirectionStream(spec, sweep.instructionOverride,
                                        dir_kind, *dec);
         }
-        sweepMetrics().decodeSeconds.observeSeconds(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count());
         return std::make_shared<const trace::DecodedTrace>(std::move(*dec));
     }
 
@@ -277,10 +242,8 @@ class SweepSink
         if (lanes.empty())
             return;
         const auto start = std::chrono::steady_clock::now();
-        std::vector<frontend::FrontendResult> results = [&] {
-            TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
-            return frontend::FusedSim(configs(lanes)).run(dec);
-        }();
+        std::vector<frontend::FrontendResult> results =
+            frontend::FusedSim(configs(lanes)).run(dec);
         harvest(trace_index, lanes, std::move(results),
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -306,10 +269,7 @@ class SweepSink
             store.writer(spec, sweep.instructionOverride,
                          static_cast<int>(sweep.lanes.front().direction));
         frontend::StreamSim sim(configs(lanes), writer.get());
-        {
-            TELEMETRY_SPAN("simulate", legLabel(trace_index, lanes));
-            workload::streamTrace(spec, sweep.instructionOverride, sim);
-        }
+        workload::streamTrace(spec, sweep.instructionOverride, sim);
         if (writer)
             writer->finish();
         harvest(trace_index, lanes, sim.finish(), sim.laneSeconds());
@@ -341,18 +301,6 @@ class SweepSink
         return out;
     }
 
-    std::string
-    legLabel(std::size_t trace_index, const Lanes &lanes) const
-    {
-        std::string label = out.specs[trace_index].name + " / ";
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (i)
-                label += ',';
-            label += sweep.names[lanes[i]];
-        }
-        return label;
-    }
-
     /** Store each lane's result in its slot, splitting @p seconds of
      *  simulation evenly across lanes for the per-leg timing views. */
     void
@@ -362,8 +310,6 @@ class SweepSink
         const double per_lane = seconds / static_cast<double>(lanes.size());
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             const std::size_t lane = lanes[i];
-            sweepMetrics().legs.add();
-            sweepMetrics().legSeconds.observeSeconds(per_lane);
             results[i].traceName = out.specs[trace_index].name;
             // Slot writes: distinct (lane, trace_index) pairs never
             // alias, and the vectors were sized up front, so concurrent
@@ -389,7 +335,6 @@ class SweepSink
                 sweep.onLegDone(trace_index, lane, *result, seconds);
             if (sweep.slowLegMs > 0.0 &&
                 seconds * 1000.0 > sweep.slowLegMs) {
-                sweepMetrics().slowLegs.add();
                 warn("slow leg: %s / %s took %.1f ms (threshold %.1f ms)",
                      trace_name.c_str(), lane_name.c_str(),
                      seconds * 1000.0, sweep.slowLegMs);
@@ -546,10 +491,6 @@ SuiteResults
 runSuite(const SuiteOptions &options, const ProgressFn &progress,
          const RunHooks &hooks)
 {
-    TELEMETRY_SPAN("sweep",
-                   std::to_string(options.numTraces) + " traces x " +
-                       std::to_string(options.policies.size()) +
-                       " policies");
     const std::vector<frontend::PolicySpec> &policies = options.policies;
     Sweep sweep;
     for (std::size_t lane = 0; lane < policies.size(); ++lane) {
@@ -598,10 +539,9 @@ LaneResults
 runLanes(const std::vector<workload::TraceSpec> &specs,
          std::uint64_t instruction_override,
          const std::vector<frontend::FrontendConfig> &lanes, unsigned jobs,
+         const std::string &trace_cache_dir, double slow_leg_ms,
          const ProgressFn &progress)
 {
-    TELEMETRY_SPAN("sweep", std::to_string(specs.size()) + " traces x " +
-                                std::to_string(lanes.size()) + " lanes");
     Sweep sweep;
     sweep.lanes = lanes;
     sweep.groups.emplace_back();
@@ -612,6 +552,8 @@ runLanes(const std::vector<workload::TraceSpec> &specs,
     }
     sweep.instructionOverride = instruction_override;
     sweep.jobs = jobs;
+    sweep.traceCacheDir = trace_cache_dir;
+    sweep.slowLegMs = slow_leg_ms;
     return runSweep(specs, sweep, progress);
 }
 

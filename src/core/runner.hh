@@ -256,18 +256,22 @@ struct LaneResults : SweepRun
 /**
  * Config sweep: simulate every trace of @p specs under every
  * configuration in @p lanes, all lanes of a trace in ONE fused walk of
- * its stream, which is generated (or loaded from the GHRP_TRACE_CACHE
- * store), decoded and direction-resolved once. The lanes may differ in
- * policy, geometry, predictor parameters, prefetch or indirect
- * prediction, but must share the I-cache block size, the instruction
- * size and the direction predictor (panics otherwise). Results are
- * bit-identical to simulateTrace per (trace, lane), for any @p jobs
- * (0 = hardware concurrency).
+ * its stream, which is generated (or loaded from the trace store in
+ * @p trace_cache_dir, which empty defaults to GHRP_TRACE_CACHE as in
+ * SuiteOptions::traceCacheDir), decoded and direction-resolved once.
+ * The lanes may differ in policy, geometry, predictor parameters,
+ * prefetch or indirect prediction, but must share the I-cache block
+ * size, the instruction size and the direction predictor (panics
+ * otherwise). Results are bit-identical to simulateTrace per (trace,
+ * lane), for any @p jobs (0 = hardware concurrency) and with or
+ * without a store. @p slow_leg_ms is SuiteOptions::slowLegMs.
  */
 LaneResults runLanes(const std::vector<workload::TraceSpec> &specs,
                      std::uint64_t instruction_override,
                      const std::vector<frontend::FrontendConfig> &lanes,
-                     unsigned jobs, const ProgressFn &progress = nullptr);
+                     unsigned jobs, const std::string &trace_cache_dir = {},
+                     double slow_leg_ms = 0.0,
+                     const ProgressFn &progress = nullptr);
 
 } // namespace ghrp::core
 

@@ -7,8 +7,6 @@
 #include <map>
 
 #include "stats/table.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
 
 namespace ghrp::report
 {
@@ -313,10 +311,6 @@ endMarker(const std::string &experiment)
 std::string
 renderBlock(const RunReport &report)
 {
-    TELEMETRY_SPAN("render", report.experiment);
-    static telemetry::Counter &renders =
-        telemetry::metrics().counter("report.renders");
-    renders.add();
     std::string table;
     if (const HeadlineSpec *spec = findHeadline(report.experiment))
         table = headlineTable(report, *spec);
@@ -446,57 +440,6 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
     return result;
 }
 
-std::vector<std::pair<std::string, Json>>
-trajectoryPoints(const RunReport &report)
-{
-    std::vector<std::pair<std::string, Json>> points;
-    const auto add = [&](std::string name, const char *unit,
-                         double value) {
-        for (char &c : name)
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        Json j = Json::object();
-        j.set("name", name);
-        j.set("unit", unit);
-        j.set("value", value);
-        points.emplace_back(std::move(name), std::move(j));
-    };
-
-    if (report.sweep.legsPerSec > 0.0) {
-        add(report.experiment + "_legs_per_sec", "legs/s",
-            report.sweep.legsPerSec);
-        add(report.experiment + "_minstr_per_sec", "Minstr/s",
-            report.sweep.mInstrPerSec);
-    }
-    for (const PolicySummary &p : report.policies) {
-        std::string policy = p.policy;
-        for (char &c : policy)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        add(report.experiment + "_" + policy + "_icache_mpki", "MPKI",
-            p.icacheMeanMpki);
-        add(report.experiment + "_" + policy + "_btb_mpki", "MPKI",
-            p.btbMeanMpki);
-    }
-    for (const auto &[name, value] : report.metrics)
-        add(report.experiment + "_" + name, "", value);
-
-    // Set-dueling trajectory points (schema minor 3): total winner
-    // flips per duel policy — deterministic integers, so any delta on
-    // the benchmark trajectory is a code change.
-    const auto [duel_order, duel_flips] = duelFlipTotals(report);
-    for (const std::string &name : duel_order) {
-        const auto &f = duel_flips.at(name);
-        add(report.experiment + "_" + sanitizeToken(name) +
-                "_icache_winner_flips",
-            "flips", static_cast<double>(f.first));
-        add(report.experiment + "_" + sanitizeToken(name) +
-                "_btb_winner_flips",
-            "flips", static_cast<double>(f.second));
-    }
-    return points;
-}
-
 std::vector<std::pair<std::string, std::string>>
 plotFiles(const RunReport &report)
 {
@@ -548,8 +491,8 @@ plotFiles(const RunReport &report)
             dat += std::to_string(r + 1);
             for (const std::string &policy : order) {
                 const std::vector<double> &mpki = columns[policy];
-                dat += r < mpki.size() ? " " + fmt("%.6f", mpki[r])
-                                       : " nan";
+                dat += ' ';
+                dat += r < mpki.size() ? fmt("%.6f", mpki[r]) : "nan";
             }
             dat += "\n";
         }
@@ -612,10 +555,10 @@ plotFiles(const RunReport &report)
                     leg->result.icacheDuel.trajectory;
                 const std::vector<std::int64_t> &bt =
                     leg->result.btbDuel.trajectory;
-                dat += r < ic.size() ? " " + std::to_string(ic[r])
-                                     : " nan";
-                dat += r < bt.size() ? " " + std::to_string(bt[r])
-                                     : " nan";
+                dat += ' ';
+                dat += r < ic.size() ? std::to_string(ic[r]) : "nan";
+                dat += ' ';
+                dat += r < bt.size() ? std::to_string(bt[r]) : "nan";
             }
             dat += "\n";
         }

@@ -3,8 +3,8 @@
  * Consumers of run reports: the Markdown renderer that regenerates the
  * EXPERIMENTS.md headline tables (byte-for-byte, inside
  * `<!-- ghrp-report:<experiment>:begin/end -->` markers), the
- * two-report diff with a CI regression gate, and trajectory-point
- * extraction for benchmark tracking.
+ * two-report diff with a CI regression gate, and the gnuplot and
+ * phase-trajectory views.
  */
 
 #ifndef GHRP_REPORT_RENDER_HH
@@ -88,14 +88,6 @@ struct DiffResult
  */
 DiffResult diffReports(const RunReport &baseline, const RunReport &candidate,
                        const DiffOptions &options = {});
-
-/**
- * Extract benchmark trajectory points: sweep throughput plus each
- * policy's mean MPKI, as (name, value-document) pairs. The CLI writes
- * each pair to BENCH_<name>.json.
- */
-std::vector<std::pair<std::string, Json>>
-trajectoryPoints(const RunReport &report);
 
 /**
  * Gnuplot S-curve sources regenerated from a report's legs, as

@@ -8,10 +8,7 @@
 #include <unistd.h>
 #endif
 
-#include "report/telemetry_json.hh"
 #include "stats/confidence.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
 #include "util/thread_pool.hh"
 
 // Configure-time provenance, injected by src/report/CMakeLists.txt.
@@ -564,10 +561,6 @@ ReportBuilder::setSweep(double wall_seconds, unsigned jobs,
 RunReport
 ReportBuilder::finish()
 {
-    const telemetry::Snapshot snapshot =
-        telemetry::Registry::global().snapshot();
-    if (!snapshot.empty() && !report.extras.find("telemetry"))
-        report.extras.set("telemetry", telemetryToJson(snapshot));
     stamp(report);
     return std::move(report);
 }
@@ -689,7 +682,6 @@ buildSuiteReport(const std::string &experiment,
                  const core::SuiteOptions &options,
                  const core::SuiteResults &results)
 {
-    TELEMETRY_SPAN("aggregate", experiment);
     ReportBuilder builder(experiment);
     builder.setOptions(suiteOptionsToJson(options));
 

@@ -43,8 +43,8 @@ struct ReportError : std::runtime_error
 /** Schema identity; bump major only on incompatible layout changes.
  *  Minor 1 added the optional "extras" subtree (free-form named JSON
  *  blobs, e.g. per-frame efficiency matrices). Minor 2 added the
- *  "extras.telemetry" snapshot (counters / gauges / histograms; see
- *  report/telemetry_json.hh) stamped by ReportBuilder::finish().
+ *  "extras.telemetry" process-metrics snapshot, no longer written;
+ *  readers ignore it like any unknown extras entry.
  *  Minor 3 added the optional per-leg "duel" subtree (set-dueling
  *  PSEL statistics) plus the "extras.oracle" per-trace best-static
  *  aggregate and "extras.dueling" summaries built by
@@ -187,11 +187,9 @@ class ReportBuilder
                   std::uint64_t legs_override = 0);
 
     /**
-     * Finalize. Stamps run ID, schema version, creation time,
-     * build/environment capture, and — when the process-wide metrics
-     * registry is non-empty — a compact telemetry snapshot under
-     * extras.telemetry (unless addExtra already claimed that name).
-     * The builder is left in a moved-from state.
+     * Finalize. Stamps run ID, schema version, creation time and
+     * build/environment capture. The builder is left in a moved-from
+     * state.
      */
     RunReport finish();
 

@@ -3,49 +3,6 @@
 namespace ghrp::telemetry
 {
 
-std::uint64_t
-Histogram::count() const
-{
-    std::uint64_t total = 0;
-    for (const auto &bucket : buckets)
-        total += bucket.load(std::memory_order_relaxed);
-    return total;
-}
-
-double
-Histogram::sumSeconds() const
-{
-    return static_cast<double>(
-               sumNanos.load(std::memory_order_relaxed)) * 1e-9;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &bucket : buckets)
-        bucket.store(0, std::memory_order_relaxed);
-    sumNanos.store(0, std::memory_order_relaxed);
-}
-
-double
-HistogramSnapshot::quantileUpperBound(double q) const
-{
-    if (count == 0)
-        return 0.0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    const double target = q * static_cast<double>(count);
-    std::uint64_t cumulative = 0;
-    for (const BucketCount &bc : buckets) {
-        cumulative += bc.count;
-        if (static_cast<double>(cumulative) >= target)
-            return Histogram::bucketUpperSeconds(bc.bucket);
-    }
-    return Histogram::bucketUpperSeconds(buckets.back().bucket);
-}
-
 Registry &
 Registry::global()
 {
@@ -61,63 +18,6 @@ Registry::counter(const std::string &name)
     if (!slot)
         slot = std::make_unique<Counter>();
     return *slot;
-}
-
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard lock(mutex);
-    auto &slot = gauges[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
-Histogram &
-Registry::histogram(const std::string &name)
-{
-    std::lock_guard lock(mutex);
-    auto &slot = histograms[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
-Snapshot
-Registry::snapshot() const
-{
-    std::lock_guard lock(mutex);
-    Snapshot snap;
-    for (const auto &[name, counter] : counters)
-        snap.counters[name] = counter->get();
-    for (const auto &[name, gauge] : gauges)
-        snap.gauges[name] = gauge->get();
-    for (const auto &[name, histogram] : histograms) {
-        HistogramSnapshot hs;
-        hs.sumSeconds = histogram->sumSeconds();
-        for (std::uint32_t i = 0; i < Histogram::kNumBuckets; ++i) {
-            const std::uint64_t n =
-                histogram->buckets[i].load(std::memory_order_relaxed);
-            if (n == 0)
-                continue;
-            hs.buckets.push_back({i, n});
-            hs.count += n;
-        }
-        snap.histograms[name] = std::move(hs);
-    }
-    return snap;
-}
-
-void
-Registry::resetForTest()
-{
-    std::lock_guard lock(mutex);
-    for (auto &[name, counter] : counters)
-        counter->reset();
-    for (auto &[name, gauge] : gauges)
-        gauge->reset();
-    for (auto &[name, histogram] : histograms)
-        histogram->reset();
 }
 
 } // namespace ghrp::telemetry

@@ -1,9 +1,5 @@
 #include "util/thread_pool.hh"
 
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
-#include "util/logging.hh"
-
 namespace ghrp::util
 {
 
@@ -16,32 +12,6 @@ namespace
  *  the number of in-flight parent jobs — and their memory — bounded). */
 thread_local ThreadPool *tl_pool = nullptr;
 thread_local unsigned tl_worker = 0;
-
-/** Pool telemetry, shared across every pool in the process. The
- *  references are resolved once; each update is a relaxed atomic. */
-struct PoolMetrics
-{
-    telemetry::Counter &tasks;
-    telemetry::Histogram &waitSeconds;
-    telemetry::Histogram &runSeconds;
-    telemetry::Gauge &queueDepth;
-    telemetry::Gauge &busyWorkers;
-    telemetry::Gauge &workers;
-};
-
-PoolMetrics &
-poolMetrics()
-{
-    static PoolMetrics m{
-        telemetry::metrics().counter("pool.tasks"),
-        telemetry::metrics().histogram("pool.task_wait_seconds"),
-        telemetry::metrics().histogram("pool.task_run_seconds"),
-        telemetry::metrics().gauge("pool.queue_depth"),
-        telemetry::metrics().gauge("pool.busy_workers"),
-        telemetry::metrics().gauge("pool.workers"),
-    };
-    return m;
-}
 
 } // anonymous namespace
 
@@ -62,12 +32,10 @@ ThreadPool::ThreadPool(unsigned num_threads)
     for (unsigned i = 0; i < n; ++i)
         threads.emplace_back(
             [this, i](std::stop_token stop) { workerLoop(stop, i); });
-    poolMetrics().workers.add(static_cast<double>(n));
 }
 
 ThreadPool::~ThreadPool()
 {
-    poolMetrics().workers.add(-static_cast<double>(workers.size()));
     for (std::jthread &t : threads)
         t.request_stop();
     idleCv.notify_all();
@@ -86,19 +54,16 @@ ThreadPool::enqueue(std::function<void()> job)
             submitCursor.fetch_add(1, std::memory_order_relaxed);
         target = workers[slot % workers.size()].get();
     }
-    Item item{std::move(job), telemetry::nowNanos()};
     {
         std::lock_guard<std::mutex> lock(target->mutex);
-        target->jobs.push_back(std::move(item));
+        target->jobs.push_back(std::move(job));
     }
-    const std::size_t depth =
-        queued.fetch_add(1, std::memory_order_release) + 1;
-    poolMetrics().queueDepth.set(static_cast<double>(depth));
+    queued.fetch_add(1, std::memory_order_release);
     idleCv.notify_one();
 }
 
 bool
-ThreadPool::tryPopOwn(unsigned index, Item &job)
+ThreadPool::tryPopOwn(unsigned index, Job &job)
 {
     Worker &w = *workers[index];
     std::lock_guard<std::mutex> lock(w.mutex);
@@ -110,7 +75,7 @@ ThreadPool::tryPopOwn(unsigned index, Item &job)
 }
 
 bool
-ThreadPool::trySteal(unsigned thief, Item &job)
+ThreadPool::trySteal(unsigned thief, Job &job)
 {
     const unsigned n = static_cast<unsigned>(workers.size());
     for (unsigned k = 1; k < n; ++k) {
@@ -130,23 +95,12 @@ ThreadPool::workerLoop(std::stop_token stop, unsigned index)
 {
     tl_pool = this;
     tl_worker = index;
-    telemetry::setThreadName("worker-" + std::to_string(index + 1));
-    PoolMetrics &metrics = poolMetrics();
-    Item job;
+    Job job;
     for (;;) {
         if (tryPopOwn(index, job) || trySteal(index, job)) {
-            const std::size_t depth =
-                queued.fetch_sub(1, std::memory_order_relaxed) - 1;
-            metrics.queueDepth.set(static_cast<double>(depth));
-            const std::uint64_t startNs = telemetry::nowNanos();
-            metrics.waitSeconds.observeNanos(startNs - job.enqueueNs);
-            metrics.busyWorkers.add(1.0);
-            job.fn();
-            metrics.busyWorkers.add(-1.0);
-            metrics.runSeconds.observeNanos(
-                telemetry::nowNanos() - startNs);
-            metrics.tasks.add();
-            job.fn = nullptr;  // release captures before waiting
+            queued.fetch_sub(1, std::memory_order_relaxed);
+            job();
+            job = nullptr;  // release captures before waiting
             continue;
         }
         std::unique_lock<std::mutex> lock(idleMutex);

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -80,24 +79,18 @@ class ThreadPool
     static unsigned hardwareJobs();
 
   private:
-    /** A queued job plus its enqueue timestamp (for the pool.task_
-     *  wait_seconds telemetry histogram). */
-    struct Item
-    {
-        std::function<void()> fn;
-        std::uint64_t enqueueNs = 0;
-    };
+    using Job = std::function<void()>;
 
     struct Worker
     {
         std::mutex mutex;
-        std::deque<Item> jobs;
+        std::deque<Job> jobs;
     };
 
-    void enqueue(std::function<void()> job);
+    void enqueue(Job job);
     void workerLoop(std::stop_token stop, unsigned index);
-    bool tryPopOwn(unsigned index, Item &job);
-    bool trySteal(unsigned thief, Item &job);
+    bool tryPopOwn(unsigned index, Job &job);
+    bool trySteal(unsigned thief, Job &job);
 
     std::vector<std::unique_ptr<Worker>> workers;
     std::atomic<std::size_t> queued{0};   ///< jobs enqueued, not yet popped

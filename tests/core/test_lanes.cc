@@ -87,10 +87,7 @@ configLanes()
 /** (jobs, through a trace store) */
 class ConfigLanes
     : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
-{
-  protected:
-    void TearDown() override { ::unsetenv("GHRP_TRACE_CACHE"); }
-};
+{};
 
 TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
 {
@@ -107,15 +104,16 @@ TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
                 legJson(frontend::simulateTrace(lanes[lane], tr)));
     }
 
-    // runLanes reads its store from the environment, as the benches do.
+    // The store directory is a runLanes parameter, as --trace-cache is
+    // for the benches; empty falls back to GHRP_TRACE_CACHE.
+    if (!stored && std::getenv("GHRP_TRACE_CACHE"))
+        GTEST_SKIP() << "GHRP_TRACE_CACHE set in environment";
     const std::string dir =
-        ::testing::TempDir() + "/lanes-store-jobs" + std::to_string(jobs);
-    if (stored) {
+        stored ? ::testing::TempDir() + "/lanes-store-jobs" +
+                     std::to_string(jobs)
+               : std::string();
+    if (stored)
         std::filesystem::remove_all(dir);
-        ::setenv("GHRP_TRACE_CACHE", dir.c_str(), 1);
-    } else {
-        ::unsetenv("GHRP_TRACE_CACHE");
-    }
 
     // Through a store, the first round streams and persists every
     // trace (misses) and the second runs the lanes over the mmap'd
@@ -123,7 +121,7 @@ TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
     for (int round = 0; round < (stored ? 2 : 1); ++round) {
         SCOPED_TRACE(::testing::Message() << "round " << round);
         const core::LaneResults run =
-            core::runLanes(specs, kLength, lanes, jobs);
+            core::runLanes(specs, kLength, lanes, jobs, dir);
         ASSERT_EQ(run.results.size(), lanes.size());
         for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
             ASSERT_EQ(run.results[lane].size(), specs.size());

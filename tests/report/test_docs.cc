@@ -138,10 +138,12 @@ TEST(Docs, MentionedFlagsExist)
     for (const char *name : {"splice", "check-docs", "check",
                              "max-regress", "out-dir"})
         known.insert(name);
-    // External tools whose invocations the docs quote.
+    // External tools whose invocations the docs quote, perfbench/run.py
+    // (--workload, --trace) among them.
     for (const char *name : {"build", "test-dir", "output-on-failure",
                              "parallel", "benchmark_filter",
-                             "benchmark_out", "benchmark_out_format"})
+                             "benchmark_out", "benchmark_out_format",
+                             "workload", "trace"})
         known.insert(name);
 
     for (const char *doc : {"README.md", "DESIGN.md", "EXPERIMENTS.md"}) {

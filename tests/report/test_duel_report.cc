@@ -165,10 +165,11 @@ TEST(DuelReport, BuildSuiteReportSynthesizesOracleAndDuelingExtras)
                      duel_mean);
     EXPECT_DOUBLE_EQ(
         entry->at("icache").at("oracleMeanMpki").asDouble(), mean_min);
-    if (mean_min > 0.0)
+    if (mean_min > 0.0) {
         EXPECT_DOUBLE_EQ(
             entry->at("icache").at("vsOraclePct").asDouble(),
             (duel_mean - mean_min) / mean_min * 100.0);
+    }
     ASSERT_EQ(entry->at("perTrace").size(), lru.size());
     const Json &first = entry->at("perTrace").asArray()[0];
     EXPECT_NE(first.at("icache").find("finalPsel"), nullptr);
@@ -204,7 +205,7 @@ TEST(DuelReport, RenderedBlockShowsOracleComparison)
 }
 
 /** Keep the simulation payload plus the oracle/dueling extras; strip
- *  identity, timing, capture and the process-global telemetry. */
+ *  identity, timing and capture. */
 std::string
 duelNormalizedDump(RunReport r)
 {

@@ -35,8 +35,8 @@ namespace fs = std::filesystem;
 
 constexpr char kExperiment[] = "fig03_icache_scurve";
 
-/** Everything but identity, capture, timing and the process-global
- *  telemetry snapshot, which legitimately differ between processes. */
+/** Everything but identity, capture and timing, which legitimately
+ *  differ between processes. */
 std::string
 normalizedDump(report::RunReport r)
 {
@@ -46,11 +46,6 @@ normalizedDump(report::RunReport r)
     r.environment.clear();
     r.options = report::Json::object();
     r.sweep = report::SweepStats{};
-    report::Json extras = report::Json::object();
-    for (const auto &[key, value] : r.extras.asObject())
-        if (key != "telemetry")
-            extras.set(key, value);
-    r.extras = std::move(extras);
     for (report::Leg &leg : r.legs)
         leg.seconds = 0.0;
     return r.toJson().dump(2);

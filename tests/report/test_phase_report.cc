@@ -289,7 +289,7 @@ TEST(PhaseReport, WindowZeroProducesZeroReportDelta)
 }
 
 /** Keep the simulation payload plus the phases extras; strip identity,
- *  timing, capture and the process-global telemetry. */
+ *  timing and capture. */
 std::string
 phaseNormalizedDump(RunReport r)
 {

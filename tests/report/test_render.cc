@@ -1,4 +1,4 @@
-/** @file Tests for the report renderer, diff and trajectory layers. */
+/** @file Tests for the report renderer and diff layers. */
 
 #include <gtest/gtest.h>
 
@@ -253,23 +253,6 @@ TEST(Diff, MetricOnlyReportsCompareMetrics)
     const DiffResult result = report::diffReports(base, cand, options);
     EXPECT_TRUE(result.mpkiChanged);
     EXPECT_NE(result.text.find("kib"), std::string::npos);
-}
-
-TEST(Trajectory, EmitsThroughputAndPolicyPoints)
-{
-    const auto points = report::trajectoryPoints(frozenHeadlineReport());
-    ASSERT_GE(points.size(), 2u + 2u * 5u);
-    EXPECT_EQ(points[0].first, "fig03_icache_scurve_legs_per_sec");
-    EXPECT_DOUBLE_EQ(points[0].second.at("value").asDouble(), 12.0);
-    EXPECT_EQ(points[0].second.at("unit").asString(), "legs/s");
-
-    bool found_ghrp = false;
-    for (const auto &[name, point] : points)
-        if (name == "fig03_icache_scurve_ghrp_icache_mpki") {
-            found_ghrp = true;
-            EXPECT_DOUBLE_EQ(point.at("value").asDouble(), 4.41);
-        }
-    EXPECT_TRUE(found_ghrp);
 }
 
 } // namespace

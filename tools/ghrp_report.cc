@@ -17,13 +17,6 @@
  *       change), or when legs/s regressed by more than PCT
  *       (default 5).
  *
- *   ghrp-report trajectory FILE... [--out-dir DIR]
- *       Write BENCH_<name>.json trajectory points (throughput,
- *       per-policy MPKI, set-dueling winner flips) for benchmark
- *       tracking. Reports that fail to load or parse are skipped with
- *       a warning instead of aborting the whole emission; exit 1 only
- *       when every input was skipped.
- *
  *   ghrp-report plot FILE... [--out-dir DIR]
  *       Regenerate gnuplot S-curve sources from each report's legs:
  *       an <experiment>_<structure>.dat rank table plus a .gp script
@@ -46,11 +39,6 @@
  *       trajectories and print one line per per-window I-cache MPKI
  *       winner flip.
  *
- *   ghrp-report check-telemetry FILE...
- *       Verify each report carries a parseable extras.telemetry
- *       snapshot (schema minor >= 2); exit 1 when any is missing or
- *       malformed — the CI gate that benches keep embedding telemetry.
- *
  *   ghrp-report check-docs DOC
  *       Verify the policy-authoring guide mentions every registered
  *       replacement policy name plus the duel:<A>,<B> composition
@@ -71,7 +59,6 @@
 #include "frontend/frontend.hh"
 #include "report/render.hh"
 #include "report/report.hh"
-#include "report/telemetry_json.hh"
 
 namespace
 {
@@ -87,11 +74,9 @@ usage()
         "[--check-docs DOC]\n"
         "       ghrp-report diff BASELINE CANDIDATE [--check] "
         "[--max-regress PCT]\n"
-        "       ghrp-report trajectory FILE... [--out-dir DIR]\n"
         "       ghrp-report plot FILE... [--out-dir DIR]\n"
         "       ghrp-report phases FILE... [--out-dir DIR] [--check]\n"
         "       ghrp-report phases --diff A B\n"
-        "       ghrp-report check-telemetry FILE...\n"
         "       ghrp-report check-docs DOC\n");
     return 2;
 }
@@ -233,48 +218,6 @@ cmdDiff(const std::vector<std::string> &args)
 }
 
 int
-cmdTrajectory(const std::vector<std::string> &args)
-{
-    std::vector<std::string> files;
-    std::string out_dir = ".";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--out-dir" && i + 1 < args.size())
-            out_dir = args[++i];
-        else if (args[i].rfind("--", 0) == 0)
-            return usage();
-        else
-            files.push_back(args[i]);
-    }
-    if (files.empty())
-        return usage();
-    std::filesystem::create_directories(out_dir);
-
-    std::size_t emitted = 0;
-    for (const std::string &file : files) {
-        // A stale or future-schema report must not abort the whole
-        // emission: warn, skip, and keep writing the others' points.
-        report::RunReport run;
-        try {
-            run = report::RunReport::load(file);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr,
-                         "ghrp-report: skipping %s (no trajectory "
-                         "points: %s)\n",
-                         file.c_str(), e.what());
-            continue;
-        }
-        ++emitted;
-        for (const auto &[name, point] : report::trajectoryPoints(run)) {
-            const std::string path =
-                out_dir + "/BENCH_" + name + ".json";
-            writeFile(path, point.dump(2) + "\n");
-            std::printf("wrote %s\n", path.c_str());
-        }
-    }
-    return emitted == 0 ? 1 : 0;
-}
-
-int
 cmdPlot(const std::vector<std::string> &args)
 {
     std::vector<std::string> files;
@@ -374,41 +317,6 @@ cmdPhases(const std::vector<std::string> &args)
 }
 
 int
-cmdCheckTelemetry(const std::vector<std::string> &args)
-{
-    if (args.empty())
-        return usage();
-    bool failed = false;
-    for (const std::string &file : args) {
-        const report::RunReport run = report::RunReport::load(file);
-        const report::Json *snapshot_json =
-            run.extras.find("telemetry");
-        if (!snapshot_json) {
-            std::fprintf(stderr,
-                         "ghrp-report: %s has no extras.telemetry\n",
-                         file.c_str());
-            failed = true;
-            continue;
-        }
-        try {
-            const telemetry::Snapshot snapshot =
-                report::telemetryFromJson(*snapshot_json);
-            std::printf("%s: telemetry ok (%zu counters, %zu gauges, "
-                        "%zu histograms)\n",
-                        file.c_str(), snapshot.counters.size(),
-                        snapshot.gauges.size(),
-                        snapshot.histograms.size());
-        } catch (const report::ReportError &e) {
-            std::fprintf(stderr,
-                         "ghrp-report: %s telemetry malformed: %s\n",
-                         file.c_str(), e.what());
-            failed = true;
-        }
-    }
-    return failed ? 1 : 0;
-}
-
-int
 cmdCheckDocs(const std::vector<std::string> &args)
 {
     if (args.size() != 1 || args[0].rfind("--", 0) == 0)
@@ -453,14 +361,10 @@ main(int argc, char **argv)
             return cmdRender(args);
         if (command == "diff")
             return cmdDiff(args);
-        if (command == "trajectory")
-            return cmdTrajectory(args);
         if (command == "plot")
             return cmdPlot(args);
         if (command == "phases")
             return cmdPhases(args);
-        if (command == "check-telemetry")
-            return cmdCheckTelemetry(args);
         if (command == "check-docs")
             return cmdCheckDocs(args);
         return usage();
