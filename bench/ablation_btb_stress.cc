@@ -16,8 +16,7 @@
 #include "stats/running_stats.hh"
 #include "stats/table.hh"
 #include "util/random.hh"
-#include "workload/executor.hh"
-#include "workload/generator.hh"
+#include "workload/suite.hh"
 
 int
 main(int argc, char **argv)
@@ -55,20 +54,9 @@ main(int argc, char **argv)
                 params.stubCallProbability = 0.06;
                 params.targetInstructions = instructions;
 
-                const workload::Program program =
-                    workload::generateProgram(params);
-                workload::ExecParams exec;
-                exec.seed = seed * 0x2545F4914F6CDD1Dull + 1;
-                exec.maxInstructions = params.targetInstructions;
-                exec.phaseLengthInstructions =
-                    params.phaseLengthInstructions;
-                exec.zipfSkew = params.zipfSkew;
-                exec.scanCallProbability = params.scanCallProbability;
-                exec.bigLoopCallProbability =
-                    params.bigLoopCallProbability;
-                exec.stubCallProbability = params.stubCallProbability;
-                const trace::Trace tr = workload::execute(
-                    program, exec, "btb-stress", "LONG-SERVER");
+                trace::TraceCollector collector;
+                workload::streamWorkload(params, "btb-stress", collector);
+                const trace::Trace &tr = collector.trace;
 
                 for (std::size_t p = 0;
                      p < std::size(frontend::paperPolicies); ++p) {

@@ -3,9 +3,9 @@
  * Dynamic policy selection headline: set-dueling GHRP-vs-LRU on the
  * Figure 3 I-cache configuration. Runs the two static constituents
  * plus the duel:GHRP,LRU meta-policy over the same suite, and prints
- * the dueling summary the report's extras carry — dueling MPKI
- * against the per-trace best-static oracle upper bound, plus each
- * trace's final PSEL verdict.
+ * the dueling summary its report renders — dueling MPKI against the
+ * per-trace best-static oracle upper bound (report::staticOracle) —
+ * plus each trace's final PSEL verdict.
  *
  * Default: 64KB 8-way I-cache, 64B lines (the paper's configuration),
  * the standard BTB alongside. The committed seed report drives the
@@ -50,12 +50,8 @@ main(int argc, char **argv)
 
     // Per-trace best static constituent: the bound a perfect selector
     // would reach.
-    std::vector<double> oracle_icache, oracle_btb;
-    for (std::size_t i = 0; i < results.specs.size(); ++i) {
-        oracle_icache.push_back(
-            std::min(lru_icache[i], ghrp_icache[i]));
-        oracle_btb.push_back(std::min(lru_btb[i], ghrp_btb[i]));
-    }
+    const report::StaticOracle oracle = report::staticOracle(
+        report::buildSuiteReport("fig03_duel", options, results));
 
     stats::TextTable summary(
         {"policy", "I-cache MPKI", "BTB MPKI"});
@@ -71,11 +67,11 @@ main(int argc, char **argv)
     row("LRU", lru_icache, lru_btb);
     row("GHRP", ghrp_icache, ghrp_btb);
     row(frontend::policyName(duel), duel_icache, duel_btb);
-    row("oracle (per-trace best)", oracle_icache, oracle_btb);
+    row("oracle (per-trace best)", oracle.icache.mpki, oracle.btb.mpki);
     std::printf("%s\n", summary.render().c_str());
 
-    // Final PSEL verdict per trace: negative picks GHRP (policy A),
-    // non-negative picks... see DuelPolicy — winner A iff psel >= 0.
+    // Final PSEL verdict per trace: the winner is GHRP (policy A) iff
+    // psel >= 0, as in DuelPolicy::winnerIsA.
     stats::TextTable verdicts({"trace", "I$ final PSEL", "I$ winner",
                                "BTB final PSEL", "BTB winner"});
     const std::vector<frontend::FrontendResult> &duel_runs =

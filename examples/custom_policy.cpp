@@ -17,7 +17,7 @@
 #include "core/cli.hh"
 #include "frontend/frontend.hh"
 #include "stats/table.hh"
-#include "trace/fetch_stream.hh"
+#include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -78,18 +78,13 @@ icacheMpkiWith(std::unique_ptr<cache::ReplacementPolicy> policy,
 {
     cache::CacheModel<> icache(cache::CacheConfig::icache(64, 8),
                                std::move(policy));
-    trace::FetchStreamWalker walker(tr.entryPc);
-    Addr last_block = ~Addr{0};
-    for (const trace::BranchRecord &rec : tr.records) {
-        const Addr run_start = walker.currentPc();
-        walker.advance(rec, [&](Addr block) {
-            if (block == last_block)
-                return;
-            last_block = block;
-            icache.access(block, std::max(run_start, block));
-        });
-    }
-    return icache.accessStats().mpki(walker.instructionCount());
+    trace::FetchCursor cursor(tr.entryPc, 64, 4);
+    for (const trace::BranchRecord &rec : tr.records)
+        cursor.advance(rec.pc, rec.target, rec.taken,
+                       [&](Addr block, Addr fetch_pc) {
+                           icache.access(block, fetch_pc);
+                       });
+    return icache.accessStats().mpki(cursor.instructionCount());
 }
 
 } // anonymous namespace

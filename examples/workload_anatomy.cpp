@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/cli.hh"
-#include "trace/fetch_stream.hh"
+#include "trace/decoded_trace.hh"
 #include "util/bit_ops.hh"
 #include "workload/suite.hh"
 
@@ -39,16 +39,12 @@ collectStream(const trace::Trace &tr)
 {
     AccessStream stream;
     stream.blocks.reserve(tr.records.size() * 2);
-    trace::FetchStreamWalker walker(tr.entryPc, 64, 4);
-    Addr last_block = ~Addr{0};
+    trace::FetchCursor cursor(tr.entryPc, 64, 4);
     for (const trace::BranchRecord &rec : tr.records)
-        walker.advance(rec, [&](Addr block) {
-            if (block == last_block)
-                return;
-            last_block = block;
+        cursor.advance(rec.pc, rec.target, rec.taken, [&](Addr block, Addr) {
             stream.blocks.push_back(block);
         });
-    stream.instructions = walker.instructionCount();
+    stream.instructions = cursor.instructionCount();
     return stream;
 }
 
@@ -282,16 +278,16 @@ AccessStream
 collectBtbStream(const trace::Trace &tr)
 {
     AccessStream stream;
-    trace::FetchStreamWalker walker(tr.entryPc, 64, 4);
+    trace::FetchCursor cursor(tr.entryPc, 64, 4);
     for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [](Addr) {});
+        cursor.advance(rec.pc, rec.target, rec.taken, [](Addr, Addr) {});
         // Only taken non-return branches access the BTB (returns use
         // the RAS). Shift so entry-granular set indexing works with
         // the generic >>6 machinery below (entries are 4B slots).
         if (rec.taken && rec.type != trace::BranchType::Return)
             stream.blocks.push_back(rec.pc << 4);  // (pc>>2) << 6
     }
-    stream.instructions = walker.instructionCount();
+    stream.instructions = cursor.instructionCount();
     return stream;
 }
 

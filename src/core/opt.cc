@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "trace/fetch_stream.hh"
+#include "trace/decoded_trace.hh"
 #include "util/logging.hh"
 
 namespace ghrp::core
@@ -83,21 +83,15 @@ simulateOptIcache(const trace::Trace &tr, const cache::CacheConfig &config)
     std::vector<std::uint64_t> keys;
     keys.reserve(tr.records.size() * 2);
 
-    trace::FetchStreamWalker walker(tr.entryPc, config.blockBytes);
-    std::uint64_t last_key = ~std::uint64_t{0};
-    for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [&](Addr block) {
-            const std::uint64_t key = block >> shift;
-            if (key == last_key)
-                return;  // fetch-buffer coalescing
-            last_key = key;
-            keys.push_back(key);
+    trace::FetchCursor cursor(tr.entryPc, config.blockBytes, 4);
+    for (const trace::BranchRecord &rec : tr.records)
+        cursor.advance(rec.pc, rec.target, rec.taken, [&](Addr block, Addr) {
+            keys.push_back(block >> shift);
         });
-    }
 
     OptResult result =
         simulateOptStream(keys, config.numSets(), config.assoc);
-    result.instructions = walker.instructionCount();
+    result.instructions = cursor.instructionCount();
     return result;
 }
 
@@ -107,16 +101,16 @@ simulateOptBtb(const trace::Trace &tr, const cache::CacheConfig &config)
     std::vector<std::uint64_t> keys;
     keys.reserve(tr.records.size() / 2);
 
-    trace::FetchStreamWalker walker(tr.entryPc);
+    trace::FetchCursor cursor(tr.entryPc, 64, 4);
     for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [](Addr) {});
+        cursor.advance(rec.pc, rec.target, rec.taken, [](Addr, Addr) {});
         if (rec.taken && rec.type != trace::BranchType::Return)
             keys.push_back(rec.pc >> 2);
     }
 
     OptResult result =
         simulateOptStream(keys, config.numSets(), config.assoc);
-    result.instructions = walker.instructionCount();
+    result.instructions = cursor.instructionCount();
     return result;
 }
 

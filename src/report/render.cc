@@ -84,22 +84,38 @@ findHeadline(const std::string &experiment)
     return nullptr;
 }
 
+/**
+ * The paper-vs-measured table. "paper vs LRU" is a ratio of suite mean
+ * MPKIs, so "measured vs LRU" is one too; the mean of per-trace
+ * relative differences (Fig. 8's metric) gets its own column.
+ */
 std::string
 headlineTable(const RunReport &report, const HeadlineSpec &spec)
 {
+    const auto measured = [&](const PolicySummary &p) {
+        return spec.useBtb ? p.btbMeanMpki : p.icacheMeanMpki;
+    };
+    const PolicySummary *lru = nullptr;
+    for (const PolicySummary &p : report.policies)
+        if (p.policy == "LRU")
+            lru = &p;
+
     stats::TextTable table({"policy", "paper MPKI", "paper vs LRU",
-                            "measured MPKI", "measured vs LRU"});
+                            "measured MPKI", "measured vs LRU",
+                            "per-trace mean vs LRU (Fig. 8)"});
     for (const PolicySummary &p : report.policies) {
         const PaperRow *paper = nullptr;
         for (const PaperRow &row : spec.paper)
             if (p.policy == row.policy)
                 paper = &row;
-        const double measured =
-            spec.useBtb ? p.btbMeanMpki : p.icacheMeanMpki;
-        const RelToLru &rel = spec.useBtb ? p.btbVsLru : p.icacheVsLru;
-        table.addRow({p.policy, paper ? paper->mpki : "-",
-                      paper ? paper->vsLru : "-", mpkiCell(measured),
-                      pctCell(rel)});
+        const bool vs_lru = lru && &p != lru && measured(*lru) > 0.0;
+        table.addRow(
+            {p.policy, paper ? paper->mpki : "-",
+             paper ? paper->vsLru : "-", mpkiCell(measured(p)),
+             vs_lru ? fmt("%+.1f%%", (measured(p) - measured(*lru)) /
+                                         measured(*lru) * 100.0)
+                    : "-",
+             pctCell(spec.useBtb ? p.btbVsLru : p.icacheVsLru)});
     }
     return table.renderMarkdown();
 }
@@ -125,31 +141,47 @@ metricsTable(const RunReport &report)
     return table.renderMarkdown();
 }
 
-/** Oracle upper bound + dueling-vs-oracle lines (schema minor 3).
- *  Empty when extras.oracle is absent, so pre-dueling reports render
- *  byte-identically. */
+/**
+ * Oracle footer: the static oracle's mean MPKIs, then each duel
+ * policy's distance from them, all computed from the legs. Shown when
+ * the per-trace best can differ from a policy row (two or more static
+ * policies) or a duel needs its upper bound; a single static policy is
+ * its own oracle.
+ */
 std::string
 oracleLines(const RunReport &report)
 {
-    const Json *oracle = report.extras.find("oracle");
-    if (!oracle)
+    const StaticOracle oracle = staticOracle(report);
+    std::vector<std::string> duels;
+    for (const PolicySummary &p : report.policies)
+        if (std::find(oracle.policies.begin(), oracle.policies.end(),
+                      p.policy) == oracle.policies.end())
+            duels.push_back(p.policy);
+    if (oracle.traces.empty() ||
+        (oracle.policies.size() < 2 && duels.empty()))
         return "";
-    std::string out =
-        "\nOracle (per-trace best static): I-cache " +
-        mpkiCell(oracle->at("icache").at("meanMpki").asDouble()) +
-        " MPKI, BTB " +
-        mpkiCell(oracle->at("btb").at("meanMpki").asDouble()) +
-        " MPKI\n";
-    if (const Json *dueling = report.extras.find("dueling")) {
-        for (const auto &[name, d] : dueling->asObject()) {
-            const Json *icache_pct = d.at("icache").find("vsOraclePct");
-            const Json *btb_pct = d.at("btb").find("vsOraclePct");
-            if (!icache_pct || !btb_pct)
-                continue;
-            out += name + " vs oracle: I-cache " +
-                   fmt("%+.1f%%", icache_pct->asDouble()) + ", BTB " +
-                   fmt("%+.1f%%", btb_pct->asDouble()) + "\n";
-        }
+
+    std::string out = "\nOracle (per-trace best static): I-cache " +
+                      mpkiCell(oracle.icache.meanMpki) + " MPKI, BTB " +
+                      mpkiCell(oracle.btb.meanMpki) + " MPKI\n";
+    const auto vsOracle = [](const std::vector<double> &mpki,
+                             double oracle_mpki) {
+        const double mean = core::SuiteResults::mean(mpki);
+        return fmt("%+.1f%%", oracle_mpki > 0.0
+                                  ? (mean - oracle_mpki) / oracle_mpki *
+                                        100.0
+                                  : 0.0);
+    };
+    for (const std::string &duel : duels) {
+        std::vector<double> icache, btb;
+        for (const Leg &leg : report.legs)
+            if (leg.policy() == duel) {
+                icache.push_back(leg.result.icacheMpki);
+                btb.push_back(leg.result.btbMpki);
+            }
+        out += duel + " vs oracle: I-cache " +
+               vsOracle(icache, oracle.icache.meanMpki) + ", BTB " +
+               vsOracle(btb, oracle.btb.meanMpki) + "\n";
     }
     return out;
 }
@@ -187,8 +219,7 @@ duelFlipTotals(const RunReport &report)
     return {std::move(order), std::move(flips)};
 }
 
-/** Set-dueling winner-flip summary lines (schema minor 3). Empty
- *  without duel legs, so older reports render byte-identically. */
+/** Set-dueling winner-flip summary lines; empty without duel legs. */
 std::string
 duelFlipLines(const RunReport &report)
 {
@@ -227,32 +258,40 @@ sparkline(const std::vector<double> &values)
     return out;
 }
 
-/** Interval MPKI of every record of @p phases, 0 for an empty span. */
+/**
+ * Interval MPKI of each flight-recorder record of @p phases: the
+ * record's @p misses per 1000 instructions of its span since the
+ * previous record's commit (the first spans from instruction 0), or 0
+ * when the span is empty.
+ */
 std::vector<double>
 intervalMpki(const frontend::PhaseTrajectory &phases,
              std::uint64_t frontend::PhaseRecord::*misses)
 {
     std::vector<double> out;
-    for (const std::optional<double> mpki : phaseIntervalMpki(phases, misses))
-        out.push_back(mpki.value_or(0.0));
+    out.reserve(phases.records.size());
+    std::uint64_t prev = 0;
+    for (const frontend::PhaseRecord &record : phases.records) {
+        out.push_back(record.instructions > prev
+                          ? static_cast<double>(record.*misses) * 1000.0 /
+                                static_cast<double>(record.instructions -
+                                                    prev)
+                          : 0.0);
+        prev = record.instructions;
+    }
     return out;
 }
 
 /** Compact JSON of @p leg for the per-leg diff: everything but its
- *  wall time, and without the duel / phases subtrees @p baseline
- *  does not carry. */
+ *  wall time. */
 std::string
-legDiffKey(const Leg &leg, const Leg &baseline)
+legDiffKey(const Leg &leg)
 {
     const Json full = legToJson(leg);
     Json out = Json::object();
-    for (const auto &[key, value] : full.asObject()) {
-        if (key == "seconds" ||
-            (key == "duel" && !baseline.result.hasDuel) ||
-            (key == "phases" && !baseline.result.hasPhases))
-            continue;
-        out.set(key, value);
-    }
+    for (const auto &[key, value] : full.asObject())
+        if (key != "seconds")
+            out.set(key, value);
     return out.dump(0);
 }
 
@@ -279,8 +318,7 @@ diffLegs(const RunReport &baseline, const RunReport &candidate,
             change(leg, "new");
             continue;
         }
-        if (legDiffKey(leg, *it->second) !=
-            legDiffKey(*it->second, *it->second))
+        if (legDiffKey(leg) != legDiffKey(*it->second))
             change(leg, "counters differ");
         base_legs.erase(it);
     }
@@ -517,7 +555,7 @@ plotFiles(const RunReport &report)
         files.emplace_back(stem + ".gp", std::move(gp));
     }
 
-    // Set-dueling PSEL trajectories (schema minor 3): one table per
+    // Set-dueling PSEL trajectories: one table per
     // trace that ran duel legs, with one decimated-sample column per
     // (duel policy, structure), plus a script plotting them.
     std::vector<std::string> trace_order;

@@ -31,8 +31,10 @@ std::string endMarker(const std::string &experiment);
  * fig11_btb_scurve) this is the paper-vs-measured table with the
  * paper's baselines embedded; other experiments get a generic
  * per-policy summary table, or a metrics table when the report carries
- * only free-form metrics. Deterministic: identical reports render to
- * identical bytes.
+ * only free-form metrics. A suite report with two or more static
+ * policies, or one plus a duel, gains the staticOracle() footer and
+ * one "vs oracle" line per duel. Deterministic: identical reports
+ * render to identical bytes.
  */
 std::string renderBlock(const RunReport &report);
 
@@ -78,13 +80,12 @@ struct DiffResult
 /**
  * Compare two reports: per-policy I-cache/BTB mean-MPKI deltas
  * (policies matched by name), every (trace, policy) leg's JSON minus
- * its wall time, and sweep throughput. A duel or phases subtree the
- * baseline leg does not carry is left out of its comparison, so a
- * baseline older than that schema minor still gates the rest; a leg
- * present in only one report is a change. With options.check, any
- * MPKI change beyond epsilon, any changed leg or a legs/s drop beyond
- * maxRegressPct fails the gate — counters are bit-deterministic
- * across hosts, throughput is not, hence the split thresholds.
+ * its wall time, and sweep throughput. A leg present in only one
+ * report, or carrying a duel or phases subtree the other's lacks, is a
+ * change. With options.check, any MPKI change beyond epsilon, any
+ * changed leg or a legs/s drop beyond maxRegressPct fails the gate —
+ * counters are bit-deterministic across hosts, throughput is not,
+ * hence the split thresholds.
  */
 DiffResult diffReports(const RunReport &baseline, const RunReport &candidate,
                        const DiffOptions &options = {});

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #ifndef _WIN32
@@ -190,12 +192,6 @@ accessFromJson(const Json &j, double &mpki)
 } // anonymous namespace
 
 Json
-phaseRecordJson(const frontend::PhaseRecord &record)
-{
-    return fieldsToJson(record);
-}
-
-Json
 legToJson(const Leg &leg)
 {
     const frontend::FrontendResult &r = leg.result;
@@ -218,16 +214,12 @@ legToJson(const Leg &leg)
         [&](const char *key, auto member) { branch.set(key, r.*member); });
     j.set("branch", std::move(branch));
 
-    // Schema minor 3: emitted only for duel legs so pre-dueling
-    // documents serialize byte-identically.
     if (r.hasDuel) {
         Json duel = Json::object();
         duel.set("icache", fieldsToJson(r.icacheDuel));
         duel.set("btb", fieldsToJson(r.btbDuel));
         j.set("duel", std::move(duel));
     }
-    // Schema minor 4: emitted only for phase-sampled legs so
-    // pre-flight-recorder documents serialize byte-identically.
     if (r.hasPhases) {
         Json phases = Json::object();
         phases.set("window", r.phases.window);
@@ -590,24 +582,6 @@ cacheConfigToJson(const cache::CacheConfig &config)
 
 } // anonymous namespace
 
-std::vector<std::optional<double>>
-phaseIntervalMpki(const frontend::PhaseTrajectory &phases,
-                  std::uint64_t frontend::PhaseRecord::*misses)
-{
-    std::vector<std::optional<double>> mpki;
-    mpki.reserve(phases.records.size());
-    std::uint64_t prev = 0;
-    for (const frontend::PhaseRecord &record : phases.records) {
-        if (record.instructions > prev)
-            mpki.push_back(static_cast<double>(record.*misses) * 1000.0 /
-                           static_cast<double>(record.instructions - prev));
-        else
-            mpki.emplace_back();
-        prev = record.instructions;
-    }
-    return mpki;
-}
-
 Json
 suiteOptionsToJson(const core::SuiteOptions &options)
 {
@@ -722,181 +696,6 @@ buildSuiteReport(const std::string &experiment,
         report.policies.push_back(std::move(summary));
     }
 
-    // ---- oracle + dueling extras (schema minor 3) ----------------
-    // Both subtrees are pure functions of the per-leg counters above,
-    // so reports rebuilt from journals carry them bit-identically. The oracle is deliberately NOT a policy
-    // row: diff/gate tooling matches PolicySummary rows by name and
-    // must not see a synthetic policy appear.
-    std::vector<frontend::PolicySpec> static_policies;
-    std::vector<frontend::PolicySpec> duel_policies;
-    for (const frontend::PolicySpec &policy : options.policies) {
-        if (!results.results.count(policy))
-            continue;
-        (policy.isDuel() ? duel_policies : static_policies)
-            .push_back(policy);
-    }
-
-    std::vector<double> oracle_icache;
-    std::vector<double> oracle_btb;
-    // A single static policy IS its own oracle — only synthesize the
-    // aggregate when the per-trace best can differ from a policy row
-    // (>= 2 statics) or a dueling row needs its upper bound.
-    const bool want_oracle =
-        static_policies.size() >= 2 ||
-        (!static_policies.empty() && !duel_policies.empty());
-    if (want_oracle) {
-        // Per-trace best static policy: the upper bound a perfect
-        // dynamic selector (always picking the winning constituent,
-        // per trace) could reach with this policy set.
-        const auto oracleOf =
-            [&](const std::function<std::vector<double>(
-                    const frontend::PolicySpec &)> &series,
-                std::vector<double> &minima) {
-                std::vector<std::vector<double>> all;
-                all.reserve(static_policies.size());
-                for (const frontend::PolicySpec &policy : static_policies)
-                    all.push_back(series(policy));
-                Json per_trace = Json::array();
-                for (std::size_t t = 0; t < results.specs.size(); ++t) {
-                    std::size_t best = 0;
-                    for (std::size_t p = 1; p < all.size(); ++p)
-                        if (all[p][t] < all[best][t])
-                            best = p;  // ties keep the first in order
-                    minima.push_back(all[best][t]);
-                    Json row = Json::object();
-                    row.set("trace", results.specs[t].name);
-                    row.set("policy", frontend::policyName(
-                                          static_policies[best]));
-                    row.set("mpki", all[best][t]);
-                    per_trace.push(std::move(row));
-                }
-                Json s = Json::object();
-                s.set("meanMpki", core::SuiteResults::mean(minima));
-                s.set("perTrace", std::move(per_trace));
-                return s;
-            };
-
-        Json oracle = Json::object();
-        Json names = Json::array();
-        for (const frontend::PolicySpec &policy : static_policies)
-            names.push(frontend::policyName(policy));
-        oracle.set("staticPolicies", std::move(names));
-        oracle.set("icache",
-                   oracleOf([&](const frontend::PolicySpec &p) {
-                       return results.icacheMpki(p);
-                   }, oracle_icache));
-        oracle.set("btb", oracleOf([&](const frontend::PolicySpec &p) {
-                       return results.btbMpki(p);
-                   }, oracle_btb));
-        report.extras.set("oracle", std::move(oracle));
-    }
-
-    if (!duel_policies.empty()) {
-        const auto structureJson = [&](double mean_mpki,
-                                       const std::vector<double> &oracle) {
-            Json s = Json::object();
-            s.set("meanMpki", mean_mpki);
-            if (!oracle.empty()) {
-                const double oracle_mean =
-                    core::SuiteResults::mean(oracle);
-                s.set("oracleMeanMpki", oracle_mean);
-                s.set("vsOraclePct",
-                      oracle_mean > 0.0
-                          ? (mean_mpki - oracle_mean) / oracle_mean *
-                                100.0
-                          : 0.0);
-            }
-            return s;
-        };
-
-        Json dueling = Json::object();
-        for (const frontend::PolicySpec &policy : duel_policies) {
-            const std::vector<frontend::FrontendResult> &runs =
-                results.results.at(policy);
-            Json d = Json::object();
-            d.set("icache",
-                  structureJson(core::SuiteResults::mean(
-                                    results.icacheMpki(policy)),
-                                oracle_icache));
-            d.set("btb", structureJson(core::SuiteResults::mean(
-                                           results.btbMpki(policy)),
-                                       oracle_btb));
-            Json per_trace = Json::array();
-            for (std::size_t t = 0; t < runs.size(); ++t) {
-                Json row = Json::object();
-                row.set("trace", results.specs[t].name);
-                row.set("icache", fieldsToJson(runs[t].icacheDuel));
-                row.set("btb", fieldsToJson(runs[t].btbDuel));
-                per_trace.push(std::move(row));
-            }
-            d.set("perTrace", std::move(per_trace));
-            dueling.set(frontend::policyName(policy), std::move(d));
-        }
-        report.extras.set("dueling", std::move(dueling));
-    }
-
-    // ---- phase flight-recorder extras (schema minor 4) -----------
-    // A compact per-policy digest of the per-leg trajectories: window
-    // geometry, record counts, decimation strides and the interval
-    // I-cache MPKI envelope. A pure function of the leg data, so
-    // resumed/merged reports carry it bit-identically; omitted
-    // entirely when no leg sampled, keeping minor-3 output unchanged.
-    {
-        bool any_phases = false;
-        std::uint64_t window = 0;
-        for (const auto &[policy, runs] : results.results)
-            for (const frontend::FrontendResult &run : runs)
-                if (run.hasPhases) {
-                    any_phases = true;
-                    window = run.phases.window;
-                }
-        if (any_phases) {
-            Json phases = Json::object();
-            phases.set("window", window);
-            Json per_policy = Json::object();
-            for (const frontend::PolicySpec &policy : options.policies) {
-                if (!results.results.count(policy))
-                    continue;
-                const std::vector<frontend::FrontendResult> &runs =
-                    results.results.at(policy);
-                std::uint64_t records = 0;
-                std::uint64_t max_stride = 0;
-                double mpki_min = 0.0, mpki_max = 0.0;
-                bool have_mpki = false;
-                for (const frontend::FrontendResult &run : runs) {
-                    if (!run.hasPhases)
-                        continue;
-                    records += run.phases.records.size();
-                    max_stride =
-                        std::max(max_stride, run.phases.stride);
-                    for (const std::optional<double> mpki :
-                         phaseIntervalMpki(
-                             run.phases,
-                             &frontend::PhaseRecord::icacheMisses)) {
-                        if (!mpki)
-                            continue;
-                        if (!have_mpki || *mpki < mpki_min)
-                            mpki_min = *mpki;
-                        if (!have_mpki || *mpki > mpki_max)
-                            mpki_max = *mpki;
-                        have_mpki = true;
-                    }
-                }
-                Json p = Json::object();
-                p.set("records", records);
-                p.set("maxStride", max_stride);
-                if (have_mpki) {
-                    p.set("icacheMpkiMin", mpki_min);
-                    p.set("icacheMpkiMax", mpki_max);
-                }
-                per_policy.set(frontend::policyName(policy),
-                               std::move(p));
-            }
-            phases.set("perPolicy", std::move(per_policy));
-            report.extras.set("phases", std::move(phases));
-        }
-    }
-
     SweepStats &sweep = report.sweep;
     sweep.wallSeconds = results.wallSeconds;
     sweep.legs = results.totalLegs();
@@ -919,6 +718,56 @@ buildSuiteReport(const std::string &experiment,
     sweep.traceStoreMisses = results.traceStore.misses;
     sweep.traceStoreStores = results.traceStore.stores;
     return report;
+}
+
+StaticOracle
+staticOracle(const RunReport &report)
+{
+    std::map<std::pair<std::string, std::string>, const Leg *> legs;
+    std::set<std::string> duels, seen;
+    std::vector<std::string> traces;
+    for (const Leg &leg : report.legs) {
+        legs.emplace(std::pair(leg.trace(), leg.policy()), &leg);
+        if (leg.result.hasDuel)
+            duels.insert(leg.policy());
+        if (seen.insert(leg.trace()).second)
+            traces.push_back(leg.trace());
+    }
+
+    StaticOracle oracle;
+    for (const PolicySummary &p : report.policies)
+        if (!duels.count(p.policy))
+            oracle.policies.push_back(p.policy);
+    if (oracle.policies.empty())
+        return oracle;
+
+    const auto pick = [](StaticOracle::Structure &s,
+                         const std::vector<const Leg *> &row,
+                         double frontend::FrontendResult::*mpki) {
+        std::size_t best = 0;
+        for (std::size_t p = 1; p < row.size(); ++p)
+            if (row[p]->result.*mpki < row[best]->result.*mpki)
+                best = p;
+        s.best.push_back(best);
+        s.mpki.push_back(row[best]->result.*mpki);
+    };
+    for (const std::string &trace : traces) {
+        std::vector<const Leg *> row;
+        for (const std::string &policy : oracle.policies) {
+            const auto it = legs.find({trace, policy});
+            if (it == legs.end())
+                break;
+            row.push_back(it->second);
+        }
+        if (row.size() != oracle.policies.size())
+            continue;
+        oracle.traces.push_back(trace);
+        pick(oracle.icache, row, &frontend::FrontendResult::icacheMpki);
+        pick(oracle.btb, row, &frontend::FrontendResult::btbMpki);
+    }
+    oracle.icache.meanMpki = core::SuiteResults::mean(oracle.icache.mpki);
+    oracle.btb.meanMpki = core::SuiteResults::mean(oracle.btb.mpki);
+    return oracle;
 }
 
 } // namespace ghrp::report

@@ -18,7 +18,6 @@
 #define GHRP_REPORT_REPORT_HH
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,19 +39,8 @@ struct ReportError : std::runtime_error
     {}
 };
 
-/** Schema identity; bump major only on incompatible layout changes.
- *  Minor 1 added the optional "extras" subtree (free-form named JSON
- *  blobs, e.g. per-frame efficiency matrices). Minor 2 added the
- *  "extras.telemetry" process-metrics snapshot, no longer written;
- *  readers ignore it like any unknown extras entry.
- *  Minor 3 added the optional per-leg "duel" subtree (set-dueling
- *  PSEL statistics) plus the "extras.oracle" per-trace best-static
- *  aggregate and "extras.dueling" summaries built by
- *  buildSuiteReport(). Minor 4 added the optional per-leg "phases"
- *  subtree (windowed flight-recorder records), the "phaseWindow"
- *  suite option, and the "extras.phases" summary built by
- *  buildSuiteReport(); all omitted when phase sampling is off, so
- *  minor-3 documents render byte-identically. */
+/** Schema identity; bump major only on incompatible layout changes,
+ *  minor on additions. */
 inline constexpr char kSchemaName[] = "ghrp-run-report";
 inline constexpr int kSchemaMajor = 1;
 inline constexpr int kSchemaMinor = 4;
@@ -61,10 +49,8 @@ inline constexpr int kSchemaMinor = 4;
  * One simulated (trace, policy/variant) leg: the simulator's own
  * result plus the leg's wall time. The result's traceName and policy
  * are the leg's label (a bench may label a variant, e.g.
- * "GHRP+path-itp"). Its optional duel (schema minor 3) and phases
- * (minor 4) subtrees are serialized only when result.hasDuel /
- * result.hasPhases, so documents without them render byte-identically
- * to the older minors.
+ * "GHRP+path-itp"). Its optional duel and phases subtrees are
+ * serialized only when result.hasDuel / result.hasPhases.
  */
 struct Leg
 {
@@ -134,9 +120,9 @@ struct RunReport
     std::vector<Leg> legs;
     /** Free-form named numbers for experiments without suite legs. */
     std::vector<std::pair<std::string, double>> metrics;
-    /** Free-form named JSON blobs (schema minor 1), e.g. the per-frame
-     *  efficiency matrices of the heat-map figures. Serialized only
-     *  when non-empty so minor-0 documents render byte-identically. */
+    /** Free-form named JSON blobs, e.g. the per-frame efficiency
+     *  matrices of the heat-map figures; serialized only when
+     *  non-empty. */
     Json extras = Json::object();
 
     Json toJson() const;
@@ -204,24 +190,10 @@ Leg makeLeg(const std::string &trace, const std::string &label,
 /** Serialize one leg as its report-schema JSON object. */
 Json legToJson(const Leg &leg);
 
-/** Serialize one flight-recorder record as its report-schema JSON
- *  object (the shape used inside leg "phases" subtrees). */
-Json phaseRecordJson(const frontend::PhaseRecord &record);
-
 /** Parse one leg object — the exact inverse of legToJson, so a
  *  journaled leg's result refills a runner slot bit-identically;
  *  throws ReportError on missing members. */
 Leg legFromJson(const Json &json);
-
-/**
- * Interval MPKI of each flight-recorder record of @p phases: the
- * record's @p misses per 1000 instructions of its span since the
- * previous record's commit (the first spans from instruction 0), or
- * nullopt when the span is empty.
- */
-std::vector<std::optional<double>>
-phaseIntervalMpki(const frontend::PhaseTrajectory &phases,
-                  std::uint64_t frontend::PhaseRecord::*misses);
 
 /** Serialize suite options as the report's "options" subtree. */
 Json suiteOptionsToJson(const core::SuiteOptions &options);
@@ -238,11 +210,40 @@ Json efficiencyMatrixJson(const stats::EfficiencyTracker &tracker);
  * Build the standard suite report from a core::runSuite sweep:
  * captures options, every (trace, policy) leg with its wall time,
  * per-policy aggregates with 95% CIs of the relative difference vs
- * LRU (when LRU ran), and sweep throughput.
+ * LRU (when LRU ran), and sweep throughput. Beyond those per-policy
+ * rows it stores no digest of the legs; views such as staticOracle()
+ * are derived from them when the report is read.
  */
 RunReport buildSuiteReport(const std::string &experiment,
                            const core::SuiteOptions &options,
                            const core::SuiteResults &results);
+
+/**
+ * The per-trace best static policy of a suite report, derived from its
+ * legs: the upper bound a perfect selector, picking the winning static
+ * policy per trace, could reach with the report's policy set. The
+ * static policies are the report's policy rows, in order, whose legs
+ * carry no duel subtree; a trace enters when every static policy has a
+ * leg on it.
+ */
+struct StaticOracle
+{
+    /** One structure's per-trace minima. */
+    struct Structure
+    {
+        std::vector<std::size_t> best;  ///< index into policies, per trace
+        std::vector<double> mpki;       ///< the best policy's MPKI
+        double meanMpki = 0.0;          ///< mean of mpki
+    };
+
+    std::vector<std::string> policies;  ///< the static policies
+    std::vector<std::string> traces;    ///< in first-leg order
+    Structure icache;
+    Structure btb;
+};
+
+/** The report's static oracle; a tie keeps the first policy in order. */
+StaticOracle staticOracle(const RunReport &report);
 
 } // namespace ghrp::report
 

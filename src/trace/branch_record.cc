@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "trace/fetch_stream.hh"
+#include "trace/decoded_trace.hh"
 
 namespace ghrp::trace
 {
@@ -37,7 +37,7 @@ summarize(const Trace &trace, std::uint32_t inst_bytes)
     std::unordered_set<Addr> taken_pcs;
     std::unordered_set<Addr> blocks;
 
-    FetchStreamWalker walker(trace.entryPc, 64, inst_bytes);
+    FetchCursor cursor(trace.entryPc, 64, inst_bytes);
     for (const BranchRecord &rec : trace.records) {
         ++summary.records;
         if (rec.taken) {
@@ -46,13 +46,13 @@ summarize(const Trace &trace, std::uint32_t inst_bytes)
         }
         ++summary.perType[static_cast<std::size_t>(rec.type)];
         static_pcs.insert(rec.pc);
-        walker.advance(rec,
-                       [&](Addr block) { blocks.insert(block); });
+        cursor.advance(rec.pc, rec.target, rec.taken,
+                       [&](Addr block, Addr) { blocks.insert(block); });
     }
     summary.staticBranches = static_pcs.size();
     summary.staticTakenBranches = taken_pcs.size();
     summary.staticBlocks64 = blocks.size();
-    summary.instructions = walker.instructionCount();
+    summary.instructions = cursor.instructionCount();
     return summary;
 }
 

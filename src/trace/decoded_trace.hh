@@ -9,9 +9,10 @@
  * (FetchCursor) instead of reading them from memory.
  *
  * The decoded stream is exactly equivalent to walking the branch
- * records through FetchStreamWalker with the front-end's coalescing
- * rule: the differential tests assert bit-identical simulation results
- * between the two paths for every policy.
+ * records through the test suite's independently coded
+ * FetchStreamWalker (tests/trace/fetch_stream.hh) with the front-end's
+ * coalescing rule: the differential tests assert bit-identical
+ * simulation results between the two paths for every policy.
  */
 
 #ifndef GHRP_TRACE_DECODED_TRACE_HH
@@ -91,8 +92,9 @@ constexpr bool isReturn(std::uint8_t m) { return (m & returnBit) != 0; }
  *     start is the fetch PC after any resync.
  * Decode counts a trace's ops and instructions with it, and every
  * simulation leg re-derives them with it while stepping, so the decoded
- * trace stores neither. FetchStreamWalker is the independently coded
- * form of the same rule that the differential tests check it against.
+ * trace stores neither; OPT and trace::summarize walk a raw trace with
+ * it too. The tests' FetchStreamWalker is the independently coded form
+ * of the same rule that the differential tests check it against.
  */
 class FetchCursor
 {

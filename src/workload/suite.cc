@@ -37,17 +37,13 @@ makeSuite(std::uint32_t num_traces, std::uint64_t base_seed)
 }
 
 void
-streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
-            trace::RecordSink &sink)
+streamWorkload(const WorkloadParams &params, const std::string &name,
+               trace::RecordSink &sink)
 {
-    WorkloadParams params = makeParams(spec.category, spec.seed);
-    if (instruction_override != 0)
-        params.targetInstructions = instruction_override;
-
     const Program program = generateProgram(params);
 
     ExecParams exec;
-    exec.seed = spec.seed * 0x2545F4914F6CDD1Dull + 1;
+    exec.seed = params.seed * 0x2545F4914F6CDD1Dull + 1;
     exec.maxInstructions = params.targetInstructions;
     exec.phaseLengthInstructions = params.phaseLengthInstructions;
     exec.zipfSkew = params.zipfSkew;
@@ -55,7 +51,17 @@ streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
     exec.bigLoopCallProbability = params.bigLoopCallProbability;
     exec.stubCallProbability = params.stubCallProbability;
 
-    execute(program, exec, spec.name, categoryName(spec.category), sink);
+    execute(program, exec, name, categoryName(params.category), sink);
+}
+
+void
+streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
+            trace::RecordSink &sink)
+{
+    WorkloadParams params = makeParams(spec.category, spec.seed);
+    if (instruction_override != 0)
+        params.targetInstructions = instruction_override;
+    streamWorkload(params, spec.name, sink);
 }
 
 trace::Trace

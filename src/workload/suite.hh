@@ -58,6 +58,16 @@ trace::Trace buildTrace(const TraceSpec &spec,
 void streamTrace(const TraceSpec &spec, std::uint64_t instruction_override,
                  trace::RecordSink &sink);
 
+/**
+ * The trace of arbitrary workload parameters, named @p name, into
+ * @p sink: the program @p params describes, executed with the
+ * execution seed and dynamic knobs derived from them. streamTrace is
+ * this with a spec's category preset; a bench that tweaks the preset
+ * (e.g. enables stub farms) calls it directly. Pure like buildTrace.
+ */
+void streamWorkload(const WorkloadParams &params, const std::string &name,
+                    trace::RecordSink &sink);
+
 } // namespace ghrp::workload
 
 #endif // GHRP_WORKLOAD_SUITE_HH

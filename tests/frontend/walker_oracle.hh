@@ -24,7 +24,7 @@
 #include "branch/perceptron.hh"
 #include "branch/ras.hh"
 #include "frontend/frontend.hh"
-#include "trace/fetch_stream.hh"
+#include "../trace/fetch_stream.hh"
 #include "util/logging.hh"
 
 namespace ghrp::frontend

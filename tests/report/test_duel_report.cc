@@ -1,11 +1,11 @@
 /**
  * @file
- * Schema-minor-3 tests: the per-leg "duel" subtree must round-trip
- * bit-identically (legs are the crash-resume currency),
- * buildSuiteReport must synthesize the extras.oracle per-trace
- * best-static aggregate and the extras.dueling summaries from the
- * suite results alone, a sweep resumed from its journal must carry
- * identical duel extras, and the rendered block must show the oracle comparison.
+ * Set-dueling report tests: the per-leg "duel" subtree must round-trip
+ * bit-identically (legs are the crash-resume currency), the static
+ * oracle derived from a real suite report's legs must be the per-trace
+ * minimum of its static policies, a sweep resumed from its journal
+ * must carry bit-identical legs, and the rendered block must show the
+ * oracle comparison.
  */
 
 #include <gtest/gtest.h>
@@ -111,74 +111,44 @@ duelSuiteOptions()
     return options;
 }
 
-TEST(DuelReport, BuildSuiteReportSynthesizesOracleAndDuelingExtras)
+TEST(DuelReport, StaticOracleIsPerTraceMinimumOfSuiteLegs)
 {
     const core::SuiteOptions options = duelSuiteOptions();
     const core::SuiteResults results = core::runSuite(options);
     const RunReport report =
         report::buildSuiteReport("duel_suite", options, results);
 
-    // The oracle is an extras subtree, NEVER a policy row (diff
-    // tooling matches rows by name).
+    // The report stores legs and policy rows only; the oracle is never
+    // a policy row (diff tooling matches rows by name).
+    EXPECT_EQ(report.toJson().find("extras"), nullptr);
     ASSERT_EQ(report.policies.size(), 3u);
     for (const report::PolicySummary &p : report.policies)
         EXPECT_EQ(p.policy.find("oracle"), std::string::npos);
 
-    const Json *oracle = report.extras.find("oracle");
-    ASSERT_NE(oracle, nullptr);
-    ASSERT_EQ(oracle->at("staticPolicies").size(), 2u);
-    EXPECT_EQ(oracle->at("staticPolicies").asArray()[0].asString(),
-              "LRU");
-    EXPECT_EQ(oracle->at("staticPolicies").asArray()[1].asString(),
-              "SRRIP");
+    const report::StaticOracle oracle = report::staticOracle(report);
+    EXPECT_EQ(oracle.policies,
+              (std::vector<std::string>{"LRU", "SRRIP"}));
+    ASSERT_EQ(oracle.traces.size(), results.specs.size());
+    const auto expect = [&](const report::StaticOracle::Structure &s,
+                            const std::vector<double> &lru,
+                            const std::vector<double> &srrip) {
+        for (std::size_t t = 0; t < lru.size(); ++t) {
+            EXPECT_EQ(oracle.traces[t], results.specs[t].name);
+            EXPECT_EQ(s.mpki[t], std::min(lru[t], srrip[t]));
+            EXPECT_EQ(s.best[t], lru[t] <= srrip[t] ? 0u : 1u);
+        }
+        EXPECT_EQ(s.meanMpki, core::SuiteResults::mean(s.mpki));
+    };
+    expect(oracle.icache, results.icacheMpki(frontend::PolicyKind::Lru),
+           results.icacheMpki(frontend::PolicyKind::Srrip));
+    expect(oracle.btb, results.btbMpki(frontend::PolicyKind::Lru),
+           results.btbMpki(frontend::PolicyKind::Srrip));
 
-    // Per structure: per-trace minima over the static policies, and
-    // meanMpki = mean of those minima.
-    const std::vector<double> lru =
-        results.icacheMpki(frontend::PolicyKind::Lru);
-    const std::vector<double> srrip =
-        results.icacheMpki(frontend::PolicyKind::Srrip);
-    double mean_min = 0.0;
-    for (std::size_t t = 0; t < lru.size(); ++t)
-        mean_min += std::min(lru[t], srrip[t]);
-    mean_min /= static_cast<double>(lru.size());
-    const Json &icache = oracle->at("icache");
-    EXPECT_DOUBLE_EQ(icache.at("meanMpki").asDouble(), mean_min);
-    ASSERT_EQ(icache.at("perTrace").size(), lru.size());
-    for (std::size_t t = 0; t < lru.size(); ++t) {
-        const Json &row = icache.at("perTrace").asArray()[t];
-        EXPECT_DOUBLE_EQ(row.at("mpki").asDouble(),
-                         std::min(lru[t], srrip[t]));
-        EXPECT_EQ(row.at("policy").asString(),
-                  lru[t] <= srrip[t] ? "LRU" : "SRRIP");
-    }
-
-    // The dueling summary is keyed by the canonical spec name and
-    // compares against the oracle mean.
-    const Json *dueling = report.extras.find("dueling");
-    ASSERT_NE(dueling, nullptr);
-    const Json *entry = dueling->find("duel:SRRIP,LRU");
-    ASSERT_NE(entry, nullptr);
-    const double duel_mean = core::SuiteResults::mean(results.icacheMpki(
-        frontend::parsePolicySpec("duel:srrip,lru")));
-    EXPECT_DOUBLE_EQ(entry->at("icache").at("meanMpki").asDouble(),
-                     duel_mean);
-    EXPECT_DOUBLE_EQ(
-        entry->at("icache").at("oracleMeanMpki").asDouble(), mean_min);
-    if (mean_min > 0.0) {
-        EXPECT_DOUBLE_EQ(
-            entry->at("icache").at("vsOraclePct").asDouble(),
-            (duel_mean - mean_min) / mean_min * 100.0);
-    }
-    ASSERT_EQ(entry->at("perTrace").size(), lru.size());
-    const Json &first = entry->at("perTrace").asArray()[0];
-    EXPECT_NE(first.at("icache").find("finalPsel"), nullptr);
-    EXPECT_NE(first.at("icache").find("trajectory"), nullptr);
-
-    // The whole document still round-trips bit-identically.
-    const std::string once = report.toJson().dump(2);
-    EXPECT_EQ(RunReport::fromJson(Json::parse(once)).toJson().dump(2),
-              once);
+    // Reading the report back derives the same oracle.
+    const RunReport reread =
+        RunReport::fromJson(Json::parse(report.toJson().dump(2)));
+    EXPECT_EQ(report::staticOracle(reread).icache.mpki, oracle.icache.mpki);
+    EXPECT_EQ(report::staticOracle(reread).btb.mpki, oracle.btb.mpki);
 }
 
 TEST(DuelReport, RenderedBlockShowsOracleComparison)
@@ -204,7 +174,7 @@ TEST(DuelReport, RenderedBlockShowsOracleComparison)
               std::string::npos);
 }
 
-/** Keep the simulation payload plus the oracle/dueling extras; strip
+/** Keep the simulation payload (policy rows and legs); strip
  *  identity, timing and capture. */
 std::string
 duelNormalizedDump(RunReport r)
@@ -215,22 +185,16 @@ duelNormalizedDump(RunReport r)
     r.environment.clear();
     r.options = Json::object();
     r.sweep = report::SweepStats{};
-    Json extras = Json::object();
-    if (const Json *oracle = r.extras.find("oracle"))
-        extras.set("oracle", *oracle);
-    if (const Json *dueling = r.extras.find("dueling"))
-        extras.set("dueling", *dueling);
-    r.extras = std::move(extras);
     for (report::Leg &leg : r.legs)
         leg.seconds = 0.0;
     return r.toJson().dump(2);
 }
 
-TEST(DuelReport, JournalResumeReproducesDuelExtrasBitIdentically)
+TEST(DuelReport, JournalResumeReproducesDuelLegsBitIdentically)
 {
     // Replayed legs carry their duel telemetry, so a sweep resumed from
-    // a half-written journal synthesizes the same oracle and dueling
-    // extras as an uninterrupted run.
+    // a half-written journal reports bit-identical legs, and renders
+    // the same oracle footer, as an uninterrupted run.
     const core::SuiteOptions options = duelSuiteOptions();
     const RunReport reference = report::buildSuiteReport(
         "duel-resume", options, core::runSuite(options));
@@ -250,8 +214,9 @@ TEST(DuelReport, JournalResumeReproducesDuelExtrasBitIdentically)
     const RunReport resumed = report::buildSuiteReport(
         "duel-resume", options, report::runJournaled(options, journal));
     EXPECT_EQ(duelNormalizedDump(resumed), duelNormalizedDump(reference));
-    ASSERT_NE(resumed.extras.find("oracle"), nullptr);
-    ASSERT_NE(resumed.extras.find("dueling"), nullptr);
+    EXPECT_EQ(report::renderBlock(resumed), report::renderBlock(reference));
+    for (const report::Leg &leg : resumed.legs)
+        EXPECT_EQ(leg.result.hasDuel, leg.policy() == "duel:SRRIP,LRU");
 }
 
 } // anonymous namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * Schema-minor-4 tests: the per-leg "phases" subtree must round-trip
- * bit-identically (legs are the crash-resume currency),
- * buildSuiteReport must synthesize the extras.phases digest from the
- * suite results alone, a sweep resumed from its journal must carry
- * identical phase data, and the phase render/check/diff surfaces must behave on
- * real and degenerate reports.
+ * Phase flight-recorder report tests: the per-leg "phases" subtree
+ * must round-trip bit-identically (legs are the crash-resume
+ * currency), buildSuiteReport must store it on every leg and nowhere
+ * else, a sweep resumed from its journal must carry bit-identical
+ * legs, and the phase render/check/diff surfaces must behave on real
+ * and degenerate reports.
  */
 
 #include <gtest/gtest.h>
@@ -240,7 +240,7 @@ phaseSuiteOptions(std::uint64_t window = 20'000)
     return options;
 }
 
-TEST(PhaseReport, BuildSuiteReportSynthesizesPhasesExtras)
+TEST(PhaseReport, BuildSuiteReportStoresPhasesOnLegsOnly)
 {
     const core::SuiteOptions options = phaseSuiteOptions();
     const core::SuiteResults results = core::runSuite(options);
@@ -255,18 +255,8 @@ TEST(PhaseReport, BuildSuiteReportSynthesizesPhasesExtras)
         EXPECT_FALSE(leg.result.phases.records.empty());
     }
 
-    const Json *phases = report.extras.find("phases");
-    ASSERT_NE(phases, nullptr);
-    EXPECT_EQ(phases->at("window").asUint(), 20'000u);
-    const Json &per_policy = phases->at("perPolicy");
-    for (const char *name : {"LRU", "GHRP"}) {
-        const Json *entry = per_policy.find(name);
-        ASSERT_NE(entry, nullptr) << name;
-        EXPECT_GT(entry->at("records").asUint(), 0u);
-        EXPECT_GE(entry->at("maxStride").asUint(), 1u);
-        EXPECT_GE(entry->at("icacheMpkiMax").asDouble(),
-                  entry->at("icacheMpkiMin").asDouble());
-    }
+    // No digest of the legs is stored next to them.
+    EXPECT_EQ(report.toJson().find("extras"), nullptr);
 
     // The whole document still round-trips bit-identically.
     const std::string once = report.toJson().dump(2);
@@ -280,7 +270,6 @@ TEST(PhaseReport, WindowZeroProducesZeroReportDelta)
     const RunReport report = report::buildSuiteReport(
         "phase_suite", options, core::runSuite(options));
 
-    EXPECT_EQ(report.extras.find("phases"), nullptr);
     for (const report::Leg &leg : report.legs) {
         EXPECT_FALSE(leg.result.hasPhases);
         EXPECT_EQ(report::legToJson(leg).find("phases"), nullptr);
@@ -288,8 +277,8 @@ TEST(PhaseReport, WindowZeroProducesZeroReportDelta)
     EXPECT_EQ(report.options.at("phaseWindow").asUint(), 0u);
 }
 
-/** Keep the simulation payload plus the phases extras; strip identity,
- *  timing and capture. */
+/** Keep the simulation payload (policy rows and legs); strip
+ *  identity, timing and capture. */
 std::string
 phaseNormalizedDump(RunReport r)
 {
@@ -299,10 +288,6 @@ phaseNormalizedDump(RunReport r)
     r.environment.clear();
     r.options = Json::object();
     r.sweep = report::SweepStats{};
-    Json extras = Json::object();
-    if (const Json *phases = r.extras.find("phases"))
-        extras.set("phases", *phases);
-    r.extras = std::move(extras);
     for (report::Leg &leg : r.legs)
         leg.seconds = 0.0;
     return r.toJson().dump(2);
@@ -311,8 +296,8 @@ phaseNormalizedDump(RunReport r)
 TEST(PhaseReport, JournalResumeReproducesPhasesBitIdentically)
 {
     // Replayed legs carry their phase records, so a sweep resumed from
-    // a half-written journal synthesizes the same extras.phases as an
-    // uninterrupted run.
+    // a half-written journal reports bit-identical legs to an
+    // uninterrupted run, trajectories included.
     const core::SuiteOptions options = phaseSuiteOptions();
     const RunReport reference = report::buildSuiteReport(
         "phase-resume", options, core::runSuite(options));
@@ -333,9 +318,14 @@ TEST(PhaseReport, JournalResumeReproducesPhasesBitIdentically)
         "phase-resume", options, report::runJournaled(options, journal));
     EXPECT_EQ(phaseNormalizedDump(resumed),
               phaseNormalizedDump(reference));
-    ASSERT_NE(resumed.extras.find("phases"), nullptr);
-    for (const report::Leg &leg : resumed.legs)
-        EXPECT_TRUE(leg.result.hasPhases);
+    ASSERT_EQ(resumed.legs.size(), reference.legs.size());
+    for (std::size_t i = 0; i < resumed.legs.size(); ++i) {
+        EXPECT_TRUE(resumed.legs[i].result.hasPhases);
+        report::Leg a = resumed.legs[i], b = reference.legs[i];
+        a.seconds = b.seconds = 0.0;
+        EXPECT_EQ(report::legToJson(a).dump(0), report::legToJson(b).dump(0))
+            << b.trace() << "/" << b.policy();
+    }
 }
 
 TEST(PhaseRender, RenderCheckAndDiffSurfaces)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "report/render.hh"
 
 namespace
@@ -62,21 +65,23 @@ frozenHeadlineReport()
  */
 TEST(Render, GoldenHeadlineBlock)
 {
+    // "measured vs LRU" is the ratio of means, like the paper's
+    // column (5.29 / 4.58 = +15.5%); the per-trace mean is Fig. 8's.
     const char *expected =
         "<!-- ghrp-report:fig03_icache_scurve:begin -->\n"
         "| policy | paper MPKI | paper vs LRU | measured MPKI | "
-        "measured vs LRU |\n"
-        "|---|---|---|---|---|\n"
+        "measured vs LRU | per-trace mean vs LRU (Fig. 8) |\n"
+        "|---|---|---|---|---|---|\n"
         "| LRU    | 1.05       | -            | 4.58          | "
-        "-               |\n"
+        "-               | -                              |\n"
         "| Random | 1.14       | +8.6%        | 5.29          | "
-        "+15.6%          |\n"
+        "+15.5%          | +15.6%                         |\n"
         "| SRRIP  | 1.02       | -2.9%        | 4.77          | "
-        "+4.3%           |\n"
+        "+4.1%           | +4.3%                          |\n"
         "| SDBP   | 1.10       | +4.8%        | 4.55          | "
-        "-0.5%           |\n"
+        "-0.7%           | -0.5%                          |\n"
         "| GHRP   | 0.86       | -18.1%       | 4.41          | "
-        "-3.6%           |\n"
+        "-3.7%           | -3.6%                          |\n"
         "<!-- ghrp-report:fig03_icache_scurve:end -->";
     EXPECT_EQ(report::renderBlock(frozenHeadlineReport()), expected);
 }
@@ -230,15 +235,102 @@ TEST(Diff, PerLegCounterDeltaFailsCheckWithMeansUnchanged)
     EXPECT_FALSE(report::diffReports(base, cand, options).ok());
     EXPECT_FALSE(report::diffReports(cand, base, options).ok());
 
-    // A phases subtree the baseline predates is not compared; one the
-    // candidate lost is.
+    // Every leg key but the wall time is compared: a phases or duel
+    // subtree on either side alone is a change.
     frontend::FrontendResult phased = r;
     phased.hasPhases = true;
     phased.phases.window = 50'000;
-    cand = base;
-    cand.legs[0] = report::makeLeg("trace-0", "LRU", phased, 0.1);
-    EXPECT_TRUE(report::diffReports(base, cand, options).ok());
-    EXPECT_FALSE(report::diffReports(cand, base, options).ok());
+    frontend::FrontendResult duel = r;
+    duel.hasDuel = true;
+    for (const frontend::FrontendResult &extra : {phased, duel}) {
+        cand = base;
+        cand.legs[0] = report::makeLeg("trace-0", "LRU", extra, 0.1);
+        EXPECT_FALSE(report::diffReports(base, cand, options).ok());
+        EXPECT_FALSE(report::diffReports(cand, base, options).ok());
+        EXPECT_TRUE(report::diffReports(cand, cand, options).ok());
+    }
+}
+
+/** A leg of @p policy on @p trace with the given MPKIs. */
+report::Leg
+mpkiLeg(const std::string &trace, const std::string &policy,
+        double icache, double btb, bool duel = false)
+{
+    frontend::FrontendResult r;
+    r.icacheMpki = icache;
+    r.btbMpki = btb;
+    r.hasDuel = duel;
+    return report::makeLeg(trace, policy, r);
+}
+
+/**
+ * A report that stores only legs (its policy rows name the axis and
+ * carry no numbers): two static policies and a duel on three traces.
+ * I-cache minima 3, 2 (a tie) and 3, mean 8/3; BTB minima 1, 1.5 (a
+ * tie) and 1, mean 7/6. The duel's means are 3 and 1.25: +12.5% and
+ * +7.1% over the oracle.
+ */
+RunReport
+legsOnlyDuelReport()
+{
+    RunReport report;
+    report.experiment = "duel_fixture";
+    for (const char *policy : {"LRU", "GHRP", "duel:GHRP,LRU"})
+        report.policies.push_back(summary(policy, 0.0, 0.0, 0.0, false));
+    report.legs = {
+        mpkiLeg("t0", "LRU", 4.0, 1.0),
+        mpkiLeg("t1", "LRU", 2.0, 1.5),
+        mpkiLeg("t2", "LRU", 3.0, 2.0),
+        mpkiLeg("t0", "GHRP", 3.0, 1.25),
+        mpkiLeg("t1", "GHRP", 2.0, 1.5),
+        mpkiLeg("t2", "GHRP", 5.0, 1.0),
+        mpkiLeg("t0", "duel:GHRP,LRU", 3.5, 1.0, true),
+        mpkiLeg("t1", "duel:GHRP,LRU", 2.0, 1.5, true),
+        mpkiLeg("t2", "duel:GHRP,LRU", 3.5, 1.25, true),
+    };
+    return report;
+}
+
+TEST(Render, OracleFooterIsDerivedFromLegs)
+{
+    RunReport report = legsOnlyDuelReport();
+    const report::StaticOracle oracle = report::staticOracle(report);
+    EXPECT_EQ(oracle.policies, (std::vector<std::string>{"LRU", "GHRP"}));
+    EXPECT_EQ(oracle.traces,
+              (std::vector<std::string>{"t0", "t1", "t2"}));
+    EXPECT_EQ(oracle.icache.mpki, (std::vector<double>{3.0, 2.0, 3.0}));
+    EXPECT_EQ(oracle.btb.mpki, (std::vector<double>{1.0, 1.5, 1.0}));
+    // Ties keep the first policy in order.
+    EXPECT_EQ(oracle.icache.best, (std::vector<std::size_t>{1, 0, 0}));
+    EXPECT_EQ(oracle.btb.best, (std::vector<std::size_t>{0, 0, 1}));
+    EXPECT_DOUBLE_EQ(oracle.icache.meanMpki, 8.0 / 3.0);
+    EXPECT_DOUBLE_EQ(oracle.btb.meanMpki, 7.0 / 6.0);
+
+    const std::string block = report::renderBlock(report);
+    EXPECT_NE(block.find("\nOracle (per-trace best static): I-cache 2.67 "
+                         "MPKI, BTB 1.17 MPKI\n"
+                         "duel:GHRP,LRU vs oracle: I-cache +12.5%, "
+                         "BTB +7.1%\n"),
+              std::string::npos)
+        << block;
+
+    // One static policy plus the duel still gets the footer; one
+    // static policy alone is its own oracle and gets none.
+    report.policies.erase(report.policies.begin() + 1);
+    std::erase_if(report.legs, [](const report::Leg &leg) {
+        return leg.policy() == "GHRP";
+    });
+    EXPECT_NE(report::renderBlock(report).find("I-cache 3.00 MPKI"),
+              std::string::npos);
+    report.policies.pop_back();
+    EXPECT_EQ(report::renderBlock(report).find("Oracle"),
+              std::string::npos);
+
+    // A static policy with a missing leg drops that trace only.
+    report = legsOnlyDuelReport();
+    report.legs.erase(report.legs.begin() + 4);  // t1/GHRP
+    EXPECT_EQ(report::staticOracle(report).traces,
+              (std::vector<std::string>{"t0", "t2"}));
 }
 
 TEST(Diff, MetricOnlyReportsCompareMetrics)

@@ -93,8 +93,9 @@ TEST(RunReport, JsonRoundTripIsBitIdentical)
     EXPECT_EQ(reparsed.metrics.size(), report.metrics.size());
     EXPECT_EQ(reparsed.build, report.build);
 
-    // The committed seed reports (schema minors 1.2 to 1.4) reload and
-    // re-serialize to their exact bytes.
+    // The committed seed reports are all at the current schema, store
+    // legs rather than extras, and reload and re-serialize to their
+    // exact bytes.
     const std::filesystem::path seeds =
         std::filesystem::path(GHRP_SOURCE_DIR) / "reports" / "seed";
     std::size_t checked = 0;
@@ -104,10 +105,12 @@ TEST(RunReport, JsonRoundTripIsBitIdentical)
         std::ifstream file(entry.path());
         const std::string bytes((std::istreambuf_iterator<char>(file)),
                                 std::istreambuf_iterator<char>());
-        EXPECT_EQ(RunReport::load(entry.path().string()).toJson().dump(2) +
-                      "\n",
-                  bytes)
-            << entry.path();
+        const RunReport seed = RunReport::load(entry.path().string());
+        EXPECT_EQ(seed.toJson().dump(2) + "\n", bytes) << entry.path();
+        EXPECT_EQ(seed.versionMajor, report::kSchemaMajor) << entry.path();
+        EXPECT_EQ(seed.versionMinor, report::kSchemaMinor) << entry.path();
+        EXPECT_EQ(seed.extras.size(), 0u) << entry.path();
+        EXPECT_FALSE(seed.legs.empty()) << entry.path();
         ++checked;
     }
     EXPECT_GE(checked, 3u);

@@ -14,8 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "fetch_stream.hh"
 #include "trace/decoded_trace.hh"
-#include "trace/fetch_stream.hh"
 
 namespace ghrp::trace
 {

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "fetch_oracle.hh"
+#include "fetch_stream.hh"
 #include "trace/decoded_trace.hh"
-#include "trace/fetch_stream.hh"
 #include "trace/trace_io.hh"
 #include "workload/suite.hh"
 

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "trace/fetch_stream.hh"
+#include "fetch_stream.hh"
 
 namespace
 {

@@ -4,7 +4,7 @@
 
 #include <unordered_set>
 
-#include "trace/fetch_stream.hh"
+#include "../trace/fetch_stream.hh"
 #include "workload/executor.hh"
 #include "workload/generator.hh"
 #include "workload/suite.hh"

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/fetch_stream.hh"
+#include "../trace/fetch_stream.hh"
 #include "workload/executor.hh"
 #include "workload/generator.hh"
 
