@@ -4,7 +4,7 @@
  * replacement policy on the I-cache model, of GHRP's prediction
  * primitives, of a front-end leg on the decoded stream against the
  * fused all-policies walk, of trace acquisition through the
- * content-addressed store (cold generate-and-persist vs. warm mmap).
+ * content-addressed store (cold generate-and-persist vs. warm read-back).
  * These measure simulator overhead, not hardware latency — the
  * paper argues all GHRP operations are off the critical path.
  */
@@ -249,8 +249,8 @@ BM_TraceStoreCold(benchmark::State &state)
 }
 BENCHMARK(BM_TraceStoreCold)->Unit(benchmark::kMillisecond);
 
-/** Warm acquire: every iteration decodes straight from the mmap-backed
- *  file persisted by the first. */
+/** Warm acquire: every iteration reads back and decodes the file
+ *  persisted by the first. */
 void
 BM_TraceStoreWarm(benchmark::State &state)
 {

@@ -122,8 +122,6 @@ SuiteResults::simulatedInstructions() const
 namespace
 {
 
-using DecodedPtr = std::shared_ptr<const trace::DecodedTrace>;
-
 /** Lane indices, and the lane groups of every trace: each group is one
  *  FusedSim walk. */
 using Lanes = std::vector<std::size_t>;
@@ -150,7 +148,6 @@ struct Sweep
     std::function<void(std::size_t, std::size_t,
                        const frontend::FrontendResult &, double)>
         onLegDone;
-    std::function<DecodedPtr(const workload::TraceSpec &)> acquireDecoded;
 };
 
 /** Shared bookkeeping for one sweep: pre-sized result slots plus a
@@ -193,58 +190,62 @@ class SweepSink
     }
 
     /**
-     * The build task of @p trace_index. A decode the hooks or the store
-     * provide is materialized and returned, for the trace's lane-group
-     * tasks (runGroup) to share read-only. A generated trace — no
-     * store, or a store miss — is never materialized: it streams from
-     * the executor through decode, direction resolve and every lane of
-     * every group in this task (persisted as it goes on a miss), and
-     * null is returned.
+     * The build task of @p trace_index. A store hit is checked in one
+     * pass (resolving and persisting its direction sidecar if that is
+     * missing) and returned, for the trace's lane-group tasks
+     * (runGroup) to stream. A generated trace — no store, or a store
+     * miss — streams from the executor through decode, direction
+     * resolve and every lane of every group in this task (persisted as
+     * it goes on a miss), and std::nullopt is returned.
      */
-    DecodedPtr
+    std::optional<workload::StoredTrace>
     build(std::size_t trace_index)
     {
-        const workload::TraceSpec &spec = out.specs[trace_index];
-        if (sweep.acquireDecoded)
-            return sweep.acquireDecoded(spec);
         const frontend::FrontendConfig &stream = sweep.lanes.front();
-        std::optional<trace::DecodedTrace> dec =
-            store.loadDecoded(spec, sweep.instructionOverride,
-                              stream.icache.blockBytes, stream.instBytes);
-        if (!dec) {
+        std::optional<frontend::DirectionResolver> resolver;
+        std::optional<workload::StoredTrace> stored = store.loadStream(
+            out.specs[trace_index], sweep.instructionOverride,
+            stream.icache.blockBytes, stream.instBytes,
+            static_cast<int>(stream.direction),
+            [&](trace::DecodedTrace &chunk) {
+                if (!resolver)
+                    resolver.emplace(stream.direction);
+                resolver->resolve(chunk);
+            });
+        if (!stored)
             runStreamed(trace_index);
-            return nullptr;
-        }
-        // The resolved direction stream is a pure function of (trace
-        // content, direction kind), so the store serves it from a
-        // sidecar; a miss resolves live and persists for the next run.
-        const int dir_kind = static_cast<int>(stream.direction);
-        if (!store.loadDirectionStream(spec, sweep.instructionOverride,
-                                       dir_kind, *dec)) {
-            frontend::resolveDirectionStream(*dec, stream.direction);
-            store.storeDirectionStream(spec, sweep.instructionOverride,
-                                       dir_kind, *dec);
-        }
-        return std::make_shared<const trace::DecodedTrace>(std::move(*dec));
+        return stored;
     }
 
     /**
-     * Simulate one lane group of @p trace_index over its materialized
-     * decode — a per-leg run is a one-lane group — in one FusedSim
-     * walk. Lanes execute the per-leg stepwise code on independent
-     * state, so the grouping never changes results.
+     * Simulate one lane group of a stored trace — a per-leg run is a
+     * one-lane group — in one FusedSim walk of the chunks its own
+     * reader decodes from the file and the sidecar. Lanes execute the
+     * per-leg stepwise code on independent state, so the grouping never
+     * changes results.
      */
     void
     runGroup(std::size_t trace_index, const Lanes &group,
-             const trace::DecodedTrace &dec)
+             const workload::StoredTrace &stored)
     {
         const Lanes lanes = lanesToRun(trace_index, {group});
         if (lanes.empty())
             return;
         const auto start = std::chrono::steady_clock::now();
-        std::vector<frontend::FrontendResult> results =
-            frontend::FusedSim(configs(lanes)).run(dec);
-        harvest(trace_index, lanes, std::move(results),
+        workload::StoredTrace::Reader reader(stored);
+        // A sidecar the store could not write is resolved live.
+        std::optional<frontend::DirectionResolver> resolver;
+        if (!reader.hasDirections())
+            resolver.emplace(sweep.lanes.front().direction);
+        frontend::FusedSim sim(configs(lanes));
+        // The checking pass counted the total: one warm-up snapshot.
+        sim.begin(reader.chunk(), stored.instructions, stored.instructions);
+        while (reader.next()) {
+            if (resolver)
+                resolver->resolve(reader.chunk());
+            sim.step(reader.chunk(), 0, reader.chunk().numRecords());
+        }
+        harvest(trace_index, lanes, sim.finish(),
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count());
@@ -377,78 +378,48 @@ runSerial(SweepSink &sink, const SweepRun &out, const LaneGroups &groups)
         }
         // Every lane consumes the same stream, so the comparison is
         // paired (identical access streams) and the trace is generated
-        // or loaded, decoded and direction-resolved once, not per leg.
-        if (const DecodedPtr dec = sink.build(i))
+        // or checked, and direction-resolved, once, not per leg.
+        if (const std::optional<workload::StoredTrace> stored = sink.build(i))
             for (const Lanes &group : groups)
-                sink.runGroup(i, group, *dec);
+                sink.runGroup(i, group, *stored);
     }
 }
 
 /**
- * Parallel path: one build task per trace. A streamed trace is
- * simulated inside it; a materialized decode (store hit or the hooks'
- * provider) is shared read-only via shared_ptr by its lane groups,
- * each an independent pool job. Materialized decodes stay resident
- * until their groups finish, so such builds run at most `window`
- * traces ahead of the harvest cursor; when nothing can materialize,
- * every build opens at once, since a streamed trace holds only a chunk.
+ * Parallel path: every trace's build task is submitted at once, since
+ * no task holds more than a chunk of its trace. A streamed trace is
+ * simulated inside its build; a stored one's lane groups then become
+ * pool jobs of their own, each reading the trace back itself.
  */
 void
 runParallel(SweepSink &sink, const SweepRun &out, const LaneGroups &groups,
-            bool materializes, util::ThreadPool &pool)
+            util::ThreadPool &pool)
 {
     const std::size_t num_traces = out.specs.size();
-    const std::size_t window =
-        materializes ? std::max<std::size_t>(2 * pool.size(), 4)
-                     : num_traces;
+    std::vector<std::future<std::optional<workload::StoredTrace>>> builds(
+        num_traces);
+    for (std::size_t i = 0; i < num_traces; ++i)
+        if (!sink.allSkipped(i))
+            builds[i] = pool.submit([&sink, i]() { return sink.build(i); });
 
-    std::vector<std::future<DecodedPtr>> builds(num_traces);
-    std::vector<char> elided(num_traces, 0);
-    std::vector<std::vector<std::future<void>>> jobs(num_traces);
-
-    std::size_t next_build = 0;
-    const auto pump = [&](std::size_t upto) {
-        for (; next_build < std::min(upto, num_traces); ++next_build) {
-            if (sink.allSkipped(next_build)) {
-                elided[next_build] = 1;
-                continue;
-            }
-            builds[next_build] = pool.submit(
-                [&sink, i = next_build]() { return sink.build(i); });
-        }
-    };
-
-    pump(window);
+    std::vector<std::future<void>> jobs;
     for (std::size_t i = 0; i < num_traces; ++i) {
-        if (elided[i]) {
+        if (!builds[i].valid()) {
             sink.tickSkipped(i);
-            pump(i + 1 + window);
             continue;
         }
-        const DecodedPtr dec = builds[i].get();  // rethrows build errors
-        builds[i] = {};
-        if (dec) {
-            jobs[i].reserve(groups.size());
-            for (const Lanes &group : groups)
-                jobs[i].push_back(pool.submit([&sink, i, &group, dec]() {
-                    sink.runGroup(i, group, *dec);
-                }));
-        }
-        // Keep at most `window` traces with outstanding groups before
-        // opening new builds, then harvest (and rethrow from) the
-        // oldest trace's groups.
-        pump(i + 1 + window);
-        if (i + 1 >= window)
-            for (std::future<void> &f : jobs[i + 1 - window])
-                if (f.valid())
-                    f.get();
+        // get() rethrows build errors.
+        const std::optional<workload::StoredTrace> stored = builds[i].get();
+        if (!stored)
+            continue;
+        for (const Lanes &group : groups)
+            jobs.push_back(pool.submit([&sink, i, &group, stored]() {
+                sink.runGroup(i, group, *stored);
+            }));
     }
-    // Harvest (and rethrow from) every group not already collected;
-    // groups of elided or streamed traces are absent.
-    for (std::vector<std::future<void>> &trace_jobs : jobs)
-        for (std::future<void> &f : trace_jobs)
-            if (f.valid())
-                f.get();
+    // Harvest (and rethrow from) every group.
+    for (std::future<void> &f : jobs)
+        f.get();
 }
 
 /** Run @p sweep over @p specs: the engine under runSuite and runLanes. */
@@ -472,8 +443,7 @@ runSweep(std::vector<workload::TraceSpec> specs, const Sweep &sweep,
             // Destroyed before `out` and `sink`, so no job outlives the
             // state it references even on exception unwind.
             util::ThreadPool pool(jobs);
-            runParallel(sink, out, sweep.groups,
-                        store.enabled() || bool(sweep.acquireDecoded), pool);
+            runParallel(sink, out, sweep.groups, pool);
         }
     }
     out.wallSeconds =
@@ -517,10 +487,6 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
                               const frontend::FrontendResult &result,
                               double seconds) {
             hooks.onLegDone(trace_index, policies[lane], result, seconds);
-        };
-    if (hooks.acquireDecoded)
-        sweep.acquireDecoded = [&](const workload::TraceSpec &spec) {
-            return hooks.acquireDecoded(spec, options);
         };
 
     LaneResults lanes = runSweep(

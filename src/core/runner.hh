@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,15 +51,15 @@ struct SuiteOptions
      * Lane grouping: every (trace, policy) leg runs as a lane of a
      * frontend::FusedSim walk of its trace's decoded stream. Per-leg
      * (the default) schedules one single-lane group per leg; fused puts
-     * all policy lanes of a trace into ONE group, so the stream is
-     * pulled from memory once per trace rather than once per policy,
-     * and with jobs > 1 each group is one pool job. Results are
-     * bit-identical either way: lanes share no mutable state and step
-     * through the exact same simulation code. RunHooks semantics are
-     * the same for every grouping — skipped legs are dropped from
-     * their group's lane set and onLegDone fires once per simulated
-     * leg. Per-leg timing is the group wall time split evenly across
-     * its lanes (timing is outside the determinism guarantee).
+     * all policy lanes of a trace into ONE group, so a stored trace is
+     * read back once per trace rather than once per policy, and with
+     * jobs > 1 each group is one pool job. Results are bit-identical
+     * either way: lanes share no mutable state and step through the
+     * exact same simulation code. RunHooks semantics are the same for
+     * every grouping — skipped legs are dropped from their group's lane
+     * set and onLegDone fires once per simulated leg. Per-leg timing is
+     * the group wall time split evenly across its lanes (timing is
+     * outside the determinism guarantee).
      */
     bool fused = false;
 
@@ -175,9 +174,9 @@ using ProgressFn =
 
 /**
  * Optional control hooks for a suite run: crash resume through a leg
- * journal (report::runJournaled) and an external decoded-trace
- * provider. All members are optional; a default-constructed RunHooks
- * reproduces plain runSuite behaviour exactly.
+ * journal (report::runJournaled). All members are optional; a
+ * default-constructed RunHooks reproduces plain runSuite behaviour
+ * exactly.
  */
 struct RunHooks
 {
@@ -202,38 +201,27 @@ struct RunHooks
     std::function<void(std::size_t, const frontend::PolicySpec &,
                        const frontend::FrontendResult &, double)>
         onLegDone;
-
-    /**
-     * Override trace acquisition + decoding, e.g. with a materialized
-     * reference decode. The returned stream must be decoded at
-     * (options.base.icache.blockBytes, options.base.instBytes)
-     * granularity and have its direction stream resolved for
-     * options.base.direction; runSuite shares it read-only across the
-     * trace's legs. When unset, runSuite acquires from its own
-     * TraceStore and decodes per sweep.
-     */
-    std::function<std::shared_ptr<const trace::DecodedTrace>(
-        const workload::TraceSpec &, const SuiteOptions &)>
-        acquireDecoded;
 };
 
 /**
- * Run the full suite under every requested policy. A trace found in
- * the content-addressed store (or provided by hooks.acquireDecoded) is
- * decoded once into the compact branch stream and simulated, shared
- * read-only, one lane group at a time (see SuiteOptions::fused). A
- * generated trace — no store, or a store miss — is never materialized:
- * one task streams it from the executor through decode, direction
- * resolve and every lane in 2048-record chunks (persisting it on a
- * miss), so its memory does not grow with its length.
+ * Run the full suite under every requested policy. No trace is ever
+ * materialized: every trace streams through its lanes in 2048-record
+ * chunks, so a sweep's memory does not grow with trace length.
+ *   - A trace found in the content-addressed store is checked by one
+ *     build task — every record validated, its exact instruction total
+ *     counted, a missing direction sidecar resolved and persisted —
+ *     and then each lane group (see SuiteOptions::fused) reads its own
+ *     chunks of the file and the sidecar with positioned reads.
+ *   - A generated trace — no store, or a store miss — streams from the
+ *     executor through decode, direction resolve and every lane in one
+ *     task, persisting it on a miss.
  *
  * This is the policy-axis front of the lane engine runLanes() also
  * drives: lane i is options.base with options.policies[i].
  *
- * With options.jobs != 1 the tasks run on a work-stealing thread pool.
- * Materialized decodes are bounded to a sliding window of roughly
- * 2 x jobs traces ahead of the slowest outstanding leg, so a 662-trace
- * sweep never holds the whole suite in memory.
+ * With options.jobs != 1 the tasks run on a work-stealing thread pool:
+ * every build at once, and a stored trace's lane groups as jobs of
+ * their own, opening its files only when they run.
  * The progress callback is serialised (never invoked concurrently),
  * but completion order is scheduling-dependent; only the *results* are
  * deterministic. Exceptions thrown by a leg are rethrown here.
@@ -256,7 +244,7 @@ struct LaneResults : SweepRun
 /**
  * Config sweep: simulate every trace of @p specs under every
  * configuration in @p lanes, all lanes of a trace in ONE fused walk of
- * its stream, which is generated (or loaded from the trace store in
+ * its stream, which is generated (or read back from the trace store in
  * @p trace_cache_dir, which empty defaults to GHRP_TRACE_CACHE as in
  * SuiteOptions::traceCacheDir), decoded and direction-resolved once.
  * The lanes may differ in policy, geometry, predictor parameters,

@@ -453,8 +453,15 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
                 " legs/s (" + fmt("%+.1f%%", change_pct) + ")\n";
         if (change_pct < -options.maxRegressPct)
             result.throughputRegressed = true;
+    } else if (base_tp > 0.0) {
+        // A candidate that lost the baseline's timing (a missing or
+        // zeroed sweep block) cannot show it did not regress.
+        text += "throughput: base " + fmt("%.2f", base_tp) +
+                " legs/s, candidate has no sweep timing\n";
+        result.throughputRegressed = true;
     } else {
-        text += "throughput: not comparable (missing sweep timing)\n";
+        text += "throughput: not comparable (baseline has no sweep "
+                "timing)\n";
     }
 
     if (options.check) {
@@ -468,11 +475,14 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
                           " legs changed (per-leg counters are "
                           "deterministic too)\n"
                     : "[check] legs: OK\n";
-        text += result.throughputRegressed
+        text += !result.throughputRegressed
+                    ? "[check] throughput: OK (gate " +
+                          fmt("%.1f%%", options.maxRegressPct) + ")\n"
+                : cand_tp > 0.0
                     ? "[check] FAIL: throughput regressed beyond " +
                           fmt("%.1f%%", options.maxRegressPct) + "\n"
-                    : "[check] throughput: OK (gate " +
-                          fmt("%.1f%%", options.maxRegressPct) + ")\n";
+                    : "[check] FAIL: candidate lacks the baseline's "
+                      "sweep timing\n";
     }
     result.text = std::move(text);
     return result;

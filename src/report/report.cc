@@ -351,18 +351,16 @@ sweepToJson(const SweepStats &s)
 }
 
 SweepStats
-sweepFromJson(const Json *j)
+sweepFromJson(const Json &j)
 {
     SweepStats s;
-    if (!j)
-        return s;
-    s.wallSeconds = j->at("wallSeconds").asDouble();
-    s.legs = j->at("legs").asUint();
-    s.simulatedInstructions = j->at("simulatedInstructions").asUint();
-    s.jobs = static_cast<unsigned>(j->at("jobs").asUint());
-    s.legsPerSec = j->at("legsPerSec").asDouble();
-    s.mInstrPerSec = j->at("mInstrPerSec").asDouble();
-    const Json &store = j->at("traceStore");
+    s.wallSeconds = j.at("wallSeconds").asDouble();
+    s.legs = j.at("legs").asUint();
+    s.simulatedInstructions = j.at("simulatedInstructions").asUint();
+    s.jobs = static_cast<unsigned>(j.at("jobs").asUint());
+    s.legsPerSec = j.at("legsPerSec").asDouble();
+    s.mInstrPerSec = j.at("mInstrPerSec").asDouble();
+    const Json &store = j.at("traceStore");
     s.traceStoreEnabled = store.at("enabled").asBool();
     s.traceStoreHits = store.at("hits").asUint();
     s.traceStoreMisses = store.at("misses").asUint();
@@ -449,22 +447,26 @@ RunReport::fromJson(const Json &json)
                 std::to_string(report.versionMajor) + " (reader supports " +
                 std::to_string(kSchemaMajor) + ")");
 
+        // Every writer emits these; a document without one is
+        // truncated, not an empty run.
+        for (const char *key : {"sweep", "policies", "legs", "build",
+                                "options"})
+            if (!json.find(key))
+                throw ReportError(std::string("malformed report: no '") +
+                                  key + "'");
         report.experiment = json.at("experiment").asString();
         if (const Json *v = json.find("runId"))
             report.runId = v->asString();
         if (const Json *v = json.find("createdUnix"))
             report.createdUnix = v->asInt();
-        report.build = stringPairsFromJson(json.find("build"));
+        report.build = stringPairsFromJson(&json.at("build"));
         report.environment = stringPairsFromJson(json.find("environment"));
-        if (const Json *v = json.find("options"))
-            report.options = *v;
-        report.sweep = sweepFromJson(json.find("sweep"));
-        if (const Json *v = json.find("policies"))
-            for (const Json &p : v->asArray())
-                report.policies.push_back(policyFromJson(p));
-        if (const Json *v = json.find("legs"))
-            for (const Json &leg : v->asArray())
-                report.legs.push_back(legFromJson(leg));
+        report.options = json.at("options");
+        report.sweep = sweepFromJson(json.at("sweep"));
+        for (const Json &p : json.at("policies").asArray())
+            report.policies.push_back(policyFromJson(p));
+        for (const Json &leg : json.at("legs").asArray())
+            report.legs.push_back(legFromJson(leg));
         if (const Json *v = json.find("metrics"))
             for (const auto &[name, value] : v->asObject())
                 report.metrics.emplace_back(name, value.asDouble());

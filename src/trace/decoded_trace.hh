@@ -19,7 +19,6 @@
 #define GHRP_TRACE_DECODED_TRACE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 
 namespace ghrp::trace
 {
-
-class MappedTrace;
 
 /**
  * Branch metadata packed into one byte per record: the raw type and
@@ -242,6 +239,13 @@ struct DecodedTrace
 };
 
 /**
+ * Longest fetch run a stored record may imply. Generated runs are
+ * basic blocks; a corrupt pc far past the fetch PC would make its run,
+ * and every leg's walk of it, practically endless.
+ */
+constexpr Addr kMaxFetchRunBytes = Addr{1} << 24;
+
+/**
  * Decode carried across a record stream: packs each record onto a
  * DecodedTrace and counts the trace's totals with one FetchCursor. A
  * trace decoded a chunk at a time — each chunk dropped (startChunk)
@@ -281,6 +285,33 @@ class StreamDecoder
             local.push(recs[i]);
         cursor = local.cursor;
         ops = local.ops;
+    }
+
+    /**
+     * Count the records of a chunk the caller unpacked onto the trace
+     * itself — read back from a file — checking each: false at the
+     * first whose run is longer than kMaxFetchRunBytes (a corrupt pc),
+     * which is not counted.
+     */
+    bool
+    countChecked()
+    {
+        FetchCursor local = cursor;
+        std::uint64_t local_ops = ops;
+        bool ok = true;
+        const std::size_t n = dec.numRecords();
+        for (std::size_t i = 0; i < n && ok; ++i) {
+            const Addr pc = dec.brPc[i];
+            const Addr from = local.currentPc();
+            ok = pc <= from || pc - from <= kMaxFetchRunBytes;
+            if (ok)
+                local.advance(pc, dec.brTarget[i],
+                              branch_meta::taken(dec.brMeta[i]),
+                              [&](Addr, Addr) { ++local_ops; });
+        }
+        cursor = local;
+        ops = local_ops;
+        return ok;
     }
 
     /** Drop the records decoded so far (the totals keep counting). */
@@ -331,23 +362,6 @@ class ChunkSink
  */
 DecodedTrace decodeTrace(const Trace &trace, std::uint32_t block_bytes,
                          std::uint32_t inst_bytes);
-
-/**
- * Longest fetch run a stored record may imply. Generated runs are
- * basic blocks; a corrupt pc far past the fetch PC would make its run,
- * and every leg's walk of it, practically endless.
- */
-constexpr Addr kMaxFetchRunBytes = Addr{1} << 24;
-
-/**
- * Decode directly from an mmap-backed trace file without materializing
- * a Trace: records are unpacked from the map as they are consumed.
- * std::nullopt when a record is corrupt: a bad branch-type byte, or a
- * pc more than kMaxFetchRunBytes past the fetch PC.
- */
-std::optional<DecodedTrace> tryDecodeTrace(const MappedTrace &mapped,
-                                           std::uint32_t block_bytes,
-                                           std::uint32_t inst_bytes);
 
 } // namespace ghrp::trace
 

@@ -1,12 +1,13 @@
 #include "trace/trace_io.hh"
 
+#include <array>
 #include <cstring>
 #include <fstream>
 
 #include "util/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define GHRP_HAVE_MMAP 1
+#define GHRP_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -35,35 +36,53 @@ writeString(std::ofstream &file, const std::string &s)
     file.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-/** Bounds-checked cursor over the mapped header bytes. */
-struct ByteCursor
+/**
+ * Parse and check the header of a trace file of @p length bytes, read
+ * through @p read_at(offset, out, n) — copy n in-bounds bytes at
+ * offset — so the mapped and the positioned reader share one parser.
+ * @return the reason on failure, nullptr on success.
+ */
+template <typename ReadAt>
+const char *
+parseHeader(std::uint64_t length, ReadAt &&read_at, TraceFileHeader &h)
 {
-    const unsigned char *data;
-    std::size_t length;
-    std::size_t pos = 0;
-
-    template <typename T>
-    bool
-    read(T &out)
-    {
-        if (length - pos < sizeof(T))
+    std::uint64_t pos = 0;
+    const auto read = [&](auto &out) {
+        if (length - pos < sizeof(out))
             return false;
-        std::memcpy(&out, data + pos, sizeof(T));
-        pos += sizeof(T);
+        read_at(pos, &out, sizeof(out));
+        pos += sizeof(out);
         return true;
-    }
-
-    bool
-    readString(std::string &out)
-    {
+    };
+    const auto read_string = [&](std::string &out) {
         std::uint32_t len = 0;
         if (!read(len) || len > (1u << 20) || length - pos < len)
             return false;
-        out.assign(reinterpret_cast<const char *>(data + pos), len);
+        out.resize(len);
+        read_at(pos, out.data(), len);
         pos += len;
         return true;
-    }
-};
+    };
+
+    char magic[sizeof(traceMagic)];
+    if (!read(magic) || std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
+        return "not a GHRP trace file:";
+    std::uint32_t version = 0;
+    if (!read(version))
+        return "truncated trace file";
+    if (version != traceFormatVersion)
+        return "unsupported trace format version in";
+    if (!read(h.entryPc) || !read(h.numRecords) || !read_string(h.name) ||
+        !read_string(h.category))
+        return "truncated or corrupt header in trace file";
+    // The record count comes from disk: check it against the bytes
+    // that are there before anything is sized by it.
+    if ((length - pos) / traceRecordStride < h.numRecords)
+        return "truncated trace file (fewer records than its header "
+               "declares):";
+    h.recordsOffset = pos;
+    return nullptr;
+}
 
 /** Byte offset of n_records: after the magic, version and entry PC. */
 constexpr std::streamoff recordCountOffset =
@@ -122,6 +141,111 @@ readTrace(const std::string &path)
     return std::move(*trace);
 }
 
+// ------------------------------------------------------ PositionedFile
+
+std::optional<PositionedFile>
+PositionedFile::open(const std::string &path)
+{
+    PositionedFile f;
+    f.file.reset(std::fopen(path.c_str(), "rb"));
+    if (!f.file || std::fseek(f.file.get(), 0, SEEK_END) != 0)
+        return std::nullopt;
+    const long size = std::ftell(f.file.get());
+    if (size < 0)
+        return std::nullopt;
+    f.length = static_cast<std::uint64_t>(size);
+    return f;
+}
+
+bool
+PositionedFile::read(std::uint64_t offset, void *out, std::size_t n)
+{
+    if (offset > length || length - offset < n)
+        return false;
+#if GHRP_HAVE_POSIX_IO
+    auto *dst = static_cast<char *>(out);
+    while (n > 0) {
+        const ssize_t got = ::pread(::fileno(file.get()), dst, n,
+                                    static_cast<off_t>(offset));
+        if (got <= 0)
+            return false;
+        dst += got;
+        offset += static_cast<std::uint64_t>(got);
+        n -= static_cast<std::size_t>(got);
+    }
+    return true;
+#else
+    return std::fseek(file.get(), static_cast<long>(offset), SEEK_SET) ==
+               0 &&
+           std::fread(out, 1, n, file.get()) == n;
+#endif
+}
+
+// ----------------------------------------------------- TraceFileReader
+
+std::optional<TraceFileReader>
+TraceFileReader::tryOpen(const std::string &path)
+{
+    std::optional<PositionedFile> file = PositionedFile::open(path);
+    if (!file)
+        return std::nullopt;
+    TraceFileHeader header;
+    bool complete = true;
+    if (parseHeader(
+            file->size(),
+            [&](std::uint64_t offset, void *out, std::size_t n) {
+                complete = file->read(offset, out, n) && complete;
+            },
+            header) ||
+        !complete)
+        return std::nullopt;
+    return TraceFileReader(std::move(*file), std::move(header));
+}
+
+bool
+TraceFileReader::read(std::uint64_t first, std::size_t n, DecodedTrace &chunk)
+{
+    // Every (type, taken) pair's packed metadata byte.
+    static constexpr auto metaOf = [] {
+        std::array<std::uint8_t, 2 * numBranchTypes> table{};
+        for (unsigned t = 0; t < numBranchTypes; ++t)
+            for (unsigned taken = 0; taken < 2; ++taken)
+                table[2 * t + taken] =
+                    branch_meta::pack(static_cast<BranchType>(t), taken);
+        return table;
+    }();
+
+    if (first > head.numRecords || head.numRecords - first < n)
+        return false;
+    bytes.resize(n * traceRecordStride);
+    if (!file.read(head.recordsOffset + first * traceRecordStride,
+                   bytes.data(), bytes.size()))
+        return false;
+    chunk.brPc.resize(n);
+    chunk.brTarget.resize(n);
+    chunk.brMeta.resize(n);
+    chunk.dirPredictedTaken.clear();
+    // The layout MappedTrace::record() reads, straight into the arrays
+    // (held in locals: the byte copies could alias the vectors).
+    const unsigned char *p = bytes.data();
+    Addr *pcs = chunk.brPc.data();
+    Addr *targets = chunk.brTarget.data();
+    std::uint8_t *metas = chunk.brMeta.data();
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i, p += traceRecordStride) {
+        Addr pc, target;
+        std::memcpy(&pc, p, sizeof(pc));
+        std::memcpy(&target, p + 8, sizeof(target));
+        pcs[i] = pc;
+        targets[i] = target;
+        const std::uint8_t type = p[16];
+        ok &= type < numBranchTypes;
+        const unsigned meta = 2u * type + (p[17] != 0 ? 1u : 0u);
+        metas[i] = meta < metaOf.size() ? metaOf[meta] : 0;
+    }
+    return ok;
+}
+
 // --------------------------------------------------------- MappedTrace
 
 std::optional<MappedTrace>
@@ -150,7 +274,7 @@ MappedTrace::map(const std::string &path, std::string &why)
         return std::nullopt;
     };
 
-#if GHRP_HAVE_MMAP
+#if GHRP_HAVE_POSIX_IO
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return fail("cannot open trace file");
@@ -189,27 +313,13 @@ MappedTrace::map(const std::string &path, std::string &why)
 
     // Parse and validate the header against the mapped length; mt's
     // destructor unmaps on every failure.
-    ByteCursor cur{mt.base, mt.length};
-    if (mt.length < sizeof(traceMagic) ||
-        std::memcmp(mt.base, traceMagic, sizeof(traceMagic)) != 0)
-        return fail("not a GHRP trace file:");
-    cur.pos = sizeof(traceMagic);
-
-    std::uint32_t version = 0;
-    if (!cur.read(version))
-        return fail("truncated trace file");
-    if (version != traceFormatVersion)
-        return fail("unsupported trace format version in");
-    if (!cur.read(mt.entry) || !cur.read(mt.nRecords) ||
-        !cur.readString(mt.traceName) || !cur.readString(mt.traceCategory))
-        return fail("truncated or corrupt header in trace file");
-    // The record count comes from disk: check it against the bytes
-    // that are there before anything is sized by it.
-    if ((mt.length - cur.pos) / traceRecordStride < mt.nRecords)
-        return fail("truncated trace file (fewer records than its header "
-                    "declares):");
-    mt.records = mt.base + cur.pos;
-
+    if (const char *reason = parseHeader(
+            mt.length,
+            [&](std::uint64_t offset, void *out, std::size_t n) {
+                std::memcpy(out, mt.base + offset, n);
+            },
+            mt.head))
+        return fail(reason);
     return mt;
 }
 
@@ -225,16 +335,11 @@ MappedTrace::operator=(MappedTrace &&other) noexcept
         release();
         base = other.base;
         length = other.length;
-        records = other.records;
         mapped = other.mapped;
-        traceName = std::move(other.traceName);
-        traceCategory = std::move(other.traceCategory);
-        entry = other.entry;
-        nRecords = other.nRecords;
+        head = std::move(other.head);
         other.base = nullptr;
-        other.records = nullptr;
         other.length = 0;
-        other.nRecords = 0;
+        other.head.numRecords = 0;
     }
     return *this;
 }
@@ -249,7 +354,7 @@ MappedTrace::release() noexcept
 {
     if (!base)
         return;
-#if GHRP_HAVE_MMAP
+#if GHRP_HAVE_POSIX_IO
     if (mapped)
         ::munmap(const_cast<unsigned char *>(base), length);
     else
@@ -258,7 +363,6 @@ MappedTrace::release() noexcept
     delete[] base;
 #endif
     base = nullptr;
-    records = nullptr;
     length = 0;
 }
 
@@ -266,11 +370,11 @@ std::optional<Trace>
 MappedTrace::materialize() const
 {
     Trace trace;
-    trace.name = traceName;
-    trace.category = traceCategory;
-    trace.entryPc = entry;
-    trace.records.reserve(nRecords);
-    for (std::uint64_t i = 0; i < nRecords; ++i) {
+    trace.name = head.name;
+    trace.category = head.category;
+    trace.entryPc = head.entryPc;
+    trace.records.reserve(head.numRecords);
+    for (std::uint64_t i = 0; i < head.numRecords; ++i) {
         const std::optional<BranchRecord> rec = record(i);
         if (!rec)
             return std::nullopt;

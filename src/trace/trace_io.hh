@@ -17,12 +17,16 @@
 #define GHRP_TRACE_TRACE_IO_HH
 
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "trace/branch_record.hh"
+#include "trace/decoded_trace.hh"
 #include "util/logging.hh"
 
 namespace ghrp::trace
@@ -71,6 +75,78 @@ class TraceFileWriter
  */
 Trace readTrace(const std::string &path);
 
+/** What a trace file's header declares, checked against the file's
+ *  size when it is opened. */
+struct TraceFileHeader
+{
+    std::string name;
+    std::string category;
+    Addr entryPc = 0;
+    std::uint64_t numRecords = 0;
+    /** Byte offset of record 0. */
+    std::uint64_t recordsOffset = 0;
+};
+
+/**
+ * A read-only file read by positioned reads (pread on POSIX), so
+ * readers of one file share no offset and nothing is mapped. Move-only;
+ * the file is open while the object lives.
+ */
+class PositionedFile
+{
+  public:
+    /** std::nullopt when @p path does not open. */
+    static std::optional<PositionedFile> open(const std::string &path);
+
+    std::uint64_t size() const { return length; }
+
+    /** Read @p n bytes at @p offset into @p out; false on a short read. */
+    bool read(std::uint64_t offset, void *out, std::size_t n);
+
+  private:
+    PositionedFile() = default;
+
+    struct Closer
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+    std::unique_ptr<std::FILE, Closer> file;
+    std::uint64_t length = 0;
+};
+
+/**
+ * A trace file read a chunk of records at a time by positioned reads:
+ * its header is parsed and checked at open exactly as MappedTrace's,
+ * and read() unpacks the records it is asked for through a buffer of
+ * that many, so a trace of any length costs one chunk of memory.
+ */
+class TraceFileReader
+{
+  public:
+    /** std::nullopt on any problem MappedTrace::tryOpen refuses. */
+    static std::optional<TraceFileReader> tryOpen(const std::string &path);
+
+    const TraceFileHeader &header() const { return head; }
+
+    /**
+     * Unpack records [first, first + n) onto @p chunk's record arrays,
+     * replacing its records and dropping its direction bits; false on a
+     * short read or a corrupt branch-type byte. The counts a decode
+     * keeps are left to the caller (StreamDecoder::countChecked).
+     */
+    bool read(std::uint64_t first, std::size_t n, DecodedTrace &chunk);
+
+  private:
+    TraceFileReader(PositionedFile file, TraceFileHeader header)
+        : file(std::move(file)), head(std::move(header))
+    {
+    }
+
+    PositionedFile file;
+    TraceFileHeader head;
+    std::vector<unsigned char> bytes;  ///< the last read's records
+};
+
 /**
  * Zero-copy view of a trace file: the file is mapped read-only (mmap
  * on POSIX; a heap buffer fallback elsewhere) and records are unpacked
@@ -87,7 +163,7 @@ class MappedTrace
      * Open @p path, returning std::nullopt on any problem: missing
      * file, bad magic, version mismatch, or a size inconsistent with
      * the header. Never calls fatal() — callers with a regeneration
-     * path (the trace store) treat every failure as a cache miss.
+     * path treat every failure as a cache miss.
      */
     static std::optional<MappedTrace> tryOpen(const std::string &path);
 
@@ -100,21 +176,20 @@ class MappedTrace
     MappedTrace &operator=(const MappedTrace &) = delete;
     ~MappedTrace();
 
-    const std::string &name() const { return traceName; }
-    const std::string &category() const { return traceCategory; }
-    Addr entryPc() const { return entry; }
-    std::uint64_t numRecords() const { return nRecords; }
+    const std::string &name() const { return head.name; }
+    const std::string &category() const { return head.category; }
+    Addr entryPc() const { return head.entryPc; }
+    std::uint64_t numRecords() const { return head.numRecords; }
 
     /** Unpack record @p i (no bounds check beyond the debug assert);
      *  std::nullopt when its branch-type byte is corrupt — tryOpen
-     *  validates only the header. Inline: the decode loop unpacks every
-     *  record of a trace through this accessor, and an out-of-line call
-     *  per record dominated its profile. */
+     *  validates only the header. */
     std::optional<BranchRecord>
     record(std::uint64_t i) const
     {
-        GHRP_ASSERT(i < nRecords);
-        const unsigned char *p = records + i * traceRecordStride;
+        GHRP_ASSERT(i < head.numRecords);
+        const unsigned char *p =
+            base + head.recordsOffset + i * traceRecordStride;
         const std::uint8_t type = p[16];
         if (type >= numBranchTypes)
             return std::nullopt;
@@ -142,13 +217,8 @@ class MappedTrace
 
     const unsigned char *base = nullptr; ///< start of file bytes
     std::size_t length = 0;              ///< total mapped length
-    const unsigned char *records = nullptr; ///< record array start
     bool mapped = false;                 ///< true: munmap, false: delete[]
-
-    std::string traceName;
-    std::string traceCategory;
-    Addr entry = 0;
-    std::uint64_t nRecords = 0;
+    TraceFileHeader head;
 };
 
 } // namespace ghrp::trace

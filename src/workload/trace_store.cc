@@ -1,5 +1,6 @@
 #include "workload/trace_store.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -80,13 +81,39 @@ struct DirectionHeader
     std::uint64_t numRecords = 0;
 };
 
-/** RAII stdio handle (the sidecar is a single sequential read/write;
- *  mmap buys nothing at one byte per record). */
-struct FileCloser
+/** The header a sidecar of @p records records, resolved with @p kind for
+ *  the trace with content key @p key, must carry. */
+DirectionHeader
+sidecarHeader(std::uint64_t key, int kind, std::uint64_t records)
 {
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+    DirectionHeader hdr;
+    hdr.contentKey = key;
+    hdr.directionKind = static_cast<std::uint32_t>(kind);
+    hdr.numRecords = records;
+    return hdr;
+}
+
+/** The sidecar at @p path, open, when it holds the header @p expect and
+ *  a body of one byte per record; std::nullopt otherwise. */
+std::optional<trace::PositionedFile>
+openSidecar(const std::string &path, const DirectionHeader &expect)
+{
+    std::optional<trace::PositionedFile> f =
+        trace::PositionedFile::open(path);
+    DirectionHeader hdr;
+    // Any mismatch — stale resolver version, a colliding key from an
+    // older layout, a record count that disagrees with the trace, a
+    // truncated body — is a plain miss: the caller re-resolves and
+    // overwrites the sidecar.
+    if (!f || !f->read(0, &hdr, sizeof(hdr)) || hdr.magic != expect.magic ||
+        hdr.version != expect.version ||
+        hdr.contentKey != expect.contentKey ||
+        hdr.directionKind != expect.directionKind ||
+        hdr.numRecords != expect.numRecords ||
+        f->size() - sizeof(hdr) < expect.numRecords)
+        return std::nullopt;
+    return f;
+}
 
 std::uint64_t
 fileBytes(const std::string &path)
@@ -255,31 +282,11 @@ TraceStore::loadDirectionStream(const TraceSpec &spec,
 
     const std::string path =
         directionPathFor(spec, instruction_override, direction_kind);
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f) {
-        directionMetrics().misses.add();
-        return false;
-    }
-
-    DirectionHeader expect;
-    expect.contentKey = contentKey(spec, instruction_override);
-    expect.directionKind = static_cast<std::uint32_t>(direction_kind);
-    expect.numRecords = dec.numRecords();
-
-    DirectionHeader hdr;
+    std::optional<trace::PositionedFile> f = openSidecar(
+        path, sidecarHeader(contentKey(spec, instruction_override),
+                            direction_kind, dec.numRecords()));
     std::vector<std::uint8_t> pred(dec.numRecords(), 0);
-    // Any mismatch — stale resolver version, a colliding key from an
-    // older layout, a record count that disagrees with this decode, a
-    // truncated body — is a plain miss: the caller re-resolves and
-    // overwrites the sidecar.
-    if (std::fread(&hdr, sizeof(hdr), 1, f.get()) != 1 ||
-        hdr.magic != expect.magic || hdr.version != expect.version ||
-        hdr.contentKey != expect.contentKey ||
-        hdr.directionKind != expect.directionKind ||
-        hdr.numRecords != expect.numRecords ||
-        (!pred.empty() &&
-         std::fread(pred.data(), 1, pred.size(), f.get()) !=
-             pred.size())) {
+    if (!f || !f->read(sizeof(DirectionHeader), pred.data(), pred.size())) {
         directionMetrics().misses.add();
         return false;
     }
@@ -376,22 +383,22 @@ TraceStore::Writer::chunk(const trace::DecodedTrace &chunk)
     numRecords += n;
 }
 
-void
+bool
 TraceStore::Writer::finish()
 {
+    bool published = true;
     if (file) {
         const bool written = file->finish();
         file.reset();
-        if (store.publish(tmp, path, written)) {
+        published = store.publish(tmp, path, written);
+        if (published) {
             store.storeCount.fetch_add(1, std::memory_order_relaxed);
             storeMetrics().stores.add();
         }
     }
     if (directionKind >= 0) {
-        DirectionHeader hdr;
-        hdr.contentKey = contentKey;
-        hdr.directionKind = static_cast<std::uint32_t>(directionKind);
-        hdr.numRecords = numRecords;
+        const DirectionHeader hdr =
+            sidecarHeader(contentKey, directionKind, numRecords);
         bool written =
             directionOk && std::fseek(direction, 0, SEEK_SET) == 0 &&
             std::fwrite(&hdr, sizeof(hdr), 1, direction) == 1;
@@ -400,7 +407,54 @@ TraceStore::Writer::finish()
         direction = nullptr;
         if (store.publish(directionTmp, directionPath, written))
             directionMetrics().stores.add();
+        else
+            published = false;
     }
+    return published;
+}
+
+StoredTrace
+TraceStore::describe(const TraceSpec &spec,
+                     std::uint64_t instruction_override,
+                     std::uint32_t block_bytes, std::uint32_t inst_bytes) const
+{
+    StoredTrace stored;
+    stored.path = pathFor(spec, instruction_override);
+    stored.name = spec.name;
+    stored.category = categoryName(spec.category);
+    stored.blockBytes = block_bytes;
+    stored.instBytes = inst_bytes;
+    return stored;
+}
+
+bool
+TraceStore::scan(StoredTrace &stored, trace::TraceFileReader file,
+                 const std::function<void(trace::DecodedTrace &)> &each)
+{
+    stored.entryPc = file.header().entryPc;
+    stored.numRecords = file.header().numRecords;
+    StoredTrace::Reader reader(stored, std::move(file), true);
+    while (reader.next())
+        each(reader.chunk());
+    if (reader.failed)
+        return false;
+    stored.instructions = reader.current.instructions;
+    stored.fetchOps = reader.current.fetchOps;
+    stored.resyncs = reader.current.resyncs;
+    return true;
+}
+
+void
+TraceStore::countLoad(bool hit, const std::string &path)
+{
+    if (!hit) {
+        missCount.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().misses.add();
+        return;
+    }
+    hitCount.fetch_add(1, std::memory_order_relaxed);
+    storeMetrics().hits.add();
+    storeMetrics().readBytes.add(fileBytes(path));
 }
 
 std::optional<trace::DecodedTrace>
@@ -410,23 +464,173 @@ TraceStore::loadDecoded(const TraceSpec &spec,
 {
     if (!enabled())
         return std::nullopt;
-    const std::string path = pathFor(spec, instruction_override);
-    // A file that fails to open or to decode (a corrupt record) is a
-    // miss: the caller regenerates and overwrites it.
-    std::optional<trace::DecodedTrace> cached;
-    if (auto mapped = trace::MappedTrace::tryOpen(path))
-        cached = trace::tryDecodeTrace(*mapped, block_bytes, inst_bytes);
-    if (!cached) {
-        missCount.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().misses.add();
+    StoredTrace stored =
+        describe(spec, instruction_override, block_bytes, inst_bytes);
+    trace::DecodedTrace whole;
+    const auto append = [&](trace::DecodedTrace &chunk) {
+        whole.brPc.insert(whole.brPc.end(), chunk.brPc.begin(),
+                          chunk.brPc.end());
+        whole.brTarget.insert(whole.brTarget.end(), chunk.brTarget.begin(),
+                              chunk.brTarget.end());
+        whole.brMeta.insert(whole.brMeta.end(), chunk.brMeta.begin(),
+                            chunk.brMeta.end());
+    };
+    // A file that fails to open or holds a corrupt record is a miss: the
+    // caller regenerates and overwrites it.
+    std::optional<trace::TraceFileReader> file =
+        trace::TraceFileReader::tryOpen(stored.path);
+    if (file) {
+        whole.brPc.reserve(file->header().numRecords);
+        whole.brTarget.reserve(file->header().numRecords);
+        whole.brMeta.reserve(file->header().numRecords);
+    }
+    const bool hit = file && scan(stored, std::move(*file), append);
+    countLoad(hit, stored.path);
+    if (!hit)
+        return std::nullopt;
+    whole.name = stored.name;
+    whole.category = stored.category;
+    whole.entryPc = stored.entryPc;
+    whole.blockBytes = block_bytes;
+    whole.instBytes = inst_bytes;
+    whole.instructions = stored.instructions;
+    whole.fetchOps = stored.fetchOps;
+    whole.resyncs = stored.resyncs;
+    return whole;
+}
+
+std::optional<StoredTrace>
+TraceStore::loadStream(const TraceSpec &spec,
+                       std::uint64_t instruction_override,
+                       std::uint32_t block_bytes, std::uint32_t inst_bytes,
+                       int direction_kind,
+                       const std::function<void(trace::DecodedTrace &)> &resolve)
+{
+    if (!enabled())
+        return std::nullopt;
+    StoredTrace stored =
+        describe(spec, instruction_override, block_bytes, inst_bytes);
+    stored.directionKind = direction_kind;
+    std::optional<trace::TraceFileReader> file =
+        trace::TraceFileReader::tryOpen(stored.path);
+    if (!file) {
+        countLoad(false, stored.path);
         return std::nullopt;
     }
-    hitCount.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().hits.add();
-    storeMetrics().readBytes.add(fileBytes(path));
-    cached->name = spec.name;
-    cached->category = categoryName(spec.category);
-    return cached;
+
+    // The sidecar is checked up front, so that a missing one is resolved
+    // and written in the pass that checks the trace.
+    const std::string direction_path =
+        directionPathFor(spec, instruction_override, direction_kind);
+    const bool sidecar =
+        openSidecar(direction_path,
+                    sidecarHeader(contentKey(spec, instruction_override),
+                                  direction_kind, file->header().numRecords))
+            .has_value();
+    const std::unique_ptr<Writer> w =
+        sidecar ? nullptr : writer(spec, instruction_override, direction_kind);
+
+    const bool hit =
+        scan(stored, std::move(*file), [&](trace::DecodedTrace &chunk) {
+            if (w) {
+                resolve(chunk);
+                w->chunk(chunk);
+            }
+        });
+    countLoad(hit, stored.path);
+    if (!hit)
+        return std::nullopt;
+    if (sidecar) {
+        directionMetrics().hits.add();
+        storeMetrics().readBytes.add(fileBytes(direction_path));
+        stored.directionPath = direction_path;
+    } else {
+        directionMetrics().misses.add();
+        if (w && w->finish())
+            stored.directionPath = direction_path;
+    }
+    return stored;
+}
+
+namespace
+{
+
+/** @p trace's file, reopened as its checking pass saw it. */
+trace::TraceFileReader
+reopen(const StoredTrace &trace)
+{
+    std::optional<trace::TraceFileReader> f =
+        trace::TraceFileReader::tryOpen(trace.path);
+    if (!f || f->header().numRecords != trace.numRecords ||
+        f->header().entryPc != trace.entryPc)
+        fatal("trace store: '%s' changed during the sweep",
+              trace.path.c_str());
+    return std::move(*f);
+}
+
+/** An empty chunk carrying @p trace's identity. */
+trace::DecodedTrace
+identityOf(const StoredTrace &trace)
+{
+    trace::DecodedTrace chunk;
+    chunk.name = trace.name;
+    chunk.category = trace.category;
+    chunk.entryPc = trace.entryPc;
+    chunk.blockBytes = trace.blockBytes;
+    chunk.instBytes = trace.instBytes;
+    chunk.directionKind = trace.directionKind;
+    return chunk;
+}
+
+} // anonymous namespace
+
+StoredTrace::Reader::Reader(const StoredTrace &trace)
+    : Reader(trace, reopen(trace), false)
+{
+    if (trace.directionPath.empty())
+        return;
+    directions = trace::PositionedFile::open(trace.directionPath);
+    if (!directions)
+        fatal("trace store: '%s' changed during the sweep",
+              trace.directionPath.c_str());
+}
+
+StoredTrace::Reader::Reader(const StoredTrace &trace,
+                            trace::TraceFileReader file, bool checking)
+    : file(std::move(file)), checking(checking), current(identityOf(trace)),
+      decoder(current)
+{
+}
+
+bool
+StoredTrace::Reader::next()
+{
+    const std::uint64_t total = file.header().numRecords;
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(trace::kChunkRecords, total - position));
+    if (n == 0 || failed) {
+        if (checking)
+            decoder.finish();
+        return false;
+    }
+    // Only the checking pass counts and checks runs: the lanes re-derive
+    // the fetch ops themselves, and the file is the one it checked.
+    bool ok = file.read(position, n, current) &&
+              (!checking || decoder.countChecked());
+    if (ok && directions) {
+        current.dirPredictedTaken.resize(n);
+        ok = directions->read(sizeof(DirectionHeader) + position,
+                              current.dirPredictedTaken.data(), n);
+    }
+    if (!ok) {
+        if (!checking)
+            fatal("trace store: a record of '%s' changed during the sweep",
+                  current.name.c_str());
+        failed = true;
+        return false;
+    }
+    position += n;
+    return true;
 }
 
 namespace

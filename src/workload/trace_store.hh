@@ -6,8 +6,9 @@
  * generator version); the store keys each trace by a 64-bit hash of
  * exactly those inputs and persists it in the versioned trace_io
  * format, so repeated bench/figure invocations of the same workload
- * never regenerate it — they mmap the cached file and decode straight
- * from the map.
+ * never regenerate it — they read the cached file back a chunk at a
+ * time (positioned reads, decoded as they arrive), so a stored trace is
+ * never resident whole.
  *
  * Key derivation hashes every WorkloadParams field (after applying the
  * instruction override) plus generatorVersion, so any change to the
@@ -25,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,6 +54,79 @@ constexpr std::uint32_t generatorVersion = 1;
  * version then stop matching automatically.
  */
 constexpr std::uint32_t directionStreamVersion = 1;
+
+/**
+ * A trace-store hit as TraceStore::loadStream checked it: where its
+ * files are, what it is, and its exact totals. A StoredTrace::Reader
+ * reads it back a chunk at a time, so it is never resident whole.
+ */
+struct StoredTrace
+{
+    std::string path;  ///< the trace file
+    /** Its direction sidecar of directionKind; empty when none could be
+     *  persisted, and the reader's chunks then carry no direction bits. */
+    std::string directionPath;
+    int directionKind = -1;
+    std::string name;  ///< from the spec, as on every load
+    std::string category;
+    Addr entryPc = 0;
+    std::uint32_t blockBytes = 64;
+    std::uint32_t instBytes = 4;
+    std::uint64_t numRecords = 0;
+    /** Totals of the whole trace, counted by the checking pass. */
+    std::uint64_t instructions = 0;
+    std::uint64_t fetchOps = 0;
+    std::uint64_t resyncs = 0;
+
+    class Reader;
+};
+
+/**
+ * Reads a StoredTrace back as decoded chunks of kChunkRecords records:
+ * each next() reads the next records of the trace file, and their bytes
+ * of the direction sidecar, by positioned reads, then checks and
+ * decodes them into chunk(). Nothing larger than a chunk is resident
+ * and nothing is mapped; the files are open while the reader lives.
+ */
+class StoredTrace::Reader
+{
+  public:
+    /** Open @p trace's files; fatal() when they no longer open as the
+     *  checking pass saw them. */
+    explicit Reader(const StoredTrace &trace);
+
+    /**
+     * Before the first next(), an empty chunk with the trace's identity
+     * (name, entry PC, granularity, direction kind), from which lanes
+     * begin; after it, the records the last next() decoded, with their
+     * direction bits when hasDirections().
+     */
+    trace::DecodedTrace &chunk() { return current; }
+
+    bool hasDirections() const { return directions.has_value(); }
+
+    /** Decode the next chunk; false at the end of the trace. fatal()
+     *  on a record that no longer reads back as the checking pass saw
+     *  it. */
+    bool next();
+
+  private:
+    friend class TraceStore;
+
+    /** The checking pass's reader of the open @p file (no sidecar): it
+     *  also checks each record's run and counts the totals into chunk()
+     *  at the end; a corrupt record ends it, with failed set. */
+    Reader(const StoredTrace &trace, trace::TraceFileReader file,
+           bool checking);
+
+    trace::TraceFileReader file;
+    std::optional<trace::PositionedFile> directions;
+    const bool checking;
+    bool failed = false;
+    std::uint64_t position = 0;
+    trace::DecodedTrace current;
+    trace::StreamDecoder decoder;  ///< decodes onto current
+};
 
 class TraceStore
 {
@@ -81,12 +156,11 @@ class TraceStore
                         std::uint64_t instruction_override) const;
 
     /**
-     * The decoded branch stream for @p spec at the given granularity.
-     * On a store hit the decode streams records directly from the mmap
-     * (zero-copy: no intermediate record vector); on a miss — including
-     * a file with a corrupt record — the trace is generated as a
-     * stream, decoded chunk by chunk and persisted over the old file
-     * from the decoded records.
+     * The decoded branch stream for @p spec at the given granularity,
+     * materialized whole. A store hit is read and decoded a chunk at a
+     * time; on a miss — including a file with a corrupt record — the
+     * trace is generated as a stream, decoded chunk by chunk and
+     * persisted over the old file from the decoded records.
      */
     trace::DecodedTrace acquireDecoded(const TraceSpec &spec,
                                        std::uint64_t instruction_override,
@@ -94,14 +168,36 @@ class TraceStore
                                        std::uint32_t inst_bytes);
 
     /**
-     * The hit half of acquireDecoded: the stored trace decoded from the
-     * mmap, counting a hit, or std::nullopt — counting a miss when the
-     * store is enabled — when there is no usable file. The caller then
+     * The hit half of acquireDecoded: the stored trace decoded whole,
+     * counting a hit, or std::nullopt — counting a miss when the store
+     * is enabled — when there is no usable file. The caller then
      * generates the trace itself, persisting it through writer().
      */
     std::optional<trace::DecodedTrace>
     loadDecoded(const TraceSpec &spec, std::uint64_t instruction_override,
                 std::uint32_t block_bytes, std::uint32_t inst_bytes);
+
+    /**
+     * The hit half of a sweep's trace build, which never materializes
+     * the trace: one positioned-read pass checks every record of the
+     * stored file and counts its exact totals, then a hit is counted
+     * and the trace returned for StoredTrace::Reader to stream. With no
+     * usable file (missing, stale, corrupt record) a miss is counted
+     * when the store is enabled and std::nullopt returned: the caller
+     * generates the trace, persisting it through writer().
+     *
+     * On a hit whose direction sidecar of @p direction_kind is missing
+     * or stale, the same pass hands every decoded chunk to
+     * @p resolve — which fills its direction bits with a predictor
+     * carried across chunks — and persists the bits as the sidecar,
+     * counting a direction miss. If it cannot be written, the returned
+     * trace has no directionPath and its readers resolve live.
+     */
+    std::optional<StoredTrace>
+    loadStream(const TraceSpec &spec, std::uint64_t instruction_override,
+               std::uint32_t block_bytes, std::uint32_t inst_bytes,
+               int direction_kind,
+               const std::function<void(trace::DecodedTrace &)> &resolve);
 
     class Writer;
 
@@ -156,6 +252,25 @@ class TraceStore
     }
 
   private:
+    /** @p spec's stored trace as a loader starts from: paths, name and
+     *  granularity. */
+    StoredTrace describe(const TraceSpec &spec,
+                         std::uint64_t instruction_override,
+                         std::uint32_t block_bytes,
+                         std::uint32_t inst_bytes) const;
+
+    /**
+     * The checking pass over the open trace file @p file of @p stored:
+     * every record is read, checked and decoded, each chunk handed to
+     * @p each. Fills stored's header fields and totals; false when a
+     * record is corrupt. Counts nothing.
+     */
+    static bool scan(StoredTrace &stored, trace::TraceFileReader file,
+                     const std::function<void(trace::DecodedTrace &)> &each);
+
+    /** Count a load of the trace at @p path: a hit, or a miss. */
+    void countLoad(bool hit, const std::string &path);
+
     /** A unique temp name next to @p path: concurrent producers of the
      *  same key never collide. */
     std::string tempPathFor(const std::string &path);
@@ -197,8 +312,9 @@ class TraceStore::Writer final : public trace::ChunkSink
     void begin(const trace::StreamHeader &header) override;
     void chunk(const trace::DecodedTrace &chunk) override;
 
-    /** Publish the trace file (counting a store), then the sidecar. */
-    void finish();
+    /** Publish the trace file (counting a store), then the sidecar;
+     *  true when everything this writer wrote was published. */
+    bool finish();
 
   private:
     TraceStore &store;

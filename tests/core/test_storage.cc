@@ -42,9 +42,18 @@ TEST(Storage, PaperExampleOrderOfMagnitude)
     const cache::CacheConfig exynos =
         cache::CacheConfig::icache(64, 8, 128);
     const StorageBudget b = ghrpStorage(exynos, cfg, 0);
-    EXPECT_GT(b.totalKiB(), 3.0);
-    EXPECT_LT(b.totalKiB(), 7.0);
-    EXPECT_NEAR(b.overheadFraction(exynos.sizeBytes), 0.07, 0.03);
+    // Table I, exactly: 512 blocks x (1 valid + 1 prediction + 3 LRU +
+    // 16 signature) bits, 3 x 4096 x 2-bit counters, 2 x 16-bit
+    // history registers.
+    ASSERT_EQ(b.items.size(), 3u);
+    EXPECT_EQ(b.items[0].bits, 512u * 21u);
+    EXPECT_EQ(b.items[1].bits, 3u * 4096u * 2u);
+    EXPECT_EQ(b.items[2].bits, 2u * 16u);
+    EXPECT_EQ(b.totalBits(), 35'360u);  // 4420 bytes
+    EXPECT_DOUBLE_EQ(b.totalKiB(), 4420.0 / 1024.0);
+    EXPECT_DOUBLE_EQ(b.overheadFraction(exynos.sizeBytes), 4420.0 / 65536.0);
+    // Coupling the BTB adds one prediction bit per entry.
+    EXPECT_EQ(ghrpStorage(exynos, cfg, 4096).totalBits(), 35'360u + 4096u);
 }
 
 TEST(Storage, SdbpLargerThanGhrp)

@@ -186,6 +186,31 @@ TEST(Diff, ThroughputGate)
     EXPECT_TRUE(ungated.ok());
 }
 
+/** A candidate without the baseline's sweep timing — a missing or
+ *  zeroed sweep block — fails the gate; a baseline without timing has
+ *  nothing to gate against. */
+TEST(Diff, CandidateWithoutSweepTimingFailsThroughputGate)
+{
+    const RunReport base = frozenHeadlineReport();
+    RunReport cand = frozenHeadlineReport();
+    cand.sweep = {};
+
+    DiffOptions options;
+    options.check = true;
+    const DiffResult result = report::diffReports(base, cand, options);
+    EXPECT_TRUE(result.throughputRegressed);
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.text.find("candidate has no sweep timing"),
+              std::string::npos);
+    EXPECT_NE(result.text.find("[check] FAIL: candidate lacks"),
+              std::string::npos);
+
+    const DiffResult reverse = report::diffReports(cand, base, options);
+    EXPECT_FALSE(reverse.throughputRegressed);
+    EXPECT_TRUE(reverse.ok());
+    EXPECT_NE(reverse.text.find("not comparable"), std::string::npos);
+}
+
 TEST(Diff, AddedAndRemovedPoliciesAreChanges)
 {
     const RunReport base = frozenHeadlineReport();

@@ -170,6 +170,30 @@ TEST(RunReport, WrongSchemaNameRejected)
     EXPECT_THROW(RunReport::fromJson(empty), ReportError);
 }
 
+/** A document cut to its identity — schema, version and experiment,
+ *  as a truncated write leaves it — fails to load instead of reading as
+ *  an empty run; so does a full one missing any block a writer always
+ *  emits. */
+TEST(RunReport, TruncatedDocumentRejected)
+{
+    const Json three_keys = Json::parse(
+        R"({"schema": "ghrp-run-report", "version": {"major": )" +
+        std::to_string(report::kSchemaMajor) +
+        R"(, "minor": 0}, "experiment": "fig03_icache_scurve"})");
+    ASSERT_EQ(three_keys.at("schema").asString(), report::kSchemaName);
+    EXPECT_THROW(RunReport::fromJson(three_keys), ReportError);
+
+    for (const char *key : {"sweep", "policies", "legs", "build", "options"}) {
+        SCOPED_TRACE(key);
+        const Json full = makeReport().toJson();
+        Json cut = Json::object();
+        for (const auto &[name, value] : full.asObject())
+            if (name != key)
+                cut.set(name, value);
+        EXPECT_THROW(RunReport::fromJson(cut), ReportError);
+    }
+}
+
 TEST(RunReport, SuiteReportCoversEveryLegAndPolicy)
 {
     core::SuiteOptions options;

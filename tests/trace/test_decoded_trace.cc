@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -115,32 +116,72 @@ TEST(DecodedTrace, EmptyTrace)
     EXPECT_FALSE(dec.hasDirectionStream());
 }
 
-TEST(DecodedTrace, MappedDecodeMatchesInMemoryDecode)
+/** Decode the trace file at @p path as the store's checking pass does:
+ *  a chunk of records at a time through TraceFileReader, each chunk
+ *  counted and checked by StreamDecoder::countChecked, and appended.
+ *  std::nullopt on a refused file or a corrupt record. */
+std::optional<DecodedTrace>
+decodeFileInChunks(const std::string &path)
+{
+    std::optional<TraceFileReader> file = TraceFileReader::tryOpen(path);
+    if (!file)
+        return std::nullopt;
+    DecodedTrace whole;
+    whole.entryPc = file->header().entryPc;
+    DecodedTrace chunk;
+    chunk.entryPc = whole.entryPc;
+    StreamDecoder decoder(chunk);
+    const std::uint64_t n = file->header().numRecords;
+    for (std::uint64_t first = 0; first < n; first += kChunkRecords) {
+        const std::size_t count =
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                kChunkRecords, n - first));
+        if (!file->read(first, count, chunk) || !decoder.countChecked())
+            return std::nullopt;
+        whole.brPc.insert(whole.brPc.end(), chunk.brPc.begin(),
+                          chunk.brPc.end());
+        whole.brTarget.insert(whole.brTarget.end(), chunk.brTarget.begin(),
+                              chunk.brTarget.end());
+        whole.brMeta.insert(whole.brMeta.end(), chunk.brMeta.begin(),
+                            chunk.brMeta.end());
+    }
+    decoder.finish();
+    whole.instructions = chunk.instructions;
+    whole.fetchOps = chunk.fetchOps;
+    whole.resyncs = chunk.resyncs;
+    return whole;
+}
+
+TEST(DecodedTrace, ChunkedFileDecodeMatchesInMemoryDecode)
 {
     const auto specs = workload::makeSuite(1, 123);
     const Trace tr = workload::buildTrace(specs.front(), 50'000);
-    const std::string path = ::testing::TempDir() + "/mapped.ghrptrc";
+    ASSERT_GT(tr.records.size(), 2 * kChunkRecords);
+    const std::string path = ::testing::TempDir() + "/chunked.ghrptrc";
     writeTrace(tr, path);
 
-    const auto mapped = MappedTrace::tryOpen(path);
-    ASSERT_TRUE(mapped.has_value());
-    const std::optional<DecodedTrace> from_map =
-        tryDecodeTrace(*mapped, 64, 4);
-    ASSERT_TRUE(from_map.has_value());
+    const std::optional<TraceFileReader> file = TraceFileReader::tryOpen(path);
+    ASSERT_TRUE(file.has_value());
+    EXPECT_EQ(file->header().name, tr.name);
+    EXPECT_EQ(file->header().category, tr.category);
+    EXPECT_EQ(file->header().numRecords, tr.records.size());
+
+    const std::optional<DecodedTrace> from_file = decodeFileInChunks(path);
+    ASSERT_TRUE(from_file.has_value());
     const DecodedTrace from_mem = decodeTrace(tr, 64, 4);
 
-    EXPECT_EQ(from_map->entryPc, from_mem.entryPc);
-    EXPECT_EQ(from_map->brPc, from_mem.brPc);
-    EXPECT_EQ(from_map->brTarget, from_mem.brTarget);
-    EXPECT_EQ(from_map->brMeta, from_mem.brMeta);
-    EXPECT_EQ(from_map->totalInstructions(), from_mem.totalInstructions());
-    EXPECT_EQ(from_map->numFetchOps(), from_mem.numFetchOps());
-    EXPECT_EQ(from_map->resyncs, from_mem.resyncs);
-    expectCursorMirrorsWalker(tr, *from_map);
+    EXPECT_EQ(from_file->entryPc, from_mem.entryPc);
+    EXPECT_EQ(from_file->brPc, from_mem.brPc);
+    EXPECT_EQ(from_file->brTarget, from_mem.brTarget);
+    EXPECT_EQ(from_file->brMeta, from_mem.brMeta);
+    EXPECT_EQ(from_file->totalInstructions(), from_mem.totalInstructions());
+    EXPECT_EQ(from_file->numFetchOps(), from_mem.numFetchOps());
+    EXPECT_EQ(from_file->resyncs, from_mem.resyncs);
+    expectCursorMirrorsWalker(tr, *from_file);
     std::remove(path.c_str());
 }
 
-TEST(DecodedTrace, MappedDecodeRejectsCorruptBranchType)
+TEST(DecodedTrace, FileReadersRejectCorruptBranchType)
 {
     Trace tr = loopTrace();
     const std::string path = ::testing::TempDir() + "/corrupt.ghrptrc";
@@ -159,8 +200,48 @@ TEST(DecodedTrace, MappedDecodeRejectsCorruptBranchType)
     ASSERT_TRUE(mapped.has_value());  // the header is intact
     EXPECT_FALSE(mapped->record(tr.records.size() - 1).has_value());
     EXPECT_FALSE(mapped->materialize().has_value());
-    EXPECT_FALSE(tryDecodeTrace(*mapped, 64, 4).has_value());
+
+    std::optional<TraceFileReader> file = TraceFileReader::tryOpen(path);
+    ASSERT_TRUE(file.has_value());
+    const std::size_t n = tr.records.size();
+    DecodedTrace chunk;
+    ASSERT_TRUE(file->read(0, n - 1, chunk));
+    ASSERT_EQ(chunk.numRecords(), n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        EXPECT_EQ(chunk.record(i), tr.records[i]);
+    EXPECT_FALSE(file->read(n - 1, 1, chunk));
+    // Past the end is a short read, not a crash.
+    EXPECT_FALSE(file->read(n, 1, chunk));
+    EXPECT_FALSE(decodeFileInChunks(path).has_value());
     std::remove(path.c_str());
+}
+
+TEST(DecodedTrace, CheckedCountRejectsRunPastTheLimit)
+{
+    const Addr entry = 0x1000;
+    const BranchRecord at_limit{entry + kMaxFetchRunBytes, 0x1000,
+                                BranchType::UncondDirect, true};
+    const BranchRecord past_limit{entry + kMaxFetchRunBytes + 4, 0x1000,
+                                  BranchType::UncondDirect, true};
+    // Behind the fetch PC resynchronizes, whatever the distance.
+    const BranchRecord behind{0x10, 0x1000, BranchType::UncondDirect, true};
+
+    const auto count = [&](const std::vector<BranchRecord> &recs) {
+        DecodedTrace chunk;
+        chunk.entryPc = entry;
+        StreamDecoder decoder(chunk);
+        for (const BranchRecord &r : recs) {
+            chunk.brPc.push_back(r.pc);
+            chunk.brTarget.push_back(r.target);
+            chunk.brMeta.push_back(branch_meta::pack(r.type, r.taken));
+        }
+        const bool ok = decoder.countChecked();
+        decoder.finish();
+        return std::pair{ok, chunk.resyncs};
+    };
+    EXPECT_EQ(count({at_limit, behind, behind}), std::pair(true, std::uint64_t{2}));
+    // The bad record ends the count: the resync after it is not seen.
+    EXPECT_EQ(count({behind, past_limit, behind}), std::pair(false, std::uint64_t{1}));
 }
 
 TEST(DecodedTrace, SuiteTraceDecodeIsSelfConsistent)

@@ -4,8 +4,9 @@
  * A real stored trace and its .dir<kind> sidecar are mutated — bit
  * flips, truncation, rewritten header fields (record counts up to
  * 1 << 60, string lengths, versions, keys), random spans — and read
- * back through MappedTrace::tryOpen + tryDecodeTrace and
- * TraceStore::loadDecoded + loadDirectionStream. Every read must be a
+ * back through MappedTrace::tryOpen, TraceFileReader::tryOpen,
+ * TraceStore::loadDecoded + loadDirectionStream and TraceStore::
+ * loadStream + StoredTrace::Reader. Every read must be a
  * clean miss or a valid result, never a crash (the sanitizer job runs
  * this too). Every case derives from its seed through splitMix64; a
  * failure prints the seed, and fuzzOneSeed(seed) replays it.
@@ -173,6 +174,89 @@ sidecarMustMiss(const std::string &got, const std::string &want,
     return false;
 }
 
+/** The whole-trace readers over the files as they lie: a miss, or a
+ *  decode that replays the walker and a sidecar that loads only when it
+ *  matches. @p hit: loadDecoded hit. */
+void
+checkWhole(const Corpus &c, TraceStore &store, const std::string &trace_bytes,
+           const std::string &sidecar_bytes,
+           const std::optional<trace::MappedTrace> &mapped, bool &hit)
+{
+    // The store's readers, as a sweep calls them: a miss, or a decode
+    // that replays the walker over the records the file now holds.
+    std::optional<trace::DecodedTrace> dec =
+        store.loadDecoded(c.spec, kLength, 64, 4);
+    if (trace_bytes == c.trace) {
+        ASSERT_TRUE(dec.has_value());
+    }
+    hit = dec.has_value();
+    if (!dec)
+        return;
+    const std::optional<trace::Trace> records = mapped->materialize();
+    ASSERT_TRUE(records.has_value());
+    trace::expectCursorMirrorsWalker(*records, *dec);
+    const bool loaded = store.loadDirectionStream(c.spec, kLength, kKind, *dec);
+    if (sidecarMustMiss(sidecar_bytes, c.sidecar, dec->numRecords())) {
+        ASSERT_FALSE(loaded);
+    }
+    if (!loaded) {
+        EXPECT_FALSE(dec->hasDirectionStream());
+        return;
+    }
+    ASSERT_TRUE(dec->hasDirectionStream());
+    EXPECT_EQ(dec->directionKind, kKind);
+    if (trace_bytes == c.trace && sidecar_bytes == c.sidecar) {
+        EXPECT_EQ(dec->dirPredictedTaken, c.resolved.dirPredictedTaken);
+    }
+    // A stream that loads is one a leg can run.
+    frontend::FrontendConfig cfg;
+    cfg.policy = frontend::PolicyKind::Ghrp;
+    const frontend::FrontendResult r = frontend::simulateDecoded(cfg, *dec);
+    EXPECT_EQ(r.totalInstructions, dec->totalInstructions());
+}
+
+/**
+ * The sweep's reader over the files as they lie: TraceStore::loadStream
+ * must hit exactly when loadDecoded did (@p hit), and a hit must stream
+ * the records and totals of the whole decode, with direction bits from
+ * a sidecar that matches the trace or resolved afresh.
+ */
+void
+checkStreamed(const Corpus &c, bool hit)
+{
+    TraceStore store(c.dir);
+    std::optional<frontend::DirectionResolver> resolver;
+    const std::optional<StoredTrace> stored = store.loadStream(
+        c.spec, kLength, 64, 4, kKind, [&](trace::DecodedTrace &chunk) {
+            if (!resolver)
+                resolver.emplace(frontend::DirectionKind::HashedPerceptron);
+            resolver->resolve(chunk);
+        });
+    ASSERT_EQ(stored.has_value(), hit);
+    if (!stored)
+        return;
+    const std::optional<trace::DecodedTrace> whole =
+        store.loadDecoded(c.spec, kLength, 64, 4);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(stored->numRecords, whole->numRecords());
+    EXPECT_EQ(stored->instructions, whole->totalInstructions());
+
+    StoredTrace::Reader reader(*stored);
+    std::vector<Addr> pcs;
+    std::size_t directions = 0;
+    while (reader.next()) {
+        const trace::DecodedTrace &chunk = reader.chunk();
+        pcs.insert(pcs.end(), chunk.brPc.begin(), chunk.brPc.end());
+        if (reader.hasDirections())
+            directions += chunk.dirPredictedTaken.size();
+    }
+    EXPECT_EQ(pcs, whole->brPc);
+    // The sidecar is now valid for the trace: written by the check if
+    // it was not.
+    EXPECT_TRUE(reader.hasDirections());
+    EXPECT_EQ(directions, whole->numRecords());
+}
+
 void
 fuzzOneSeed(std::uint64_t seed)
 {
@@ -202,50 +286,28 @@ fuzzOneSeed(std::uint64_t seed)
     writeBytes(path, trace_bytes);
     writeBytes(sidecarOf(path), sidecar_bytes);
 
-    // The raw reader: a miss, or a decode that replays the walker over
-    // the records the file now holds.
-    if (const std::optional<trace::MappedTrace> mapped =
-            trace::MappedTrace::tryOpen(path)) {
+    // The raw readers refuse the same headers and agree on the rest.
+    const std::optional<trace::MappedTrace> mapped =
+        trace::MappedTrace::tryOpen(path);
+    const std::optional<trace::TraceFileReader> file =
+        trace::TraceFileReader::tryOpen(path);
+    ASSERT_EQ(mapped.has_value(), file.has_value());
+    if (mapped) {
         ASSERT_LE(mapped->numRecords() * trace::traceRecordStride,
                   trace_bytes.size());
-        if (const std::optional<trace::DecodedTrace> dec =
-                trace::tryDecodeTrace(*mapped, 64, 4)) {
-            const std::optional<trace::Trace> records =
-                mapped->materialize();
-            ASSERT_TRUE(records.has_value());
-            trace::expectCursorMirrorsWalker(*records, *dec);
-        }
+        EXPECT_EQ(file->header().numRecords, mapped->numRecords());
+        EXPECT_EQ(file->header().entryPc, mapped->entryPc());
+        EXPECT_EQ(file->header().name, mapped->name());
     }
     if (trace_bytes == c.trace) {
-        ASSERT_TRUE(trace::MappedTrace::tryOpen(path).has_value());
+        ASSERT_TRUE(mapped.has_value());
     }
 
-    // The store's readers, as a sweep calls them.
-    std::optional<trace::DecodedTrace> dec =
-        store.loadDecoded(c.spec, kLength, 64, 4);
-    if (trace_bytes == c.trace) {
-        ASSERT_TRUE(dec.has_value());
-    }
-    if (!dec)
+    bool hit = false;
+    checkWhole(c, store, trace_bytes, sidecar_bytes, mapped, hit);
+    if (::testing::Test::HasFatalFailure())
         return;
-    const bool loaded = store.loadDirectionStream(c.spec, kLength, kKind, *dec);
-    if (sidecarMustMiss(sidecar_bytes, c.sidecar, dec->numRecords())) {
-        ASSERT_FALSE(loaded);
-    }
-    if (!loaded) {
-        EXPECT_FALSE(dec->hasDirectionStream());
-        return;
-    }
-    ASSERT_TRUE(dec->hasDirectionStream());
-    EXPECT_EQ(dec->directionKind, kKind);
-    if (trace_bytes == c.trace && sidecar_bytes == c.sidecar) {
-        EXPECT_EQ(dec->dirPredictedTaken, c.resolved.dirPredictedTaken);
-    }
-    // A stream that loads is one a leg can run.
-    frontend::FrontendConfig cfg;
-    cfg.policy = frontend::PolicyKind::Ghrp;
-    const frontend::FrontendResult r = frontend::simulateDecoded(cfg, *dec);
-    EXPECT_EQ(r.totalInstructions, dec->totalInstructions());
+    checkStreamed(c, hit);
 }
 
 TEST(TraceFuzz, UnmutatedFilesLoadWhole)
