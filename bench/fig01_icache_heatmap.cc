@@ -4,7 +4,8 @@
  * the five replacement policies for one trace. Efficiency is the
  * fraction of occupied time a frame's block is live [Burger et al.];
  * lighter cells mean longer live times. Prints the mean efficiency
- * and an ASCII rendering per policy; --pgm PREFIX writes PGM images.
+ * and an ASCII rendering per policy; the report's
+ * extras.efficiency holds every frame's efficiency.
  */
 
 #include <cstdio>
@@ -25,7 +26,6 @@ main(int argc, char **argv)
     spec.name = "fig01";
     const std::uint64_t instructions =
         cli.getUint("instructions", 4'000'000);
-    const std::string pgm_prefix = cli.getString("pgm", "");
     core::applyLogLevel(cli);
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
@@ -40,7 +40,6 @@ main(int argc, char **argv)
     struct PolicyOutput
     {
         std::string text;
-        std::string pgmPath;
         frontend::FrontendResult result;
         double meanEfficiency = 0.0;
         report::Json matrix = report::Json::object();
@@ -75,12 +74,6 @@ main(int argc, char **argv)
                 outputs[p].result = r;
                 outputs[p].meanEfficiency = eff.meanEfficiency();
                 outputs[p].matrix = report::efficiencyMatrixJson(eff);
-                if (!pgm_prefix.empty()) {
-                    outputs[p].pgmPath =
-                        pgm_prefix + "_" +
-                        frontend::policyName(config.policy) + ".pgm";
-                    eff.writePgm(outputs[p].pgmPath);
-                }
             }));
         for (std::future<void> &f : legs)
             f.get();
@@ -89,11 +82,8 @@ main(int argc, char **argv)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sweep_start)
             .count();
-    for (const PolicyOutput &out : outputs) {
+    for (const PolicyOutput &out : outputs)
         std::printf("%s", out.text.c_str());
-        if (!out.pgmPath.empty())
-            std::printf("wrote %s\n\n", out.pgmPath.c_str());
-    }
     std::printf("paper: GHRP shows the lightest (most live) map; Random "
                 "the darkest.\n");
 

@@ -23,7 +23,6 @@ main(int argc, char **argv)
     spec.name = "fig05";
     const std::uint64_t instructions =
         cli.getUint("instructions", 4'000'000);
-    const std::string pgm_prefix = cli.getString("pgm", "");
     core::applyLogLevel(cli);
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
@@ -38,7 +37,6 @@ main(int argc, char **argv)
     struct PolicyOutput
     {
         std::string text;
-        std::string pgmPath;
         frontend::FrontendResult result;
         double meanEfficiency = 0.0;
         report::Json matrix = report::Json::object();
@@ -73,12 +71,6 @@ main(int argc, char **argv)
                 outputs[p].result = r;
                 outputs[p].meanEfficiency = eff.meanEfficiency();
                 outputs[p].matrix = report::efficiencyMatrixJson(eff);
-                if (!pgm_prefix.empty()) {
-                    outputs[p].pgmPath =
-                        pgm_prefix + "_" +
-                        frontend::policyName(config.policy) + ".pgm";
-                    eff.writePgm(outputs[p].pgmPath);
-                }
             }));
         for (std::future<void> &f : legs)
             f.get();
@@ -87,11 +79,8 @@ main(int argc, char **argv)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sweep_start)
             .count();
-    for (const PolicyOutput &out : outputs) {
+    for (const PolicyOutput &out : outputs)
         std::printf("%s", out.text.c_str());
-        if (!out.pgmPath.empty())
-            std::printf("wrote %s\n\n", out.pgmPath.c_str());
-    }
 
     report::ReportBuilder builder("fig05_btb_heatmap");
     report::Json efficiency = report::Json::object();

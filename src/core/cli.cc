@@ -1,5 +1,7 @@
 #include "core/cli.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -39,7 +41,11 @@ CliOptions::getUint(const std::string &name,
         return default_value;
     if (it->second.empty())
         fatal("flag --%s requires a value", name.c_str());
-    return std::strtoull(it->second.c_str(), nullptr, 10);
+    const std::optional<std::uint64_t> value = parseUint(it->second);
+    if (!value)
+        fatal("flag --%s expects an unsigned integer, got '%s'",
+              name.c_str(), it->second.c_str());
+    return *value;
 }
 
 double
@@ -50,7 +56,11 @@ CliOptions::getDouble(const std::string &name, double default_value) const
         return default_value;
     if (it->second.empty())
         fatal("flag --%s requires a value", name.c_str());
-    return std::strtod(it->second.c_str(), nullptr);
+    const std::optional<double> value = parseDouble(it->second);
+    if (!value)
+        fatal("flag --%s expects a number, got '%s'", name.c_str(),
+              it->second.c_str());
+    return *value;
 }
 
 std::string
@@ -65,6 +75,28 @@ bool
 CliOptions::has(const std::string &name) const
 {
     return values.count(name) != 0;
+}
+
+std::optional<std::uint64_t>
+parseUint(const std::string &text)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseDouble(const std::string &text)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value))
+        return std::nullopt;
+    return value;
 }
 
 const std::vector<CliFlag> &
@@ -104,16 +136,12 @@ knownCliFlags()
         {"generate", "trace-tool mode: generate a trace file"},
         {"replay", "trace-tool mode: replay a trace file"},
         {"info", "trace-tool mode: print trace metadata"},
-        {"pgm", "heat-map tools: write PGM images"},
         {"duel",
          "append a duel:<A>,<B> set-dueling leg to the suite's "
          "policy axis (bench suites)"},
         {"phase-window",
          "phase flight recorder: sample a windowed telemetry record "
          "every N instructions (or GHRP_PHASE_WINDOW; 0 = off)"},
-        {"diff",
-         "ghrp-report phases: align two reports' trajectories and "
-         "print per-window I-cache MPKI winner flips"},
     };
     return flags;
 }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,13 @@ class CliOptions
      */
     CliOptions(int argc, char **argv);
 
-    /** Integer option with default. */
+    /** Unsigned integer option with default; fatal() unless the value
+     *  is a whole in-range number (see parseUint). */
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t default_value) const;
 
-    /** Floating-point option with default. */
+    /** Floating-point option with default; fatal() unless the value
+     *  is a whole finite number (see parseDouble). */
     double getDouble(const std::string &name, double default_value) const;
 
     /** String option with default. */
@@ -49,6 +52,20 @@ class CliOptions
   private:
     std::map<std::string, std::string> values;
 };
+
+/**
+ * @p text as an unsigned decimal integer, or std::nullopt unless the
+ * whole of it is one: no sign, no whitespace, no trailing characters,
+ * no value past 2^64 - 1.
+ */
+std::optional<std::uint64_t> parseUint(const std::string &text);
+
+/**
+ * @p text as a decimal floating-point number, or std::nullopt unless
+ * the whole of it is one and it is finite: an optional '-', no '+', no
+ * whitespace, no trailing characters, no overflow, no inf or nan.
+ */
+std::optional<double> parseDouble(const std::string &text);
 
 /** One entry of the known-flag registry. */
 struct CliFlag

@@ -1,10 +1,11 @@
 #include "report/render.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "stats/table.hh"
 
@@ -84,6 +85,28 @@ findHeadline(const std::string &experiment)
     return nullptr;
 }
 
+/** The LRU baseline row of @p report, or null without one. */
+const PolicySummary *
+lruRow(const RunReport &report)
+{
+    for (const PolicySummary &p : report.policies)
+        if (p.policy == "LRU")
+            return &p;
+    return nullptr;
+}
+
+/** "vs LRU" as the paper reports it, a ratio of suite mean MPKIs
+ *  (@p mpki of @p p against the @p lru row); "-" for the LRU row itself
+ *  or without an LRU baseline. */
+std::string
+ratioCell(const PolicySummary &p, const PolicySummary *lru,
+          double PolicySummary::*mpki)
+{
+    if (!lru || &p == lru || lru->*mpki <= 0.0)
+        return "-";
+    return fmt("%+.1f%%", (p.*mpki - lru->*mpki) / lru->*mpki * 100.0);
+}
+
 /**
  * The paper-vs-measured table. "paper vs LRU" is a ratio of suite mean
  * MPKIs, so "measured vs LRU" is one too; the mean of per-trace
@@ -92,13 +115,11 @@ findHeadline(const std::string &experiment)
 std::string
 headlineTable(const RunReport &report, const HeadlineSpec &spec)
 {
-    const auto measured = [&](const PolicySummary &p) {
-        return spec.useBtb ? p.btbMeanMpki : p.icacheMeanMpki;
-    };
-    const PolicySummary *lru = nullptr;
-    for (const PolicySummary &p : report.policies)
-        if (p.policy == "LRU")
-            lru = &p;
+    const auto mpki = spec.useBtb ? &PolicySummary::btbMeanMpki
+                                  : &PolicySummary::icacheMeanMpki;
+    const auto per_trace =
+        spec.useBtb ? &PolicySummary::btbVsLru : &PolicySummary::icacheVsLru;
+    const PolicySummary *lru = lruRow(report);
 
     stats::TextTable table({"policy", "paper MPKI", "paper vs LRU",
                             "measured MPKI", "measured vs LRU",
@@ -108,26 +129,27 @@ headlineTable(const RunReport &report, const HeadlineSpec &spec)
         for (const PaperRow &row : spec.paper)
             if (p.policy == row.policy)
                 paper = &row;
-        const bool vs_lru = lru && &p != lru && measured(*lru) > 0.0;
-        table.addRow(
-            {p.policy, paper ? paper->mpki : "-",
-             paper ? paper->vsLru : "-", mpkiCell(measured(p)),
-             vs_lru ? fmt("%+.1f%%", (measured(p) - measured(*lru)) /
-                                         measured(*lru) * 100.0)
-                    : "-",
-             pctCell(spec.useBtb ? p.btbVsLru : p.icacheVsLru)});
+        table.addRow({p.policy, paper ? paper->mpki : "-",
+                      paper ? paper->vsLru : "-", mpkiCell(p.*mpki),
+                      ratioCell(p, lru, mpki), pctCell(p.*per_trace)});
     }
     return table.renderMarkdown();
 }
 
+/** Both structures' mean MPKIs, each with the headline table's two
+ *  "vs LRU" columns: ratio of means, then Fig. 8's per-trace mean. */
 std::string
 genericPolicyTable(const RunReport &report)
 {
+    const PolicySummary *lru = lruRow(report);
     stats::TextTable table({"policy", "I-cache MPKI", "vs LRU",
-                            "BTB MPKI", "vs LRU"});
+                            "per-trace mean vs LRU (Fig. 8)", "BTB MPKI",
+                            "vs LRU", "per-trace mean vs LRU (Fig. 8)"});
     for (const PolicySummary &p : report.policies)
         table.addRow({p.policy, mpkiCell(p.icacheMeanMpki),
+                      ratioCell(p, lru, &PolicySummary::icacheMeanMpki),
                       pctCell(p.icacheVsLru), mpkiCell(p.btbMeanMpki),
+                      ratioCell(p, lru, &PolicySummary::btbMeanMpki),
                       pctCell(p.btbVsLru)});
     return table.renderMarkdown();
 }
@@ -186,24 +208,10 @@ oracleLines(const RunReport &report)
     return out;
 }
 
-/** Lower-cased, filename/identifier-safe copy of @p name. */
+/** Set-dueling winner-flip summary lines, one per duel policy in
+ *  first-appearance leg order; empty without duel legs. */
 std::string
-sanitizeToken(std::string name)
-{
-    for (char &c : name) {
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return name;
-}
-
-/** Total set-dueling winner flips per duel policy, (icache, btb),
- *  keyed in first-appearance leg order. */
-std::pair<std::vector<std::string>,
-          std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>>
-duelFlipTotals(const RunReport &report)
+duelFlipLines(const RunReport &report)
 {
     std::vector<std::string> order;
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> flips;
@@ -216,21 +224,11 @@ duelFlipTotals(const RunReport &report)
         f.first += leg.result.icacheDuel.winnerFlips;
         f.second += leg.result.btbDuel.winnerFlips;
     }
-    return {std::move(order), std::move(flips)};
-}
-
-/** Set-dueling winner-flip summary lines; empty without duel legs. */
-std::string
-duelFlipLines(const RunReport &report)
-{
-    const auto [order, flips] = duelFlipTotals(report);
     std::string out;
-    for (const std::string &name : order) {
-        const auto &f = flips.at(name);
+    for (const std::string &name : order)
         out += name + " winner flips: I-cache " +
-               std::to_string(f.first) + ", BTB " +
-               std::to_string(f.second) + "\n";
-    }
+               std::to_string(flips[name].first) + ", BTB " +
+               std::to_string(flips[name].second) + "\n";
     return out.empty() ? out : "\n" + out;
 }
 
@@ -488,155 +486,6 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
     return result;
 }
 
-std::vector<std::pair<std::string, std::string>>
-plotFiles(const RunReport &report)
-{
-    std::vector<std::pair<std::string, std::string>> files;
-
-    struct Structure
-    {
-        const char *name;
-        stats::AccessStats frontend::FrontendResult::*counters;
-        double frontend::FrontendResult::*mpki;
-    };
-    static constexpr Structure structures[] = {
-        {"icache", &frontend::FrontendResult::icache,
-         &frontend::FrontendResult::icacheMpki},
-        {"btb", &frontend::FrontendResult::btb,
-         &frontend::FrontendResult::btbMpki},
-    };
-
-    for (const Structure &st : structures) {
-        // Per-policy MPKI columns in first-appearance order, each
-        // sorted ascending: rank r holds each policy's r-th best
-        // trace, the S-curve presentation of figures 3 and 11.
-        std::vector<std::string> order;
-        std::map<std::string, std::vector<double>> columns;
-        bool any_accesses = false;
-        for (const Leg &leg : report.legs) {
-            if ((leg.result.*(st.counters)).accesses > 0)
-                any_accesses = true;
-            if (columns.find(leg.policy()) == columns.end())
-                order.push_back(leg.policy());
-            columns[leg.policy()].push_back(leg.result.*(st.mpki));
-        }
-        if (!any_accesses || order.empty())
-            continue;
-        std::size_t ranks = 0;
-        for (auto &[policy, mpki] : columns) {
-            std::sort(mpki.begin(), mpki.end());
-            ranks = std::max(ranks, mpki.size());
-        }
-
-        const std::string stem = report.experiment + "_" + st.name;
-        std::string dat = "# " + report.experiment + ": per-trace " +
-                          st.name + " MPKI, each column sorted "
-                          "ascending (S-curve)\n# rank";
-        for (const std::string &policy : order)
-            dat += " " + policy;
-        dat += "\n";
-        for (std::size_t r = 0; r < ranks; ++r) {
-            dat += std::to_string(r + 1);
-            for (const std::string &policy : order) {
-                const std::vector<double> &mpki = columns[policy];
-                dat += ' ';
-                dat += r < mpki.size() ? fmt("%.6f", mpki[r]) : "nan";
-            }
-            dat += "\n";
-        }
-        files.emplace_back(stem + ".dat", std::move(dat));
-
-        std::string gp = "# gnuplot script for " + stem + ".dat\n"
-                         "set terminal pngcairo size 960,640\n"
-                         "set output '" + stem + ".png'\n"
-                         "set title '" + report.experiment + ": " +
-                         st.name + " MPKI S-curve'\n"
-                         "set xlabel 'trace rank (sorted per policy)'\n"
-                         "set ylabel 'MPKI'\n"
-                         "set key left top\n"
-                         "set grid\n"
-                         "plot \\\n";
-        for (std::size_t p = 0; p < order.size(); ++p) {
-            gp += "    '" + stem + ".dat' using 1:" +
-                  std::to_string(p + 2) + " with linespoints title '" +
-                  order[p] + "'";
-            gp += p + 1 < order.size() ? ", \\\n" : "\n";
-        }
-        files.emplace_back(stem + ".gp", std::move(gp));
-    }
-
-    // Set-dueling PSEL trajectories: one table per
-    // trace that ran duel legs, with one decimated-sample column per
-    // (duel policy, structure), plus a script plotting them.
-    std::vector<std::string> trace_order;
-    std::map<std::string, std::vector<const Leg *>> duel_legs;
-    for (const Leg &leg : report.legs) {
-        if (!leg.result.hasDuel)
-            continue;
-        if (duel_legs.find(leg.trace()) == duel_legs.end())
-            trace_order.push_back(leg.trace());
-        duel_legs[leg.trace()].push_back(&leg);
-    }
-    for (const std::string &trace : trace_order) {
-        const std::vector<const Leg *> &legs = duel_legs[trace];
-        std::size_t rows = 0;
-        for (const Leg *leg : legs)
-            rows = std::max({rows, leg->result.icacheDuel.trajectory.size(),
-                             leg->result.btbDuel.trajectory.size()});
-        if (rows == 0)
-            continue;
-
-        const std::string stem = "psel_" + sanitizeToken(trace);
-        std::string dat = "# " + report.experiment + ": " + trace +
-                          " set-dueling PSEL trajectory (decimated "
-                          "samples)\n# sample";
-        for (const Leg *leg : legs)
-            dat += " " + leg->policy() + ":icache(stride=" +
-                   std::to_string(leg->result.icacheDuel.sampleStride) +
-                   ") " + leg->policy() + ":btb(stride=" +
-                   std::to_string(leg->result.btbDuel.sampleStride) + ")";
-        dat += "\n";
-        for (std::size_t r = 0; r < rows; ++r) {
-            dat += std::to_string(r + 1);
-            for (const Leg *leg : legs) {
-                const std::vector<std::int64_t> &ic =
-                    leg->result.icacheDuel.trajectory;
-                const std::vector<std::int64_t> &bt =
-                    leg->result.btbDuel.trajectory;
-                dat += ' ';
-                dat += r < ic.size() ? std::to_string(ic[r]) : "nan";
-                dat += ' ';
-                dat += r < bt.size() ? std::to_string(bt[r]) : "nan";
-            }
-            dat += "\n";
-        }
-        files.emplace_back(stem + ".dat", std::move(dat));
-
-        std::string gp = "# gnuplot script for " + stem + ".dat\n"
-                         "set terminal pngcairo size 960,640\n"
-                         "set output '" + stem + ".png'\n"
-                         "set title '" + report.experiment + ": " +
-                         trace + " duel PSEL trajectory'\n"
-                         "set xlabel 'sample'\n"
-                         "set ylabel 'PSEL'\n"
-                         "set key left top\n"
-                         "set grid\n"
-                         "plot \\\n";
-        std::size_t col = 2;
-        for (std::size_t l = 0; l < legs.size(); ++l) {
-            gp += "    '" + stem + ".dat' using 1:" +
-                  std::to_string(col++) + " with linespoints title '" +
-                  legs[l]->policy() + " icache', \\\n";
-            gp += "    '" + stem + ".dat' using 1:" +
-                  std::to_string(col++) + " with linespoints title '" +
-                  legs[l]->policy() + " btb'";
-            gp += l + 1 < legs.size() ? ", \\\n" : "\n";
-        }
-        files.emplace_back(stem + ".gp", std::move(gp));
-    }
-    return files;
-}
-
 std::string
 renderPhases(const RunReport &report)
 {
@@ -705,75 +554,6 @@ renderPhases(const RunReport &report)
     return out;
 }
 
-std::vector<std::pair<std::string, std::string>>
-phaseFiles(const RunReport &report)
-{
-    std::vector<std::pair<std::string, std::string>> files;
-    std::vector<std::string> stems, titles;
-
-    for (const Leg &leg : report.legs) {
-        if (!leg.result.hasPhases || leg.result.phases.records.empty())
-            continue;
-        const frontend::PhaseTrajectory &ph = leg.result.phases;
-        const std::vector<double> icache =
-            intervalMpki(ph, &frontend::PhaseRecord::icacheMisses);
-        const std::vector<double> btb =
-            intervalMpki(ph, &frontend::PhaseRecord::btbMisses);
-        const std::string stem = "phase_" + sanitizeToken(leg.trace()) +
-                                 "_" + sanitizeToken(leg.policy());
-        std::string dat =
-            "# " + report.experiment + ": " + leg.trace() + "/" +
-            leg.policy() + " flight-recorder trajectory (window " +
-            std::to_string(ph.window) + ", stride " +
-            std::to_string(ph.stride) + ")\n"
-            "# window instructions icacheMpki btbMpki dirMissPct "
-            "deadHits liveHits deadEvictions liveEvictions psel\n";
-        for (std::size_t i = 0; i < ph.records.size(); ++i) {
-            const frontend::PhaseRecord &r = ph.records[i];
-            dat += std::to_string(r.window) + " " +
-                   std::to_string(r.instructions) + " " +
-                   fmt("%.6f", icache[i]) + " " + fmt("%.6f", btb[i]) +
-                   " " +
-                   fmt("%.6f",
-                       r.condBranches
-                           ? 100.0 *
-                                 static_cast<double>(r.condMispredicts) /
-                                 static_cast<double>(r.condBranches)
-                           : 0.0) +
-                   " " + std::to_string(r.deadHits) + " " +
-                   std::to_string(r.liveHits) + " " +
-                   std::to_string(r.deadEvictions) + " " +
-                   std::to_string(r.liveEvictions) + " " +
-                   std::to_string(r.psel) + "\n";
-        }
-        files.emplace_back(stem + ".dat", std::move(dat));
-        stems.push_back(stem);
-        titles.push_back(leg.trace() + "/" + leg.policy());
-    }
-    if (stems.empty())
-        return files;
-
-    std::string gp = "# gnuplot script for the phase trajectories of " +
-                     report.experiment + "\n"
-                     "set terminal pngcairo size 960,640\n"
-                     "set output 'phase_" + report.experiment + ".png'\n"
-                     "set title '" + report.experiment +
-                     ": I-cache MPKI phase trajectory'\n"
-                     "set xlabel 'instructions'\n"
-                     "set ylabel 'interval MPKI'\n"
-                     "set key outside right\n"
-                     "set grid\n"
-                     "plot \\\n";
-    for (std::size_t s = 0; s < stems.size(); ++s) {
-        gp += "    '" + stems[s] + ".dat' using 2:3 with linespoints "
-              "title '" + titles[s] + "'";
-        gp += s + 1 < stems.size() ? ", \\\n" : "\n";
-    }
-    files.emplace_back("phase_" + report.experiment + ".gp",
-                       std::move(gp));
-    return files;
-}
-
 PhaseCheckResult
 checkPhases(const RunReport &report)
 {
@@ -835,71 +615,6 @@ checkPhases(const RunReport &report)
                        std::to_string(
                            frontend::kPhaseTrajectoryCapacity) + "\n";
     return result;
-}
-
-std::string
-diffPhases(const RunReport &a, const RunReport &b)
-{
-    std::string out = "phase diff " + a.runId + " -> " + b.runId +
-                      " (" + a.experiment + ")\n";
-    std::map<std::pair<std::string, std::string>, const Leg *> b_legs;
-    for (const Leg &leg : b.legs)
-        if (leg.result.hasPhases)
-            b_legs[{leg.trace(), leg.policy()}] = &leg;
-
-    std::uint64_t total_flips = 0;
-    std::size_t matched = 0;
-    for (const Leg &la : a.legs) {
-        if (!la.result.hasPhases)
-            continue;
-        const std::string name = la.trace() + "/" + la.policy();
-        const auto it = b_legs.find({la.trace(), la.policy()});
-        if (it == b_legs.end()) {
-            out += name + ": no phase records in B, skipped\n";
-            continue;
-        }
-        const frontend::PhaseTrajectory &pa = la.result.phases;
-        const frontend::PhaseTrajectory &pb = it->second->result.phases;
-        if (pa.window != pb.window ||
-            pa.records.size() != pb.records.size()) {
-            out += name + ": phase geometry differs (A window " +
-                   std::to_string(pa.window) + " x " +
-                   std::to_string(pa.records.size()) + ", B window " +
-                   std::to_string(pb.window) + " x " +
-                   std::to_string(pb.records.size()) + "), skipped\n";
-            continue;
-        }
-        ++matched;
-
-        const std::vector<double> mpki_a =
-            intervalMpki(pa, &frontend::PhaseRecord::icacheMisses);
-        const std::vector<double> mpki_b =
-            intervalMpki(pb, &frontend::PhaseRecord::icacheMisses);
-        std::string detail;
-        std::uint64_t flips = 0;
-        int winner = 0;  // 0 unset, 1 = A, 2 = B (ties go to A)
-        for (std::size_t i = 0; i < pa.records.size(); ++i) {
-            const double ma = mpki_a[i];
-            const double mb = mpki_b[i];
-            const int now = mb < ma ? 2 : 1;
-            if (winner != 0 && now != winner) {
-                ++flips;
-                detail +=
-                    "  window " + std::to_string(pa.records[i].window) +
-                    ": winner " + (now == 2 ? "A -> B" : "B -> A") +
-                    " (A " + fmt("%.3f", ma) + ", B " + fmt("%.3f", mb) +
-                    " I$ MPKI)\n";
-            }
-            winner = now;
-        }
-        total_flips += flips;
-        out += name + ": " + std::to_string(pa.records.size()) +
-               " windows, " + std::to_string(flips) + " winner flips\n" +
-               detail;
-    }
-    out += std::to_string(matched) + " legs compared, " +
-           std::to_string(total_flips) + " winner flips total\n";
-    return out;
 }
 
 } // namespace ghrp::report

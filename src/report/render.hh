@@ -3,16 +3,15 @@
  * Consumers of run reports: the Markdown renderer that regenerates the
  * EXPERIMENTS.md headline tables (byte-for-byte, inside
  * `<!-- ghrp-report:<experiment>:begin/end -->` markers), the
- * two-report diff with a CI regression gate, and the gnuplot and
- * phase-trajectory views.
+ * two-report diff with a CI regression gate, and the phase-trajectory
+ * sparklines with their invariant check. The report JSON itself is the
+ * one export.
  */
 
 #ifndef GHRP_REPORT_RENDER_HH
 #define GHRP_REPORT_RENDER_HH
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "report/report.hh"
 
@@ -30,8 +29,9 @@ std::string endMarker(const std::string &experiment);
  * lines. For the headline experiments (fig03_icache_scurve,
  * fig11_btb_scurve) this is the paper-vs-measured table with the
  * paper's baselines embedded; other experiments get a generic
- * per-policy summary table, or a metrics table when the report carries
- * only free-form metrics. A suite report with two or more static
+ * per-policy table of both structures (each "vs LRU" a ratio of suite
+ * means, beside Fig. 8's per-trace mean), or a metrics table when the
+ * report carries only free-form metrics. A suite report with two or more static
  * policies, or one plus a duel, gains the staticOracle() footer and
  * one "vs oracle" line per duel. Deterministic: identical reports
  * render to identical bytes.
@@ -91,21 +91,6 @@ DiffResult diffReports(const RunReport &baseline, const RunReport &candidate,
                        const DiffOptions &options = {});
 
 /**
- * Gnuplot S-curve sources regenerated from a report's legs, as
- * (filename, content) pairs: for each structure (icache, btb) that saw
- * accesses, an `<experiment>_<structure>.dat` table — one row per
- * per-trace MPKI rank (each policy's column sorted ascending, the
- * paper's S-curve presentation) — and a matching `.gp` script that
- * renders it to PNG. Traces with set-dueling legs additionally yield a
- * `psel_<trace>.dat` PSEL-trajectory table (one sample column per duel
- * policy and structure) with a matching `.gp`. Reports without suite
- * legs yield no files. Deterministic: identical reports produce
- * identical bytes.
- */
-std::vector<std::pair<std::string, std::string>>
-plotFiles(const RunReport &report);
-
-/**
  * ASCII phase-trajectory view for `ghrp-report phases`: one block per
  * leg carrying flight-recorder records — record count, window and
  * stride, then sparklines of the interval I-cache/BTB MPKI, direction
@@ -113,18 +98,6 @@ plotFiles(const RunReport &report);
  * ran) and duel PSEL (duel legs). Empty string when no leg has phases.
  */
 std::string renderPhases(const RunReport &report);
-
-/**
- * Gnuplot phase-trajectory sources, as (filename, content) pairs: one
- * `phase_<trace>_<policy>.dat` per leg with flight-recorder records
- * (window id, cumulative instructions, interval MPKIs, mispredict
- * rate, predictor outcome counts, PSEL) and one
- * `phase_<experiment>.gp` script overlaying every leg's I-cache MPKI
- * trajectory. Deterministic: identical reports produce identical
- * bytes.
- */
-std::vector<std::pair<std::string, std::string>>
-phaseFiles(const RunReport &report);
 
 /** Outcome of checkPhases(). */
 struct PhaseCheckResult
@@ -142,16 +115,6 @@ struct PhaseCheckResult
  * power of two.
  */
 PhaseCheckResult checkPhases(const RunReport &report);
-
-/**
- * Overlay the phase trajectories of two reports (`ghrp-report phases
- * --diff A B`): legs matched by (trace, policy), records aligned by
- * position, the per-window winner being the report with the lower
- * interval I-cache MPKI. Prints one line per winner flip plus per-leg
- * and total summaries; legs with mismatched phase geometry are
- * reported and skipped.
- */
-std::string diffPhases(const RunReport &a, const RunReport &b);
 
 } // namespace ghrp::report
 

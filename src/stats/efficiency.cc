@@ -1,8 +1,5 @@
 #include "stats/efficiency.hh"
 
-#include <cstdio>
-#include <fstream>
-
 #include "util/logging.hh"
 
 namespace ghrp::stats
@@ -138,22 +135,6 @@ EfficiencyTracker::renderAscii(std::uint32_t max_rows) const
         out.push_back('\n');
     }
     return out;
-}
-
-void
-EfficiencyTracker::writePgm(const std::string &path) const
-{
-    std::ofstream file(path, std::ios::binary);
-    if (!file)
-        fatal("cannot open '%s' for writing", path.c_str());
-    file << "P5\n" << ways << " " << sets << "\n255\n";
-    for (std::uint32_t s = 0; s < sets; ++s) {
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            const double e = efficiency(s, w);
-            const auto pixel = static_cast<unsigned char>(e * 255.0 + 0.5);
-            file.put(static_cast<char>(pixel));
-        }
-    }
 }
 
 } // namespace ghrp::stats

@@ -59,9 +59,6 @@ class EfficiencyTracker
      */
     std::string renderAscii(std::uint32_t max_rows = 64) const;
 
-    /** Write a binary PGM image (rows = sets, columns = ways). */
-    void writePgm(const std::string &path) const;
-
   private:
     struct Frame
     {

@@ -25,33 +25,9 @@ namespace ghrp::workload
 namespace
 {
 
-/** Process-wide trace-store telemetry (mirrors the per-store atomics,
- *  which remain the source of truth for SweepStats). */
-struct StoreMetrics
-{
-    telemetry::Counter &hits;
-    telemetry::Counter &misses;
-    telemetry::Counter &stores;
-    telemetry::Counter &readBytes;
-    telemetry::Counter &writtenBytes;
-};
-
-StoreMetrics &
-storeMetrics()
-{
-    static StoreMetrics m{
-        telemetry::metrics().counter("trace_store.hits"),
-        telemetry::metrics().counter("trace_store.misses"),
-        telemetry::metrics().counter("trace_store.stores"),
-        telemetry::metrics().counter("trace_store.read_bytes"),
-        telemetry::metrics().counter("trace_store.written_bytes"),
-    };
-    return m;
-}
-
-/** Direction-stream sidecar counters (hits/misses are tracked apart
- *  from the raw-trace counters: a sidecar miss still re-resolves, it
- *  never regenerates the trace). */
+/** Direction-stream sidecar counters, process-wide (the trace's own
+ *  hits, misses and stores are the per-store atomics behind stats(); a
+ *  sidecar miss still re-resolves, it never regenerates the trace). */
 struct DirectionMetrics
 {
     telemetry::Counter &hits;
@@ -113,14 +89,6 @@ openSidecar(const std::string &path, const DirectionHeader &expect)
         f->size() - sizeof(hdr) < expect.numRecords)
         return std::nullopt;
     return f;
-}
-
-std::uint64_t
-fileBytes(const std::string &path)
-{
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
 /** splitMix64-chained hash accumulator. */
@@ -254,7 +222,6 @@ TraceStore::publish(const std::string &tmp, const std::string &path,
         std::filesystem::remove(tmp, ec);
         return false;
     }
-    storeMetrics().writtenBytes.add(fileBytes(path));
     return true;
 }
 
@@ -294,24 +261,7 @@ TraceStore::loadDirectionStream(const TraceSpec &spec,
     dec.dirPredictedTaken = std::move(pred);
     dec.directionKind = direction_kind;
     directionMetrics().hits.add();
-    storeMetrics().readBytes.add(fileBytes(path));
     return true;
-}
-
-void
-TraceStore::storeDirectionStream(const TraceSpec &spec,
-                                 std::uint64_t instruction_override,
-                                 int direction_kind,
-                                 const trace::DecodedTrace &dec)
-{
-    GHRP_ASSERT(dec.hasDirectionStream() &&
-                dec.directionKind == direction_kind);
-    const std::unique_ptr<Writer> w =
-        writer(spec, instruction_override, direction_kind);
-    if (!w)
-        return;
-    w->chunk(dec);
-    w->finish();
 }
 
 std::unique_ptr<TraceStore::Writer>
@@ -391,10 +341,8 @@ TraceStore::Writer::finish()
         const bool written = file->finish();
         file.reset();
         published = store.publish(tmp, path, written);
-        if (published) {
+        if (published)
             store.storeCount.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().stores.add();
-        }
     }
     if (directionKind >= 0) {
         const DirectionHeader hdr =
@@ -445,16 +393,9 @@ TraceStore::scan(StoredTrace &stored, trace::TraceFileReader file,
 }
 
 void
-TraceStore::countLoad(bool hit, const std::string &path)
+TraceStore::countLoad(bool hit)
 {
-    if (!hit) {
-        missCount.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().misses.add();
-        return;
-    }
-    hitCount.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().hits.add();
-    storeMetrics().readBytes.add(fileBytes(path));
+    (hit ? hitCount : missCount).fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<trace::DecodedTrace>
@@ -485,7 +426,7 @@ TraceStore::loadDecoded(const TraceSpec &spec,
         whole.brMeta.reserve(file->header().numRecords);
     }
     const bool hit = file && scan(stored, std::move(*file), append);
-    countLoad(hit, stored.path);
+    countLoad(hit);
     if (!hit)
         return std::nullopt;
     whole.name = stored.name;
@@ -514,7 +455,7 @@ TraceStore::loadStream(const TraceSpec &spec,
     std::optional<trace::TraceFileReader> file =
         trace::TraceFileReader::tryOpen(stored.path);
     if (!file) {
-        countLoad(false, stored.path);
+        countLoad(false);
         return std::nullopt;
     }
 
@@ -537,12 +478,11 @@ TraceStore::loadStream(const TraceSpec &spec,
                 w->chunk(chunk);
             }
         });
-    countLoad(hit, stored.path);
+    countLoad(hit);
     if (!hit)
         return std::nullopt;
     if (sidecar) {
         directionMetrics().hits.add();
-        storeMetrics().readBytes.add(fileBytes(direction_path));
         stored.directionPath = direction_path;
     } else {
         directionMetrics().misses.add();

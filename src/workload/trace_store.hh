@@ -225,17 +225,6 @@ class TraceStore
                              int direction_kind,
                              trace::DecodedTrace &dec) const;
 
-    /**
-     * Persist dec's resolved direction stream as a sidecar next to the
-     * trace (atomic temp-file + rename; no-op when the store is
-     * disabled or a previous write failed). dec must carry a stream of
-     * @p direction_kind.
-     */
-    void storeDirectionStream(const TraceSpec &spec,
-                              std::uint64_t instruction_override,
-                              int direction_kind,
-                              const trace::DecodedTrace &dec);
-
     struct Stats
     {
         std::uint64_t hits = 0;   ///< served from disk
@@ -268,8 +257,8 @@ class TraceStore
     static bool scan(StoredTrace &stored, trace::TraceFileReader file,
                      const std::function<void(trace::DecodedTrace &)> &each);
 
-    /** Count a load of the trace at @p path: a hit, or a miss. */
-    void countLoad(bool hit, const std::string &path);
+    /** Count a load of a stored trace: a hit, or a miss. */
+    void countLoad(bool hit);
 
     /** A unique temp name next to @p path: concurrent producers of the
      *  same key never collide. */
@@ -299,8 +288,9 @@ class TraceStore
  * A store miss persisted from the generated stream: the trace file and
  * (optionally) its direction sidecar are written as decoded chunks
  * arrive and published by finish(). Their bytes equal persisting the
- * materialized trace and storeDirectionStream() of its whole resolved
- * stream. A writer that is never finished publishes nothing.
+ * materialized trace and its whole resolved direction stream. A writer
+ * whose begin() is never called writes the sidecar alone; one that is
+ * never finished publishes nothing.
  */
 class TraceStore::Writer final : public trace::ChunkSink
 {

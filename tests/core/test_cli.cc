@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/cli.hh"
@@ -66,6 +67,86 @@ TEST(CliDeathTest, BooleanUsedAsValueFatal)
     const CliOptions cli = parse({"--quiet"});
     EXPECT_EXIT(cli.getUint("quiet", 1), ::testing::ExitedWithCode(1),
                 "requires a value");
+}
+
+TEST(Cli, WholeNumbersParse)
+{
+    const CliOptions cli =
+        parse({"--jobs=0", "--seed", "18446744073709551615", "--f=-2.5",
+               "--g", "1e3"});
+    EXPECT_EQ(cli.getUint("jobs", 9), 0u);
+    EXPECT_EQ(cli.getUint("seed", 0), 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(cli.getDouble("f", 0), -2.5);
+    EXPECT_DOUBLE_EQ(cli.getDouble("g", 0), 1000.0);
+}
+
+TEST(CliDeathTest, NonNumericUintFatal)
+{
+    const CliOptions cli = parse({"--traces", "abc"});
+    EXPECT_EXIT(cli.getUint("traces", 1), ::testing::ExitedWithCode(1),
+                "--traces expects an unsigned integer, got 'abc'");
+}
+
+TEST(CliDeathTest, NegativeUintFatal)
+{
+    // "--jobs -1" leaves -1 unread as a value; "=" hands it over whole.
+    const CliOptions cli = parse({"--jobs=-1"});
+    EXPECT_EXIT(cli.getUint("jobs", 1), ::testing::ExitedWithCode(1),
+                "--jobs expects an unsigned integer, got '-1'");
+}
+
+TEST(CliDeathTest, SignedOrPaddedUintFatal)
+{
+    for (const char *value : {"+4", " 4", "4 ", "0x10"}) {
+        const std::string arg = std::string("--jobs=") + value;
+        const CliOptions cli = parse({arg.c_str()});
+        EXPECT_EXIT(cli.getUint("jobs", 1), ::testing::ExitedWithCode(1),
+                    "expects an unsigned integer")
+            << value;
+    }
+}
+
+TEST(CliDeathTest, TrailingCharactersUintFatal)
+{
+    const CliOptions cli = parse({"--instructions", "20M"});
+    EXPECT_EXIT(cli.getUint("instructions", 1),
+                ::testing::ExitedWithCode(1),
+                "--instructions expects an unsigned integer, got '20M'");
+}
+
+TEST(CliDeathTest, OverflowingUintFatal)
+{
+    const CliOptions cli = parse({"--seed", "18446744073709551616"});
+    EXPECT_EXIT(cli.getUint("seed", 1), ::testing::ExitedWithCode(1),
+                "--seed expects an unsigned integer");
+}
+
+TEST(CliDeathTest, MalformedDoubleFatal)
+{
+    for (const char *value : {"abc", "2.5x", "+1", "1e999", "inf", "nan",
+                              " 1"}) {
+        const std::string arg = std::string("--tolerance=") + value;
+        const CliOptions cli = parse({arg.c_str()});
+        EXPECT_EXIT(cli.getDouble("tolerance", 0.0),
+                    ::testing::ExitedWithCode(1),
+                    "--tolerance expects a number")
+            << value;
+    }
+}
+
+TEST(Cli, StrictParsersRejectPartialNumbers)
+{
+    using ghrp::core::parseDouble;
+    using ghrp::core::parseUint;
+    EXPECT_EQ(parseUint("42"), 42u);
+    EXPECT_FALSE(parseUint(""));
+    EXPECT_FALSE(parseUint("-1"));
+    EXPECT_FALSE(parseUint("4.0"));
+    EXPECT_EQ(parseDouble("75"), 75.0);
+    EXPECT_EQ(parseDouble("-0.5"), -0.5);
+    EXPECT_FALSE(parseDouble(""));
+    EXPECT_FALSE(parseDouble("5%"));
+    EXPECT_FALSE(parseDouble("1e400"));
 }
 
 } // anonymous namespace

@@ -155,8 +155,12 @@ TEST(RunnerStore, StreamedMissWritesTheMaterializedBytes)
         trace::DecodedTrace dec = trace::decodeTrace(
             tr, options.base.icache.blockBytes, options.base.instBytes);
         frontend::resolveDirectionStream(dec, options.base.direction);
-        reference.storeDirectionStream(spec, options.instructionOverride,
-                                       kind, dec);
+        // A writer that is never begun persists the sidecar alone.
+        const auto sidecar =
+            reference.writer(spec, options.instructionOverride, kind);
+        ASSERT_NE(sidecar, nullptr);
+        sidecar->chunk(dec);
+        ASSERT_TRUE(sidecar->finish());
         EXPECT_EQ(fileBytes(sidecarOf(stored)),
                   fileBytes(sidecarOf(expected)));
     }
@@ -208,14 +212,12 @@ TEST(RunnerStore, WarmSweepCountsOneHitPerTrace)
                          << "fused " << fused << " jobs " << jobs);
             options.fused = fused;
             options.jobs = jobs;
-            const std::uint64_t hits0 = counterValue("trace_store.hits");
             const std::uint64_t dir_hits0 =
                 counterValue("trace_store.direction_hits");
             const SuiteResults warm = core::runSuite(options);
             EXPECT_EQ(warm.traceStore.hits, 3u);
             EXPECT_EQ(warm.traceStore.misses, 0u);
             EXPECT_EQ(warm.traceStore.stores, 0u);
-            EXPECT_EQ(counterValue("trace_store.hits") - hits0, 3u);
             EXPECT_EQ(counterValue("trace_store.direction_hits") - dir_hits0,
                       3u);
             EXPECT_EQ(warm.legsRun, 3u * options.policies.size());

@@ -2,7 +2,8 @@
  * @file
  * Documentation consistency checks: the committed EXPERIMENTS.md tables
  * must match what `ghrp-report render` produces from the committed seed
- * reports, and every `--flag` a doc mentions must actually exist.
+ * reports, the policy-authoring guide must name every registered
+ * policy, and every `--flag` a doc mentions must actually exist.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/cli.hh"
+#include "frontend/frontend.hh"
 #include "report/render.hh"
 
 #ifndef GHRP_SOURCE_DIR
@@ -98,6 +100,25 @@ TEST(Docs, SeedReportsMatchExperimentsTables)
     }
 }
 
+/**
+ * The policy-authoring guide keeps up with the registry: it names every
+ * registered replacement policy and the duel:<A>,<B> composition
+ * syntax, so adding a policy without documenting it fails the build.
+ */
+TEST(Docs, PolicyGuideCoversRegistry)
+{
+    const std::string guide =
+        readFile(sourceDir() / "docs" / "ADDING_A_POLICY.md");
+    for (frontend::PolicyKind kind : frontend::allPolicyKinds()) {
+        const std::string name = frontend::policyName(kind);
+        EXPECT_NE(guide.find(name), std::string::npos)
+            << "docs/ADDING_A_POLICY.md does not mention " << name;
+    }
+    // The meta-policy is spelled as a spec, not a bare name.
+    EXPECT_NE(guide.find("duel:"), std::string::npos)
+        << "docs/ADDING_A_POLICY.md does not mention duel:<A>,<B>";
+}
+
 /** Collect every `--flag` token mentioned in @p text. */
 std::set<std::string>
 flagTokens(const std::string &text)
@@ -135,8 +156,7 @@ TEST(Docs, MentionedFlagsExist)
     for (const auto &flag : core::knownCliFlags())
         known.insert(flag.name);
     // ghrp-report options (parsed in tools/ghrp_report.cc).
-    for (const char *name : {"splice", "check-docs", "check",
-                             "max-regress", "out-dir"})
+    for (const char *name : {"splice", "check", "max-regress"})
         known.insert(name);
     // External tools whose invocations the docs quote, perfbench/run.py
     // (--workload, --trace) among them.
@@ -146,7 +166,8 @@ TEST(Docs, MentionedFlagsExist)
                              "workload", "trace"})
         known.insert(name);
 
-    for (const char *doc : {"README.md", "DESIGN.md", "EXPERIMENTS.md"}) {
+    for (const char *doc : {"README.md", "DESIGN.md", "EXPERIMENTS.md",
+                            "docs/ADDING_A_POLICY.md"}) {
         SCOPED_TRACE(doc);
         const std::set<std::string> mentioned =
             flagTokens(readFile(sourceDir() / doc));

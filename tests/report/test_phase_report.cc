@@ -328,7 +328,7 @@ TEST(PhaseReport, JournalResumeReproducesPhasesBitIdentically)
     }
 }
 
-TEST(PhaseRender, RenderCheckAndDiffSurfaces)
+TEST(PhaseRender, RenderAndCheckSurfaces)
 {
     const core::SuiteOptions options = phaseSuiteOptions();
     const RunReport report = report::buildSuiteReport(
@@ -342,18 +342,6 @@ TEST(PhaseRender, RenderCheckAndDiffSurfaces)
     const report::PhaseCheckResult ok = report::checkPhases(report);
     EXPECT_TRUE(ok.ok) << ok.text;
     EXPECT_NE(ok.text.find("OK"), std::string::npos);
-
-    // One .dat per phase leg plus one overlay .gp.
-    const auto files = report::phaseFiles(report);
-    ASSERT_EQ(files.size(), report.legs.size() + 1);
-    EXPECT_NE(files.front().first.find("phase_"), std::string::npos);
-    EXPECT_NE(files.front().second.find("# window"),
-              std::string::npos);
-    EXPECT_NE(files.back().first.find(".gp"), std::string::npos);
-
-    // A report against itself diffs with zero winner flips.
-    const std::string diff = report::diffPhases(report, report);
-    EXPECT_NE(diff.find("0 winner flips total"), std::string::npos);
 
     // A report with no phase legs fails the check instead of lying.
     const core::SuiteOptions off = phaseSuiteOptions(0);

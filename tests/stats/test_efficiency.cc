@@ -94,22 +94,4 @@ TEST(Efficiency, AsciiFoldsRows)
     EXPECT_EQ(art.size(), 16u * 5u);
 }
 
-TEST(Efficiency, WritePgm)
-{
-    EfficiencyTracker t(4, 4);
-    t.onFill(1, 1, 0);
-    t.onHit(1, 1, 50);
-    t.onEvict(1, 1, 100);
-    const std::string path = ::testing::TempDir() + "/eff.pgm";
-    t.writePgm(path);
-    FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char magic[2];
-    ASSERT_EQ(std::fread(magic, 1, 2, f), 2u);
-    EXPECT_EQ(magic[0], 'P');
-    EXPECT_EQ(magic[1], '5');
-    std::fclose(f);
-    std::remove(path.c_str());
-}
-
 } // anonymous namespace

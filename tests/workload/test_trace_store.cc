@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 
 #include "../trace/fetch_oracle.hh"
@@ -341,6 +342,20 @@ TEST(TraceStoreTest, FailedPublishFallsBackToStoreless)
     EXPECT_EQ(regular_files, 0u);
 }
 
+/** Persist @p dec's resolved direction stream of @p kind as @p spec's
+ *  sidecar through a writer that is never begun, so the trace file is
+ *  left alone. */
+void
+storeSidecar(TraceStore &store, const TraceSpec &spec, int kind,
+             const trace::DecodedTrace &dec)
+{
+    const std::unique_ptr<TraceStore::Writer> w =
+        store.writer(spec, 40'000, kind);
+    ASSERT_NE(w, nullptr);
+    w->chunk(dec);
+    EXPECT_TRUE(w->finish());
+}
+
 TEST(DirectionSidecar, RoundTripReproducesLiveResolve)
 {
     TraceStore store(scratchDir("dir-roundtrip"));
@@ -352,7 +367,7 @@ TEST(DirectionSidecar, RoundTripReproducesLiveResolve)
     ASSERT_FALSE(store.loadDirectionStream(sp[0], 40'000, kind, dec));
     frontend::resolveDirectionStream(
         dec, frontend::DirectionKind::HashedPerceptron);
-    store.storeDirectionStream(sp[0], 40'000, kind, dec);
+    storeSidecar(store, sp[0], kind, dec);
     ASSERT_TRUE(std::filesystem::exists(
         store.directory() + "/" +
         std::filesystem::path(store.pathFor(sp[0], 40'000))
@@ -376,7 +391,7 @@ TEST(DirectionSidecar, MismatchedHeaderIsAMiss)
     trace::DecodedTrace dec = store.acquireDecoded(sp[0], 40'000, 64, 4);
     frontend::resolveDirectionStream(
         dec, frontend::DirectionKind::HashedPerceptron);
-    store.storeDirectionStream(sp[0], 40'000, kind, dec);
+    storeSidecar(store, sp[0], kind, dec);
 
     // A different direction kind never matches this sidecar.
     trace::DecodedTrace probe = store.acquireDecoded(sp[0], 40'000, 64, 4);
@@ -400,7 +415,7 @@ TEST(DirectionSidecar, MismatchedHeaderIsAMiss)
     EXPECT_FALSE(store.loadDirectionStream(sp[0], 40'000, kind, probe));
 
     // So must truncating the body.
-    store.storeDirectionStream(sp[0], 40'000, kind, dec);
+    storeSidecar(store, sp[0], kind, dec);
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) / 2);
     EXPECT_FALSE(store.loadDirectionStream(sp[0], 40'000, kind, probe));
