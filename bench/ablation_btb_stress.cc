@@ -24,12 +24,13 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     const auto num_traces =
         static_cast<std::uint32_t>(cli.getUint("traces", 4));
     const std::uint64_t instructions =
         cli.getUint("instructions", 12'000'000);
     const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    const auto jobs = cli.jobs();
     core::applyLogLevel(cli);
 
     // One pool job per stress trace, results in per-trace slots so the

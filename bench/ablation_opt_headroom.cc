@@ -20,6 +20,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 6, 4'000'000);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 

@@ -47,6 +47,7 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 

@@ -12,7 +12,8 @@
  *   --instructions M   per-trace dynamic length override
  *   --seed S           suite base seed
  *   --jobs N           sweep worker threads (0 = hardware concurrency,
- *                      1 = serial; results are bit-identical either way)
+ *                      1 = serial, at most 256; results are
+ *                      bit-identical either way)
  *   --quiet            suppress progress and throughput reporting
  *                      (equivalent to --log-level warn)
  *   --log-level L      verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)
@@ -21,6 +22,9 @@
  *                      GHRP_REPORT_DIR environment variable (when set)
  *                      selects <dir>/<experiment>.json — handy for
  *                      fleet runs that report every binary
+ *
+ * A flag outside core::knownCliFlags() exits 1 naming it
+ * (CliOptions::requireKnownFlags, called first by every binary).
  *
  * The sweeps — policy sweeps (suiteOptions + runSuiteTimed) and config
  * sweeps (configSuite + runLanesTimed) — also accept:
@@ -79,7 +83,7 @@ suiteOptions(const core::CliOptions &cli, std::uint32_t default_traces,
     options.baseSeed = cli.getUint("seed", 42);
     options.instructionOverride =
         cli.getUint("instructions", default_instructions);
-    options.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    options.jobs = cli.jobs();
     options.fused = cli.has("fused");
     if (!options.fused)
         if (const char *env = std::getenv("GHRP_FUSED"); env && *env &&
@@ -130,7 +134,7 @@ configSuite(const core::CliOptions &cli, std::uint32_t default_traces,
         static_cast<std::uint32_t>(cli.getUint("traces", default_traces)),
         cli.getUint("seed", 42));
     suite.instructions = cli.getUint("instructions", default_instructions);
-    suite.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    suite.jobs = cli.jobs();
     suite.traceCacheDir = cli.getString("trace-cache", "");
     suite.slowLegMs = cli.getDouble("slow-leg-ms", 0.0);
     core::applyLogLevel(cli);

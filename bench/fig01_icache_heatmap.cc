@@ -19,6 +19,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "SHORT-SERVER"));
@@ -49,7 +50,7 @@ main(int argc, char **argv)
     const auto sweep_start = std::chrono::steady_clock::now();
     {
         util::ThreadPool pool(
-            static_cast<unsigned>(cli.getUint("jobs", 0)));
+            cli.jobs());
         std::vector<std::future<void>> legs;
         legs.reserve(num_policies);
         for (std::size_t p = 0; p < num_policies; ++p)
@@ -99,7 +100,7 @@ main(int argc, char **argv)
     }
     builder.addExtra("efficiency", std::move(efficiency));
     builder.setSweep(sweep_wall,
-                     static_cast<unsigned>(cli.getUint("jobs", 0)));
+                     cli.jobs());
     bench::maybeWriteReport(cli, builder.finish());
     return 0;
 }

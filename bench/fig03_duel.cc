@@ -24,6 +24,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 24, 0);
     const frontend::PolicySpec duel =
         frontend::parsePolicySpec("duel:ghrp,lru");

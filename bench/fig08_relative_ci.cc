@@ -16,6 +16,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 16, 0);
 
     const core::SuiteResults results =

@@ -16,6 +16,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 10, 0);
     options.base.btb = cache::CacheConfig::btb(
         static_cast<std::uint32_t>(cli.getUint("btb-entries", 4096)),

@@ -2,8 +2,8 @@
  * @file
  * Micro-benchmark (google-benchmark): per-access software cost of each
  * replacement policy on the I-cache model, of GHRP's prediction
- * primitives, of a front-end leg on the decoded stream against the
- * fused all-policies walk, of trace acquisition through the
+ * primitives, of a front-end leg of each policy on the decoded stream
+ * against the fused all-policies walk, of trace acquisition through the
  * content-addressed store (cold generate-and-persist vs. warm read-back).
  * These measure simulator overhead, not hardware latency — the
  * paper argues all GHRP operations are off the critical path.
@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "report/report.hh"
 
@@ -153,38 +155,63 @@ benchTrace()
 }
 
 frontend::FrontendConfig
-benchConfig(frontend::PolicyKind policy)
+benchConfig(const frontend::PolicySpec &policy)
 {
     frontend::FrontendConfig cfg;
     cfg.policy = policy;
     return cfg;
 }
 
-/** Per-access cost of a full leg: the stream is decoded and its
- *  direction stream resolved once outside the loop, as the suite
- *  runner does, so each iteration is pure simulation. */
+/** Per-access cost of a full leg of @p policy: the stream is decoded
+ *  and its direction stream resolved once outside the loop, as the
+ *  suite runner does, so each iteration is pure simulation. main()
+ *  registers one per policy (BM_LegDecodedPreResolved/<policy>). */
 void
-BM_LegDecodedPreResolved(benchmark::State &state)
+BM_LegDecodedPreResolved(benchmark::State &state,
+                         const frontend::PolicySpec &policy)
 {
     trace::DecodedTrace dec = trace::decodeTrace(benchTrace(), 64, 4);
     frontend::resolveDirectionStream(
         dec, frontend::DirectionKind::HashedPerceptron);
     for (auto _ : state) {
-        frontend::FrontendSim sim(benchConfig(frontend::PolicyKind::Ghrp));
+        frontend::FrontendSim sim(benchConfig(policy));
         benchmark::DoNotOptimize(sim.run(dec));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(dec.numFetchOps()));
 }
-BENCHMARK(BM_LegDecodedPreResolved)->Unit(benchmark::kMillisecond);
+
+/** Register BM_LegDecodedPreResolved for every policy in the registry
+ *  plus the duel the benches run. */
+void
+registerLegBenchmarks()
+{
+    std::vector<frontend::PolicySpec> policies(
+        frontend::allPolicyKinds().begin(),
+        frontend::allPolicyKinds().end());
+    policies.push_back(frontend::parsePolicySpec("duel:GHRP,LRU"));
+    for (const frontend::PolicySpec &policy : policies) {
+        const std::string name =
+            "BM_LegDecodedPreResolved/" + frontend::policyName(policy);
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [policy](benchmark::State &state) {
+                BM_LegDecodedPreResolved(state, policy);
+            })
+            ->Unit(benchmark::kMillisecond);
+    }
+}
 
 /**
  * All nine policies over the pre-resolved stream in ONE fused chunked
  * walk (frontend::FusedSim). Items = fetch ops x lanes, so items/s is
- * directly comparable with the per-leg numbers above: the fused walk
- * should push more simulated accesses per second than nine separate
- * BM_LegDecodedPreResolved legs because the decoded chunk is pulled
- * from memory once per group instead of once per leg.
+ * directly comparable with the per-leg numbers above. The fused walk
+ * reads each decoded chunk once per group instead of once per leg, but
+ * its lanes share the data cache, so a lane op is not cheaper: a
+ * traced warm_perleg perfbench run (reports/perf/pr23.jsonl) measured
+ * 64.9 ns per fused lane op (frontend.fused_ns_per_lane_op) against a
+ * 48.3 ns mean of the six per-leg legs. What fusing saves is the
+ * per-leg trace read, not lane time.
  */
 void
 BM_LegFused(benchmark::State &state)
@@ -314,6 +341,7 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
         return 1;
 
+    registerLegBenchmarks();
     CollectingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
 

@@ -39,6 +39,7 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
 
     std::printf("=== Table I: storage requirements ===\n\n");
 

@@ -22,6 +22,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "LONG-SERVER"));
@@ -38,8 +39,7 @@ main(int argc, char **argv)
     const frontend::FrontendResult r = sim.run(tr);
 
     const auto &btb_policy =
-        dynamic_cast<predictor::GhrpBtbReplacement &>(
-            sim.btbModel().cacheModel().policy());
+        dynamic_cast<predictor::GhrpBtbReplacement &>(sim.btbPolicy());
     const auto &cs = btb_policy.couplingStats();
 
     std::printf("=== GHRP I-cache/BTB coupling on %s seed %llu ===\n\n",

@@ -26,7 +26,7 @@ namespace
 using namespace ghrp;
 
 /** The custom policy: evict the second-least-recent block. */
-class MruSkipPolicy : public cache::ReplacementPolicy
+class MruSkipPolicy final : public cache::ReplacementPolicy
 {
   public:
     void
@@ -93,6 +93,7 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "SHORT-SERVER"));

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
 
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(

@@ -90,6 +90,7 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
     if (cli.has("generate")) {
         generate(cli, cli.getString("generate", ""));
     } else if (cli.has("info")) {

@@ -297,6 +297,7 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
+    cli.requireKnownFlags();
 
     workload::TraceSpec spec;
     spec.category =

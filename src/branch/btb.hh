@@ -26,16 +26,23 @@ struct BtbResult
     bool bypassed = false;      ///< allocation vetoed by the policy
 };
 
-/** Set-associative branch target buffer. */
-class Btb
+/**
+ * Set-associative branch target buffer.
+ *
+ * @tparam Policy the replacement policy's type (see cache::CacheModel):
+ *         a concrete `final` policy in the front-end's lanes, any
+ *         policy through its virtual hooks by default (Btb).
+ */
+template <typename Policy = cache::ReplacementPolicy>
+class BasicBtb
 {
   public:
     /**
      * @param config geometry from CacheConfig::btb().
      * @param policy replacement policy (owned).
      */
-    Btb(const cache::CacheConfig &config,
-        std::unique_ptr<cache::ReplacementPolicy> policy)
+    BasicBtb(const cache::CacheConfig &config,
+             std::unique_ptr<Policy> policy)
         : model(config, std::move(policy))
     {
     }
@@ -78,12 +85,18 @@ class Btb
     void resetStats() { model.resetStats(); }
 
     /** Underlying cache model (for trackers and GHRP coupling). */
-    cache::CacheModel<Addr> &cacheModel() { return model; }
-    const cache::CacheModel<Addr> &cacheModel() const { return model; }
+    cache::CacheModel<Addr, Policy> &cacheModel() { return model; }
+    const cache::CacheModel<Addr, Policy> &cacheModel() const
+    {
+        return model;
+    }
 
   private:
-    cache::CacheModel<Addr> model;
+    cache::CacheModel<Addr, Policy> model;
 };
+
+/** A BTB driving any policy through its virtual hooks. */
+using Btb = BasicBtb<>;
 
 } // namespace ghrp::branch
 

@@ -1,181 +1,12 @@
 #include "cache/basic_policies.hh"
 
-#include "util/logging.hh"
-
 namespace ghrp::cache
 {
-
-// ---------------------------------------------------------------- LRU
-
-void
-LruPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
-{
-    stack.reset(num_sets, num_ways);
-}
-
-std::uint32_t
-LruPolicy::chooseVictim(const AccessInfo &info)
-{
-    return stack.lruWay(info.set);
-}
-
-void
-LruPolicy::onHit(const AccessInfo &info, std::uint32_t way)
-{
-    stack.touch(info.set, way);
-}
-
-void
-LruPolicy::onFill(const AccessInfo &info, std::uint32_t way)
-{
-    stack.touch(info.set, way);
-}
-
-// ------------------------------------------------------------- Random
-
-RandomPolicy::RandomPolicy(std::uint64_t seed) : rng(seed)
-{
-}
-
-void
-RandomPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
-{
-    (void)num_sets;
-    ways = num_ways;
-}
-
-std::uint32_t
-RandomPolicy::chooseVictim(const AccessInfo &info)
-{
-    (void)info;
-    return static_cast<std::uint32_t>(rng.nextBounded(ways));
-}
-
-void
-RandomPolicy::onHit(const AccessInfo &info, std::uint32_t way)
-{
-    (void)info;
-    (void)way;
-}
-
-void
-RandomPolicy::onFill(const AccessInfo &info, std::uint32_t way)
-{
-    (void)info;
-    (void)way;
-}
-
-// --------------------------------------------------------------- FIFO
-
-void
-FifoPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
-{
-    sets = num_sets;
-    ways = num_ways;
-    nextOut.assign(sets, 0);
-}
-
-std::uint32_t
-FifoPolicy::chooseVictim(const AccessInfo &info)
-{
-    return nextOut[info.set];
-}
-
-void
-FifoPolicy::onHit(const AccessInfo &info, std::uint32_t way)
-{
-    (void)info;
-    (void)way;
-}
-
-void
-FifoPolicy::onFill(const AccessInfo &info, std::uint32_t way)
-{
-    // Round-robin through the ways: the way just filled is the newest,
-    // so the cursor advances past it.
-    if (way == nextOut[info.set])
-        nextOut[info.set] = (way + 1) % ways;
-}
-
-// -------------------------------------------------------------- SRRIP
-
-SrripPolicy::SrripPolicy(unsigned rrpv_bits)
-    : rrpvMax(static_cast<std::uint8_t>((1u << rrpv_bits) - 1))
-{
-    GHRP_ASSERT(rrpv_bits >= 1 && rrpv_bits <= 8);
-}
-
-void
-SrripPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
-{
-    sets = num_sets;
-    ways = num_ways;
-    rrpv.assign(static_cast<std::size_t>(sets) * ways, rrpvMax);
-}
-
-std::uint32_t
-SrripPolicy::chooseVictim(const AccessInfo &info)
-{
-    for (;;) {
-        for (std::uint32_t w = 0; w < ways; ++w)
-            if (rrpv[index(info.set, w)] == rrpvMax)
-                return w;
-        // Age the whole set until a distant block appears.
-        for (std::uint32_t w = 0; w < ways; ++w)
-            ++rrpv[index(info.set, w)];
-    }
-}
-
-void
-SrripPolicy::onHit(const AccessInfo &info, std::uint32_t way)
-{
-    // Hit priority: promote to near-immediate re-reference.
-    rrpv[index(info.set, way)] = 0;
-}
-
-void
-SrripPolicy::onFill(const AccessInfo &info, std::uint32_t way)
-{
-    rrpv[index(info.set, way)] = insertionRrpv(info);
-}
-
-std::uint8_t
-SrripPolicy::insertionRrpv(const AccessInfo &info)
-{
-    (void)info;
-    // "Long" re-reference interval: max - 1.
-    return static_cast<std::uint8_t>(rrpvMax - 1);
-}
-
-// -------------------------------------------------------------- BRRIP
-
-BrripPolicy::BrripPolicy(unsigned rrpv_bits, double long_prob,
-                         std::uint64_t seed)
-    : SrripPolicy(rrpv_bits), longProb(long_prob), rng(seed)
-{
-}
-
-std::uint8_t
-BrripPolicy::insertionRrpv(const AccessInfo &info)
-{
-    (void)info;
-    if (rng.nextBool(longProb))
-        return static_cast<std::uint8_t>(rrpvMax - 1);
-    return rrpvMax;
-}
-
-// -------------------------------------------------------------- DRRIP
-
-DrripPolicy::DrripPolicy(unsigned rrpv_bits, std::uint32_t duel_sets,
-                         std::uint64_t seed)
-    : SrripPolicy(rrpv_bits), duelSets(duel_sets), rng(seed)
-{
-}
 
 void
 DrripPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
 {
-    SrripPolicy::reset(num_sets, num_ways);
+    rrpv.reset(num_sets, num_ways);
     roles.assign(num_sets, SetRole::Follower);
     // Interleave leader sets through the index space.
     const std::uint32_t leaders =
@@ -189,45 +20,6 @@ DrripPolicy::reset(std::uint32_t num_sets, std::uint32_t num_ways)
         roles[s2] = SetRole::LeaderBrrip;
     }
     psel = 0;
-}
-
-bool
-DrripPolicy::shouldBypass(const AccessInfo &info)
-{
-    // DRRIP never bypasses; this hook is only used to observe misses in
-    // the leader sets and steer PSEL (misses in an SRRIP leader vote
-    // for BRRIP and vice versa).
-    if (info.set < roles.size()) {
-        if (roles[info.set] == SetRole::LeaderSrrip && psel > -pselMax)
-            --psel;
-        else if (roles[info.set] == SetRole::LeaderBrrip && psel < pselMax)
-            ++psel;
-    }
-    return false;
-}
-
-std::uint8_t
-DrripPolicy::insertionRrpv(const AccessInfo &info)
-{
-    bool use_srrip;
-    switch (info.set < roles.size() ? roles[info.set]
-                                    : SetRole::Follower) {
-      case SetRole::LeaderSrrip:
-        use_srrip = true;
-        break;
-      case SetRole::LeaderBrrip:
-        use_srrip = false;
-        break;
-      case SetRole::Follower:
-      default:
-        use_srrip = psel >= 0;
-        break;
-    }
-    if (use_srrip)
-        return static_cast<std::uint8_t>(rrpvMax - 1);
-    if (rng.nextBool(longProb))
-        return static_cast<std::uint8_t>(rrpvMax - 1);
-    return rrpvMax;
 }
 
 } // namespace ghrp::cache

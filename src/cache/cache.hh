@@ -41,37 +41,29 @@ struct NoPayload
 };
 
 /**
- * Set-associative cache model. Tag-store metadata is laid out
- * struct-of-arrays — one contiguous tag row per set plus a per-set
- * validity bitmask — so the lookup is a branch-light tag compare the
- * tag_search back ends (AVX2 where available, scalar otherwise) can
- * chew through without touching payloads or policy metadata.
- *
- * @tparam Payload per-block payload stored alongside the tag (e.g. the
- *         branch target for a BTB).
+ * The policy-independent half of a set-associative cache: the tag
+ * store. Metadata is laid out struct-of-arrays — one contiguous tag
+ * row per set plus a per-set validity bitmask — so the lookup is a
+ * branch-light tag compare the tag_search back ends (AVX2 where
+ * available, scalar otherwise) can chew through without touching
+ * payloads or policy metadata. A CacheModel of any payload and policy
+ * is a TagStore, so a reader that only locates blocks (GHRP's BTB
+ * policy finding a branch's I-cache block) holds this view and works
+ * whatever policy the cache runs.
  */
-template <typename Payload = NoPayload>
-class CacheModel
+class TagStore
 {
   public:
-    /**
-     * @param config geometry.
-     * @param policy replacement policy instance (owned).
-     */
-    CacheModel(const CacheConfig &config,
-               std::unique_ptr<ReplacementPolicy> policy)
-        : cfg(config), repl(std::move(policy)), sets(cfg.numSets()),
-          ways(cfg.assoc), blockShift(floorLog2(cfg.blockBytes)),
+    explicit TagStore(const CacheConfig &config)
+        : sets(config.numSets()), ways(config.assoc),
+          blockShift(floorLog2(config.blockBytes)),
           tags(static_cast<std::size_t>(sets) * ways, 0),
-          payloads(static_cast<std::size_t>(sets) * ways),
           validMask(sets, 0), lastHitWay(sets, 0),
           search(activeTagSearch())
     {
-        GHRP_ASSERT(repl != nullptr);
         GHRP_ASSERT(isPowerOf2(sets));
-        GHRP_ASSERT(isPowerOf2(cfg.blockBytes));
+        GHRP_ASSERT(isPowerOf2(config.blockBytes));
         GHRP_ASSERT(ways <= 64);  // validity is one bitmask word per set
-        repl->reset(sets, ways);
     }
 
     /** Block-granular address of @p addr. */
@@ -82,6 +74,99 @@ class CacheModel
     setIndex(Addr addr) const
     {
         return static_cast<std::uint32_t>(blockAddress(addr) & (sets - 1));
+    }
+
+    /**
+     * Probe without modifying any state (no recency update, no fill).
+     * @return the way holding @p addr, if present.
+     */
+    std::optional<std::uint32_t>
+    probe(Addr addr) const
+    {
+        const Addr tag = blockAddress(addr);
+        const std::uint32_t set = setIndex(addr);
+        const std::uint32_t way =
+            findWay(static_cast<std::size_t>(set) * ways, set, tag);
+        if (way != ways)
+            return way;
+        return std::nullopt;
+    }
+
+    /** Invalidate everything (keeps policy metadata sizing). */
+    void
+    invalidateAll()
+    {
+        for (std::uint64_t &vm : validMask)
+            vm = 0;
+    }
+
+    std::uint32_t numSets() const { return sets; }
+    std::uint32_t numWays() const { return ways; }
+
+  protected:
+    /**
+     * Locate @p tag in @p set, or return `ways` when absent. A per-set
+     * hint remembers the way of the set's last hit: front-end streams
+     * alternate between a handful of hot blocks per set, so one scalar
+     * compare usually resolves the lookup without the full tag search.
+     * Tags are unique within a set (fills only happen when the tag is
+     * absent), so the hint can never disagree with the search — it is
+     * purely a shortcut, never a semantic change.
+     */
+    std::uint32_t
+    findWay(std::size_t row, std::uint32_t set, Addr tag) const
+    {
+        const std::uint32_t hint = lastHitWay[set];
+        if (tags[row + hint] == tag &&
+            ((validMask[set] >> hint) & 1u) != 0)
+            return hint;
+        const std::uint32_t way =
+            search(&tags[row], validMask[set], ways, tag);
+        if (way != ways)
+            lastHitWay[set] = static_cast<std::uint8_t>(way);
+        return way;
+    }
+
+    std::uint32_t sets;
+    std::uint32_t ways;
+    unsigned blockShift;
+    /** SoA tag store: tags[set * ways + way], one validity bitmask
+     *  word per set (bit w = way w valid). */
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> validMask;
+    /** Way of each set's most recent hit (see findWay). Mutable: a
+     *  const probe() may still refresh the shortcut. */
+    mutable std::vector<std::uint8_t> lastHitWay;
+    TagSearchFn search;
+};
+
+/**
+ * Set-associative cache model: a TagStore plus a payload per block, a
+ * replacement policy and the access statistics.
+ *
+ * @tparam Payload per-block payload stored alongside the tag (e.g. the
+ *         branch target for a BTB).
+ * @tparam Policy the replacement policy's type. The front-end's lanes
+ *         name a concrete `final` policy, so every hook below is a
+ *         direct call the compiler can inline; the default,
+ *         ReplacementPolicy, takes any policy through its virtual
+ *         hooks (tests, examples, one-off models).
+ */
+template <typename Payload = NoPayload,
+          typename Policy = ReplacementPolicy>
+class CacheModel : public TagStore
+{
+  public:
+    /**
+     * @param config geometry.
+     * @param policy replacement policy instance (owned).
+     */
+    CacheModel(const CacheConfig &config, std::unique_ptr<Policy> policy)
+        : TagStore(config), cfg(config), repl(std::move(policy)),
+          payloads(static_cast<std::size_t>(sets) * ways)
+    {
+        GHRP_ASSERT(repl != nullptr);
+        repl->reset(sets, ways);
     }
 
     /**
@@ -201,22 +286,6 @@ class CacheModel
     /** Number of fills issued by prefetch(). */
     std::uint64_t prefetchFills() const { return prefetchFillCount; }
 
-    /**
-     * Probe without modifying any state (no recency update, no fill).
-     * @return the way holding @p addr, if present.
-     */
-    std::optional<std::uint32_t>
-    probe(Addr addr) const
-    {
-        const Addr tag = blockAddress(addr);
-        const std::uint32_t set = setIndex(addr);
-        const std::uint32_t way =
-            findWay(static_cast<std::size_t>(set) * ways, set, tag);
-        if (way != ways)
-            return way;
-        return std::nullopt;
-    }
-
     /** Payload of the block holding @p addr (must be present). */
     const Payload &
     payloadAt(Addr addr, std::uint32_t way) const
@@ -224,14 +293,6 @@ class CacheModel
         const std::uint32_t set = setIndex(addr);
         GHRP_ASSERT((validMask[set] >> way) & 1u);
         return payloads[static_cast<std::size_t>(set) * ways + way];
-    }
-
-    /** Invalidate everything (keeps policy metadata sizing). */
-    void
-    invalidateAll()
-    {
-        for (std::uint64_t &vm : validMask)
-            vm = 0;
     }
 
     /** Attach an efficiency tracker (not owned); nullptr detaches. */
@@ -242,36 +303,11 @@ class CacheModel
 
     const stats::AccessStats &accessStats() const { return stats; }
     const CacheConfig &config() const { return cfg; }
-    ReplacementPolicy &policy() { return *repl; }
-    const ReplacementPolicy &policy() const { return *repl; }
-    std::uint32_t numSets() const { return sets; }
-    std::uint32_t numWays() const { return ways; }
+    Policy &policy() { return *repl; }
+    const Policy &policy() const { return *repl; }
     std::uint64_t ticks() const { return tickCount; }
 
   private:
-    /**
-     * Locate @p tag in @p set, or return `ways` when absent. A per-set
-     * hint remembers the way of the set's last hit: front-end streams
-     * alternate between a handful of hot blocks per set, so one scalar
-     * compare usually resolves the lookup without the full tag search.
-     * Tags are unique within a set (fills only happen when the tag is
-     * absent), so the hint can never disagree with the search — it is
-     * purely a shortcut, never a semantic change.
-     */
-    std::uint32_t
-    findWay(std::size_t row, std::uint32_t set, Addr tag) const
-    {
-        const std::uint32_t hint = lastHitWay[set];
-        if (tags[row + hint] == tag &&
-            ((validMask[set] >> hint) & 1u) != 0)
-            return hint;
-        const std::uint32_t way =
-            search(&tags[row], validMask[set], ways, tag);
-        if (way != ways)
-            lastHitWay[set] = static_cast<std::uint8_t>(way);
-        return way;
-    }
-
     /** Outcome of claiming a frame for a fill. */
     struct VictimChoice
     {
@@ -318,19 +354,9 @@ class CacheModel
     }
 
     CacheConfig cfg;
-    std::unique_ptr<ReplacementPolicy> repl;
-    std::uint32_t sets;
-    std::uint32_t ways;
-    unsigned blockShift;
-    /** SoA tag store: tags[set * ways + way], payloads parallel, one
-     *  validity bitmask word per set (bit w = way w valid). */
-    std::vector<Addr> tags;
+    std::unique_ptr<Policy> repl;
+    /** Payloads, parallel to the tag rows. */
     std::vector<Payload> payloads;
-    std::vector<std::uint64_t> validMask;
-    /** Way of each set's most recent hit (see findWay). Mutable: a
-     *  const probe() may still refresh the shortcut. */
-    mutable std::vector<std::uint8_t> lastHitWay;
-    TagSearchFn search;
     stats::AccessStats stats;
     stats::EfficiencyTracker *tracker = nullptr;
     std::uint64_t tickCount = 0;

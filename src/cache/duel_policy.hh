@@ -66,12 +66,15 @@ struct DuelTelemetry
 };
 
 /**
- * The `duel:<A>,<B>` wrapper. Owns both constituent policies; the
- * cache drives it like any other ReplacementPolicy. Constructed by
- * the front-end factory (which knows how to build GHRP constituents
- * against the shared predictor) — see FrontendSim.
+ * The `duel:<A>,<B>` wrapper. Owns both constituent policies and
+ * drives them through the virtual ReplacementPolicy hooks — the one
+ * place a front-end lane still dispatches per access, since the pair
+ * is chosen at run time; the cache drives the wrapper itself like any
+ * other concrete policy. Constructed by FrontendSim::makePolicy,
+ * which knows how to build GHRP constituents against the shared
+ * predictor.
  */
-class DuelPolicy : public ReplacementPolicy
+class DuelPolicy final : public ReplacementPolicy
 {
   public:
     struct Params

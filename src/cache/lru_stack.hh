@@ -10,6 +10,7 @@
 #define GHRP_CACHE_LRU_STACK_HH
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/logging.hh"
@@ -44,11 +45,21 @@ class LruStack
     touch(std::uint32_t set, std::uint32_t way)
     {
         // Hot path: one bounds check for the whole row, then a
-        // branch-free aging sweep the compiler can vectorize.
+        // branch-free aging sweep the compiler can vectorize. The way
+        // count is read once: the byte stores could alias the member,
+        // which would otherwise reload it every iteration.
+        const std::uint32_t n = ways;
         std::uint8_t *row = &position[index(set, way)] - way;
         const std::uint8_t old_pos = row[way];
-        for (std::uint32_t w = 0; w < ways; ++w)
-            row[w] += static_cast<std::uint8_t>(row[w] < old_pos);
+        // The paper's geometries (8-way I-cache, 4-way BTB) age the
+        // row as one word.
+        if (n == 8)
+            ageWord<std::uint64_t>(row, old_pos);
+        else if (n == 4)
+            ageWord<std::uint32_t>(row, old_pos);
+        else
+            for (std::uint32_t w = 0; w < n; ++w)
+                row[w] += static_cast<std::uint8_t>(row[w] < old_pos);
         row[way] = 0;
     }
 
@@ -56,9 +67,10 @@ class LruStack
     std::uint32_t
     lruWay(std::uint32_t set) const
     {
+        const std::uint32_t n = ways;
         const std::uint8_t *row = &position[index(set, 0)];
-        const auto last = static_cast<std::uint8_t>(ways - 1);
-        for (std::uint32_t w = 0; w < ways; ++w)
+        const auto last = static_cast<std::uint8_t>(n - 1);
+        for (std::uint32_t w = 0; w < n; ++w)
             if (row[w] == last)
                 return w;
         panic("corrupt LRU stack in set %u", set);
@@ -74,6 +86,26 @@ class LruStack
     std::uint32_t numWays() const { return ways; }
 
   private:
+    /**
+     * The aging sweep on a row of sizeof(Word) ways held in one word:
+     * every position below @p old_pos gains one. Per byte,
+     * 0x7F + old_pos - pos has its top bit set exactly when
+     * pos < old_pos; positions are below the way count (<= 8), so no
+     * byte borrows from or carries into its neighbour.
+     */
+    template <typename Word>
+    static void
+    ageWord(std::uint8_t *row, std::uint8_t old_pos)
+    {
+        constexpr Word ones = static_cast<Word>(0x0101010101010101ull);
+        Word word;
+        std::memcpy(&word, row, sizeof(Word));
+        const Word below =
+            ((ones * static_cast<Word>(0x7Fu + old_pos) - word) >> 7) & ones;
+        word += below;
+        std::memcpy(row, &word, sizeof(Word));
+    }
+
     std::size_t
     index(std::uint32_t set, std::uint32_t way) const
     {

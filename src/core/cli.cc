@@ -1,5 +1,6 @@
 #include "core/cli.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -77,6 +78,28 @@ CliOptions::has(const std::string &name) const
     return values.count(name) != 0;
 }
 
+unsigned
+CliOptions::jobs() const
+{
+    const std::uint64_t jobs = getUint("jobs", 0);
+    if (jobs > kMaxJobs)
+        fatal("flag --jobs expects at most %u worker threads, got %llu",
+              kMaxJobs, static_cast<unsigned long long>(jobs));
+    return static_cast<unsigned>(jobs);
+}
+
+void
+CliOptions::requireKnownFlags() const
+{
+    const std::vector<CliFlag> &known = knownCliFlags();
+    for (const auto &entry : values) {
+        const std::string &name = entry.first;
+        if (std::none_of(known.begin(), known.end(),
+                         [&](const CliFlag &f) { return f.name == name; }))
+            fatal("unknown flag --%s", name.c_str());
+    }
+}
+
 std::optional<std::uint64_t>
 parseUint(const std::string &text)
 {
@@ -107,7 +130,8 @@ knownCliFlags()
         {"instructions", "per-trace dynamic instruction override"},
         {"seed", "suite base seed"},
         {"jobs",
-         "sweep worker threads (0 = hardware concurrency, 1 = serial)"},
+         "sweep worker threads (0 = hardware concurrency, 1 = serial, "
+         "at most 256)"},
         {"fused",
          "fuse all policy legs of a trace into one walk of its decoded "
          "stream (or GHRP_FUSED=1); results are bit-identical"},

@@ -18,18 +18,20 @@
 namespace ghrp::core
 {
 
+/** Largest --jobs value accepted (see CliOptions::jobs). */
+inline constexpr unsigned kMaxJobs = 256;
+
 /** Parsed command-line options. */
 class CliOptions
 {
   public:
     /**
      * Parse argv. Accepted shapes: "--name value", "--name=value" and
-     * "--flag" (bare booleans). The parser is permissive — any --name
-     * is stored and binaries read only the flags they know — but a
-     * non-flag positional argument is fatal(). The registry of flags
-     * the bench/example binaries actually consume is knownCliFlags();
-     * the docs checker test verifies every flag mentioned in the
-     * Markdown docs against it.
+     * "--flag" (bare booleans). The parser stores any --name, and a
+     * non-flag positional argument is fatal(); requireKnownFlags()
+     * then rejects names outside knownCliFlags(), the registry of flags
+     * the bench/example binaries consume. The docs checker test
+     * verifies every flag mentioned in the Markdown docs against it.
      */
     CliOptions(int argc, char **argv);
 
@@ -48,6 +50,23 @@ class CliOptions
 
     /** True when a bare boolean flag was given. */
     bool has(const std::string &name) const;
+
+    /**
+     * The --jobs flag: sweep worker threads, 0 (the default) for the
+     * hardware concurrency, 1 for serial. fatal() above kMaxJobs, so a
+     * typo can never ask the thread pool for thousands of threads.
+     */
+    unsigned jobs() const;
+
+    /**
+     * fatal() naming the first given flag that is not in
+     * knownCliFlags(), so a misspelt flag fails instead of running the
+     * defaults. Every bench, example and tool binary calls
+     * this once after parsing; it is not part of the constructor
+     * because a binary with flags of its own (perfbench) parses
+     * through this class too.
+     */
+    void requireKnownFlags() const;
 
   private:
     std::map<std::string, std::string> values;

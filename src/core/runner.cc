@@ -389,21 +389,36 @@ runSerial(SweepSink &sink, const SweepRun &out, const LaneGroups &groups)
  * Parallel path: every trace's build task is submitted at once, since
  * no task holds more than a chunk of its trace. A streamed trace is
  * simulated inside its build; a stored one's lane groups then become
- * pool jobs of their own, each reading the trace back itself.
+ * pool jobs of their own, each reading the trace back itself. Tasks
+ * are submitted longest trace first (descending instruction budget,
+ * ties by index), so the long traces do not end up on the tail of the
+ * schedule; results land in their slots whatever the order.
  */
 void
 runParallel(SweepSink &sink, const SweepRun &out, const LaneGroups &groups,
-            util::ThreadPool &pool)
+            util::ThreadPool &pool, std::uint64_t instruction_override)
 {
     const std::size_t num_traces = out.specs.size();
+    std::vector<std::uint64_t> budgets(num_traces);
+    std::vector<std::size_t> order(num_traces);
+    for (std::size_t i = 0; i < num_traces; ++i) {
+        budgets[i] =
+            workload::instructionBudget(out.specs[i], instruction_override);
+        order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return budgets[a] > budgets[b];
+                     });
+
     std::vector<std::future<std::optional<workload::StoredTrace>>> builds(
         num_traces);
-    for (std::size_t i = 0; i < num_traces; ++i)
+    for (std::size_t i : order)
         if (!sink.allSkipped(i))
             builds[i] = pool.submit([&sink, i]() { return sink.build(i); });
 
     std::vector<std::future<void>> jobs;
-    for (std::size_t i = 0; i < num_traces; ++i) {
+    for (std::size_t i : order) {
         if (!builds[i].valid()) {
             sink.tickSkipped(i);
             continue;
@@ -443,7 +458,8 @@ runSweep(std::vector<workload::TraceSpec> specs, const Sweep &sweep,
             // Destroyed before `out` and `sink`, so no job outlives the
             // state it references even on exception unwind.
             util::ThreadPool pool(jobs);
-            runParallel(sink, out, sweep.groups, pool);
+            runParallel(sink, out, sweep.groups, pool,
+                        sweep.instructionOverride);
         }
     }
     out.wallSeconds =

@@ -92,14 +92,21 @@ class GhrpPredictor
      * by shiftPerAccess, insert pcBitsPerAccess low PC bits followed by
      * a zero bit (Algorithm 2 of the paper).
      */
-    void updateSpecHistory(Addr pc);
+    void
+    updateSpecHistory(Addr pc)
+    {
+        // Shift in the PC bits followed by one zero bit (Algorithm 2);
+        // the zero lets PC bits pass into the signature unmodified in
+        // the XOR.
+        spec = pushHistory(spec, pc);
+    }
 
     /** Push one retired access address into the retired history. */
-    void updateRetiredHistory(Addr pc);
+    void updateRetiredHistory(Addr pc) { retired = pushHistory(retired, pc); }
 
     /** Restore the speculative history from the retired history
      *  (branch misprediction recovery, paper Section III-F). */
-    void recoverHistory();
+    void recoverHistory() { spec = retired; }
 
     /** Current speculative history value. */
     std::uint32_t specHistory() const { return spec; }
@@ -110,26 +117,53 @@ class GhrpPredictor
     // ---- prediction -----------------------------------------------
     /** Signature for an access at @p pc given the current speculative
      *  history (Algorithm 2 line 4: history XOR PC). */
-    std::uint16_t signature(Addr pc) const;
+    std::uint16_t signature(Addr pc) const { return signatureFor(pc, spec); }
 
     /** Stateless variant used in tests: signature for explicit history. */
-    std::uint16_t signatureFor(Addr pc, std::uint32_t history) const;
+    std::uint16_t
+    signatureFor(Addr pc, std::uint32_t history) const
+    {
+        const auto pc_hash = static_cast<std::uint32_t>(
+            bits(pc >> cfg.pcAlignShift, 0, cfg.historyBits));
+        return static_cast<std::uint16_t>((history ^ pc_hash) &
+                                          historyMask);
+    }
 
     /** Dead prediction for @p sig at the replacement threshold. */
-    bool predictDead(std::uint16_t sig) const;
+    bool
+    predictDead(std::uint16_t sig) const
+    {
+        return vote(sig, cfg.deadThreshold, cfg.sumDeadThreshold);
+    }
 
     /** Dead prediction for @p sig at the bypass threshold. */
-    bool predictBypass(std::uint16_t sig) const;
+    bool
+    predictBypass(std::uint16_t sig) const
+    {
+        return vote(sig, cfg.bypassThreshold, cfg.sumBypassThreshold);
+    }
 
     /** Dead prediction at the BTB replacement threshold. */
-    bool predictBtbDead(std::uint16_t sig) const;
+    bool
+    predictBtbDead(std::uint16_t sig) const
+    {
+        return vote(sig, cfg.btbDeadThreshold, cfg.sumDeadThreshold);
+    }
 
     /** Dead prediction at the BTB bypass threshold. */
-    bool predictBtbBypass(std::uint16_t sig) const;
+    bool
+    predictBtbBypass(std::uint16_t sig) const
+    {
+        return vote(sig, cfg.btbBypassThreshold, cfg.sumBypassThreshold);
+    }
 
     /** Train the tables: @p sig led to a dead block (eviction without
      *  reuse) or to a reuse. */
-    void train(std::uint16_t sig, bool dead);
+    void
+    train(std::uint16_t sig, bool dead)
+    {
+        bank.train(bank.indicesFor(sig), dead);
+    }
 
     const GhrpConfig &config() const { return cfg; }
     const PredictionTables &tables() const { return bank; }
@@ -138,8 +172,25 @@ class GhrpPredictor
     std::uint64_t storageBits() const;
 
   private:
-    bool vote(std::uint16_t sig, std::uint32_t majority_threshold,
-              std::uint32_t sum_threshold) const;
+    bool
+    vote(std::uint16_t sig, std::uint32_t majority_threshold,
+         std::uint32_t sum_threshold) const
+    {
+        const TableIndices &idx = bank.indicesFor(sig);
+        if (cfg.majorityVote)
+            return bank.majorityVote(idx, majority_threshold);
+        return bank.sumVote(idx, sum_threshold);
+    }
+
+    /** @p history with one access at @p pc shifted in. */
+    std::uint32_t
+    pushHistory(std::uint32_t history, Addr pc) const
+    {
+        const auto pc_bits = static_cast<std::uint32_t>(
+            bits(pc >> cfg.historyPcShift, 0, cfg.pcBitsPerAccess));
+        return ((history << cfg.shiftPerAccess) | (pc_bits << 1)) &
+               historyMask;
+    }
 
     GhrpConfig cfg;
     PredictionTables bank;
@@ -148,24 +199,124 @@ class GhrpPredictor
     std::uint32_t retired = 0;
 };
 
+/** Per-block GHRP metadata: the signature that filled or last hit
+ *  the block, and the dead prediction made from it. */
+struct GhrpBlockMeta
+{
+    std::uint16_t signature = 0;
+    bool predictedDead = false;
+};
+
+/**
+ * GHRP victim selection over one set's @p row of metadata
+ * (Algorithm 5): prefer a predicted-dead block, else fall back to LRU.
+ * With the staleness guard, take the least-recent dead block and never
+ * the MRU one (most likely a false positive). Records whether the
+ * victim was predicted dead in @p last_dead and @p outcomes.
+ */
+inline std::uint32_t
+pickDeadVictim(const GhrpBlockMeta *row, std::uint32_t set,
+               std::uint32_t ways, const cache::LruStack &lru,
+               const GhrpConfig &cfg, bool &last_dead,
+               cache::PredictionOutcomes &outcomes)
+{
+    std::uint32_t best = ways;
+    std::uint8_t best_pos = 0;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        if (!row[w].predictedDead)
+            continue;
+        const std::uint8_t pos = lru.positionOf(set, w);
+        if (!cfg.requireStaleVictim) {
+            last_dead = true;
+            ++outcomes.deadEvictions;
+            return w;
+        }
+        if (pos > 0 && (best == ways || pos > best_pos)) {
+            best = w;
+            best_pos = pos;
+        }
+    }
+    if (best != ways) {
+        last_dead = true;
+        ++outcomes.deadEvictions;
+        return best;
+    }
+    last_dead = false;
+    ++outcomes.liveEvictions;
+    return lru.lruWay(set);
+}
+
 /**
  * GHRP replacement + bypass for the I-cache. Keeps the per-block
  * metadata of the paper: 16-bit signature, 1 prediction bit, and LRU
  * stack position (the fallback victim order).
  */
-class GhrpReplacement : public cache::ReplacementPolicy
+class GhrpReplacement final : public cache::ReplacementPolicy
 {
   public:
     /** @param predictor shared prediction state (not owned). */
-    explicit GhrpReplacement(GhrpPredictor &predictor);
+    explicit GhrpReplacement(GhrpPredictor &predictor) : pred(predictor) {}
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-    bool shouldBypass(const cache::AccessInfo &info) override;
-    std::uint32_t chooseVictim(const cache::AccessInfo &info) override;
-    void onHit(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onFill(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onEvict(const cache::AccessInfo &info, std::uint32_t way,
-                 Addr victim_addr) override;
+
+    bool
+    shouldBypass(const cache::AccessInfo &info) override
+    {
+        if (!pred.config().bypassEnabled)
+            return false;
+        return pred.predictBypass(pred.signature(info.pc));
+    }
+
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        return pickDeadVictim(meta.data() + index(info.set, 0), info.set,
+                              ways, lru, pred.config(), lastDead,
+                              outcomes);
+    }
+
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        GhrpBlockMeta &m = meta[index(info.set, way)];
+        // A hit on a predicted-dead block is a predictor confusion;
+        // tally the stored verdict before it is overwritten below.
+        if (m.predictedDead)
+            ++outcomes.deadHits;
+        else
+            ++outcomes.liveHits;
+        // The old signature led to a reuse: train toward "live" so the
+        // same path predicts live in the future (Algorithm 1 lines
+        // 23-25).
+        pred.train(m.signature, false);
+        // Re-predict under the current history and store the new
+        // signature for future training (Algorithm 1 lines 26-28).
+        const std::uint16_t sig = pred.signature(info.pc);
+        m.signature = sig;
+        m.predictedDead = pred.predictDead(sig);
+        lru.touch(info.set, way);
+    }
+
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        GhrpBlockMeta &m = meta[index(info.set, way)];
+        const std::uint16_t sig = pred.signature(info.pc);
+        m.signature = sig;
+        m.predictedDead = pred.predictDead(sig);
+        lru.touch(info.set, way);
+    }
+
+    void
+    onEvict(const cache::AccessInfo &info, std::uint32_t way,
+            Addr victim_addr) override
+    {
+        (void)victim_addr;
+        // The victim's stored signature led to a dead block: train
+        // toward "dead" (Algorithm 6 with isDead = true).
+        pred.train(meta[index(info.set, way)].signature, true);
+    }
+
     std::string name() const override { return "GHRP"; }
     bool lastVictimWasDead() const override { return lastDead; }
     cache::PredictionOutcomes predictionOutcomes() const override
@@ -174,20 +325,22 @@ class GhrpReplacement : public cache::ReplacementPolicy
     }
 
     /** Stored signature of frame (set, way) — read by the BTB policy. */
-    std::uint16_t signatureAt(std::uint32_t set, std::uint32_t way) const;
+    std::uint16_t
+    signatureAt(std::uint32_t set, std::uint32_t way) const
+    {
+        return meta[index(set, way)].signature;
+    }
 
     /** Stored prediction bit of frame (set, way). */
-    bool predictionAt(std::uint32_t set, std::uint32_t way) const;
+    bool
+    predictionAt(std::uint32_t set, std::uint32_t way) const
+    {
+        return meta[index(set, way)].predictedDead;
+    }
 
     GhrpPredictor &predictor() { return pred; }
 
   private:
-    struct Meta
-    {
-        std::uint16_t signature = 0;
-        bool predictedDead = false;
-    };
-
     std::size_t
     index(std::uint32_t set, std::uint32_t way) const
     {
@@ -197,7 +350,7 @@ class GhrpReplacement : public cache::ReplacementPolicy
     GhrpPredictor &pred;
     std::uint32_t sets = 0;
     std::uint32_t ways = 0;
-    std::vector<Meta> meta;
+    std::vector<GhrpBlockMeta> meta;
     cache::LruStack lru;
     bool lastDead = false;
     cache::PredictionOutcomes outcomes;
@@ -208,25 +361,64 @@ class GhrpReplacement : public cache::ReplacementPolicy
  * I-cache prediction tables and the signature stored with the branch's
  * I-cache block; each BTB entry carries only one extra prediction bit.
  */
-class GhrpBtbReplacement : public cache::ReplacementPolicy
+class GhrpBtbReplacement final : public cache::ReplacementPolicy
 {
   public:
     /**
      * @param predictor shared prediction state (not owned).
      * @param icache_policy the I-cache's GHRP policy, for block
      *        signatures (not owned).
-     * @param icache the I-cache itself, to locate a branch's block
-     *        (not owned).
+     * @param icache the I-cache's tag store, to locate a branch's
+     *        block whatever policy the I-cache runs (not owned).
      */
     GhrpBtbReplacement(GhrpPredictor &predictor,
                        GhrpReplacement &icache_policy,
-                       cache::CacheModel<cache::NoPayload> &icache);
+                       const cache::TagStore &icache)
+        : pred(predictor), icachePolicy(icache_policy), icache(icache)
+    {
+    }
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-    bool shouldBypass(const cache::AccessInfo &info) override;
-    std::uint32_t chooseVictim(const cache::AccessInfo &info) override;
-    void onHit(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onFill(const cache::AccessInfo &info, std::uint32_t way) override;
+
+    bool
+    shouldBypass(const cache::AccessInfo &info) override
+    {
+        if (!pred.config().btbBypassEnabled)
+            return false;
+        return pred.predictBtbBypass(signatureFor(info.pc));
+    }
+
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (deadBit[index(info.set, w)]) {
+                lastDead = true;
+                ++outcomes.deadEvictions;
+                return w;
+            }
+        }
+        lastDead = false;
+        ++outcomes.liveEvictions;
+        return lru.lruWay(info.set);
+    }
+
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        if (deadBit[index(info.set, way)])
+            ++outcomes.deadHits;
+        else
+            ++outcomes.liveHits;
+        predictAt(info, way);
+    }
+
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        predictAt(info, way);
+    }
+
     std::string name() const override { return "GHRP"; }
     bool lastVictimWasDead() const override { return lastDead; }
     cache::PredictionOutcomes predictionOutcomes() const override
@@ -246,12 +438,34 @@ class GhrpBtbReplacement : public cache::ReplacementPolicy
     const CouplingStats &couplingStats() const { return coupling; }
 
   private:
-    /** Signature for the branch at @p pc: the one stored with its
-     *  I-cache block when resident, else computed from the current
-     *  history. */
-    std::uint16_t signatureFor(Addr pc) const;
+    /**
+     * Signature for the branch at @p pc: the one stored with its
+     * I-cache block when resident (the paper's shared-metadata
+     * scheme), else a freshly computed one from the current history
+     * (block bypassed or already evicted).
+     */
+    std::uint16_t
+    signatureFor(Addr pc)
+    {
+        if (auto way = icache.probe(pc)) {
+            ++coupling.residentBlock;
+            return icachePolicy.signatureAt(icache.setIndex(pc), *way);
+        }
+        ++coupling.fallback;
+        return pred.signature(pc);
+    }
 
-    mutable CouplingStats coupling;
+    /** Refresh the dead bit and recency of the accessed entry. */
+    void
+    predictAt(const cache::AccessInfo &info, std::uint32_t way)
+    {
+        ++coupling.accesses;
+        const bool dead = pred.predictBtbDead(signatureFor(info.pc));
+        if (dead)
+            ++coupling.predictedDead;
+        deadBit[index(info.set, way)] = dead ? 1 : 0;
+        lru.touch(info.set, way);
+    }
 
     std::size_t
     index(std::uint32_t set, std::uint32_t way) const
@@ -259,9 +473,10 @@ class GhrpBtbReplacement : public cache::ReplacementPolicy
         return static_cast<std::size_t>(set) * ways + way;
     }
 
+    CouplingStats coupling;
     GhrpPredictor &pred;
     GhrpReplacement &icachePolicy;
-    cache::CacheModel<cache::NoPayload> &icache;
+    const cache::TagStore &icache;
     std::uint32_t sets = 0;
     std::uint32_t ways = 0;
     std::vector<std::uint8_t> deadBit;
@@ -279,18 +494,58 @@ class GhrpBtbReplacement : public cache::ReplacementPolicy
  * branch PCs) and per-entry signatures. Exists as the "dedicated vs
  * shared BTB metadata" ablation.
  */
-class GhrpBtbDedicated : public cache::ReplacementPolicy
+class GhrpBtbDedicated final : public cache::ReplacementPolicy
 {
   public:
-    explicit GhrpBtbDedicated(const GhrpConfig &config = GhrpConfig{});
+    explicit GhrpBtbDedicated(const GhrpConfig &config = GhrpConfig{})
+        : pred(config)
+    {
+    }
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-    bool shouldBypass(const cache::AccessInfo &info) override;
-    std::uint32_t chooseVictim(const cache::AccessInfo &info) override;
-    void onHit(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onFill(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onEvict(const cache::AccessInfo &info, std::uint32_t way,
-                 Addr victim_addr) override;
+
+    bool
+    shouldBypass(const cache::AccessInfo &info) override
+    {
+        if (!pred.config().btbBypassEnabled)
+            return false;
+        return pred.predictBtbBypass(pred.signature(info.pc));
+    }
+
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        return pickDeadVictim(meta.data() + index(info.set, 0), info.set,
+                              ways, lru, pred.config(), lastDead,
+                              outcomes);
+    }
+
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        GhrpBlockMeta &m = meta[index(info.set, way)];
+        if (m.predictedDead)
+            ++outcomes.deadHits;
+        else
+            ++outcomes.liveHits;
+        pred.train(m.signature, false);
+        predictAt(info, m, way);
+    }
+
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        predictAt(info, meta[index(info.set, way)], way);
+    }
+
+    void
+    onEvict(const cache::AccessInfo &info, std::uint32_t way,
+            Addr victim_addr) override
+    {
+        (void)victim_addr;
+        pred.train(meta[index(info.set, way)].signature, true);
+    }
+
     std::string name() const override { return "GHRP-dedicated"; }
     bool lastVictimWasDead() const override { return lastDead; }
     cache::PredictionOutcomes predictionOutcomes() const override
@@ -305,11 +560,21 @@ class GhrpBtbDedicated : public cache::ReplacementPolicy
     GhrpPredictor &predictor() { return pred; }
 
   private:
-    struct Meta
+    /** Re-predict entry @p m under the current history, refresh its
+     *  recency, then push the branch PC into the dedicated history. */
+    void
+    predictAt(const cache::AccessInfo &info, GhrpBlockMeta &m,
+              std::uint32_t way)
     {
-        std::uint16_t signature = 0;
-        bool predictedDead = false;
-    };
+        const std::uint16_t sig = pred.signature(info.pc);
+        m.signature = sig;
+        m.predictedDead = pred.predictBtbDead(sig);
+        lru.touch(info.set, way);
+        // The dedicated history is fed with branch PCs, using the same
+        // update formula (Section III-E).
+        pred.updateSpecHistory(info.pc);
+        pred.updateRetiredHistory(info.pc);
+    }
 
     std::size_t
     index(std::uint32_t set, std::uint32_t way) const
@@ -320,7 +585,7 @@ class GhrpBtbDedicated : public cache::ReplacementPolicy
     GhrpPredictor pred;  ///< owned, unlike the shared variant
     std::uint32_t sets = 0;
     std::uint32_t ways = 0;
-    std::vector<Meta> meta;
+    std::vector<GhrpBlockMeta> meta;
     cache::LruStack lru;
     bool lastDead = false;
     cache::PredictionOutcomes outcomes;

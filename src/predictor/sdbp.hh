@@ -15,6 +15,7 @@
 #ifndef GHRP_PREDICTOR_SDBP_HH
 #define GHRP_PREDICTOR_SDBP_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -51,16 +52,59 @@ struct SdbpConfig
  * BTB (the structure's tag address and the accessing PC are supplied
  * through AccessInfo).
  */
-class SdbpReplacement : public cache::ReplacementPolicy
+class SdbpReplacement final : public cache::ReplacementPolicy
 {
   public:
     explicit SdbpReplacement(const SdbpConfig &config = SdbpConfig{});
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-    bool shouldBypass(const cache::AccessInfo &info) override;
-    std::uint32_t chooseVictim(const cache::AccessInfo &info) override;
-    void onHit(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onFill(const cache::AccessInfo &info, std::uint32_t way) override;
+
+    bool
+    shouldBypass(const cache::AccessInfo &info) override
+    {
+        sampleAccess(info);
+        if (!cfg.bypassEnabled)
+            return false;
+        return bank.sumVote(bank.indicesFor(signatureFor(info)),
+                            cfg.bypassThreshold);
+    }
+
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (deadBit[index(info.set, w)]) {
+                lastDead = true;
+                ++outcomes.deadEvictions;
+                return w;
+            }
+        }
+        lastDead = false;
+        ++outcomes.liveEvictions;
+        return lru.lruWay(info.set);
+    }
+
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        sampleAccess(info);
+        if (deadBit[index(info.set, way)])
+            ++outcomes.deadHits;
+        else
+            ++outcomes.liveHits;
+        deadBit[index(info.set, way)] =
+            predictDead(signatureFor(info)) ? 1 : 0;
+        lru.touch(info.set, way);
+    }
+
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        deadBit[index(info.set, way)] =
+            predictDead(signatureFor(info)) ? 1 : 0;
+        lru.touch(info.set, way);
+    }
+
     std::string name() const override { return "SDBP"; }
     bool lastVictimWasDead() const override { return lastDead; }
     cache::PredictionOutcomes predictionOutcomes() const override
@@ -71,10 +115,19 @@ class SdbpReplacement : public cache::ReplacementPolicy
     const SdbpConfig &config() const { return cfg; }
 
     /** Partial-PC signature (exposed for tests). */
-    std::uint16_t partialPc(Addr pc) const;
+    std::uint16_t
+    partialPc(Addr pc) const
+    {
+        return static_cast<std::uint16_t>(
+            foldXor(pc >> cfg.pcAlignShift, cfg.signatureBits));
+    }
 
     /** Dead prediction at the replacement threshold (for tests). */
-    bool predictDead(std::uint16_t sig) const;
+    bool
+    predictDead(std::uint16_t sig) const
+    {
+        return bank.sumVote(bank.indicesFor(sig), cfg.deadThreshold);
+    }
 
     /** Storage cost of tables + sampler + per-block metadata, bits. */
     std::uint64_t storageBits() const;
@@ -91,9 +144,61 @@ class SdbpReplacement : public cache::ReplacementPolicy
      * prediction tables on sampler hits and evictions. Called on every
      * access, from onHit and shouldBypass.
      */
-    void sampleAccess(const cache::AccessInfo &info);
+    void
+    sampleAccess(const cache::AccessInfo &info)
+    {
+        // Guard against double-sampling one access: shouldBypass and
+        // the fill hooks may both run for the same tick.
+        if (info.tick == lastSampledTick)
+            return;
+        lastSampledTick = info.tick;
 
-    std::uint16_t samplerTag(Addr addr) const;
+        const std::uint16_t tag = samplerTag(info.address);
+        const std::uint16_t sig = signatureFor(info);
+        const std::uint32_t set = info.set;
+        const std::uint32_t n = ways;
+        const std::size_t row = index(set, 0);
+        std::uint16_t *tags_row = &samplerTags[row];
+        std::uint16_t *sigs_row = &samplerSigs[row];
+        const std::uint64_t valid = samplerValid[set];
+
+        // Sampler lookup: a partial tag can only occupy one way
+        // (installs happen on misses only), so the scan order is
+        // immaterial.
+        for (std::uint32_t w = 0; w < n; ++w) {
+            if (tags_row[w] == tag && ((valid >> w) & 1u) != 0) {
+                // Reuse: the signature of the previous access to this
+                // block did not lead to a dead block.
+                bank.train(bank.indicesFor(sigs_row[w]), false);
+                sigs_row[w] = sig;
+                samplerLru.touch(set, w);
+                return;
+            }
+        }
+
+        // Sampler miss: victimize the lowest invalid way or the
+        // sampler-LRU one, training "dead" for the victim's last
+        // signature.
+        std::uint32_t victim;
+        const std::uint64_t invalid = ~valid & mask(n);
+        if (invalid != 0) {
+            victim = static_cast<std::uint32_t>(std::countr_zero(invalid));
+        } else {
+            victim = samplerLru.lruWay(set);
+            bank.train(bank.indicesFor(sigs_row[victim]), true);
+        }
+        samplerValid[set] = valid | (std::uint64_t{1} << victim);
+        tags_row[victim] = tag;
+        sigs_row[victim] = sig;
+        samplerLru.touch(set, victim);
+    }
+
+    std::uint16_t
+    samplerTag(Addr addr) const
+    {
+        return static_cast<std::uint16_t>(
+            foldXor(addr, cfg.samplerTagBits));
+    }
 
     /**
      * partialPc(info.pc), folded once per access: shouldBypass,

@@ -6,8 +6,7 @@ namespace ghrp::predictor
 {
 
 ShipReplacement::ShipReplacement(const ShipConfig &config)
-    : cfg(config),
-      rrpvMax(static_cast<std::uint8_t>((1u << cfg.rrpvBits) - 1))
+    : cfg(config), rrpv(cfg.rrpvBits)
 {
     GHRP_ASSERT(isPowerOf2(cfg.shctEntries));
     GHRP_ASSERT(cfg.shctBits >= 1 && cfg.shctBits <= 8);
@@ -16,82 +15,18 @@ ShipReplacement::ShipReplacement(const ShipConfig &config)
 void
 ShipReplacement::reset(std::uint32_t num_sets, std::uint32_t num_ways)
 {
-    sets = num_sets;
     ways = num_ways;
-    rrpv.assign(static_cast<std::size_t>(sets) * ways, rrpvMax);
-    meta.assign(static_cast<std::size_t>(sets) * ways, Meta{});
+    rrpv.reset(num_sets, num_ways);
+    meta.assign(static_cast<std::size_t>(num_sets) * ways, Meta{});
     // SHCT counters start weakly re-referenced so cold signatures are
     // not all inserted distant before any training.
     shct.assign(cfg.shctEntries, 1);
 }
 
 std::uint32_t
-ShipReplacement::signatureOf(Addr pc) const
-{
-    const std::uint64_t h =
-        (pc >> cfg.pcAlignShift) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::uint32_t>(
-        (h >> (64 - cfg.signatureBits)) & (cfg.shctEntries - 1));
-}
-
-std::uint32_t
 ShipReplacement::shctOf(std::uint32_t sig) const
 {
     return shct[sig & (cfg.shctEntries - 1)];
-}
-
-std::uint32_t
-ShipReplacement::chooseVictim(const cache::AccessInfo &info)
-{
-    for (;;) {
-        for (std::uint32_t w = 0; w < ways; ++w)
-            if (rrpv[index(info.set, w)] == rrpvMax)
-                return w;
-        for (std::uint32_t w = 0; w < ways; ++w)
-            ++rrpv[index(info.set, w)];
-    }
-}
-
-void
-ShipReplacement::onHit(const cache::AccessInfo &info, std::uint32_t way)
-{
-    Meta &m = meta[index(info.set, way)];
-    if (!m.wasReused) {
-        // First re-reference of this generation: the signature is a
-        // hitter.
-        std::uint8_t &counter = shct[m.signature];
-        if (counter < (1u << cfg.shctBits) - 1)
-            ++counter;
-        m.wasReused = true;
-    }
-    rrpv[index(info.set, way)] = 0;
-}
-
-void
-ShipReplacement::onFill(const cache::AccessInfo &info, std::uint32_t way)
-{
-    Meta &m = meta[index(info.set, way)];
-    m.signature = signatureOf(info.pc);
-    m.wasReused = false;
-    // Insertion depth steered by the SHCT: signatures never observed
-    // to re-reference insert distant, everyone else long.
-    rrpv[index(info.set, way)] =
-        shct[m.signature] == 0 ? rrpvMax
-                               : static_cast<std::uint8_t>(rrpvMax - 1);
-}
-
-void
-ShipReplacement::onEvict(const cache::AccessInfo &info, std::uint32_t way,
-                         Addr victim_addr)
-{
-    (void)info;
-    (void)victim_addr;
-    Meta &m = meta[index(info.set, way)];
-    if (!m.wasReused) {
-        std::uint8_t &counter = shct[m.signature];
-        if (counter > 0)
-            --counter;
-    }
 }
 
 } // namespace ghrp::predictor

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cache/replacement.hh"
+#include "cache/rrpv_table.hh"
 #include "util/bit_ops.hh"
 
 namespace ghrp::predictor
@@ -36,21 +37,70 @@ struct ShipConfig
 };
 
 /** SHiP replacement policy (SRRIP + signature-steered insertion). */
-class ShipReplacement : public cache::ReplacementPolicy
+class ShipReplacement final : public cache::ReplacementPolicy
 {
   public:
     explicit ShipReplacement(const ShipConfig &config = ShipConfig{});
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-    std::uint32_t chooseVictim(const cache::AccessInfo &info) override;
-    void onHit(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onFill(const cache::AccessInfo &info, std::uint32_t way) override;
-    void onEvict(const cache::AccessInfo &info, std::uint32_t way,
-                 Addr victim_addr) override;
+
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        return rrpv.victim(info.set);
+    }
+
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        Meta &m = meta[index(info.set, way)];
+        if (!m.wasReused) {
+            // First re-reference of this generation: the signature is
+            // a hitter.
+            std::uint8_t &counter = shct[m.signature];
+            if (counter < (1u << cfg.shctBits) - 1)
+                ++counter;
+            m.wasReused = true;
+        }
+        rrpv.set(info.set, way, 0);
+    }
+
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        Meta &m = meta[index(info.set, way)];
+        m.signature = signatureOf(info.pc);
+        m.wasReused = false;
+        // Insertion depth steered by the SHCT: signatures never
+        // observed to re-reference insert distant, everyone else long.
+        rrpv.set(info.set, way,
+                 shct[m.signature] == 0 ? rrpv.max() : rrpv.longValue());
+    }
+
+    void
+    onEvict(const cache::AccessInfo &info, std::uint32_t way,
+            Addr victim_addr) override
+    {
+        (void)victim_addr;
+        Meta &m = meta[index(info.set, way)];
+        if (!m.wasReused) {
+            std::uint8_t &counter = shct[m.signature];
+            if (counter > 0)
+                --counter;
+        }
+    }
+
     std::string name() const override { return "SHiP"; }
 
     /** Signature for @p pc (exposed for tests). */
-    std::uint32_t signatureOf(Addr pc) const;
+    std::uint32_t
+    signatureOf(Addr pc) const
+    {
+        const std::uint64_t h =
+            (pc >> cfg.pcAlignShift) * 0x9E3779B97F4A7C15ull;
+        return static_cast<std::uint32_t>(
+            (h >> (64 - cfg.signatureBits)) & (cfg.shctEntries - 1));
+    }
 
     /** Current SHCT counter for @p sig (exposed for tests). */
     std::uint32_t shctOf(std::uint32_t sig) const;
@@ -69,10 +119,8 @@ class ShipReplacement : public cache::ReplacementPolicy
     }
 
     ShipConfig cfg;
-    std::uint8_t rrpvMax;
-    std::uint32_t sets = 0;
+    cache::RrpvTable rrpv;
     std::uint32_t ways = 0;
-    std::vector<std::uint8_t> rrpv;
     std::vector<Meta> meta;
     std::vector<std::uint8_t> shct;
 };

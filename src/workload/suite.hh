@@ -38,6 +38,15 @@ std::vector<TraceSpec> makeSuite(std::uint32_t num_traces,
                                  std::uint64_t base_seed = 42);
 
 /**
+ * The dynamic instruction budget of @p spec's trace: the category
+ * preset's, or @p instruction_override when nonzero. A trace stops at
+ * the first branch at or past its budget, so this sizes the trace
+ * (and the work of simulating it) before it is generated.
+ */
+std::uint64_t instructionBudget(const TraceSpec &spec,
+                                std::uint64_t instruction_override = 0);
+
+/**
  * Generate the trace for one spec. Pure: the result depends only on
  * the arguments, and concurrent calls on distinct specs (or even the
  * same spec) are safe — the generator keeps no global state.

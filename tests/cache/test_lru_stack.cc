@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/lru_stack.hh"
 #include "util/random.hh"
 
@@ -75,6 +78,32 @@ TEST_P(LruStackWays, PositionsArePermutation)
             ASSERT_FALSE(seen[pos]);
             seen[pos] = true;
         }
+    }
+}
+
+/** Property: every touch and lruWay agrees with a recency list (the
+ *  4- and 8-way rows age as one word, the others byte by byte). */
+TEST_P(LruStackWays, MatchesARecencyList)
+{
+    const std::uint32_t ways = GetParam();
+    LruStack s;
+    s.reset(4, ways);
+    std::vector<std::vector<std::uint32_t>> mru_first(4);
+    for (auto &order : mru_first)
+        for (std::uint32_t w = 0; w < ways; ++w)
+            order.push_back(w);
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        const auto set = static_cast<std::uint32_t>(rng.nextBounded(4));
+        const auto way =
+            static_cast<std::uint32_t>(rng.nextBounded(ways));
+        s.touch(set, way);
+        std::vector<std::uint32_t> &order = mru_first[set];
+        order.erase(std::find(order.begin(), order.end(), way));
+        order.insert(order.begin(), way);
+        for (std::uint32_t pos = 0; pos < ways; ++pos)
+            ASSERT_EQ(s.positionOf(set, order[pos]), pos);
+        ASSERT_EQ(s.lruWay(set), order.back());
     }
 }
 

@@ -210,12 +210,36 @@ TEST(PolicyProperties, JustHitBlockNotImmediateLruVictim)
     }
 }
 
-/** LRU that vetoes every fill — isolates the cache's bypass path. */
-class AlwaysBypassPolicy : public cache::LruPolicy
+/** LRU that vetoes every fill — isolates the cache's bypass path.
+ *  LruPolicy is final, so this one wraps it. */
+class AlwaysBypassPolicy : public cache::ReplacementPolicy
 {
   public:
+    void
+    reset(std::uint32_t num_sets, std::uint32_t num_ways) override
+    {
+        lru.reset(num_sets, num_ways);
+    }
     bool shouldBypass(const cache::AccessInfo &) override { return true; }
+    std::uint32_t
+    chooseVictim(const cache::AccessInfo &info) override
+    {
+        return lru.chooseVictim(info);
+    }
+    void
+    onHit(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        lru.onHit(info, way);
+    }
+    void
+    onFill(const cache::AccessInfo &info, std::uint32_t way) override
+    {
+        lru.onFill(info, way);
+    }
     std::string name() const override { return "AlwaysBypass"; }
+
+  private:
+    cache::LruPolicy lru;
 };
 
 TEST(PolicyProperties, BypassNeverCorruptsSetState)

@@ -149,4 +149,42 @@ TEST(Cli, StrictParsersRejectPartialNumbers)
     EXPECT_FALSE(parseDouble("1e400"));
 }
 
+TEST(Cli, JobsUpToTheCap)
+{
+    EXPECT_EQ(parse({}).jobs(), 0u);
+    EXPECT_EQ(parse({"--jobs", "4"}).jobs(), 4u);
+    EXPECT_EQ(parse({"--jobs", "256"}).jobs(), ghrp::core::kMaxJobs);
+}
+
+TEST(CliDeathTest, JobsAboveTheCapFatal)
+{
+    // 2^32 used to truncate to 0 (hardware concurrency) and 2^32 + 1 to
+    // 1; no pool is built here, jobs() only parses.
+    for (const char *value : {"257", "4294967296", "4294967297"}) {
+        const std::string arg = std::string("--jobs=") + value;
+        const CliOptions cli = parse({arg.c_str()});
+        EXPECT_EXIT(cli.jobs(), ::testing::ExitedWithCode(1),
+                    "--jobs expects at most 256 worker threads")
+            << value;
+    }
+}
+
+TEST(Cli, KnownFlagsPass)
+{
+    const CliOptions cli =
+        parse({"--traces", "2", "--quiet", "--jobs=1", "--policy", "GHRP"});
+    cli.requireKnownFlags();  // returns
+    SUCCEED();
+}
+
+TEST(CliDeathTest, UnknownFlagFatal)
+{
+    const CliOptions typo = parse({"--tracess", "2"});
+    EXPECT_EXIT(typo.requireKnownFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --tracess");
+    const CliOptions removed = parse({"--instructions", "100", "--pgm"});
+    EXPECT_EXIT(removed.requireKnownFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --pgm");
+}
+
 } // anonymous namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/frontend.hh"
+#include "frontend/fused.hh"
 #include "walker_oracle.hh"
 #include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
@@ -95,6 +96,60 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndTraces, DecodedVsWalker,
     ::testing::Combine(::testing::Values(9u, 42u, 1234u),
                        ::testing::Values(0, 1, 2, 3)));
+
+/**
+ * Every lane type the lane switch can build — each static policy, the
+ * dedicated-BTB GHRP, and all 81 duel:A,B pairs the parser accepts —
+ * per-leg and fused, against the walker oracle driving the same lane
+ * structures.
+ */
+TEST(LaneDispatch, EveryPolicyAndDuelPairMatchesTheWalker)
+{
+    const auto specs = workload::makeSuite(2, 77);
+    const trace::Trace tr = workload::buildTrace(specs[1], 30'000);
+
+    FrontendConfig base;
+    base.icache = cache::CacheConfig::icache(4, 4);
+    base.btb = cache::CacheConfig::btb(256, 4);
+    trace::DecodedTrace dec =
+        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
+    resolveDirectionStream(dec, base.direction);
+
+    std::vector<FrontendConfig> lanes;
+    for (PolicyKind kind : allPolicyKinds()) {
+        lanes.push_back(base);
+        lanes.back().policy = kind;
+    }
+    lanes.push_back(base);
+    lanes.back().policy = PolicyKind::Ghrp;
+    lanes.back().ghrpDedicatedBtb = true;
+    for (PolicyKind a : allPolicyKinds())
+        for (PolicyKind b : allPolicyKinds()) {
+            lanes.push_back(base);
+            lanes.back().policy = parsePolicySpec(
+                std::string("duel:") + policyName(a) + "," + policyName(b));
+        }
+    ASSERT_EQ(lanes.size(), allPolicyKinds().size() + 1 + 81);
+
+    FusedSim fused(lanes);
+    const std::vector<FrontendResult> fused_results = fused.run(dec);
+    ASSERT_EQ(fused_results.size(), lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const std::string what =
+            policyName(lanes[i].policy) +
+            (lanes[i].ghrpDedicatedBtb ? " dedicated BTB" : "");
+        // The switch built the policies the configuration names.
+        FrontendSim sim(lanes[i]);
+        EXPECT_EQ(sim.icachePolicy().name(), policyName(lanes[i].policy));
+        EXPECT_EQ(sim.btbPolicy().name(),
+                  lanes[i].ghrpDedicatedBtb ? "GHRP-dedicated"
+                                            : policyName(lanes[i].policy));
+        const FrontendResult ref = runWalker(lanes[i], tr);
+        expectIdentical(simulateDecoded(lanes[i], dec), ref,
+                        what + " per-leg");
+        expectIdentical(fused_results[i], ref, what + " fused");
+    }
+}
 
 TEST(DecodedVsWalkerEdge, TinyHandBuiltTrace)
 {

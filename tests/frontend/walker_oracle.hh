@@ -5,11 +5,12 @@
  * decode-once layer, with its own live direction predictor, RAS and
  * indirect predictor. Only the replacement structures (I-cache, BTB
  * and GHRP's shared predictor) are the simulator's, reached through
- * its white-box accessors. Every leg the library runs reads a decoded
- * stream and a direction stream resolved once per trace, so agreeing
- * with this oracle checks the decode, the resolver and the snapshot-
- * and-subtract warm-up (the oracle zeroes the statistics at the
- * warm-up record instead) in one comparison.
+ * its white-box accessors (FrontendSim::visitStructures hands over the
+ * lane's structures by their concrete policy types). Every leg the
+ * library runs reads a decoded stream and a direction stream resolved
+ * once per trace, so agreeing with this oracle checks the decode, the
+ * resolver and the snapshot-and-subtract warm-up (the oracle zeroes
+ * the statistics at the warm-up record instead) in one comparison.
  */
 
 #ifndef GHRP_TESTS_FRONTEND_WALKER_ORACLE_HH
@@ -46,20 +47,14 @@ oracleDirection(DirectionKind kind)
 }
 
 /**
- * Simulate @p tr under @p cfg by the reference walk. Results are
- * bit-identical to FrontendSim::run on any trace in every counter the
- * oracle fills: instruction totals, I-cache and BTB statistics and
- * MPKI, and the branch counters (not duel or phase telemetry, so
- * cfg.phaseWindow must be 0).
+ * The reference walk of @p tr under @p cfg over a lane's own I-cache
+ * and BTB (typed by the lane's policies) and GHRP predictor.
  */
-inline FrontendResult
-runWalker(const FrontendConfig &cfg, const trace::Trace &tr)
+template <typename Icache, typename Btb>
+FrontendResult
+walkStructures(const FrontendConfig &cfg, const trace::Trace &tr,
+               Icache &icache, Btb &btb, predictor::GhrpPredictor *ghrp)
 {
-    GHRP_ASSERT(cfg.phaseWindow == 0);
-    FrontendSim sim(cfg);
-    cache::CacheModel<cache::NoPayload> &icache = sim.icacheModel();
-    branch::Btb &btb = sim.btbModel();
-    predictor::GhrpPredictor *ghrp = sim.ghrpModel();
     const std::unique_ptr<branch::DirectionPredictor> direction =
         oracleDirection(cfg.direction);
     std::optional<branch::IndirectPredictor> indirect;
@@ -183,6 +178,25 @@ runWalker(const FrontendConfig &cfg, const trace::Trace &tr)
     result.btb = btb.accessStats();
     result.icacheMpki = result.icache.mpki(result.measuredInstructions);
     result.btbMpki = result.btb.mpki(result.measuredInstructions);
+    return result;
+}
+
+/**
+ * Simulate @p tr under @p cfg by the reference walk. Results are
+ * bit-identical to FrontendSim::run on any trace in every counter the
+ * oracle fills: instruction totals, I-cache and BTB statistics and
+ * MPKI, and the branch counters (not duel or phase telemetry, so
+ * cfg.phaseWindow must be 0).
+ */
+inline FrontendResult
+runWalker(const FrontendConfig &cfg, const trace::Trace &tr)
+{
+    GHRP_ASSERT(cfg.phaseWindow == 0);
+    FrontendSim sim(cfg);
+    FrontendResult result;
+    sim.visitStructures([&](auto &icache, auto &btb) {
+        result = walkStructures(cfg, tr, icache, btb, sim.ghrpModel());
+    });
     return result;
 }
 

@@ -56,6 +56,15 @@ usage()
     return 2;
 }
 
+/** Usage error for an option the command does not take. */
+int
+unknownOption(const std::string &arg)
+{
+    std::fprintf(stderr, "ghrp-report: unknown or incomplete option '%s'\n",
+                 arg.c_str());
+    return usage();
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -88,7 +97,7 @@ cmdRender(const std::vector<std::string> &args)
         if (args[i] == "--splice" && i + 1 < args.size())
             splice_doc = args[++i];
         else if (args[i].rfind("--", 0) == 0)
-            return usage();
+            return unknownOption(args[i]);
         else
             files.push_back(args[i]);
     }
@@ -137,7 +146,7 @@ cmdDiff(const std::vector<std::string> &args)
             }
             options.maxRegressPct = *pct;
         } else if (args[i].rfind("--", 0) == 0) {
-            return usage();
+            return unknownOption(args[i]);
         } else {
             files.push_back(args[i]);
         }
@@ -162,7 +171,7 @@ cmdPhases(const std::vector<std::string> &args)
         if (arg == "--check")
             check = true;
         else if (arg.rfind("--", 0) == 0)
-            return usage();
+            return unknownOption(arg);
         else
             files.push_back(arg);
     }
