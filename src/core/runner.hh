@@ -219,9 +219,9 @@ struct RunHooks
  * This is the policy-axis front of the lane engine runLanes() also
  * drives: lane i is options.base with options.policies[i].
  *
- * With options.jobs != 1 the tasks run on a work-stealing thread pool:
- * every build at once, and a stored trace's lane groups as jobs of
- * their own, opening its files only when they run.
+ * With options.jobs != 1 the tasks run on a FIFO thread pool, longest
+ * trace first: every build at once, and a stored trace's lane groups
+ * as jobs of their own, opening its files only when they run.
  * The progress callback is serialised (never invoked concurrently),
  * but completion order is scheduling-dependent; only the *results* are
  * deterministic. Exceptions thrown by a leg are rethrown here.

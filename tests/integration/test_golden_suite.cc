@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden regression test: a frozen 4-trace suite under the paper's
- * five policies, compared against checked-in results. Any change to
+ * five policies, and under the other policies alone and in two duel
+ * pairs, compared against checked-in results. Any change to
  * trace generation, the simulator, a replacement policy, or the
  * aggregate statistics shows up here as an exact mismatch.
  *
@@ -65,6 +66,33 @@ constexpr GoldenLeg kGoldenLegs[] = {
     {"GHRP",   "SHORT-SERVER-01", 500002ull, 45953ull,  7307ull,  6600ull,  707ull, 2031ull, 4620ull},
     {"GHRP",   "LONG-MOBILE-01",  500004ull, 44029ull,  4672ull,  4079ull,  593ull, 1850ull, 3812ull},
     {"GHRP",   "LONG-SERVER-01",  500001ull, 48353ull,  3537ull,  3468ull,   69ull, 1489ull, 3431ull},
+    // The other policies, alone and as duel constituents (which run
+    // behind the virtual interface); frozen before the lanes took their
+    // policies as template parameters.
+    {"FIFO",            "SHORT-MOBILE-01", 500000ull, 47568ull, 12546ull, 12546ull,    0ull, 2441ull, 4367ull},
+    {"FIFO",            "SHORT-SERVER-01", 500002ull, 45953ull,  7039ull,  7039ull,    0ull, 2203ull, 4620ull},
+    {"FIFO",            "LONG-MOBILE-01",  500004ull, 44029ull,  4662ull,  4662ull,    0ull, 2025ull, 3812ull},
+    {"FIFO",            "LONG-SERVER-01",  500001ull, 48353ull,  3656ull,  3656ull,    0ull, 1607ull, 3431ull},
+    {"BRRIP",           "SHORT-MOBILE-01", 500000ull, 47568ull, 11143ull, 11143ull,    0ull, 3466ull, 4367ull},
+    {"BRRIP",           "SHORT-SERVER-01", 500002ull, 45953ull,  6524ull,  6524ull,    0ull, 2503ull, 4620ull},
+    {"BRRIP",           "LONG-MOBILE-01",  500004ull, 44029ull,  4466ull,  4466ull,    0ull, 1797ull, 3812ull},
+    {"BRRIP",           "LONG-SERVER-01",  500001ull, 48353ull,  3622ull,  3622ull,    0ull, 1474ull, 3431ull},
+    {"DRRIP",           "SHORT-MOBILE-01", 500000ull, 47568ull, 11629ull, 11629ull,    0ull, 2466ull, 4367ull},
+    {"DRRIP",           "SHORT-SERVER-01", 500002ull, 45953ull,  6645ull,  6645ull,    0ull, 2365ull, 4620ull},
+    {"DRRIP",           "LONG-MOBILE-01",  500004ull, 44029ull,  4461ull,  4461ull,    0ull, 1760ull, 3812ull},
+    {"DRRIP",           "LONG-SERVER-01",  500001ull, 48353ull,  3542ull,  3542ull,    0ull, 1472ull, 3431ull},
+    {"SHiP",            "SHORT-MOBILE-01", 500000ull, 47568ull, 10770ull, 10770ull,    0ull, 2239ull, 4367ull},
+    {"SHiP",            "SHORT-SERVER-01", 500002ull, 45953ull,  6409ull,  6409ull,    0ull, 2084ull, 4620ull},
+    {"SHiP",            "LONG-MOBILE-01",  500004ull, 44029ull,  4475ull,  4475ull,    0ull, 1788ull, 3812ull},
+    {"SHiP",            "LONG-SERVER-01",  500001ull, 48353ull,  3526ull,  3526ull,    0ull, 1459ull, 3431ull},
+    {"duel:SHiP,BRRIP", "SHORT-MOBILE-01", 500000ull, 47568ull, 11007ull, 11007ull,    0ull, 2488ull, 4367ull},
+    {"duel:SHiP,BRRIP", "SHORT-SERVER-01", 500002ull, 45953ull,  6476ull,  6476ull,    0ull, 2385ull, 4620ull},
+    {"duel:SHiP,BRRIP", "LONG-MOBILE-01",  500004ull, 44029ull,  4418ull,  4418ull,    0ull, 1777ull, 3812ull},
+    {"duel:SHiP,BRRIP", "LONG-SERVER-01",  500001ull, 48353ull,  3577ull,  3577ull,    0ull, 1468ull, 3431ull},
+    {"duel:FIFO,DRRIP", "SHORT-MOBILE-01", 500000ull, 47568ull, 11856ull, 11856ull,    0ull, 2680ull, 4367ull},
+    {"duel:FIFO,DRRIP", "SHORT-SERVER-01", 500002ull, 45953ull,  6798ull,  6798ull,    0ull, 2460ull, 4620ull},
+    {"duel:FIFO,DRRIP", "LONG-MOBILE-01",  500004ull, 44029ull,  4618ull,  4618ull,    0ull, 1961ull, 3812ull},
+    {"duel:FIFO,DRRIP", "LONG-SERVER-01",  500001ull, 48353ull,  3616ull,  3616ull,    0ull, 1533ull, 3431ull},
 };
 // clang-format on
 
@@ -95,6 +123,10 @@ class GoldenSuite : public ::testing::Test
         options.instructionOverride = 1'000'000;
         options.base.icache = cache::CacheConfig::icache(8, 4);
         options.base.btb = cache::CacheConfig::btb(512, 4);
+        options.policies.clear();
+        for (std::size_t i = 0; i < std::size(kGoldenLegs); i += 4)
+            options.policies.push_back(
+                frontend::parsePolicySpec(kGoldenLegs[i].policy));
         results = new core::SuiteResults(core::runSuite(options));
     }
 
@@ -108,7 +140,7 @@ class GoldenSuite : public ::testing::Test
     static const frontend::FrontendResult &
     leg(const char *policy, std::size_t trace_index)
     {
-        return results->results.at(frontend::parsePolicy(policy))
+        return results->results.at(frontend::parsePolicySpec(policy))
             .at(trace_index);
     }
 
