@@ -14,14 +14,10 @@
  *   --jobs N           sweep worker threads (0 = hardware concurrency,
  *                      1 = serial, at most 256; results are
  *                      bit-identical either way)
- *   --quiet            suppress progress and throughput reporting
- *                      (equivalent to --log-level warn)
- *   --log-level L      verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)
+ *   --log-level L      verbosity: quiet|warn|info (warn suppresses
+ *                      progress and throughput reporting)
  *   --report FILE      write a versioned JSON run report (schema
- *                      "ghrp-run-report") to FILE; with no flag, the
- *                      GHRP_REPORT_DIR environment variable (when set)
- *                      selects <dir>/<experiment>.json — handy for
- *                      fleet runs that report every binary
+ *                      "ghrp-run-report") to FILE
  *
  * A flag outside core::knownCliFlags() exits 1 naming it
  * (CliOptions::requireKnownFlags, called first by every binary).
@@ -29,17 +25,16 @@
  * The sweeps — policy sweeps (suiteOptions + runSuiteTimed) and config
  * sweeps (configSuite + runLanesTimed) — also accept:
  *   --trace-cache DIR  content-addressed trace store directory
- *                      (default: the GHRP_TRACE_CACHE environment
- *                      variable; traces are generated in memory when
- *                      neither is set — results are identical, warm
- *                      runs just skip regeneration)
+ *                      (without it traces are generated in memory —
+ *                      results are identical, warm runs just skip
+ *                      regeneration)
  *   --slow-leg-ms N    warn() about legs slower than N milliseconds
  *
  * The policy sweeps alone also accept the flags below; a config sweep
  * given one of them exits with an error naming it:
  *   --fused            fuse all policy legs of a trace into one chunked
- *                      walk of its decoded stream (or GHRP_FUSED=1);
- *                      results are bit-identical to per-leg runs, the
+ *                      walk of its decoded stream; results are
+ *                      bit-identical to per-leg runs, the
  *                      stream is just read from memory once per trace
  *                      instead of once per policy
  *   --leg-times        print the per-leg wall-time table
@@ -47,8 +42,8 @@
  *                      set-dueling leg to the suite's policy axis
  *   --phase-window N   phase flight recorder: sample a windowed
  *                      telemetry record every N instructions per leg
- *                      (or GHRP_PHASE_WINDOW; 0 = off, the default;
- *                      records land under each report leg's "phases")
+ *                      (0 = off, the default; records land under
+ *                      each report leg's "phases")
  *   --journal FILE     crash resume: append every finished leg to FILE
  *                      and, when FILE already holds legs of the same
  *                      sweep, skip them (see report/journal.hh)
@@ -58,8 +53,7 @@
 #define GHRP_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "core/cli.hh"
@@ -85,18 +79,9 @@ suiteOptions(const core::CliOptions &cli, std::uint32_t default_traces,
         cli.getUint("instructions", default_instructions);
     options.jobs = cli.jobs();
     options.fused = cli.has("fused");
-    if (!options.fused)
-        if (const char *env = std::getenv("GHRP_FUSED"); env && *env &&
-            std::string_view(env) != "0")
-            options.fused = true;
     options.traceCacheDir = cli.getString("trace-cache", "");
     options.slowLegMs = cli.getDouble("slow-leg-ms", 0.0);
     options.base.phaseWindow = cli.getUint("phase-window", 0);
-    if (!cli.has("phase-window"))
-        if (const char *env = std::getenv("GHRP_PHASE_WINDOW");
-            env && *env)
-            options.base.phaseWindow =
-                std::strtoull(env, nullptr, 10);
     if (const std::string duel = cli.getString("duel", ""); !duel.empty())
         options.policies.push_back(
             frontend::parsePolicySpec("duel:" + duel));
@@ -141,22 +126,6 @@ configSuite(const core::CliOptions &cli, std::uint32_t default_traces,
     return suite;
 }
 
-/**
- * Where this run's JSON report should go: the --report flag, else
- * <GHRP_REPORT_DIR>/<experiment>.json when the environment variable is
- * set, else empty (no report).
- */
-inline std::string
-reportPath(const core::CliOptions &cli, const std::string &experiment)
-{
-    const std::string path = cli.getString("report", "");
-    if (!path.empty())
-        return path;
-    if (const char *dir = std::getenv("GHRP_REPORT_DIR"); dir && *dir)
-        return std::string(dir) + "/" + experiment + ".json";
-    return "";
-}
-
 /** Write @p report to @p path (no-op when @p path is empty). */
 inline void
 writeReport(const report::RunReport &report, const std::string &path)
@@ -168,15 +137,13 @@ writeReport(const report::RunReport &report, const std::string &path)
         std::fprintf(stderr, "[report] wrote %s\n", path.c_str());
 }
 
-/**
- * Report hook for the custom bench reports: write @p report to the
- * --report / GHRP_REPORT_DIR destination, if any.
- */
+/** Report hook for the custom bench reports: write @p report to the
+ *  --report FILE, if given. */
 inline void
 maybeWriteReport(const core::CliOptions &cli,
                  const report::RunReport &report)
 {
-    writeReport(report, reportPath(cli, report.experiment));
+    writeReport(report, cli.getString("report", ""));
 }
 
 /** Worker count a --jobs value selects (0 = hardware concurrency). */
@@ -186,7 +153,8 @@ effectiveJobs(unsigned jobs)
     return jobs ? jobs : util::ThreadPool::hardwareJobs();
 }
 
-/** Progress meter printing to stderr (suppressed by --quiet). */
+/** Progress meter printing to stderr (suppressed below
+ *  --log-level info). */
 inline core::ProgressFn
 progressMeter()
 {
@@ -205,8 +173,8 @@ progressMeter()
  * Throughput report for a finished sweep: legs/sec and simulated
  * instructions/sec over the wall clock, plus the slowest leg (the
  * critical path any further parallelism has to beat). Only legs this
- * process simulated count; journal replays do not. Suppressed by
- * --quiet.
+ * process simulated count; journal replays do not. Suppressed below
+ * --log-level info.
  */
 inline void
 reportThroughput(const core::SweepRun &run, unsigned jobs)
@@ -236,7 +204,8 @@ reportThroughput(const core::SweepRun &run, unsigned jobs)
                      static_cast<unsigned long long>(run.traceStore.stores));
 }
 
-/** The per-leg wall-time table (--leg-times), suppressed by --quiet. */
+/** The per-leg wall-time table (--leg-times), suppressed below
+ *  --log-level info. */
 inline void
 reportLegTimes(const core::SuiteResults &results)
 {
@@ -253,7 +222,7 @@ reportLegTimes(const core::SuiteResults &results)
 /**
  * Run the standard sweep on the parallel path with progress, crash
  * resume through --journal FILE (none without the flag) and a
- * throughput report, then honor --report / GHRP_REPORT_DIR with the
+ * throughput report, then honor --report FILE with the
  * standard suite report for @p experiment. Drop-in replacement for
  * core::runSuite in the figure binaries.
  */
@@ -272,7 +241,7 @@ runSuiteTimed(const core::SuiteOptions &options,
     if (cli.has("leg-times"))
         reportLegTimes(results);
     writeReport(report::buildSuiteReport(experiment, options, results),
-                reportPath(cli, experiment));
+                cli.getString("report", ""));
     return results;
 }
 

@@ -12,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -331,10 +330,6 @@ main(int argc, char **argv)
             args.push_back(argv[i]);
         }
     }
-    if (report_file.empty())
-        if (const char *dir = std::getenv("GHRP_REPORT_DIR"); dir && *dir)
-            report_file =
-                std::string(dir) + "/micro_policy_overhead.json";
 
     int bench_argc = static_cast<int>(args.size());
     benchmark::Initialize(&bench_argc, args.data());

@@ -17,7 +17,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/config.hh"
 #include "core/cli.hh"
+#include "core/opt.hh"
 #include "trace/decoded_trace.hh"
 #include "util/bit_ops.hh"
 #include "workload/suite.hh"
@@ -52,7 +54,6 @@ collectStream(const trace::Trace &tr)
 struct LruOutcome
 {
     std::uint64_t misses = 0;
-    std::uint64_t compulsory = 0;
     std::uint64_t generations = 0;
     std::uint64_t zeroHitGenerations = 0;
     std::uint64_t singleHitGenerations = 0;
@@ -71,7 +72,6 @@ simulateLru(const AccessStream &stream, std::uint32_t sets,
     std::vector<std::vector<Line>> cache(sets);
     for (auto &set : cache)
         set.reserve(ways);
-    std::unordered_map<Addr, bool> seen;
 
     LruOutcome out;
     std::uint64_t pos = 0, half_misses = 0;
@@ -97,10 +97,6 @@ simulateLru(const AccessStream &stream, std::uint32_t sets,
         if (hit)
             continue;
         ++out.misses;
-        if (!seen[block]) {
-            seen[block] = true;
-            ++out.compulsory;
-        }
         if (lines.size() >= ways) {
             const Line &victim = lines.front();
             ++out.generations;
@@ -117,68 +113,6 @@ simulateLru(const AccessStream &stream, std::uint32_t sets,
                 static_cast<unsigned long long>(out.misses - half_misses));
     return out;
 }
-
-/** Belady's OPT misses (per-set, using future reference positions). */
-std::uint64_t
-simulateOpt(const AccessStream &stream, std::uint32_t sets,
-            std::uint32_t ways)
-{
-    // Pre-pass: for each access, the index of the next access to the
-    // same block (or "infinity").
-    const std::uint64_t n = stream.blocks.size();
-    const std::uint64_t inf = ~std::uint64_t{0};
-    std::vector<std::uint64_t> next_use(n, inf);
-    std::unordered_map<Addr, std::uint64_t> last_pos;
-    for (std::uint64_t i = n; i-- > 0;) {
-        const Addr block = stream.blocks[i];
-        const auto it = last_pos.find(block);
-        next_use[i] = it == last_pos.end() ? inf : it->second;
-        last_pos[block] = i;
-    }
-
-    struct Line
-    {
-        Addr tag;
-        std::uint64_t nextUse;
-    };
-    std::vector<std::vector<Line>> cache(sets);
-    std::uint64_t misses = 0;
-
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr block = stream.blocks[i];
-        const std::uint32_t set =
-            static_cast<std::uint32_t>((block >> 6) & (sets - 1));
-        auto &lines = cache[set];
-
-        bool hit = false;
-        for (Line &line : lines) {
-            if (line.tag == block) {
-                line.nextUse = next_use[i];
-                hit = true;
-                break;
-            }
-        }
-        if (hit)
-            continue;
-        ++misses;
-        if (lines.size() < ways) {
-            lines.push_back({block, next_use[i]});
-            continue;
-        }
-        // Evict the line referenced farthest in the future. OPT with
-        // bypass: if the incoming block's next use is farther than
-        // every resident line's, do not cache it at all.
-        std::size_t victim = 0;
-        for (std::size_t w = 1; w < lines.size(); ++w)
-            if (lines[w].nextUse > lines[victim].nextUse)
-                victim = w;
-        if (next_use[i] >= lines[victim].nextUse)
-            continue;  // bypass
-        lines[victim] = {block, next_use[i]};
-    }
-    return misses;
-}
-
 
 /**
  * Signature informativeness: replay the stream under LRU, tagging each
@@ -313,7 +247,8 @@ main(int argc, char **argv)
     const AccessStream stream = collectStream(tr);
 
     const LruOutcome lru = simulateLru(stream, sets, assoc);
-    const std::uint64_t opt = simulateOpt(stream, sets, assoc);
+    const core::OptResult opt =
+        core::simulateOptIcache(tr, cache::CacheConfig::icache(kb, assoc));
 
     const double to_mpki =
         1000.0 / static_cast<double>(stream.instructions);
@@ -326,14 +261,14 @@ main(int argc, char **argv)
     std::printf("LRU  misses: %8llu  (%.3f MPKI; %llu compulsory)\n",
                 static_cast<unsigned long long>(lru.misses),
                 static_cast<double>(lru.misses) * to_mpki,
-                static_cast<unsigned long long>(lru.compulsory));
+                static_cast<unsigned long long>(opt.compulsory));
     std::printf("OPT  misses: %8llu  (%.3f MPKI)  -> headroom vs LRU: "
                 "%.1f%%\n\n",
-                static_cast<unsigned long long>(opt),
-                static_cast<double>(opt) * to_mpki,
+                static_cast<unsigned long long>(opt.misses),
+                static_cast<double>(opt.misses) * to_mpki,
                 lru.misses
                     ? (1.0 -
-                       static_cast<double>(opt) /
+                       static_cast<double>(opt.misses) /
                            static_cast<double>(lru.misses)) *
                           100.0
                     : 0.0);
@@ -436,8 +371,8 @@ main(int argc, char **argv)
     const AccessStream btb_stream = collectBtbStream(tr);
     const LruOutcome btb_lru =
         simulateLru(btb_stream, btb_sets, btb_assoc);
-    const std::uint64_t btb_opt =
-        simulateOpt(btb_stream, btb_sets, btb_assoc);
+    const core::OptResult btb_opt = core::simulateOptBtb(
+        tr, cache::CacheConfig::btb(btb_entries, btb_assoc));
     std::printf("\nBTB %u-entry %u-way: %zu taken accesses\n",
                 btb_entries, btb_assoc, btb_stream.blocks.size());
     std::printf("  LRU misses %llu (%.3f MPKI, %llu compulsory); OPT %llu "
@@ -445,9 +380,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(btb_lru.misses),
                 static_cast<double>(btb_lru.misses) * 1000.0 /
                     static_cast<double>(stream.instructions),
-                static_cast<unsigned long long>(btb_lru.compulsory),
-                static_cast<unsigned long long>(btb_opt),
-                btb_lru.misses ? (1.0 - static_cast<double>(btb_opt) /
+                static_cast<unsigned long long>(btb_opt.compulsory),
+                static_cast<unsigned long long>(btb_opt.misses),
+                btb_lru.misses ? (1.0 - static_cast<double>(btb_opt.misses) /
                                             btb_lru.misses) * 100.0
                                : 0.0);
     std::printf("  zero-hit generations: %.1f%%\n",

@@ -1,7 +1,5 @@
 #include "cache/tag_search.hh"
 
-#include <cstdlib>
-
 #if GHRP_TAG_SEARCH_HAVE_AVX2
 #include <immintrin.h>
 #endif
@@ -57,30 +55,14 @@ tagSearchAvx2Supported()
 }
 
 TagSearchFn
-resolveTagSearch()
-{
-#if GHRP_TAG_SEARCH_HAVE_AVX2
-    const char *off = std::getenv("GHRP_NO_AVX2");
-    if ((off == nullptr || *off == '\0') && tagSearchAvx2Supported())
-        return &findTagWayAvx2;
-#endif
-    return &findTagWayScalar;
-}
-
-TagSearchFn
 activeTagSearch()
 {
-    static const TagSearchFn fn = resolveTagSearch();
-    return fn;
-}
-
-const char *
-tagSearchBackend()
-{
 #if GHRP_TAG_SEARCH_HAVE_AVX2
-    return activeTagSearch() == &findTagWayAvx2 ? "avx2" : "scalar";
+    static const TagSearchFn fn =
+        tagSearchAvx2Supported() ? &findTagWayAvx2 : &findTagWayScalar;
+    return fn;
 #else
-    return "scalar";
+    return &findTagWayScalar;
 #endif
 }
 

@@ -62,21 +62,10 @@ std::uint32_t findTagWayAvx2(const Addr *tags, std::uint64_t valid_mask,
 bool tagSearchAvx2Supported();
 
 /**
- * Selection logic: AVX2 when compiled in, supported by the CPU and not
- * disabled by the GHRP_NO_AVX2 environment variable (any non-empty
- * value forces scalar). Re-reads the environment on every call so the
- * dispatch unit test can cover both selection paths on any host;
- * production code goes through activeTagSearch(), which caches the
- * first resolution.
+ * The back end the process uses: AVX2 when compiled in and supported
+ * by the CPU, else scalar. Resolved once, on the first call.
  */
-TagSearchFn resolveTagSearch();
-
-/** The back end the process uses: resolveTagSearch(), cached on first
- *  call. */
 TagSearchFn activeTagSearch();
-
-/** Name of the active back end: "avx2" or "scalar". */
-const char *tagSearchBackend();
 
 } // namespace ghrp::cache
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/logging.hh"
 
@@ -134,17 +133,17 @@ knownCliFlags()
          "at most 256)"},
         {"fused",
          "fuse all policy legs of a trace into one walk of its decoded "
-         "stream (or GHRP_FUSED=1); results are bit-identical"},
+         "stream; results are bit-identical"},
         {"trace-cache",
-         "content-addressed trace store directory (or GHRP_TRACE_CACHE)"},
+         "content-addressed trace store directory"},
         {"leg-times", "print the per-leg wall-time table"},
-        {"quiet", "suppress progress and throughput reporting"},
         {"log-level",
-         "verbosity: quiet|warn|info (or GHRP_LOG_LEVEL)"},
+         "verbosity: quiet|warn|info (warn suppresses progress and "
+         "throughput reporting)"},
         {"slow-leg-ms",
          "warn about (trace, policy) legs slower than N milliseconds"},
         {"report",
-         "write a versioned JSON run report to FILE (or GHRP_REPORT_DIR)"},
+         "write a versioned JSON run report to FILE"},
         {"journal",
          "crash resume: journal every finished leg to FILE and skip the "
          "legs FILE already holds for the same sweep"},
@@ -165,7 +164,7 @@ knownCliFlags()
          "policy axis (bench suites)"},
         {"phase-window",
          "phase flight recorder: sample a windowed telemetry record "
-         "every N instructions (or GHRP_PHASE_WINDOW; 0 = off)"},
+         "every N instructions (0 = off)"},
     };
     return flags;
 }
@@ -173,12 +172,7 @@ knownCliFlags()
 void
 applyLogLevel(const CliOptions &cli)
 {
-    std::string name;
-    if (const char *env = std::getenv("GHRP_LOG_LEVEL"))
-        name = env;
-    if (cli.has("quiet"))
-        name = "warn";
-    name = cli.getString("log-level", name);
+    const std::string name = cli.getString("log-level", "");
     if (name.empty())
         return;
     LogLevel level;

@@ -2,7 +2,7 @@
  * @file
  * Minimal command-line parsing shared by the bench binaries and
  * examples: --traces N, --instructions M, --seed S, --jobs N (sweep
- * worker threads; 0 = hardware concurrency, 1 = serial), --quiet,
+ * worker threads; 0 = hardware concurrency, 1 = serial), --log-level,
  * plus binary-specific extras registered by name.
  */
 
@@ -102,11 +102,9 @@ struct CliFlag
 const std::vector<CliFlag> &knownCliFlags();
 
 /**
- * Apply the unified verbosity flags: --log-level quiet|warn|info
- * (aliases: normal, debug/verbose), the GHRP_LOG_LEVEL environment
- * variable, and the legacy --quiet (mapped to Warn — progress off,
- * warnings on). Precedence: --log-level > --quiet > GHRP_LOG_LEVEL.
- * fatal() on an unknown level name.
+ * Apply --log-level quiet|warn|info (aliases: normal, debug/verbose);
+ * without the flag the level is left as it is. fatal() on an unknown
+ * level name.
  */
 void applyLogLevel(const CliOptions &cli);
 

@@ -64,11 +64,10 @@ struct SuiteOptions
     bool fused = false;
 
     /**
-     * Directory for the content-addressed trace store. Empty falls back
-     * to the GHRP_TRACE_CACHE environment variable; if that is also
-     * unset the store is disabled and every trace is generated in
-     * memory. Results are bit-identical either way — the store only
-     * skips regeneration of traces it has already seen.
+     * Directory for the content-addressed trace store. Empty disables
+     * the store and every trace is generated in memory. Results are
+     * bit-identical either way — the store only skips regeneration of
+     * traces it has already seen.
      */
     std::string traceCacheDir;
 
@@ -245,7 +244,7 @@ struct LaneResults : SweepRun
  * Config sweep: simulate every trace of @p specs under every
  * configuration in @p lanes, all lanes of a trace in ONE fused walk of
  * its stream, which is generated (or read back from the trace store in
- * @p trace_cache_dir, which empty defaults to GHRP_TRACE_CACHE as in
+ * @p trace_cache_dir; empty disables the store, as in
  * SuiteOptions::traceCacheDir), decoded and direction-resolved once.
  * The lanes may differ in policy, geometry, predictor parameters,
  * prefetch or indirect prediction, but must share the I-cache block

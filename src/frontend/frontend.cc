@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <tuple>
 #include <type_traits>
 
@@ -169,17 +170,17 @@ tryParsePolicySpec(const std::string &name, PolicySpec &out)
         const std::size_t eq = key.find('=');
         if (eq == std::string::npos)
             return false;
-        const std::string value = key.substr(eq + 1);
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        const unsigned long parsed = std::stoul(value);
-        if (parsed == 0 || parsed > 1u << 20)
+        const char *value = key.data() + eq + 1;
+        const char *end = key.data() + key.size();
+        std::uint32_t parsed = 0;
+        const auto [ptr, ec] = std::from_chars(value, end, parsed);
+        if (ec != std::errc() || ptr != end || parsed == 0 ||
+            parsed > 1u << 20)
             return false;
         if (key.compare(0, eq, "psel") == 0)
-            spec.duelPselMax = static_cast<std::uint32_t>(parsed);
+            spec.duelPselMax = parsed;
         else if (key.compare(0, eq, "leaders") == 0)
-            spec.duelLeaders = static_cast<std::uint32_t>(parsed);
+            spec.duelLeaders = parsed;
         else
             return false;
     }

@@ -18,7 +18,7 @@ namespace ghrp
 enum class LogLevel
 {
     Quiet,   ///< suppress warn() and inform() (errors still printed)
-    Warn,    ///< warn() printed, inform() suppressed (old --quiet)
+    Warn,    ///< warn() printed, inform() suppressed
     Normal,  ///< default: inform() and warn() printed
     Verbose  ///< additionally print debug() messages
 };
@@ -36,7 +36,7 @@ bool informEnabled();
 bool warnEnabled();
 
 /**
- * Parse a level name as accepted by --log-level / GHRP_LOG_LEVEL:
+ * Parse a level name as accepted by --log-level:
  * "quiet", "warn", "info" (alias "normal"), "debug" (alias
  * "verbose"). Returns false on anything else.
  */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -112,14 +111,6 @@ class KeyHasher
 };
 
 } // anonymous namespace
-
-TraceStore::TraceStore(std::string directory) : dir(std::move(directory))
-{
-    if (dir.empty()) {
-        if (const char *env = std::getenv("GHRP_TRACE_CACHE"))
-            dir = env;
-    }
-}
 
 std::uint64_t
 TraceStore::contentKey(const TraceSpec &spec,

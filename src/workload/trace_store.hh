@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "trace/decoded_trace.hh"
 #include "trace/trace_io.hh"
@@ -132,12 +133,13 @@ class TraceStore
 {
   public:
     /**
-     * @param directory store root. Empty selects the GHRP_TRACE_CACHE
-     *        environment variable; if that is also unset/empty the
-     *        store is disabled: every load misses without counting and
-     *        writer() returns null.
+     * @param directory store root. Empty disables the store: every
+     *        load misses without counting and writer() returns null.
      */
-    explicit TraceStore(std::string directory = {});
+    explicit TraceStore(std::string directory = {})
+        : dir(std::move(directory))
+    {
+    }
 
     bool enabled() const { return !dir.empty(); }
     const std::string &directory() const { return dir; }

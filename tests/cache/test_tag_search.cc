@@ -1,17 +1,13 @@
 /**
  * @file
  * Tag-search back ends: the scalar reference and the AVX2 variant must
- * agree on every input, and the runtime dispatch (CPU detection plus
- * the GHRP_NO_AVX2 override) must pick the right one. The dispatch
- * cases run on every host — a machine without AVX2 still covers the
- * scalar selection and the override logic.
+ * agree on every input, and the runtime dispatch must pick the one
+ * the CPU supports. The dispatch case runs on every host — a machine
+ * without AVX2 still covers the scalar selection.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "cache/tag_search.hh"
@@ -110,79 +106,15 @@ TEST(TagSearchDifferential, Avx2LowestMatchingWayWinsAmongDuplicates)
 }
 #endif
 
-/** RAII environment-variable override. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *old = std::getenv(name);
-        had = old != nullptr;
-        if (had)
-            saved = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name.c_str(), saved.c_str(), 1);
-        else
-            ::unsetenv(name.c_str());
-    }
-
-  private:
-    std::string name;
-    std::string saved;
-    bool had = false;
-};
-
-TEST(TagSearchDispatch, NoAvx2OverrideForcesScalar)
-{
-    ScopedEnv env("GHRP_NO_AVX2", "1");
-    EXPECT_EQ(resolveTagSearch(), &findTagWayScalar);
-}
-
-TEST(TagSearchDispatch, EmptyOverrideIsNotAnOverride)
-{
-    ScopedEnv env("GHRP_NO_AVX2", "");
-    if (tagSearchAvx2Supported()) {
-#if GHRP_TAG_SEARCH_HAVE_AVX2
-        EXPECT_EQ(resolveTagSearch(), &findTagWayAvx2);
-#endif
-    } else {
-        EXPECT_EQ(resolveTagSearch(), &findTagWayScalar);
-    }
-}
-
 TEST(TagSearchDispatch, DefaultFollowsCpuSupport)
 {
-    ScopedEnv env("GHRP_NO_AVX2", nullptr);
     if (tagSearchAvx2Supported()) {
-#if GHRP_TAG_SEARCH_HAVE_AVX2
-        EXPECT_EQ(resolveTagSearch(), &findTagWayAvx2);
-#endif
-    } else {
-        EXPECT_EQ(resolveTagSearch(), &findTagWayScalar);
-    }
-}
-
-TEST(TagSearchDispatch, ActiveBackendNameMatchesFunction)
-{
-    const char *name = tagSearchBackend();
-    if (std::strcmp(name, "avx2") == 0) {
-        EXPECT_TRUE(tagSearchAvx2Supported());
 #if GHRP_TAG_SEARCH_HAVE_AVX2
         EXPECT_EQ(activeTagSearch(), &findTagWayAvx2);
 #endif
     } else {
-        EXPECT_STREQ(name, "scalar");
         EXPECT_EQ(activeTagSearch(), &findTagWayScalar);
     }
-    // Cached: repeated calls return the same function.
-    EXPECT_EQ(activeTagSearch(), activeTagSearch());
 }
 
 } // anonymous namespace

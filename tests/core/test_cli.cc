@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "../scoped_env.hh"
 #include "core/cli.hh"
+#include "util/logging.hh"
 
 namespace
 {
@@ -26,7 +28,7 @@ TEST(Cli, DefaultsWhenAbsent)
     EXPECT_EQ(cli.getUint("traces", 7), 7u);
     EXPECT_EQ(cli.getString("name", "x"), "x");
     EXPECT_DOUBLE_EQ(cli.getDouble("f", 1.5), 1.5);
-    EXPECT_FALSE(cli.has("quiet"));
+    EXPECT_FALSE(cli.has("fused"));
 }
 
 TEST(Cli, SpaceSeparatedValues)
@@ -45,8 +47,8 @@ TEST(Cli, EqualsSeparatedValues)
 
 TEST(Cli, BareBooleanFlags)
 {
-    const CliOptions cli = parse({"--quiet", "--traces", "3"});
-    EXPECT_TRUE(cli.has("quiet"));
+    const CliOptions cli = parse({"--fused", "--traces", "3"});
+    EXPECT_TRUE(cli.has("fused"));
     EXPECT_EQ(cli.getUint("traces", 0), 3u);
 }
 
@@ -64,8 +66,8 @@ TEST(CliDeathTest, NonFlagArgumentFatal)
 
 TEST(CliDeathTest, BooleanUsedAsValueFatal)
 {
-    const CliOptions cli = parse({"--quiet"});
-    EXPECT_EXIT(cli.getUint("quiet", 1), ::testing::ExitedWithCode(1),
+    const CliOptions cli = parse({"--fused"});
+    EXPECT_EXIT(cli.getUint("fused", 1), ::testing::ExitedWithCode(1),
                 "requires a value");
 }
 
@@ -172,7 +174,8 @@ TEST(CliDeathTest, JobsAboveTheCapFatal)
 TEST(Cli, KnownFlagsPass)
 {
     const CliOptions cli =
-        parse({"--traces", "2", "--quiet", "--jobs=1", "--policy", "GHRP"});
+        parse({"--traces", "2", "--log-level", "warn", "--jobs=1",
+               "--policy", "GHRP"});
     cli.requireKnownFlags();  // returns
     SUCCEED();
 }
@@ -185,6 +188,23 @@ TEST(CliDeathTest, UnknownFlagFatal)
     const CliOptions removed = parse({"--instructions", "100", "--pgm"});
     EXPECT_EXIT(removed.requireKnownFlags(), ::testing::ExitedWithCode(1),
                 "unknown flag --pgm");
+    // --quiet is not a flag; --log-level warn is.
+    const CliOptions quiet = parse({"--quiet"});
+    EXPECT_EXIT(quiet.requireKnownFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --quiet");
+}
+
+TEST(Cli, LogLevelIgnoresTheEnvironment)
+{
+    using ghrp::LogLevel;
+    const ghrp::test::ScopedEnv env("GHRP_LOG_LEVEL", "quiet");
+    const LogLevel saved = ghrp::logLevel();
+    ghrp::setLogLevel(LogLevel::Normal);
+    ghrp::core::applyLogLevel(parse({}));
+    EXPECT_EQ(ghrp::logLevel(), LogLevel::Normal);
+    ghrp::core::applyLogLevel(parse({"--log-level", "warn"}));
+    EXPECT_EQ(ghrp::logLevel(), LogLevel::Warn);
+    ghrp::setLogLevel(saved);
 }
 
 } // anonymous namespace

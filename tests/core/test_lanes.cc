@@ -12,12 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "../scoped_env.hh"
 #include "core/runner.hh"
 #include "report/report.hh"
 #include "workload/suite.hh"
@@ -105,9 +105,13 @@ TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
     }
 
     // The store directory is a runLanes parameter, as --trace-cache is
-    // for the benches; empty falls back to GHRP_TRACE_CACHE.
-    if (!stored && std::getenv("GHRP_TRACE_CACHE"))
-        GTEST_SKIP() << "GHRP_TRACE_CACHE set in environment";
+    // for the benches; empty disables the store whatever the
+    // environment says.
+    const std::string env_dir = ::testing::TempDir() +
+                                "/lanes-env-store-jobs" +
+                                std::to_string(jobs);
+    std::filesystem::remove_all(env_dir);
+    const test::ScopedEnv env("GHRP_TRACE_CACHE", env_dir.c_str());
     const std::string dir =
         stored ? ::testing::TempDir() + "/lanes-store-jobs" +
                      std::to_string(jobs)
@@ -116,8 +120,8 @@ TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
         std::filesystem::remove_all(dir);
 
     // Through a store, the first round streams and persists every
-    // trace (misses) and the second runs the lanes over the mmap'd
-    // decode (hits).
+    // trace (misses) and the second streams every trace back from the
+    // stored file (hits).
     for (int round = 0; round < (stored ? 2 : 1); ++round) {
         SCOPED_TRACE(::testing::Message() << "round " << round);
         const core::LaneResults run =
@@ -137,6 +141,7 @@ TEST_P(ConfigLanes, MatchPerConfigSimulateTrace)
                       round == 0 ? specs.size() : 0u);
         }
     }
+    EXPECT_FALSE(std::filesystem::exists(env_dir));
     if (stored)
         std::filesystem::remove_all(dir);
 }

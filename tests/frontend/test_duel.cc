@@ -105,6 +105,13 @@ TEST(DuelSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(tryParsePolicySpec("duel:ghrp,lru,psel=0", out));
     EXPECT_FALSE(tryParsePolicySpec("duel:ghrp,lru,psel=abc", out));
     EXPECT_FALSE(tryParsePolicySpec("duel:ghrp,lru,bogus=3", out));
+    // Past 2^64 - 1: a refusal, not an uncaught std::out_of_range.
+    EXPECT_FALSE(tryParsePolicySpec(
+        "duel:ghrp,lru,psel=99999999999999999999999", out));
+    EXPECT_FALSE(tryParsePolicySpec(
+        "duel:ghrp,lru,leaders=99999999999999999999999", out));
+    EXPECT_FALSE(tryParsePolicySpec("duel:ghrp,lru,psel=+4", out));
+    EXPECT_FALSE(tryParsePolicySpec("duel:ghrp,lru,leaders=", out));
     EXPECT_FALSE(tryParsePolicySpec("clairvoyant", out));
     EXPECT_TRUE(tryParsePolicySpec("duel:ghrp,lru", out));
 }

@@ -186,7 +186,7 @@ TEST(Docs, CoreSweepFlagsDocumented)
 {
     const std::string readme = readFile(sourceDir() / "README.md");
     for (const char *name : {"traces", "instructions", "seed", "jobs",
-                             "trace-cache", "leg-times", "quiet",
+                             "trace-cache", "leg-times", "log-level",
                              "report", "journal"})
         EXPECT_NE(readme.find(std::string("--") + name),
                   std::string::npos)

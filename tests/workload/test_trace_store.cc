@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "../scoped_env.hh"
 #include "../trace/fetch_oracle.hh"
 #include "frontend/frontend.hh"
 #include "trace/decoded_trace.hh"
@@ -143,16 +144,18 @@ TEST(ContentKey, NameIsPresentationOnly)
 
 TEST(TraceStoreTest, DisabledStoreStillBuilds)
 {
+    // An empty directory disables the store; the environment has no say.
+    const std::string env_dir = scratchDir("env");
+    const test::ScopedEnv env("GHRP_TRACE_CACHE", env_dir.c_str());
     TraceStore store("");
-    // No GHRP_TRACE_CACHE in the test environment means disabled.
-    if (store.enabled())
-        GTEST_SKIP() << "GHRP_TRACE_CACHE set in environment";
+    EXPECT_FALSE(store.enabled());
     const auto sp = specs(1);
     EXPECT_FALSE(store.loadDecoded(sp[0], kLength, 64, 4).has_value());
     EXPECT_EQ(store.writer(sp[0], kLength, -1), nullptr);
     expectSameDecoded(loadOrGenerate(store, sp[0]), reference(sp[0]));
     EXPECT_EQ(store.stats().hits, 0u);
     EXPECT_EQ(store.stats().misses, 0u);
+    EXPECT_FALSE(std::filesystem::exists(env_dir));
 }
 
 TEST(TraceStoreTest, MissThenHitRoundTrip)
