@@ -230,6 +230,8 @@ inline core::SuiteResults
 runSuiteTimed(const core::SuiteOptions &options,
               const core::CliOptions &cli, const std::string &experiment)
 {
+    // Read before the sweep, so a bare --report fails before it runs.
+    const std::string report_path = cli.getString("report", "");
     core::SuiteResults results;
     try {
         results = report::runJournaled(
@@ -241,7 +243,7 @@ runSuiteTimed(const core::SuiteOptions &options,
     if (cli.has("leg-times"))
         reportLegTimes(results);
     writeReport(report::buildSuiteReport(experiment, options, results),
-                cli.getString("report", ""));
+                report_path);
     return results;
 }
 

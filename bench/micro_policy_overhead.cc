@@ -3,7 +3,8 @@
  * Micro-benchmark (google-benchmark): per-access software cost of each
  * replacement policy on the I-cache model, of GHRP's prediction
  * primitives, of a front-end leg of each policy on the decoded stream
- * against the fused all-policies walk, of trace acquisition through the
+ * against the fused all-policies walk, of the cold path's direction
+ * resolve and trace generation, of trace acquisition through the
  * content-addressed store (cold generate-and-persist vs. warm read-back).
  * These measure simulator overhead, not hardware latency — the
  * paper argues all GHRP operations are off the critical path.
@@ -244,6 +245,59 @@ BM_DecodeTrace(benchmark::State &state)
                             static_cast<std::int64_t>(tr.records.size()));
 }
 BENCHMARK(BM_DecodeTrace)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------ cold layers
+
+/** Direction resolve, the perceptron run once per trace ahead of the
+ *  legs. Items = conditional branches, so items/s is the inverse of
+ *  perfbench's branch.resolve_ns_per_cond. */
+void
+BM_ResolveDirection(benchmark::State &state)
+{
+    trace::DecodedTrace dec = trace::decodeTrace(benchTrace(), 64, 4);
+    std::int64_t conditionals = 0;
+    for (std::uint8_t meta : dec.brMeta)
+        conditionals += trace::branch_meta::conditional(meta) ? 1 : 0;
+    for (auto _ : state) {
+        frontend::resolveDirectionStream(
+            dec, frontend::DirectionKind::HashedPerceptron);
+        benchmark::DoNotOptimize(dec.dirPredictedTaken.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            conditionals);
+}
+BENCHMARK(BM_ResolveDirection)->Unit(benchmark::kMillisecond);
+
+/** Counts the records of a stream and drops them. */
+struct NullSink final : trace::RecordSink
+{
+    void begin(const trace::StreamHeader &) override {}
+    void records(const trace::BranchRecord *, std::size_t n) override
+    {
+        count += n;
+    }
+    std::uint64_t count = 0;
+};
+
+/** Trace generation at a suite trace's default length: program
+ *  generation plus execution into a sink that drops the records.
+ *  Items = the instruction budget, which the stream ends within a few
+ *  hundred instructions of. */
+void
+BM_StreamTrace(benchmark::State &state)
+{
+    const workload::TraceSpec spec = workload::makeSuite(1, 42).front();
+    for (auto _ : state) {
+        NullSink sink;
+        workload::streamTrace(spec, 0, sink);
+        benchmark::DoNotOptimize(sink.count);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(workload::instructionBudget(spec, 0)));
+}
+BENCHMARK(BM_StreamTrace)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- trace store
 

@@ -68,7 +68,11 @@ CliOptions::getString(const std::string &name,
                       const std::string &default_value) const
 {
     const auto it = values.find(name);
-    return it == values.end() ? default_value : it->second;
+    if (it == values.end())
+        return default_value;
+    if (it->second.empty())
+        fatal("flag --%s requires a value", name.c_str());
+    return it->second;
 }
 
 bool

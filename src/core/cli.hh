@@ -44,7 +44,8 @@ class CliOptions
      *  is a whole finite number (see parseDouble). */
     double getDouble(const std::string &name, double default_value) const;
 
-    /** String option with default. */
+    /** String option with default; fatal() when given without a
+     *  value, as the numeric getters are. */
     std::string getString(const std::string &name,
                           const std::string &default_value) const;
 

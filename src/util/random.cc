@@ -12,12 +12,6 @@ namespace
 
 constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 std::uint64_t
@@ -48,31 +42,6 @@ Rng::Rng(std::uint64_t seed)
         s1 = 1;
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t a = s0;
-    std::uint64_t b = s1;
-    const std::uint64_t result = rotl(a + b, 17) + a;
-    b ^= a;
-    s0 = rotl(a, 49) ^ b ^ (b << 21);
-    s1 = rotl(b, 28);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    GHRP_ASSERT(bound > 0);
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 std::int64_t
 Rng::nextRange(std::int64_t lo, std::int64_t hi)
 {
@@ -80,18 +49,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 std::uint64_t

@@ -10,8 +10,11 @@
 #ifndef GHRP_UTIL_RANDOM_HH
 #define GHRP_UTIL_RANDOM_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "util/logging.hh"
 
 namespace ghrp
 {
@@ -46,20 +49,48 @@ class Rng
     /** Seed via SplitMix64 expansion of a single 64-bit seed. */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
+    // The draws the generator and the executor make in their inner
+    // loops are defined here, so they inline into them.
+
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t a = s0;
+        std::uint64_t b = s1;
+        const std::uint64_t result = std::rotl(a + b, 17) + a;
+        b ^= a;
+        s0 = std::rotl(a, 49) ^ b ^ (b << 21);
+        s1 = std::rotl(b, 28);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) without modulo bias; bound > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        GHRP_ASSERT(bound > 0);
+        // Lemire-style rejection to avoid modulo bias.
+        const std::uint64_t threshold = (~bound + 1) % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability @p p of returning true. */
-    bool nextBool(double p = 0.5);
+    bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
     /**
      * Geometric-ish burst length: 1 + number of successes before the

@@ -17,14 +17,23 @@ namespace
 using trace::BranchRecord;
 using trace::BranchType;
 
+/** An active loop latch: its block and its remaining taken count. */
+struct ActiveLoop
+{
+    std::uint32_t block;
+    std::uint32_t remaining;
+};
+
 /** One activation record on the simulated call stack. */
 struct ExecFrame
 {
     std::uint32_t func;
     std::uint32_t block;
     Addr returnPc;  ///< where a Return from this frame goes
-    /** Active loop latches: (block index, remaining taken count). */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> loops;
+    /** The frame's active loops are loops[loopBase, loops.size()) of
+     *  the executor's one loop stack: only the top frame adds or ends
+     *  loops, so its entries are always the stack's tail. */
+    std::size_t loopBase;
 };
 
 /** Per-phase scheduling state for the dispatcher call site. */
@@ -144,13 +153,15 @@ class PhaseScheduler
     std::uint32_t previousModule = 0;
 };
 
-/** Find the remaining-trips counter for a latch, if active. */
-std::uint32_t *
-findLoop(ExecFrame &frame, std::uint32_t block)
+/** Find the top frame's active loop at @p block, if any; the frame's
+ *  loops start at @p base. */
+ActiveLoop *
+findLoop(std::vector<ActiveLoop> &loops, std::size_t base,
+         std::uint32_t block)
 {
-    for (auto &entry : frame.loops)
-        if (entry.first == block)
-            return &entry.second;
+    for (std::size_t i = base; i < loops.size(); ++i)
+        if (loops[i].block == block)
+            return &loops[i];
     return nullptr;
 }
 
@@ -195,8 +206,6 @@ execute(const Program &program, const ExecParams &params,
         const std::string &name, const std::string &category,
         trace::RecordSink &sink)
 {
-    validateProgram(program);
-
     trace::StreamHeader header;
     header.name = name;
     header.category = category;
@@ -241,8 +250,12 @@ execute(const Program &program, const ExecParams &params,
     const std::uint32_t ib = program.instBytes;
     std::uint64_t instructions = 0;
 
+    // Frames and loops live in two stacks whose storage outlasts every
+    // call, so a call or a loop allocates only when a stack grows past
+    // its deepest point so far.
     std::vector<ExecFrame> stack;
-    stack.push_back({program.mainFunction, 0, 0, {}});
+    std::vector<ActiveLoop> loops;
+    stack.push_back({program.mainFunction, 0, 0, 0});
 
     while (!stack.empty()) {
         ExecFrame &frame = stack.back();
@@ -290,26 +303,22 @@ execute(const Program &program, const ExecParams &params,
                 taken = instructions < params.maxInstructions;
                 scheduler.update(instructions, rng);
             } else {
-                std::uint32_t *remaining = findLoop(frame, frame.block);
-                if (remaining == nullptr) {
+                ActiveLoop *loop =
+                    findLoop(loops, frame.loopBase, frame.block);
+                if (loop == nullptr) {
                     const std::uint32_t trips =
                         1 + static_cast<std::uint32_t>(rng.nextBounded(
                                 2 * block.loopTripMean));
-                    frame.loops.emplace_back(frame.block, trips);
-                    remaining = &frame.loops.back().second;
+                    loops.push_back({frame.block, trips});
+                    loop = &loops.back();
                 }
-                --*remaining;
-                taken = *remaining > 0;
+                --loop->remaining;
+                taken = loop->remaining > 0;
                 if (!taken) {
                     // Loop session ends; erase the counter so the next
                     // entry to this loop resamples its trip count.
-                    for (std::size_t i = 0; i < frame.loops.size(); ++i) {
-                        if (frame.loops[i].first == frame.block) {
-                            frame.loops[i] = frame.loops.back();
-                            frame.loops.pop_back();
-                            break;
-                        }
-                    }
+                    *loop = loops.back();
+                    loops.pop_back();
                 }
             }
             const Addr target = func.blocks[block.targetBlock].start;
@@ -349,7 +358,7 @@ execute(const Program &program, const ExecParams &params,
                                                : BranchType::IndirectCall,
                   true});
             ++frame.block;  // return resumes at the next block
-            stack.push_back({callee, 0, term_pc + ib, {}});
+            stack.push_back({callee, 0, term_pc + ib, loops.size()});
             break;
           }
 
@@ -370,6 +379,7 @@ execute(const Program &program, const ExecParams &params,
 
           case TermKind::Return: {
             const Addr return_pc = frame.returnPc;
+            loops.resize(frame.loopBase);
             stack.pop_back();
             if (stack.empty()) {
                 // Main returned: the program is over. No record for

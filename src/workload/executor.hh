@@ -49,7 +49,8 @@ struct ExecParams
  * functions. This produces the bursty, generational code reuse that
  * the paper's industrial traces exhibit.
  *
- * @param program the generated program (validated).
+ * @param program a program that passes validateProgram (generateProgram
+ *        validates its output; execute does not check it again).
  * @param params dynamic execution knobs.
  * @param name trace name recorded in the output.
  * @param category category tag recorded in the output.

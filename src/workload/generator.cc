@@ -407,6 +407,9 @@ generateProgram(const WorkloadParams &p)
 
     // ---- build bodies in reverse index order ------------------------
     std::vector<std::uint64_t> cost(plans.size(), 0);
+    // Candidate lists, refilled for each function.
+    std::vector<CalleeCandidate> leaves;
+    std::vector<CalleeCandidate> pool;
     for (std::size_t fi = plans.size() - 1; fi >= 1; --fi) {
         Function &func = program.functions[fi];
         func.module = plans[fi].module;
@@ -416,7 +419,7 @@ generateProgram(const WorkloadParams &p)
             // Shared leaf helpers: cheap regular functions anywhere
             // later in the DAG. Both scans and big loops call them, so
             // the same helper blocks see dead and live contexts.
-            std::vector<CalleeCandidate> leaves;
+            leaves.clear();
             for (std::size_t ci = fi + 1; ci < plans.size(); ++ci)
                 if (plans[ci].kind == Kind::Regular && cost[ci] <= 600)
                     leaves.push_back(
@@ -431,7 +434,7 @@ generateProgram(const WorkloadParams &p)
             // Callee pool: same-module later regular functions plus a
             // slice of cross-module ones (DAG: callee index > fi).
             // Scans and big loops are dispatcher-only.
-            std::vector<CalleeCandidate> pool;
+            pool.clear();
             for (std::size_t ci = fi + 1; ci < plans.size(); ++ci) {
                 if (plans[ci].kind != Kind::Regular)
                     continue;

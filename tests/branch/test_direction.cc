@@ -113,19 +113,50 @@ TEST(Perceptron, BeatsBimodalOnCorrelatedBranches)
 
 TEST(Perceptron, ThetaDerivedFromHistoryLengths)
 {
-    PerceptronConfig cfg;
-    cfg.historyLengths = {0, 10, 20, 30};
-    HashedPerceptron p(cfg);
-    // theta = 1.93 * mean(15) + 14 = ~42.
-    EXPECT_NEAR(p.theta(), 42, 2);
+    // theta = 1.93 * mean(0, 3, 6, 12, 21, 34, 51, 64) + 14 = 60.08.
+    EXPECT_EQ(HashedPerceptron::kTheta, 60);
 }
 
-TEST(Perceptron, ExplicitThetaHonored)
+TEST(Perceptron, ConfidentBranchStopsTrainingAtTheta)
 {
-    PerceptronConfig cfg;
-    cfg.theta = 77;
-    HashedPerceptron p(cfg);
-    EXPECT_EQ(p.theta(), 77);
+    // A correct prediction trains only while |sum| <= theta, so a
+    // branch that is always taken settles just above theta: one last
+    // step of the eight weights takes the sum past it.
+    HashedPerceptron p;
+    for (int i = 0; i < 300; ++i) {
+        p.predict(0x1000);
+        p.update(0x1000, true);
+    }
+    p.predict(0x1000);
+    EXPECT_GT(p.lastSum(), HashedPerceptron::kTheta);
+    EXPECT_LE(p.lastSum(), HashedPerceptron::kTheta + 8);
+}
+
+TEST(Perceptron, WeightsSaturateAtInt8Bounds)
+{
+    // Theta stops a consistent branch long before any weight fills, so
+    // the weights of one prediction are trained by repeating update()
+    // after a single predict(). The PCs keep the path history at 0, and
+    // a constant outcome keeps the outcome history where it is, so the
+    // final predict() reads the same eight weights back.
+    HashedPerceptron low;
+    low.predict(0x1000);
+    for (int i = 0; i < 300; ++i)
+        low.update(0x1000, false);
+    low.predict(0x1000);
+    EXPECT_EQ(low.lastSum(), 8 * -128);
+
+    HashedPerceptron high;
+    for (int i = 0; i < 64; ++i) {
+        // Fill the outcome history with ones through another branch.
+        high.predict(0x2000);
+        high.update(0x2000, true);
+    }
+    high.predict(0x1000);
+    for (int i = 0; i < 300; ++i)
+        high.update(0x1000, true);
+    high.predict(0x1000);
+    EXPECT_EQ(high.lastSum(), 8 * 127);
 }
 
 TEST(Direction, NamesDistinct)

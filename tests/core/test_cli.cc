@@ -71,6 +71,28 @@ TEST(CliDeathTest, BooleanUsedAsValueFatal)
                 "requires a value");
 }
 
+TEST(CliDeathTest, BareStringFlagFatal)
+{
+    // A string flag without its value must not read as absent: a bare
+    // --report would otherwise run and write no report. Each flag is
+    // checked at the end of the line and before another flag.
+    for (const char *flag :
+         {"report", "trace-cache", "journal", "log-level", "category"}) {
+        const std::string bare = std::string("--") + flag;
+        for (const CliOptions &cli :
+             {parse({"--traces", "1", bare.c_str()}),
+              parse({bare.c_str(), "--fused"}),
+              parse({(bare + "=").c_str()})})
+            EXPECT_EXIT(cli.getString(flag, "default"),
+                        ::testing::ExitedWithCode(1),
+                        "flag " + bare + " requires a value")
+                << bare;
+    }
+    EXPECT_EXIT(ghrp::core::applyLogLevel(parse({"--log-level"})),
+                ::testing::ExitedWithCode(1),
+                "flag --log-level requires a value");
+}
+
 TEST(Cli, WholeNumbersParse)
 {
     const CliOptions cli =

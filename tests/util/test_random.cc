@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <vector>
 
 #include "util/random.hh"
@@ -147,6 +149,55 @@ TEST(Rng, WeightedAllZeroFallsBackUniform)
     for (int i = 0; i < 200; ++i)
         saw[rng.nextWeighted({0.0, 0.0, 0.0})] = true;
     EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
+}
+
+/** FNV-1a over the first 32 draws of a fresh Rng(42). */
+std::uint64_t
+hashDraws(const std::function<std::uint64_t(Rng &)> &draw)
+{
+    Rng rng(42);
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (int i = 0; i < 32; ++i) {
+        const std::uint64_t word = draw(rng);
+        for (int b = 0; b < 8; ++b) {
+            h ^= (word >> (8 * b)) & 0xFF;
+            h *= 0x100000001B3ull;
+        }
+    }
+    return h;
+}
+
+std::uint64_t
+doubleBits(double d)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+}
+
+TEST(Rng, DrawsMatchPins)
+{
+    // Every trace is generated from these streams, and trace-store
+    // files are keyed by generatorVersion: a change to any of them that
+    // keeps the version would let a store serve stale traces.
+    const char *moved = " moved without a bump of generatorVersion";
+    EXPECT_EQ(hashDraws([](Rng &r) { return r.next(); }),
+              0x654516749CB9F74Eull)
+        << "next()" << moved;
+    EXPECT_EQ(hashDraws([](Rng &r) { return r.nextBounded(1000); }),
+              0x974CB2BA82BBA7DEull)
+        << "nextBounded()" << moved;
+    EXPECT_EQ(hashDraws([](Rng &r) { return doubleBits(r.nextDouble()); }),
+              0xE298ED3B2474F321ull)
+        << "nextDouble()" << moved;
+    EXPECT_EQ(hashDraws([](Rng &r) -> std::uint64_t {
+                  return r.nextBool(0.3);
+              }),
+              0x5ACF69717DC32B44ull)
+        << "nextBool()" << moved;
+    EXPECT_EQ(hashDraws([](Rng &r) { return r.nextZipf(100, 1.3); }),
+              0x5327C971AC9FD336ull)
+        << "nextZipf()" << moved;
 }
 
 TEST(SplitMix, PureAndDeterministic)
