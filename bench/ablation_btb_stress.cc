@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     core::CliOptions cli(argc, argv);
     cli.requireKnownFlags();
+    const std::string report_path = cli.getString("report", "");
     const auto num_traces =
         static_cast<std::uint32_t>(cli.getUint("traces", 4));
     const std::uint64_t instructions =
@@ -125,6 +126,6 @@ main(int argc, char **argv)
     }
     builder.addMetric("ghrp_dead_evict_pct", dead_evict_pct.mean());
     builder.setSweep(sweep_wall, jobs);
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), report_path);
     return 0;
 }

@@ -2,9 +2,11 @@
  * @file
  * Ablation study over GHRP's design choices (DESIGN.md Section 5):
  * majority vote vs summation, dead/bypass thresholds, bypass on/off,
- * path-history depth, and speculative-history recovery. Each variant
- * reports mean I-cache and BTB MPKI against the LRU baseline over the
- * same trace suite.
+ * path-history depth, the victim staleness guard, speculative-history
+ * recovery and the BTB coupling. Each variant reports mean I-cache and
+ * BTB MPKI against the LRU baseline over the same trace suite, with
+ * the BTB geometry of --btb-entries (default 4096) and --btb-assoc
+ * (default 4) in every lane.
  */
 
 #include <cctype>
@@ -37,6 +39,9 @@ main(int argc, char **argv)
     cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
+    const cache::CacheConfig btb = cache::CacheConfig::btb(
+        static_cast<std::uint32_t>(cli.getUint("btb-entries", 4096)),
+        static_cast<std::uint32_t>(cli.getUint("btb-assoc", 4)));
 
     const std::vector<Variant> variants = {
         {"GHRP (default)", [](frontend::FrontendConfig &) {}},
@@ -54,6 +59,10 @@ main(int argc, char **argv)
          [](frontend::FrontendConfig &c) { c.ghrp.historyBits = 8; }},
         {"history 24 bits (6 accesses)",
          [](frontend::FrontendConfig &c) { c.ghrp.historyBits = 24; }},
+        {"no staleness guard",
+         [](frontend::FrontendConfig &c) {
+             c.ghrp.requireStaleVictim = false;
+         }},
         {"no history recovery",
          [](frontend::FrontendConfig &c) {
              c.recoverGhrpHistory = false;
@@ -69,9 +78,11 @@ main(int argc, char **argv)
     // (lane 0 is LRU, lane 1 + v is variant v).
     std::vector<frontend::FrontendConfig> lanes(1);
     lanes[0].policy = frontend::PolicyKind::Lru;
+    lanes[0].btb = btb;
     for (const Variant &variant : variants) {
         frontend::FrontendConfig config;
         config.policy = frontend::PolicyKind::Ghrp;
+        config.btb = btb;
         variant.apply(config);
         lanes.push_back(config);
     }
@@ -137,6 +148,6 @@ main(int argc, char **argv)
     }
     builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * (variants.size() + 1));
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

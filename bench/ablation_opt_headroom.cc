@@ -86,6 +86,6 @@ main(int argc, char **argv)
     builder.addMetric("mean_headroom_pct", mean_headroom);
     builder.addMetric("mean_captured_pct", mean_captured);
     builder.setSweep(run.wallSeconds, suite.jobs, specs.size() * 3);
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

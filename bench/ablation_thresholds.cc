@@ -178,6 +178,6 @@ main(int argc, char **argv)
     builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() *
                          (1 + ghrp_variants.size() + sdbp_variants.size()));
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

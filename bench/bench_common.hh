@@ -2,10 +2,11 @@
  * @file
  * Shared helpers for the figure/table regeneration binaries: suite
  * options from the command line, progress reporting, throughput
- * accounting and reports. Every simulation goes through the lane
- * engine in core/runner.hh — a policy sweep through runSuiteTimed
+ * accounting and reports. The suite sweeps go through the lane engine
+ * in core/runner.hh — a policy sweep through runSuiteTimed
  * (core::runSuite), a config sweep through runLanesTimed
- * (core::runLanes).
+ * (core::runLanes). fig01, fig05 and ablation_btb_stress run their
+ * own util::ThreadPool over materialized traces instead.
  *
  * Every bench binary accepts:
  *   --traces N         suite size (default varies per figure)
@@ -17,7 +18,9 @@
  *   --log-level L      verbosity: quiet|warn|info (warn suppresses
  *                      progress and throughput reporting)
  *   --report FILE      write a versioned JSON run report (schema
- *                      "ghrp-run-report") to FILE
+ *                      "ghrp-run-report") to FILE; every binary reads
+ *                      it before simulating, so a bare --report exits
+ *                      1 before any work
  *
  * A flag outside core::knownCliFlags() exits 1 naming it
  * (CliOptions::requireKnownFlags, called first by every binary).
@@ -97,6 +100,7 @@ struct ConfigSuite
     unsigned jobs = 0;
     std::string traceCacheDir;
     double slowLegMs = 0.0;
+    std::string reportPath;  ///< --report FILE ("" = none)
 };
 
 /**
@@ -122,6 +126,7 @@ configSuite(const core::CliOptions &cli, std::uint32_t default_traces,
     suite.jobs = cli.jobs();
     suite.traceCacheDir = cli.getString("trace-cache", "");
     suite.slowLegMs = cli.getDouble("slow-leg-ms", 0.0);
+    suite.reportPath = cli.getString("report", "");
     core::applyLogLevel(cli);
     return suite;
 }
@@ -135,15 +140,6 @@ writeReport(const report::RunReport &report, const std::string &path)
     report.write(path);
     if (informEnabled())
         std::fprintf(stderr, "[report] wrote %s\n", path.c_str());
-}
-
-/** Report hook for the custom bench reports: write @p report to the
- *  --report FILE, if given. */
-inline void
-maybeWriteReport(const core::CliOptions &cli,
-                 const report::RunReport &report)
-{
-    writeReport(report, cli.getString("report", ""));
 }
 
 /** Worker count a --jobs value selects (0 = hardware concurrency). */

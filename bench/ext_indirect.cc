@@ -75,6 +75,6 @@ main(int argc, char **argv)
     builder.addMetric("base_indirect_mpki", base_mpki.mean());
     builder.addMetric("itp_indirect_mpki", itp_mpki.mean());
     builder.setSweep(run.wallSeconds, suite.jobs);
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

@@ -77,6 +77,6 @@ main(int argc, char **argv)
     }
     builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * 2 * std::size(degrees));
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

@@ -17,6 +17,7 @@ main(int argc, char **argv)
 
     core::CliOptions cli(argc, argv);
     cli.requireKnownFlags();
+    const std::string report_path = cli.getString("report", "");
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "SHORT-SERVER"));
@@ -96,6 +97,6 @@ main(int argc, char **argv)
     builder.addExtra("efficiency", std::move(efficiency));
     builder.setSweep(sweep_wall,
                      cli.jobs());
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), report_path);
     return 0;
 }

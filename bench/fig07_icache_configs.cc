@@ -83,6 +83,6 @@ main(int argc, char **argv)
     builder.setSweep(run.wallSeconds, suite.jobs,
                      specs.size() * std::size(configs) *
                          std::size(frontend::paperPolicies));
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), suite.reportPath);
     return 0;
 }

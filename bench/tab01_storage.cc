@@ -40,17 +40,16 @@ main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
     cli.requireKnownFlags();
+    const std::string report_path = cli.getString("report", "");
 
     std::printf("=== Table I: storage requirements ===\n\n");
 
     predictor::GhrpConfig ghrp_cfg;
-    predictor::SdbpConfig sdbp_cfg;
 
     const cache::CacheConfig icache64 = cache::CacheConfig::icache(64, 8);
     const core::StorageBudget ghrp64 =
         core::ghrpStorage(icache64, ghrp_cfg, 4096);
-    const core::StorageBudget sdbp64 =
-        core::sdbpStorage(icache64, sdbp_cfg);
+    const core::StorageBudget sdbp64 = core::sdbpStorage(icache64);
     printBudget("GHRP, 64KB 8-way I-cache (64B blocks) + 4K-entry BTB",
                 ghrp64, icache64.sizeBytes);
     printBudget("adapted SDBP, 64KB 8-way I-cache (64B blocks)", sdbp64,
@@ -79,6 +78,6 @@ main(int argc, char **argv)
     builder.addMetric("ghrp_exynos_overhead_pct",
                       ghrp_exynos.overheadFraction(exynos.sizeBytes) *
                           100.0);
-    bench::maybeWriteReport(cli, builder.finish());
+    bench::writeReport(builder.finish(), report_path);
     return 0;
 }

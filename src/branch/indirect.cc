@@ -1,16 +1,7 @@
 #include "branch/indirect.hh"
 
-#include "util/logging.hh"
-
 namespace ghrp::branch
 {
-
-IndirectPredictor::IndirectPredictor(const IndirectConfig &config)
-    : cfg(config), table(cfg.entries)
-{
-    GHRP_ASSERT(isPowerOf2(cfg.entries));
-    GHRP_ASSERT(cfg.tagBits >= 4 && cfg.tagBits <= 16);
-}
 
 std::uint32_t
 IndirectPredictor::indexOf(Addr pc) const
@@ -18,7 +9,7 @@ IndirectPredictor::indexOf(Addr pc) const
     const std::uint64_t h =
         ((pc >> 2) ^ (static_cast<std::uint64_t>(hist) << 3)) *
         0x9E3779B97F4A7C15ull;
-    return static_cast<std::uint32_t>(h >> (64 - floorLog2(cfg.entries)));
+    return static_cast<std::uint32_t>(h >> (64 - floorLog2(kIndirectEntries)));
 }
 
 std::uint16_t
@@ -27,7 +18,7 @@ IndirectPredictor::tagOf(Addr pc) const
     const std::uint64_t h =
         ((pc >> 2) + hist) * 0xC2B2AE3D27D4EB4Full;
     return static_cast<std::uint16_t>(
-        (h >> (64 - cfg.tagBits)) & mask(cfg.tagBits));
+        (h >> (64 - kIndirectTagBits)) & mask(kIndirectTagBits));
 }
 
 std::optional<Addr>
@@ -45,7 +36,7 @@ IndirectPredictor::update(Addr pc, Addr target)
     Entry &entry = table[indexOf(pc)];
     const std::uint16_t tag = tagOf(pc);
     const std::uint8_t conf_max =
-        static_cast<std::uint8_t>((1u << cfg.confBits) - 1);
+        static_cast<std::uint8_t>((1u << kIndirectConfBits) - 1);
 
     if (entry.valid && entry.tag == tag) {
         if (entry.target == target) {
@@ -68,14 +59,14 @@ IndirectPredictor::update(Addr pc, Addr target)
 
     // Fold the resolved target into the path history.
     hist = static_cast<std::uint32_t>(
-        ((hist << 4) ^ (target >> 2)) & mask(cfg.historyBits));
+        ((hist << 4) ^ (target >> 2)) & mask(kIndirectHistoryBits));
 }
 
 std::uint64_t
 IndirectPredictor::storageBits() const
 {
-    return static_cast<std::uint64_t>(cfg.entries) *
-           (1 + cfg.tagBits + 64 + cfg.confBits);
+    return static_cast<std::uint64_t>(kIndirectEntries) *
+           (1 + kIndirectTagBits + 64 + kIndirectConfBits);
 }
 
 } // namespace ghrp::branch

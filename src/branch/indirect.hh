@@ -24,21 +24,20 @@
 namespace ghrp::branch
 {
 
-/** Configuration of the indirect target predictor. */
-struct IndirectConfig
-{
-    std::uint32_t entries = 2048;  ///< table entries (power of two)
-    unsigned tagBits = 10;         ///< partial tag width
-    unsigned historyBits = 16;     ///< target-history register width
-    unsigned confBits = 2;         ///< replacement confidence width
-};
+/** Table entries (power of two). */
+constexpr std::uint32_t kIndirectEntries = 2048;
+/** Partial tag width. */
+constexpr unsigned kIndirectTagBits = 10;
+/** Target-history register width. */
+constexpr unsigned kIndirectHistoryBits = 16;
+/** Replacement confidence width. */
+constexpr unsigned kIndirectConfBits = 2;
 
 /** Tagged path-history-indexed indirect target predictor. */
 class IndirectPredictor
 {
   public:
-    explicit IndirectPredictor(const IndirectConfig &config =
-                                   IndirectConfig{});
+    IndirectPredictor() : table(kIndirectEntries) {}
 
     /**
      * Predict the target of the indirect branch at @p pc; nullopt when
@@ -55,6 +54,11 @@ class IndirectPredictor
     /** Current target-history register (exposed for tests). */
     std::uint32_t history() const { return hist; }
 
+    /** Table entry and partial tag of @p pc under the current history
+     *  (exposed for tests). */
+    std::uint32_t indexOf(Addr pc) const;
+    std::uint16_t tagOf(Addr pc) const;
+
     /** Storage in bits (entries x (tag + target + confidence)). */
     std::uint64_t storageBits() const;
 
@@ -67,10 +71,6 @@ class IndirectPredictor
         std::uint8_t confidence = 0;
     };
 
-    std::uint32_t indexOf(Addr pc) const;
-    std::uint16_t tagOf(Addr pc) const;
-
-    IndirectConfig cfg;
     std::uint32_t hist = 0;
     std::vector<Entry> table;
 };

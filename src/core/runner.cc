@@ -142,7 +142,6 @@ struct Sweep
     unsigned jobs = 0;
     std::string traceCacheDir;
     double slowLegMs = 0.0;
-    bool verbose = false;
 
     std::function<bool(std::size_t, std::size_t)> skipLeg;
     std::function<void(std::size_t, std::size_t,
@@ -351,9 +350,6 @@ class SweepSink
         ++done;
         if (progress)
             progress(done, totalUnits, trace_name + " / " + lane_name);
-        else if (sweep.verbose)
-            inform("[%zu/%zu] %s %s", done, totalUnits, trace_name.c_str(),
-                   lane_name.c_str());
     }
 
     LaneResults &out;
@@ -493,7 +489,6 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
     sweep.jobs = options.jobs;
     sweep.traceCacheDir = options.traceCacheDir;
     sweep.slowLegMs = options.slowLegMs;
-    sweep.verbose = options.verbose;
     if (hooks.skipLeg)
         sweep.skipLeg = [&](std::size_t trace_index, std::size_t lane) {
             return hooks.skipLeg(trace_index, policies[lane]);

@@ -35,7 +35,6 @@ struct SuiteOptions
         frontend::paperPolicies,
         frontend::paperPolicies + std::size(frontend::paperPolicies)};
     frontend::FrontendConfig base;  ///< policy field is overridden
-    bool verbose = false;           ///< progress to stderr
 
     /**
      * Worker threads for the sweep: each (trace, policy) leg is an

@@ -59,7 +59,8 @@ struct StorageBudget
 /**
  * GHRP budget for @p icache (Table I): per-block metadata (1 valid +
  * 1 prediction + 3 LRU-position + 16 signature bits), three prediction
- * tables of 2-bit counters, and the two path-history registers. BTB
+ * tables of config.counterBits-bit counters, and the two path-history
+ * registers. BTB
  * coupling adds one prediction bit per BTB entry.
  */
 StorageBudget ghrpStorage(const cache::CacheConfig &icache,
@@ -71,8 +72,7 @@ StorageBudget ghrpStorage(const cache::CacheConfig &icache,
  * prediction + 3 LRU + 12 signature + 16 tag bits per entry), three
  * 8-bit-counter tables, and per-block prediction metadata.
  */
-StorageBudget sdbpStorage(const cache::CacheConfig &icache,
-                          const predictor::SdbpConfig &config);
+StorageBudget sdbpStorage(const cache::CacheConfig &icache);
 
 } // namespace ghrp::core
 

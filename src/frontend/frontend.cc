@@ -294,8 +294,7 @@ FrontendSim::FrontendSim(const FrontendConfig &config) : cfg(config)
         });
 
     if (cfg.useIndirectPredictor)
-        indirect = std::make_unique<branch::IndirectPredictor>(
-            cfg.indirect);
+        indirect = std::make_unique<branch::IndirectPredictor>();
 }
 
 template <typename Policy>
@@ -312,9 +311,6 @@ FrontendSim::makePolicy(Structure structure,
     } else if constexpr (std::is_same_v<Policy,
                                         predictor::SdbpReplacement>) {
         return std::make_unique<Policy>(cfg.sdbp);
-    } else if constexpr (std::is_same_v<Policy,
-                                        predictor::ShipReplacement>) {
-        return std::make_unique<Policy>(cfg.ship);
     } else if constexpr (std::is_same_v<Policy,
                                         predictor::GhrpReplacement>) {
         auto policy = std::make_unique<Policy>(*ghrpPredictor);
@@ -638,7 +634,7 @@ FrontendSim::stepLoop(Icache &icache, BtbModel &btb,
 
         // ---- BTB and RAS -------------------------------------------
         if (taken) {
-            if (trace::branch_meta::isReturn(meta) && cfg.useRas) {
+            if (trace::branch_meta::isReturn(meta)) {
                 ++result.rasReturns;
                 if (ras.pop() != target)
                     ++result.rasMispredicts;
@@ -662,7 +658,7 @@ FrontendSim::stepLoop(Icache &icache, BtbModel &btb,
                     ++result.btbTargetMismatches;
             }
         }
-        if (trace::branch_meta::call(meta) && taken && cfg.useRas)
+        if (trace::branch_meta::call(meta) && taken)
             ras.push(pc + cfg.instBytes);
 
         // ---- warm-up boundary candidates ------------------------

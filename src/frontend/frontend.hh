@@ -147,9 +147,6 @@ struct FrontendConfig
 
     predictor::GhrpConfig ghrp;
     predictor::SdbpConfig sdbp;
-    predictor::ShipConfig ship;
-
-    bool useRas = true;  ///< returns predicted by the RAS, not the BTB
 
     /**
      * Attach the path-history-indexed indirect target predictor (the
@@ -157,7 +154,6 @@ struct FrontendConfig
      * from the BTB's last-seen target.
      */
     bool useIndirectPredictor = false;
-    branch::IndirectConfig indirect;
 
     /** Warm-up: first min(fraction * total, cap) instructions excluded
      *  from the reported statistics (paper Section IV-C). */

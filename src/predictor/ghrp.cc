@@ -8,11 +8,11 @@ namespace ghrp::predictor
 // ------------------------------------------------------ GhrpPredictor
 
 GhrpPredictor::GhrpPredictor(const GhrpConfig &config)
-    : cfg(config), bank(cfg.tableEntries, cfg.counterBits),
+    : cfg(config), bank(cfg.counterBits),
       historyMask(static_cast<std::uint32_t>(mask(cfg.historyBits)))
 {
-    GHRP_ASSERT(cfg.historyBits >= cfg.shiftPerAccess);
-    GHRP_ASSERT(cfg.pcBitsPerAccess < cfg.shiftPerAccess);
+    static_assert(kGhrpPcBitsPerAccess < kGhrpShiftPerAccess);
+    GHRP_ASSERT(cfg.historyBits >= kGhrpShiftPerAccess);
     // Signatures are at most historyBits wide (the history/PC XOR is
     // masked); cache the whole index space when it is small enough,
     // otherwise indicesFor falls back to computing live.

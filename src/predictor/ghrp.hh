@@ -26,25 +26,45 @@
 namespace ghrp::predictor
 {
 
-/** Tuning knobs for GHRP (paper defaults). */
+/** History bits shifted per access (Algorithm 2). */
+constexpr unsigned kGhrpShiftPerAccess = 4;
+/** PC bits pushed per access, followed by one zero bit. */
+constexpr unsigned kGhrpPcBitsPerAccess = 3;
+/** Counter-sum thresholds of the summation vote (the "summation"
+ *  ablation): dead and bypass. */
+constexpr std::uint32_t kGhrpSumDeadThreshold = 12;
+constexpr std::uint32_t kGhrpSumBypassThreshold = 18;
+/**
+ * Low PC bits dropped before feeding the *history* register. With
+ * 4-byte instructions and 64-byte fetch blocks the informative unit of
+ * the path is the block number (pc >> 6); lower bits are zero for most
+ * fetch addresses and would push empty nibbles.
+ */
+constexpr unsigned kGhrpHistoryPcShift = 6;
+/**
+ * Low PC bits dropped before the signature XOR. Instruction grain
+ * (pc >> 2) keeps the *entry offset* into the block — whether the
+ * block was entered by fall-through or as a branch target — which is
+ * itself reuse-relevant context.
+ */
+constexpr unsigned kGhrpPcAlignShift = 2;
+
+/** Tuning knobs for GHRP (paper defaults). The geometry the paper
+ *  fixes is the constants above. */
 struct GhrpConfig
 {
-    std::uint32_t tableEntries = 4096; ///< entries per prediction table
     unsigned counterBits = 3;          ///< counter width (tuned; the
                                        ///< paper's 2-bit tables are the
                                        ///< "c2" ablation variant)
     unsigned historyBits = 16;         ///< path-history register width
-    unsigned shiftPerAccess = 4;       ///< history bits shifted per access
-    unsigned pcBitsPerAccess = 3;      ///< PC bits pushed per access
 
     std::uint32_t deadThreshold = 5;   ///< replacement vote threshold
     std::uint32_t bypassThreshold = 7; ///< bypass vote threshold (stricter)
     bool bypassEnabled = true;
 
-    /** BTB thresholds are tuned separately (paper Section III-E). */
+    /** BTB replacement threshold, tuned separately (paper Section
+     *  III-E). The BTB never bypasses. */
     std::uint32_t btbDeadThreshold = 5;
-    std::uint32_t btbBypassThreshold = 8; ///< > counter max disables
-    bool btbBypassEnabled = false;
 
     /**
      * Victim staleness guard: among predicted-dead blocks choose the
@@ -55,24 +75,6 @@ struct GhrpConfig
     bool requireStaleVictim = true;
 
     bool majorityVote = true;          ///< false = summation (ablation)
-    std::uint32_t sumDeadThreshold = 12;   ///< used when !majorityVote
-    std::uint32_t sumBypassThreshold = 18; ///< used when !majorityVote
-
-    /**
-     * Low PC bits dropped before feeding the *history* register. With
-     * 4-byte instructions and 64-byte fetch blocks the informative
-     * unit of the path is the block number (pc >> 6); lower bits are
-     * zero for most fetch addresses and would push empty nibbles.
-     */
-    unsigned historyPcShift = 6;
-
-    /**
-     * Low PC bits dropped before the signature XOR. Instruction grain
-     * (pc >> 2) keeps the *entry offset* into the block — whether the
-     * block was entered by fall-through or as a branch target — which
-     * is itself reuse-relevant context.
-     */
-    unsigned pcAlignShift = 2;
 };
 
 /**
@@ -89,8 +91,8 @@ class GhrpPredictor
     // ---- path history ---------------------------------------------
     /**
      * Push one access address into the speculative history: shift left
-     * by shiftPerAccess, insert pcBitsPerAccess low PC bits followed by
-     * a zero bit (Algorithm 2 of the paper).
+     * by kGhrpShiftPerAccess, insert kGhrpPcBitsPerAccess low PC bits
+     * followed by a zero bit (Algorithm 2 of the paper).
      */
     void
     updateSpecHistory(Addr pc)
@@ -124,7 +126,7 @@ class GhrpPredictor
     signatureFor(Addr pc, std::uint32_t history) const
     {
         const auto pc_hash = static_cast<std::uint32_t>(
-            bits(pc >> cfg.pcAlignShift, 0, cfg.historyBits));
+            bits(pc >> kGhrpPcAlignShift, 0, cfg.historyBits));
         return static_cast<std::uint16_t>((history ^ pc_hash) &
                                           historyMask);
     }
@@ -133,28 +135,21 @@ class GhrpPredictor
     bool
     predictDead(std::uint16_t sig) const
     {
-        return vote(sig, cfg.deadThreshold, cfg.sumDeadThreshold);
+        return vote(sig, cfg.deadThreshold, kGhrpSumDeadThreshold);
     }
 
     /** Dead prediction for @p sig at the bypass threshold. */
     bool
     predictBypass(std::uint16_t sig) const
     {
-        return vote(sig, cfg.bypassThreshold, cfg.sumBypassThreshold);
+        return vote(sig, cfg.bypassThreshold, kGhrpSumBypassThreshold);
     }
 
     /** Dead prediction at the BTB replacement threshold. */
     bool
     predictBtbDead(std::uint16_t sig) const
     {
-        return vote(sig, cfg.btbDeadThreshold, cfg.sumDeadThreshold);
-    }
-
-    /** Dead prediction at the BTB bypass threshold. */
-    bool
-    predictBtbBypass(std::uint16_t sig) const
-    {
-        return vote(sig, cfg.btbBypassThreshold, cfg.sumBypassThreshold);
+        return vote(sig, cfg.btbDeadThreshold, kGhrpSumDeadThreshold);
     }
 
     /** Train the tables: @p sig led to a dead block (eviction without
@@ -187,8 +182,8 @@ class GhrpPredictor
     pushHistory(std::uint32_t history, Addr pc) const
     {
         const auto pc_bits = static_cast<std::uint32_t>(
-            bits(pc >> cfg.historyPcShift, 0, cfg.pcBitsPerAccess));
-        return ((history << cfg.shiftPerAccess) | (pc_bits << 1)) &
+            bits(pc >> kGhrpHistoryPcShift, 0, kGhrpPcBitsPerAccess));
+        return ((history << kGhrpShiftPerAccess) | (pc_bits << 1)) &
                historyMask;
     }
 
@@ -380,14 +375,6 @@ class GhrpBtbReplacement final : public cache::ReplacementPolicy
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
 
-    bool
-    shouldBypass(const cache::AccessInfo &info) override
-    {
-        if (!pred.config().btbBypassEnabled)
-            return false;
-        return pred.predictBtbBypass(signatureFor(info.pc));
-    }
-
     std::uint32_t
     chooseVictim(const cache::AccessInfo &info) override
     {
@@ -503,14 +490,6 @@ class GhrpBtbDedicated final : public cache::ReplacementPolicy
     }
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
-
-    bool
-    shouldBypass(const cache::AccessInfo &info) override
-    {
-        if (!pred.config().btbBypassEnabled)
-            return false;
-        return pred.predictBtbBypass(pred.signature(info.pc));
-    }
 
     std::uint32_t
     chooseVictim(const cache::AccessInfo &info) override

@@ -21,30 +21,28 @@ namespace ghrp::predictor
 /** Number of skewed tables (the paper uses three). */
 constexpr unsigned numPredTables = 3;
 
+/** Entries per table (the paper's 4096: 12-bit hashes). */
+constexpr std::uint32_t kPredTableEntries = 4096;
+
 /** Indices into each of the three tables for one signature. */
 using TableIndices = std::array<std::uint32_t, numPredTables>;
 
 /**
- * Three skewed tables of saturating counters. Counters are stored as
- * raw integers with explicit saturation; the width is a constructor
- * parameter (2 bits for GHRP, 8 bits for the adapted SDBP).
+ * Three skewed tables of kPredTableEntries saturating counters.
+ * Counters are stored as raw integers with explicit saturation; the
+ * width is a constructor parameter (3 bits for GHRP, 8 bits for the
+ * adapted SDBP; the threshold ablation sweeps GHRP's 2..4).
  */
 class PredictionTables
 {
   public:
-    /**
-     * @param entries entries per table (power of two, 4096 in paper).
-     * @param counter_bits counter width, 1..8.
-     */
-    PredictionTables(std::uint32_t entries, unsigned counter_bits)
-        : numEntries(entries),
-          counterMax(static_cast<std::uint8_t>((1u << counter_bits) - 1)),
-          indexBits(floorLog2(entries))
+    /** @param counter_bits counter width, 1..8. */
+    explicit PredictionTables(unsigned counter_bits)
+        : counterMax(static_cast<std::uint8_t>((1u << counter_bits) - 1))
     {
-        GHRP_ASSERT(isPowerOf2(entries));
         GHRP_ASSERT(counter_bits >= 1 && counter_bits <= 8);
         for (auto &table : tables)
-            table.assign(entries, 0);
+            table.assign(kPredTableEntries, 0);
     }
 
     /**
@@ -62,7 +60,7 @@ class PredictionTables
         TableIndices idx;
         for (unsigned t = 0; t < numPredTables; ++t) {
             const std::uint32_t h = signature * kMul[t];
-            idx[t] = (h >> (32 - indexBits)) & (numEntries - 1);
+            idx[t] = (h >> (32 - kIndexBits)) & (kPredTableEntries - 1);
         }
         return idx;
     }
@@ -149,10 +147,9 @@ class PredictionTables
     clear()
     {
         for (auto &table : tables)
-            table.assign(numEntries, 0);
+            table.assign(kPredTableEntries, 0);
     }
 
-    std::uint32_t entriesPerTable() const { return numEntries; }
     std::uint8_t counterMaximum() const { return counterMax; }
 
     /** Total storage in bits (for the Table I storage model). */
@@ -165,13 +162,14 @@ class PredictionTables
             ++bits;
             v >>= 1;
         }
-        return static_cast<std::uint64_t>(numPredTables) * numEntries * bits;
+        return static_cast<std::uint64_t>(numPredTables) *
+               kPredTableEntries * bits;
     }
 
   private:
-    std::uint32_t numEntries;
+    static constexpr unsigned kIndexBits = floorLog2(kPredTableEntries);
+
     std::uint8_t counterMax;
-    unsigned indexBits;
     std::array<std::vector<std::uint8_t>, numPredTables> tables;
     std::vector<TableIndices> indexLut; ///< per-signature index cache
 };

@@ -6,13 +6,11 @@ namespace ghrp::predictor
 {
 
 SdbpReplacement::SdbpReplacement(const SdbpConfig &config)
-    : cfg(config), bank(cfg.tableEntries, cfg.counterBits)
+    : cfg(config), bank(kSdbpCounterBits)
 {
-    // The partial-PC signature space is only 2^signatureBits wide:
-    // precompute every signature's skewed table indices once. Wider
-    // (unusual) configurations fall back to live index computation.
-    if (cfg.signatureBits <= 16)
-        bank.enableIndexCache(1u << cfg.signatureBits);
+    // The partial-PC signature space is only 2^kSdbpSignatureBits wide:
+    // precompute every signature's skewed table indices once.
+    bank.enableIndexCache(1u << kSdbpSignatureBits);
 }
 
 void
@@ -35,7 +33,7 @@ SdbpReplacement::storageBits() const
     const std::uint64_t frames = static_cast<std::uint64_t>(sets) * ways;
     // Sampler entry: valid + prediction + 3 LRU bits + signature + tag.
     const std::uint64_t sampler_bits =
-        frames * (1 + 1 + 3 + cfg.signatureBits + cfg.samplerTagBits);
+        frames * (1 + 1 + 3 + kSdbpSignatureBits + kSdbpSamplerTagBits);
     // Main-cache metadata: prediction bit + 3 LRU bits per block.
     const std::uint64_t block_bits = frames * (1 + 3);
     return bank.storageBits() + sampler_bits + block_bits;

@@ -27,23 +27,22 @@
 namespace ghrp::predictor
 {
 
-/** Tuning knobs for the adapted SDBP. */
+/** Counter width: 8 bits, modified from the original 2. */
+constexpr unsigned kSdbpCounterBits = 8;
+/** Partial-PC signature width. */
+constexpr unsigned kSdbpSignatureBits = 12;
+/** Partial-tag width in the sampler. */
+constexpr unsigned kSdbpSamplerTagBits = 16;
+/** Low PC bits dropped before hashing: block-number granularity,
+ *  making SDBP the pure per-block dead predictor that Section II-A says
+ *  PC-based prediction degenerates to for instruction streams. */
+constexpr unsigned kSdbpPcAlignShift = 6;
+
+/** Tuning knobs for the adapted SDBP: its counter-sum thresholds. */
 struct SdbpConfig
 {
-    std::uint32_t tableEntries = 4096;
-    unsigned counterBits = 8;       ///< modified from the original 2
-    unsigned signatureBits = 12;    ///< partial-PC signature width
-    unsigned samplerTagBits = 16;   ///< partial tags in the sampler
-
     std::uint32_t deadThreshold = 64;    ///< counter-sum threshold
     std::uint32_t bypassThreshold = 160; ///< stricter for bypass
-    bool bypassEnabled = true;
-
-    /** Low PC bits dropped before hashing: block-number granularity,
-     *  making SDBP the pure per-block dead predictor that Section II-A
-     *  says PC-based prediction degenerates to for instruction
-     *  streams. */
-    unsigned pcAlignShift = 6;
 };
 
 /**
@@ -63,8 +62,6 @@ class SdbpReplacement final : public cache::ReplacementPolicy
     shouldBypass(const cache::AccessInfo &info) override
     {
         sampleAccess(info);
-        if (!cfg.bypassEnabled)
-            return false;
         return bank.sumVote(bank.indicesFor(signatureFor(info)),
                             cfg.bypassThreshold);
     }
@@ -119,7 +116,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
     partialPc(Addr pc) const
     {
         return static_cast<std::uint16_t>(
-            foldXor(pc >> cfg.pcAlignShift, cfg.signatureBits));
+            foldXor(pc >> kSdbpPcAlignShift, kSdbpSignatureBits));
     }
 
     /** Dead prediction at the replacement threshold (for tests). */
@@ -197,7 +194,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
     samplerTag(Addr addr) const
     {
         return static_cast<std::uint16_t>(
-            foldXor(addr, cfg.samplerTagBits));
+            foldXor(addr, kSdbpSamplerTagBits));
     }
 
     /**

@@ -1,16 +1,7 @@
 #include "predictor/ship.hh"
 
-#include "util/logging.hh"
-
 namespace ghrp::predictor
 {
-
-ShipReplacement::ShipReplacement(const ShipConfig &config)
-    : cfg(config), rrpv(cfg.rrpvBits)
-{
-    GHRP_ASSERT(isPowerOf2(cfg.shctEntries));
-    GHRP_ASSERT(cfg.shctBits >= 1 && cfg.shctBits <= 8);
-}
 
 void
 ShipReplacement::reset(std::uint32_t num_sets, std::uint32_t num_ways)
@@ -20,13 +11,13 @@ ShipReplacement::reset(std::uint32_t num_sets, std::uint32_t num_ways)
     meta.assign(static_cast<std::size_t>(num_sets) * ways, Meta{});
     // SHCT counters start weakly re-referenced so cold signatures are
     // not all inserted distant before any training.
-    shct.assign(cfg.shctEntries, 1);
+    shct.assign(kShipShctEntries, 1);
 }
 
 std::uint32_t
 ShipReplacement::shctOf(std::uint32_t sig) const
 {
-    return shct[sig & (cfg.shctEntries - 1)];
+    return shct[sig & (kShipShctEntries - 1)];
 }
 
 } // namespace ghrp::predictor

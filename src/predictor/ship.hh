@@ -25,22 +25,22 @@
 namespace ghrp::predictor
 {
 
-/** Tuning knobs for the adapted SHiP. */
-struct ShipConfig
-{
-    std::uint32_t shctEntries = 16384; ///< signature counter table size
-    unsigned shctBits = 3;             ///< SHCT counter width
-    unsigned rrpvBits = 2;             ///< RRIP value width
-    unsigned signatureBits = 14;       ///< signature hash width
-    /** Low PC bits dropped before hashing (block grain, see above). */
-    unsigned pcAlignShift = 6;
-};
+/** Signature counter table (SHCT) size. */
+constexpr std::uint32_t kShipShctEntries = 16384;
+/** SHCT counter width. */
+constexpr unsigned kShipShctBits = 3;
+/** RRIP value width. */
+constexpr unsigned kShipRrpvBits = 2;
+/** Signature hash width. */
+constexpr unsigned kShipSignatureBits = 14;
+/** Low PC bits dropped before hashing (block grain, see above). */
+constexpr unsigned kShipPcAlignShift = 6;
 
 /** SHiP replacement policy (SRRIP + signature-steered insertion). */
 class ShipReplacement final : public cache::ReplacementPolicy
 {
   public:
-    explicit ShipReplacement(const ShipConfig &config = ShipConfig{});
+    ShipReplacement() : rrpv(kShipRrpvBits) {}
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
 
@@ -58,7 +58,7 @@ class ShipReplacement final : public cache::ReplacementPolicy
             // First re-reference of this generation: the signature is
             // a hitter.
             std::uint8_t &counter = shct[m.signature];
-            if (counter < (1u << cfg.shctBits) - 1)
+            if (counter < (1u << kShipShctBits) - 1)
                 ++counter;
             m.wasReused = true;
         }
@@ -97,9 +97,9 @@ class ShipReplacement final : public cache::ReplacementPolicy
     signatureOf(Addr pc) const
     {
         const std::uint64_t h =
-            (pc >> cfg.pcAlignShift) * 0x9E3779B97F4A7C15ull;
+            (pc >> kShipPcAlignShift) * 0x9E3779B97F4A7C15ull;
         return static_cast<std::uint32_t>(
-            (h >> (64 - cfg.signatureBits)) & (cfg.shctEntries - 1));
+            (h >> (64 - kShipSignatureBits)) & (kShipShctEntries - 1));
     }
 
     /** Current SHCT counter for @p sig (exposed for tests). */
@@ -118,7 +118,6 @@ class ShipReplacement final : public cache::ReplacementPolicy
         return static_cast<std::size_t>(set) * ways + way;
     }
 
-    ShipConfig cfg;
     cache::RrpvTable rrpv;
     std::uint32_t ways = 0;
     std::vector<Meta> meta;

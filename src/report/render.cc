@@ -434,6 +434,12 @@ diffReports(const RunReport &baseline, const RunReport &candidate,
             mtable.addRow({name, known ? fmt("%.6g", it->second) : "-",
                            fmt("%.6g", value),
                            known ? fmt("%+.6g", delta) : "new"});
+            if (known)
+                base_metrics.erase(it);
+        }
+        for (const auto &[name, value] : base_metrics) {
+            result.mpkiChanged = true;
+            mtable.addRow({name, fmt("%.6g", value), "-", "removed"});
         }
         text += mtable.render();
     } else {

@@ -79,13 +79,14 @@ struct DiffResult
 
 /**
  * Compare two reports: per-policy I-cache/BTB mean-MPKI deltas
- * (policies matched by name), every (trace, policy) leg's JSON minus
- * its wall time, and sweep throughput. A leg present in only one
- * report, or carrying a duel or phases subtree the other's lacks, is a
- * change. With options.check, any MPKI change beyond epsilon, any
- * changed leg or a legs/s drop beyond maxRegressPct fails the gate —
- * counters are bit-deterministic across hosts, throughput is not,
- * hence the split thresholds.
+ * (policies matched by name; for reports without policies, every named
+ * metric, one present in only one report counting as a change), every
+ * (trace, policy) leg's JSON minus its wall time, and sweep
+ * throughput. A leg present in only one report, or carrying a duel or
+ * phases subtree the other's lacks, is a change. With options.check,
+ * any MPKI change beyond epsilon, any changed leg or a legs/s drop
+ * beyond maxRegressPct fails the gate — counters are bit-deterministic
+ * across hosts, throughput is not, hence the split thresholds.
  */
 DiffResult diffReports(const RunReport &baseline, const RunReport &candidate,
                        const DiffOptions &options = {});

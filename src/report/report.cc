@@ -603,7 +603,6 @@ suiteOptionsToJson(const core::SuiteOptions &options)
     j.set("direction", directionName(options.base.direction));
     j.set("warmupFraction", options.base.warmupFraction);
     j.set("warmupCapInstructions", options.base.warmupCapInstructions);
-    j.set("useRas", options.base.useRas);
     j.set("useIndirectPredictor", options.base.useIndirectPredictor);
     j.set("nextLinePrefetch", options.base.nextLinePrefetch);
     j.set("ghrpDedicatedBtb", options.base.ghrpDedicatedBtb);

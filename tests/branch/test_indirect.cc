@@ -57,27 +57,34 @@ TEST(Indirect, HistoryUpdatesOnEveryResolve)
 
 TEST(Indirect, ConfidenceProtectsResidentEntries)
 {
-    IndirectConfig cfg;
-    cfg.entries = 16;  // force conflicts
-    IndirectPredictor p(cfg);
-    // Build confidence on one branch...
-    for (int i = 0; i < 3; ++i)
-        p.update(0x1000, 0x2000);
-    // ...then a single conflicting update must not immediately steal
-    // the entry (it only ages confidence).
-    // (Exact aliasing is hash-dependent; this is a smoke check that
-    // updates never crash and predictions stay type-sound.)
-    p.update(0x5554, 0x9000);
-    SUCCEED();
+    // A stable target settles the history at a fixed point H, where
+    // the entry of pc A gains confidence.
+    IndirectPredictor p;
+    const Addr pc_a = 0x1000;
+    for (int i = 0; i < 6; ++i)
+        p.update(pc_a, 0x2000);
+    const std::uint32_t h = p.history();
+    const std::uint32_t entry = p.indexOf(pc_a);
+
+    // A second PC on the same entry with another tag.
+    Addr pc_b = pc_a + 4;
+    while (p.indexOf(pc_b) != entry || p.tagOf(pc_b) == p.tagOf(pc_a))
+        pc_b += 4;
+
+    // 0x42000 differs from 0x2000 only above the 16 history bits the
+    // fold keeps, so the conflicting update leaves the history at H.
+    p.update(pc_b, 0x42000);
+    ASSERT_EQ(p.history(), h);
+    // One conflict only ages the confident resident entry.
+    const auto predicted = p.predict(pc_a);
+    ASSERT_TRUE(predicted.has_value());
+    EXPECT_EQ(*predicted, 0x2000u);
+    EXPECT_FALSE(p.predict(pc_b).has_value());
 }
 
 TEST(Indirect, StorageBits)
 {
-    IndirectConfig cfg;
-    cfg.entries = 2048;
-    cfg.tagBits = 10;
-    cfg.confBits = 2;
-    IndirectPredictor p(cfg);
+    IndirectPredictor p;
     EXPECT_EQ(p.storageBits(), 2048ull * (1 + 10 + 64 + 2));
 }
 

@@ -13,7 +13,6 @@ using namespace ghrp::core;
 TEST(Storage, GhrpBudgetComponents)
 {
     predictor::GhrpConfig cfg;
-    cfg.tableEntries = 4096;
     cfg.counterBits = 2;
     cfg.historyBits = 16;
     const cache::CacheConfig icache = cache::CacheConfig::icache(64, 8);
@@ -59,9 +58,8 @@ TEST(Storage, PaperExampleOrderOfMagnitude)
 TEST(Storage, SdbpLargerThanGhrp)
 {
     predictor::GhrpConfig gcfg;
-    predictor::SdbpConfig scfg;
     const cache::CacheConfig icache = cache::CacheConfig::icache(64, 8);
-    EXPECT_GT(sdbpStorage(icache, scfg).totalBits(),
+    EXPECT_GT(sdbpStorage(icache).totalBits(),
               ghrpStorage(icache, gcfg, 4096).totalBits());
 }
 

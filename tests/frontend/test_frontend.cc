@@ -66,19 +66,9 @@ TEST(Frontend, RasPredictsReturn)
     const FrontendResult r = simulateTrace(cfg, tinyTrace());
     EXPECT_EQ(r.rasReturns, 1u);
     EXPECT_EQ(r.rasMispredicts, 0u);
-    // With the RAS on, the return never touches the BTB: 3 taken loop
+    // The return never touches the BTB: 3 taken loop
     // iterations + call + final jump = 5 accesses.
     EXPECT_EQ(r.btb.accesses, 5u);
-}
-
-TEST(Frontend, ReturnsUseBtbWhenRasDisabled)
-{
-    FrontendConfig cfg;
-    cfg.warmupFraction = 0.0;
-    cfg.useRas = false;
-    const FrontendResult r = simulateTrace(cfg, tinyTrace());
-    EXPECT_EQ(r.rasReturns, 0u);
-    EXPECT_EQ(r.btb.accesses, 6u);  // the return now accesses the BTB
 }
 
 TEST(Frontend, CoalescesSameBlockFetches)

@@ -59,7 +59,7 @@ walkStructures(const FrontendConfig &cfg, const trace::Trace &tr,
         oracleDirection(cfg.direction);
     std::optional<branch::IndirectPredictor> indirect;
     if (cfg.useIndirectPredictor)
-        indirect.emplace(cfg.indirect);
+        indirect.emplace();
     branch::ReturnAddressStack ras;
 
     FrontendResult result;
@@ -133,7 +133,7 @@ walkStructures(const FrontendConfig &cfg, const trace::Trace &tr,
 
         // ---- BTB and RAS -------------------------------------------
         if (rec.taken) {
-            if (rec.type == trace::BranchType::Return && cfg.useRas) {
+            if (rec.type == trace::BranchType::Return) {
                 ++result.rasReturns;
                 if (ras.pop() != rec.target)
                     ++result.rasMispredicts;
@@ -156,7 +156,7 @@ walkStructures(const FrontendConfig &cfg, const trace::Trace &tr,
                     ++result.btbTargetMismatches;
             }
         }
-        if (trace::isCall(rec.type) && rec.taken && cfg.useRas)
+        if (trace::isCall(rec.type) && rec.taken)
             ras.push(rec.pc + cfg.instBytes);
 
         // ---- warm-up boundary: zero the measured statistics ---------

@@ -14,7 +14,7 @@ using namespace ghrp::predictor;
 TEST(GhrpHistory, UpdateFormula)
 {
     GhrpPredictor p;
-    // historyPcShift = 6: push ((pc >> 6) & 7) << 1.
+    // kGhrpHistoryPcShift = 6: push ((pc >> 6) & 7) << 1.
     p.updateSpecHistory(0x40);  // block 1 -> nibble 0b0010
     EXPECT_EQ(p.specHistory(), 0b0010u);
     p.updateSpecHistory(0xC0);  // block 3 -> nibble 0b0110
@@ -84,16 +84,25 @@ TEST(GhrpVote, ThresholdsRespected)
 
 TEST(GhrpVote, SummationMode)
 {
+    // The summation vote reads the three counters' sum against the
+    // constant thresholds: dead at 12, bypass at 18.
+    static_assert(kGhrpSumDeadThreshold == 12);
+    static_assert(kGhrpSumBypassThreshold == 18);
     GhrpConfig cfg;
     cfg.majorityVote = false;
-    cfg.counterBits = 2;
-    cfg.sumDeadThreshold = 6;
+    cfg.counterBits = 3;
     GhrpPredictor p(cfg);
     const std::uint16_t sig = 0x777;
-    p.train(sig, true);  // sum 3
+    for (int i = 0; i < 3; ++i)
+        p.train(sig, true);  // sum 9
     EXPECT_FALSE(p.predictDead(sig));
-    p.train(sig, true);  // sum 6
+    p.train(sig, true);  // sum 12
     EXPECT_TRUE(p.predictDead(sig));
+    EXPECT_FALSE(p.predictBypass(sig));
+    p.train(sig, true);  // sum 15
+    EXPECT_FALSE(p.predictBypass(sig));
+    p.train(sig, true);  // sum 18
+    EXPECT_TRUE(p.predictBypass(sig));
 }
 
 TEST(GhrpVote, LiveTrainingClears)
@@ -111,7 +120,6 @@ TEST(GhrpVote, LiveTrainingClears)
 TEST(GhrpStorage, TableAndHistoryBits)
 {
     GhrpConfig cfg;
-    cfg.tableEntries = 4096;
     cfg.counterBits = 2;
     GhrpPredictor p(cfg);
     EXPECT_EQ(p.storageBits(), 3ull * 4096 * 2 + 2 * 16);

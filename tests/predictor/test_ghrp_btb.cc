@@ -121,13 +121,4 @@ TEST_F(BtbCouplingFixture, HitRefreshesDeadBit)
     EXPECT_EQ(btb_policy_ptr->couplingStats().predictedDead, before + 1);
 }
 
-TEST_F(BtbCouplingFixture, BtbBypassDisabledByDefault)
-{
-    GhrpConfig cfg;
-    EXPECT_FALSE(cfg.btbBypassEnabled);
-    // With bypass disabled every taken miss allocates.
-    btb.accessTaken(0x400100, 0x1);
-    EXPECT_TRUE(btb.predictTarget(0x400100).has_value());
-}
-
 } // anonymous namespace

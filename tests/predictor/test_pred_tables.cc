@@ -11,12 +11,12 @@ using namespace ghrp::predictor;
 
 TEST(PredTables, IndicesDeterministicAndInRange)
 {
-    PredictionTables bank(4096, 2);
+    PredictionTables bank(2);
     const TableIndices a = bank.computeIndices(0x1234);
     const TableIndices b = bank.computeIndices(0x1234);
     for (unsigned t = 0; t < numPredTables; ++t) {
         EXPECT_EQ(a[t], b[t]);
-        EXPECT_LT(a[t], 4096u);
+        EXPECT_LT(a[t], kPredTableEntries);
     }
 }
 
@@ -24,7 +24,7 @@ TEST(PredTables, TablesAreSkewed)
 {
     // Two signatures that collide in one table should rarely collide
     // in the others; check the three hashes differ for typical inputs.
-    PredictionTables bank(4096, 2);
+    PredictionTables bank(2);
     int all_same = 0;
     for (std::uint32_t sig = 0; sig < 1024; ++sig) {
         const TableIndices idx = bank.computeIndices(sig);
@@ -36,7 +36,7 @@ TEST(PredTables, TablesAreSkewed)
 
 TEST(PredTables, TrainSaturates)
 {
-    PredictionTables bank(256, 2);
+    PredictionTables bank(2);
     const TableIndices idx = bank.computeIndices(7);
     for (int i = 0; i < 10; ++i)
         bank.train(idx, true);
@@ -50,7 +50,7 @@ TEST(PredTables, TrainSaturates)
 
 TEST(PredTables, MajorityVote)
 {
-    PredictionTables bank(256, 2);
+    PredictionTables bank(2);
     const TableIndices idx = bank.computeIndices(42);
     EXPECT_FALSE(bank.majorityVote(idx, 1));
     bank.train(idx, true);  // all three counters -> 1
@@ -60,7 +60,7 @@ TEST(PredTables, MajorityVote)
 
 TEST(PredTables, MajorityNeedsTwoOfThree)
 {
-    PredictionTables bank(256, 2);
+    PredictionTables bank(2);
     const TableIndices idx = bank.computeIndices(42);
     bank.train(idx, true);
     bank.train(idx, true);
@@ -72,7 +72,7 @@ TEST(PredTables, MajorityNeedsTwoOfThree)
 
 TEST(PredTables, SumVote)
 {
-    PredictionTables bank(256, 8);
+    PredictionTables bank(8);
     const TableIndices idx = bank.computeIndices(9);
     for (int i = 0; i < 5; ++i)
         bank.train(idx, true);
@@ -83,7 +83,7 @@ TEST(PredTables, SumVote)
 
 TEST(PredTables, ClearZeroes)
 {
-    PredictionTables bank(256, 2);
+    PredictionTables bank(2);
     const TableIndices idx = bank.computeIndices(1);
     bank.train(idx, true);
     bank.clear();
@@ -92,9 +92,9 @@ TEST(PredTables, ClearZeroes)
 
 TEST(PredTables, StorageBits)
 {
-    PredictionTables bank2(4096, 2);
+    PredictionTables bank2(2);
     EXPECT_EQ(bank2.storageBits(), 3ull * 4096 * 2);
-    PredictionTables bank8(4096, 8);
+    PredictionTables bank8(8);
     EXPECT_EQ(bank8.storageBits(), 3ull * 4096 * 8);
 }
 

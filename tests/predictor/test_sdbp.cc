@@ -30,7 +30,7 @@ TEST(Sdbp, PartialPcStable)
 
 TEST(Sdbp, BlockGranularSignature)
 {
-    // pcAlignShift = 6: all PCs within one 64B block share a signature
+    // kSdbpPcAlignShift = 6: all PCs within one 64B block share a signature
     // (Section II-A: the PC itself indexes the structure).
     SdbpReplacement p(testConfig());
     p.reset(4, 2);

@@ -387,4 +387,22 @@ TEST(Diff, MetricOnlyReportsCompareMetrics)
     EXPECT_NE(result.text.find("kib"), std::string::npos);
 }
 
+TEST(Diff, MetricMissingFromCandidateIsAChange)
+{
+    RunReport base, cand;
+    base.experiment = cand.experiment = "ablation_ghrp";
+    base.metrics = {{"kib", 5.8}, {"pct", 9.1}};
+    cand.metrics = {{"kib", 5.8}};
+
+    DiffOptions options;
+    options.check = true;
+    const DiffResult result = report::diffReports(base, cand, options);
+    EXPECT_TRUE(result.mpkiChanged);
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.text.find("removed"), std::string::npos);
+
+    // The same metrics on both sides pass.
+    EXPECT_TRUE(report::diffReports(base, base, options).ok());
+}
+
 } // namespace
