@@ -57,8 +57,6 @@ main(int argc, char **argv)
          [](frontend::FrontendConfig &c) { c.ghrp.bypassThreshold = 2; }},
         {"history 8 bits (2 accesses)",
          [](frontend::FrontendConfig &c) { c.ghrp.historyBits = 8; }},
-        {"history 24 bits (6 accesses)",
-         [](frontend::FrontendConfig &c) { c.ghrp.historyBits = 24; }},
         {"no staleness guard",
          [](frontend::FrontendConfig &c) {
              c.ghrp.requireStaleVictim = false;

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,8 +165,10 @@ benchConfig(const frontend::PolicySpec &policy)
 
 /** Per-access cost of a full leg of @p policy: the stream is decoded
  *  and its direction stream resolved once outside the loop, as the
- *  suite runner does, so each iteration is pure simulation. main()
- *  registers one per policy (BM_LegDecodedPreResolved/<policy>). */
+ *  suite runner does, and each iteration's fresh FrontendSim is built
+ *  (and the last one destroyed) with the timer paused, so the timed
+ *  region is pure simulation. main() registers one per policy
+ *  (BM_LegDecodedPreResolved/<policy>). */
 void
 BM_LegDecodedPreResolved(benchmark::State &state,
                          const frontend::PolicySpec &policy)
@@ -173,9 +176,12 @@ BM_LegDecodedPreResolved(benchmark::State &state,
     trace::DecodedTrace dec = trace::decodeTrace(benchTrace(), 64, 4);
     frontend::resolveDirectionStream(
         dec, frontend::DirectionKind::HashedPerceptron);
+    std::optional<frontend::FrontendSim> sim;
     for (auto _ : state) {
-        frontend::FrontendSim sim(benchConfig(policy));
-        benchmark::DoNotOptimize(sim.run(dec));
+        state.PauseTiming();
+        sim.emplace(benchConfig(policy));
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(sim->run(dec));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(dec.numFetchOps()));

@@ -41,6 +41,7 @@ main(int argc, char **argv)
     core::CliOptions cli(argc, argv);
     cli.requireKnownFlags();
     const std::string report_path = cli.getString("report", "");
+    core::applyLogLevel(cli);
 
     std::printf("=== Table I: storage requirements ===\n\n");
 

@@ -69,9 +69,10 @@ class HashedPerceptron final : public DirectionPredictor
             const std::uint32_t history =
                 t == 0 ? 0
                        : outcomeFold[t] ^
-                             foldHistory(
+                             static_cast<std::uint32_t>(foldXor(
                                  (pathHistory & mask(kHistoryLengths[t])) *
-                                 0x9E3779B97F4A7C15ull);
+                                     0x9E3779B97F4A7C15ull,
+                                 kFoldBits));
             index[t] = t * kTableEntries +
                        ((((pc_bits ^ history) * multiplier(t)) >> 13) &
                         (kTableEntries - 1));
@@ -143,29 +144,15 @@ class HashedPerceptron final : public DirectionPredictor
         return static_cast<std::uint32_t>(0x2545F4914F6CDD1Dull + 2 * t);
     }
 
-    /**
-     * foldXor(v, kFoldBits), branch-free: xor-folding zero high chunks
-     * is a no-op, so the loop runs over all 64 bits unconditionally,
-     * and since xor is bitwise the chunks are masked once, at the end.
-     */
-    static std::uint32_t
-    foldHistory(std::uint64_t v)
-    {
-        std::uint64_t folded = 0;
-        for (unsigned s = 0; s < 64; s += kFoldBits)
-            folded ^= v >> s;
-        return static_cast<std::uint32_t>(folded & kFoldMask);
-    }
-
     /** Every table's weights in one array: table t's entry i is at
      *  t * kTableEntries + i. */
     alignas(64) std::array<std::int8_t, kTables * kTableEntries> weights{};
 
     /**
-     * Per table, foldHistory(outcomeHistory & mask(length)), kept up to
-     * date in O(1) per branch (TAGE-style circular folding): history
-     * bit i sits at fold position i mod kFoldBits. Entry 0, the bias
-     * table's, stays 0.
+     * Per table, foldXor(outcomeHistory & mask(length), kFoldBits),
+     * kept up to date in O(1) per branch (TAGE-style circular folding):
+     * history bit i sits at fold position i mod kFoldBits. Entry 0, the
+     * bias table's, stays 0.
      */
     std::array<std::uint32_t, kTables> outcomeFold{};
     std::uint64_t outcomeHistory = 0; ///< global direction history

@@ -80,7 +80,7 @@ class TagStore
      * Probe without modifying any state (no recency update, no fill).
      * @return the way holding @p addr, if present.
      */
-    std::optional<std::uint32_t>
+    [[gnu::always_inline]] std::optional<std::uint32_t>
     probe(Addr addr) const
     {
         const Addr tag = blockAddress(addr);
@@ -113,7 +113,7 @@ class TagStore
      * absent), so the hint can never disagree with the search — it is
      * purely a shortcut, never a semantic change.
      */
-    std::uint32_t
+    [[gnu::always_inline]] std::uint32_t
     findWay(std::size_t row, std::uint32_t set, Addr tag) const
     {
         const std::uint32_t hint = lastHitWay[set];

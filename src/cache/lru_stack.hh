@@ -41,7 +41,7 @@ class LruStack
     }
 
     /** Promote (set, way) to MRU. */
-    void
+    [[gnu::always_inline]] void
     touch(std::uint32_t set, std::uint32_t way)
     {
         // Hot path: one bounds check for the whole row, then a

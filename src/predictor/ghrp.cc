@@ -12,12 +12,10 @@ GhrpPredictor::GhrpPredictor(const GhrpConfig &config)
       historyMask(static_cast<std::uint32_t>(mask(cfg.historyBits)))
 {
     static_assert(kGhrpPcBitsPerAccess < kGhrpShiftPerAccess);
-    GHRP_ASSERT(cfg.historyBits >= kGhrpShiftPerAccess);
-    // Signatures are at most historyBits wide (the history/PC XOR is
-    // masked); cache the whole index space when it is small enough,
-    // otherwise indicesFor falls back to computing live.
-    if (cfg.historyBits <= 16)
-        bank.enableIndexCache(1u << cfg.historyBits);
+    // Signatures are historyBits wide and stored in 16 bits: a wider
+    // history would be cut off silently.
+    GHRP_ASSERT(cfg.historyBits >= kGhrpShiftPerAccess &&
+                cfg.historyBits <= 16);
 }
 
 std::uint64_t

@@ -56,7 +56,8 @@ struct GhrpConfig
     unsigned counterBits = 3;          ///< counter width (tuned; the
                                        ///< paper's 2-bit tables are the
                                        ///< "c2" ablation variant)
-    unsigned historyBits = 16;         ///< path-history register width
+    unsigned historyBits = 16;         ///< path-history register width,
+                                       ///< 4..16 (signatures are 16-bit)
 
     std::uint32_t deadThreshold = 5;   ///< replacement vote threshold
     std::uint32_t bypassThreshold = 7; ///< bypass vote threshold (stricter)
@@ -157,7 +158,7 @@ class GhrpPredictor
     void
     train(std::uint16_t sig, bool dead)
     {
-        bank.train(bank.indicesFor(sig), dead);
+        bank.train(bank.computeIndices(sig), dead);
     }
 
     const GhrpConfig &config() const { return cfg; }
@@ -167,11 +168,11 @@ class GhrpPredictor
     std::uint64_t storageBits() const;
 
   private:
-    bool
+    [[gnu::always_inline]] bool
     vote(std::uint16_t sig, std::uint32_t majority_threshold,
          std::uint32_t sum_threshold) const
     {
-        const TableIndices &idx = bank.indicesFor(sig);
+        const TableIndices idx = bank.computeIndices(sig);
         if (cfg.majorityVote)
             return bank.majorityVote(idx, majority_threshold);
         return bank.sumVote(idx, sum_threshold);
@@ -431,7 +432,7 @@ class GhrpBtbReplacement final : public cache::ReplacementPolicy
      * scheme), else a freshly computed one from the current history
      * (block bypassed or already evicted).
      */
-    std::uint16_t
+    [[gnu::always_inline]] std::uint16_t
     signatureFor(Addr pc)
     {
         if (auto way = icache.probe(pc)) {
@@ -443,7 +444,7 @@ class GhrpBtbReplacement final : public cache::ReplacementPolicy
     }
 
     /** Refresh the dead bit and recency of the accessed entry. */
-    void
+    [[gnu::always_inline]] void
     predictAt(const cache::AccessInfo &info, std::uint32_t way)
     {
         ++coupling.accesses;

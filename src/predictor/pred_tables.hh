@@ -9,8 +9,8 @@
 #define GHRP_PREDICTOR_PRED_TABLES_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "util/bit_ops.hh"
 #include "util/logging.hh"
@@ -28,10 +28,13 @@ constexpr std::uint32_t kPredTableEntries = 4096;
 using TableIndices = std::array<std::uint32_t, numPredTables>;
 
 /**
- * Three skewed tables of kPredTableEntries saturating counters.
- * Counters are stored as raw integers with explicit saturation; the
- * width is a constructor parameter (3 bits for GHRP, 8 bits for the
- * adapted SDBP; the threshold ablation sweeps GHRP's 2..4).
+ * Three skewed tables of kPredTableEntries saturating counters, held
+ * in one fixed-size array: table t's entry i is counters[t *
+ * kPredTableEntries + i], so each table's offset is an addressing-mode
+ * displacement and the whole bank (12 KiB) stays in L1. Counters are
+ * raw integers with explicit saturation; the width is a constructor
+ * parameter (3 bits for GHRP, 8 bits for the adapted SDBP; the
+ * threshold ablation sweeps GHRP's 2..4).
  */
 class PredictionTables
 {
@@ -41,63 +44,37 @@ class PredictionTables
         : counterMax(static_cast<std::uint8_t>((1u << counter_bits) - 1))
     {
         GHRP_ASSERT(counter_bits >= 1 && counter_bits <= 8);
-        for (auto &table : tables)
-            table.assign(kPredTableEntries, 0);
     }
 
     /**
-     * Compute the three skewed indices for @p signature.
+     * Compute the three skewed indices for @p signature, each within
+     * its own table.
      *
      * Each table uses a distinct multiplicative hash so aliasing in one
      * table is uncorrelated with aliasing in the others (the paper's
-     * "three different 12-bit hashes of the 16-bit signature").
+     * "three different 12-bit hashes of the 16-bit signature"). Three
+     * multiplies and shifts: cheaper per access than a per-signature
+     * lookup table, which would not fit in L1.
      */
-    TableIndices
-    computeIndices(std::uint32_t signature) const
+    static TableIndices
+    computeIndices(std::uint32_t signature)
     {
         static constexpr std::uint32_t kMul[numPredTables] = {
             0x9E3779B1u, 0x85EBCA77u, 0xC2B2AE3Du};
         TableIndices idx;
-        for (unsigned t = 0; t < numPredTables; ++t) {
-            const std::uint32_t h = signature * kMul[t];
-            idx[t] = (h >> (32 - kIndexBits)) & (kPredTableEntries - 1);
-        }
+        for (unsigned t = 0; t < numPredTables; ++t)
+            idx[t] = (signature * kMul[t]) >> (32 - kIndexBits);
         return idx;
-    }
-
-    /**
-     * Precompute the skewed indices of every signature below
-     * @p num_signatures (the signature space is small: 2^16 for GHRP,
-     * 2^12 for SDBP). The per-access triple multiply/shift then becomes
-     * one table load in indicesFor(). Identical values to
-     * computeIndices by construction.
-     */
-    void
-    enableIndexCache(std::uint32_t num_signatures)
-    {
-        indexLut.resize(num_signatures);
-        for (std::uint32_t sig = 0; sig < num_signatures; ++sig)
-            indexLut[sig] = computeIndices(sig);
-    }
-
-    /** Indices for @p signature: one LUT load when enableIndexCache
-     *  covers it, a live computeIndices otherwise. */
-    TableIndices
-    indicesFor(std::uint32_t signature) const
-    {
-        if (signature < indexLut.size()) [[likely]]
-            return indexLut[signature];
-        return computeIndices(signature);
     }
 
     /** Read the three counters at @p idx. */
     std::array<std::uint8_t, numPredTables>
     readCounters(const TableIndices &idx) const
     {
-        std::array<std::uint8_t, numPredTables> counters;
+        std::array<std::uint8_t, numPredTables> values;
         for (unsigned t = 0; t < numPredTables; ++t)
-            counters[t] = tables[t][idx[t]];
-        return counters;
+            values[t] = at(t, idx);
+        return values;
     }
 
     /**
@@ -108,8 +85,7 @@ class PredictionTables
     {
         unsigned votes = 0;
         for (unsigned t = 0; t < numPredTables; ++t)
-            if (tables[t][idx[t]] >= threshold)
-                ++votes;
+            votes += at(t, idx) >= threshold;
         return votes * 2 > numPredTables;
     }
 
@@ -119,36 +95,27 @@ class PredictionTables
     {
         std::uint32_t sum = 0;
         for (unsigned t = 0; t < numPredTables; ++t)
-            sum += tables[t][idx[t]];
+            sum += at(t, idx);
         return sum >= threshold;
     }
 
     /**
-     * Train the three counters: increment when the signature led to a
-     * dead block, decrement when it led to a reuse.
+     * Train the three counters, saturating without a branch: increment
+     * when the signature led to a dead block, decrement when it led to
+     * a reuse.
      */
     void
     train(const TableIndices &idx, bool dead)
     {
         for (unsigned t = 0; t < numPredTables; ++t) {
-            std::uint8_t &counter = tables[t][idx[t]];
-            if (dead) {
-                if (counter < counterMax)
-                    ++counter;
-            } else {
-                if (counter > 0)
-                    --counter;
-            }
+            std::uint8_t &c = counters[t * kPredTableEntries + idx[t]];
+            c = dead ? static_cast<std::uint8_t>(c + (c < counterMax))
+                     : static_cast<std::uint8_t>(c - (c > 0));
         }
     }
 
     /** Zero all counters. */
-    void
-    clear()
-    {
-        for (auto &table : tables)
-            table.assign(kPredTableEntries, 0);
-    }
+    void clear() { counters.fill(0); }
 
     std::uint8_t counterMaximum() const { return counterMax; }
 
@@ -156,22 +123,22 @@ class PredictionTables
     std::uint64_t
     storageBits() const
     {
-        unsigned bits = 0;
-        std::uint8_t v = counterMax;
-        while (v) {
-            ++bits;
-            v >>= 1;
-        }
         return static_cast<std::uint64_t>(numPredTables) *
-               kPredTableEntries * bits;
+               kPredTableEntries * std::bit_width(counterMax);
     }
 
   private:
     static constexpr unsigned kIndexBits = floorLog2(kPredTableEntries);
 
+    std::uint8_t
+    at(unsigned t, const TableIndices &idx) const
+    {
+        return counters[t * kPredTableEntries + idx[t]];
+    }
+
     std::uint8_t counterMax;
-    std::array<std::vector<std::uint8_t>, numPredTables> tables;
-    std::vector<TableIndices> indexLut; ///< per-signature index cache
+    alignas(64) std::array<std::uint8_t,
+                           numPredTables * kPredTableEntries> counters{};
 };
 
 } // namespace ghrp::predictor

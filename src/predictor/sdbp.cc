@@ -8,9 +8,6 @@ namespace ghrp::predictor
 SdbpReplacement::SdbpReplacement(const SdbpConfig &config)
     : cfg(config), bank(kSdbpCounterBits)
 {
-    // The partial-PC signature space is only 2^kSdbpSignatureBits wide:
-    // precompute every signature's skewed table indices once.
-    bank.enableIndexCache(1u << kSdbpSignatureBits);
 }
 
 void

@@ -58,11 +58,11 @@ class SdbpReplacement final : public cache::ReplacementPolicy
 
     void reset(std::uint32_t num_sets, std::uint32_t num_ways) override;
 
-    bool
+    [[gnu::always_inline]] bool
     shouldBypass(const cache::AccessInfo &info) override
     {
         sampleAccess(info);
-        return bank.sumVote(bank.indicesFor(signatureFor(info)),
+        return bank.sumVote(bank.computeIndices(signatureFor(info)),
                             cfg.bypassThreshold);
     }
 
@@ -81,7 +81,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
         return lru.lruWay(info.set);
     }
 
-    void
+    [[gnu::always_inline]] void
     onHit(const cache::AccessInfo &info, std::uint32_t way) override
     {
         sampleAccess(info);
@@ -94,7 +94,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
         lru.touch(info.set, way);
     }
 
-    void
+    [[gnu::always_inline]] void
     onFill(const cache::AccessInfo &info, std::uint32_t way) override
     {
         deadBit[index(info.set, way)] =
@@ -120,10 +120,10 @@ class SdbpReplacement final : public cache::ReplacementPolicy
     }
 
     /** Dead prediction at the replacement threshold (for tests). */
-    bool
+    [[gnu::always_inline]] bool
     predictDead(std::uint16_t sig) const
     {
-        return bank.sumVote(bank.indicesFor(sig), cfg.deadThreshold);
+        return bank.sumVote(bank.computeIndices(sig), cfg.deadThreshold);
     }
 
     /** Storage cost of tables + sampler + per-block metadata, bits. */
@@ -141,7 +141,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
      * prediction tables on sampler hits and evictions. Called on every
      * access, from onHit and shouldBypass.
      */
-    void
+    [[gnu::always_inline]] void
     sampleAccess(const cache::AccessInfo &info)
     {
         // Guard against double-sampling one access: shouldBypass and
@@ -166,7 +166,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
             if (tags_row[w] == tag && ((valid >> w) & 1u) != 0) {
                 // Reuse: the signature of the previous access to this
                 // block did not lead to a dead block.
-                bank.train(bank.indicesFor(sigs_row[w]), false);
+                bank.train(bank.computeIndices(sigs_row[w]), false);
                 sigs_row[w] = sig;
                 samplerLru.touch(set, w);
                 return;
@@ -182,7 +182,7 @@ class SdbpReplacement final : public cache::ReplacementPolicy
             victim = static_cast<std::uint32_t>(std::countr_zero(invalid));
         } else {
             victim = samplerLru.lruWay(set);
-            bank.train(bank.indicesFor(sigs_row[victim]), true);
+            bank.train(bank.computeIndices(sigs_row[victim]), true);
         }
         samplerValid[set] = valid | (std::uint64_t{1} << victim);
         tags_row[victim] = tag;

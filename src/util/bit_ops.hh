@@ -55,6 +55,10 @@ ceilLog2(std::uint64_t value)
 /**
  * Fold a 64-bit value down to @p nbits by repeated XOR of nbits-wide
  * chunks. Used to build table indices from addresses and signatures.
+ * Branch-free for a constant width: xor-folding zero high chunks is a
+ * no-op, so the loop runs over all 64 bits (a fixed trip count the
+ * compiler unrolls), and since xor is bitwise the chunks are masked
+ * once, at the end.
  */
 constexpr std::uint64_t
 foldXor(std::uint64_t value, unsigned nbits)
@@ -62,11 +66,9 @@ foldXor(std::uint64_t value, unsigned nbits)
     if (nbits == 0 || nbits >= 64)
         return value;
     std::uint64_t folded = 0;
-    while (value != 0) {
-        folded ^= value & mask(nbits);
-        value >>= nbits;
-    }
-    return folded;
+    for (unsigned s = 0; s < 64; s += nbits)
+        folded ^= value >> s;
+    return folded & mask(nbits);
 }
 
 } // namespace ghrp

@@ -34,6 +34,17 @@ TEST(GhrpHistory, SixteenBitWindow)
     EXPECT_EQ(p.specHistory(), q.specHistory());
 }
 
+TEST(GhrpHistoryDeathTest, RejectsHistoryWiderThanSignature)
+{
+    // Signatures are 16 bits: a wider history would be cut off.
+    GhrpConfig cfg;
+    cfg.historyBits = 16;
+    GhrpPredictor widest(cfg);
+    EXPECT_EQ(widest.config().historyBits, 16u);
+    cfg.historyBits = 17;
+    EXPECT_DEATH(GhrpPredictor{cfg}, "historyBits <= 16");
+}
+
 TEST(GhrpHistory, SpeculativeRecovery)
 {
     GhrpPredictor p;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bit_ops.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -70,6 +71,39 @@ TEST(BitOps, FoldXorFoldsChunks)
     // Three 4-bit chunks.
     EXPECT_EQ(foldXor(0xABC, 4), 0xAu ^ 0xBu ^ 0xCu);
     EXPECT_EQ(foldXor(0, 12), 0u);
+}
+
+/** The chunk-by-chunk fold foldXor replaced: XOR nbits-wide chunks
+ *  until the value runs out. */
+std::uint64_t
+referenceFoldXor(std::uint64_t value, unsigned nbits)
+{
+    std::uint64_t folded = 0;
+    while (value != 0) {
+        folded ^= value & ((std::uint64_t{1} << nbits) - 1);
+        value >>= nbits;
+    }
+    return folded;
+}
+
+TEST(BitOps, FoldXorMatchesReferenceLoop)
+{
+    // Seeded values, shifted right so short values (few chunks) are
+    // covered as well as full 64-bit ones.
+    for (unsigned width = 1; width < 64; ++width) {
+        for (std::uint64_t i = 0; i < 2000; ++i) {
+            const std::uint64_t v =
+                splitMix64(i * 64 + width) >> (i % 64);
+            ASSERT_EQ(foldXor(v, width), referenceFoldXor(v, width))
+                << "width " << width << " value " << v;
+        }
+    }
+    // The widths SDBP folds with, as compile-time constants.
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t v = splitMix64(i);
+        ASSERT_EQ(foldXor(v, 12), referenceFoldXor(v, 12));
+        ASSERT_EQ(foldXor(v, 16), referenceFoldXor(v, 16));
+    }
 }
 
 /** Property sweep: folded values always fit in the target width. */
