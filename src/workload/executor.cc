@@ -1,6 +1,7 @@
 #include "workload/executor.hh"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -343,14 +344,15 @@ execute(const Program &program, const ExecParams &params,
             if (is_dispatcher_site) {
                 callee = scheduler.chooseCallee(rng);
             } else if (block.term == TermKind::Call) {
-                callee = block.callees.front();
+                callee = program.targets(block)[0];
             } else {
                 // Zipf-weighted virtual dispatch. (Cyclic patterning is
                 // applied to switch targets below, not to callee choice:
                 // rotating callees would flatten function hotness and
                 // distort the workload's reuse structure.)
-                callee = block.callees[rng.nextZipf(
-                    block.callees.size(), 1.3)];
+                const std::span<const std::uint32_t> callees =
+                    program.targets(block);
+                callee = callees[rng.nextZipf(callees.size(), 1.3)];
             }
             const Function &target_fn = program.functions[callee];
             emit({term_pc, target_fn.entry,
@@ -366,11 +368,12 @@ execute(const Program &program, const ExecParams &params,
             // A third of switches rotate cyclically (state-machine
             // style, history-predictable); the rest are zipf-weighted.
             const bool cyclic = (gid * 2654435761u >> 13) % 3 == 0;
+            const std::span<const std::uint32_t> targets =
+                program.targets(block);
             const std::size_t choice =
-                cyclic ? exec_count[gid] % block.switchTargets.size()
-                       : rng.nextZipf(block.switchTargets.size(), 1.3);
-            const std::uint32_t target_block =
-                block.switchTargets[choice];
+                cyclic ? exec_count[gid] % targets.size()
+                       : rng.nextZipf(targets.size(), 1.3);
+            const std::uint32_t target_block = targets[choice];
             const Addr target = func.blocks[target_block].start;
             emit({term_pc, target, BranchType::UncondIndirect, true});
             frame.block = target_block;

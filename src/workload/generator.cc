@@ -1,6 +1,8 @@
 #include "workload/generator.hh"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -18,6 +20,17 @@ struct CalleeCandidate
     std::uint64_t cost;
 };
 
+/** End @p b in a direct call to @p callee: a one-entry list. */
+void
+endInCall(BasicBlock &b, std::vector<std::uint32_t> &lists,
+          std::uint32_t callee)
+{
+    b.term = TermKind::Call;
+    b.listOffset = static_cast<std::uint32_t>(lists.size());
+    b.listSize = 1;
+    lists.push_back(callee);
+}
+
 /**
  * Build the basic blocks of one regular function while keeping its
  * *expected subtree cost* (body instructions with loop multiplicities,
@@ -29,8 +42,9 @@ struct CalleeCandidate
  * @return the function's expected subtree cost.
  */
 std::uint64_t
-buildRegularFunction(Function &func, const WorkloadParams &p, Rng &rng,
-                     const std::vector<CalleeCandidate> &callee_pool,
+buildRegularFunction(Function &func, std::vector<std::uint32_t> &lists,
+                     const WorkloadParams &p, Rng &rng,
+                     std::span<const CalleeCandidate> callee_pool,
                      std::uint64_t max_cost)
 {
     const auto nblocks = static_cast<std::uint32_t>(rng.nextRange(
@@ -44,7 +58,7 @@ buildRegularFunction(Function &func, const WorkloadParams &p, Rng &rng,
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         BasicBlock &b = func.blocks[i];
         b.start = addr;
-        b.numInstrs = static_cast<std::uint32_t>(
+        b.numInstrs = static_cast<std::uint16_t>(
             rng.nextRange(p.instrsPerBlockLo, p.instrsPerBlockHi));
         addr += static_cast<Addr>(b.numInstrs) * p.instBytes;
         contrib[i] = b.numInstrs;
@@ -161,20 +175,21 @@ buildRegularFunction(Function &func, const WorkloadParams &p, Rng &rng,
             };
             if (rng.nextWeighted({w_call, w_icall}) == 0 ||
                 eligible.size() < 2) {
-                b.term = TermKind::Call;
                 const CalleeCandidate &callee = pick();
-                b.callees.push_back(callee.func);
+                endInCall(b, lists, callee.func);
                 contrib[i] += static_cast<double>(callee.cost);
             } else {
                 b.term = TermKind::IndirectCall;
                 const std::size_t fanout = 2 + rng.nextBounded(
                     std::min<std::size_t>(eligible.size(), 6));
+                b.listOffset = static_cast<std::uint32_t>(lists.size());
                 double avg = 0.0;
                 for (std::size_t c = 0; c < fanout; ++c) {
                     const CalleeCandidate &callee = pick();
-                    b.callees.push_back(callee.func);
+                    lists.push_back(callee.func);
                     avg += static_cast<double>(callee.cost);
                 }
+                b.listSize = static_cast<std::uint32_t>(fanout);
                 contrib[i] += avg / static_cast<double>(fanout);
             }
             break;
@@ -185,8 +200,10 @@ buildRegularFunction(Function &func, const WorkloadParams &p, Rng &rng,
             const std::uint32_t span = nblocks - 1 - i;
             const std::size_t fanout =
                 2 + rng.nextBounded(std::min<std::uint32_t>(span, 5));
+            b.listOffset = static_cast<std::uint32_t>(lists.size());
+            b.listSize = static_cast<std::uint32_t>(fanout);
             for (std::size_t c = 0; c < fanout; ++c)
-                b.switchTargets.push_back(
+                lists.push_back(
                     i + 1 +
                     static_cast<std::uint32_t>(rng.nextBounded(span)));
             break;
@@ -206,8 +223,9 @@ buildRegularFunction(Function &func, const WorkloadParams &p, Rng &rng,
  * Block N-2 is the latch; block N-1 returns.
  */
 std::uint64_t
-buildBigLoopFunction(Function &func, const WorkloadParams &p, Rng &rng,
-                     const std::vector<CalleeCandidate> &leaf_pool)
+buildBigLoopFunction(Function &func, std::vector<std::uint32_t> &lists,
+                     const WorkloadParams &p, Rng &rng,
+                     std::span<const CalleeCandidate> leaf_pool)
 {
     const auto nblocks = static_cast<std::uint32_t>(
         rng.nextRange(p.bigLoopBlocksLo, p.bigLoopBlocksHi));
@@ -217,7 +235,7 @@ buildBigLoopFunction(Function &func, const WorkloadParams &p, Rng &rng,
     std::uint64_t body = 0;
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         BasicBlock &b = func.blocks[i];
-        b.numInstrs = static_cast<std::uint32_t>(
+        b.numInstrs = static_cast<std::uint16_t>(
             rng.nextRange(p.instrsPerBlockLo, p.instrsPerBlockHi));
         body += b.numInstrs;
 
@@ -234,10 +252,9 @@ buildBigLoopFunction(Function &func, const WorkloadParams &p, Rng &rng,
             // iteration) but *dead* when the same helpers are reached
             // from scan code — the context split only path-history
             // prediction can learn.
-            b.term = TermKind::Call;
             const CalleeCandidate &callee =
                 leaf_pool[rng.nextBounded(leaf_pool.size())];
-            b.callees.push_back(callee.func);
+            endInCall(b, lists, callee.func);
             body += callee.cost;
         } else if (rng.nextBool(0.12)) {
             b.term = TermKind::Jump;
@@ -280,7 +297,7 @@ buildStubFarm(Function &func, const WorkloadParams &p, Rng &rng)
     std::uint64_t cost = 0;
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         BasicBlock &b = func.blocks[i];
-        b.numInstrs = 1 + static_cast<std::uint32_t>(rng.nextBounded(2));
+        b.numInstrs = static_cast<std::uint16_t>(1 + rng.nextBounded(2));
         cost += b.numInstrs;
         if (i + 1 == nblocks) {
             b.term = TermKind::Return;
@@ -297,8 +314,9 @@ buildStubFarm(Function &func, const WorkloadParams &p, Rng &rng)
 
 /** Build one straight-line scan function (cold, rarely reused code). */
 std::uint64_t
-buildScanFunction(Function &func, const WorkloadParams &p, Rng &rng,
-                  const std::vector<CalleeCandidate> &leaf_pool)
+buildScanFunction(Function &func, std::vector<std::uint32_t> &lists,
+                  const WorkloadParams &p, Rng &rng,
+                  std::span<const CalleeCandidate> leaf_pool)
 {
     const auto nblocks = static_cast<std::uint32_t>(
         rng.nextRange(p.scanBlocksLo, p.scanBlocksHi));
@@ -310,7 +328,7 @@ buildScanFunction(Function &func, const WorkloadParams &p, Rng &rng,
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         BasicBlock &b = func.blocks[i];
         b.start = addr;
-        b.numInstrs = static_cast<std::uint32_t>(
+        b.numInstrs = static_cast<std::uint16_t>(
             rng.nextRange(p.instrsPerBlockLo, p.instrsPerBlockHi));
         addr += static_cast<Addr>(b.numInstrs) * p.instBytes;
         cost += b.numInstrs;
@@ -320,10 +338,9 @@ buildScanFunction(Function &func, const WorkloadParams &p, Rng &rng,
         } else if (!leaf_pool.empty() && rng.nextBool(0.20)) {
             // Scans call the same shared leaf helpers that hot code
             // calls — dead in this context, live in the hot one.
-            b.term = TermKind::Call;
             const CalleeCandidate &callee =
                 leaf_pool[rng.nextBounded(leaf_pool.size())];
-            b.callees.push_back(callee.func);
+            endInCall(b, lists, callee.func);
             cost += callee.cost;
         } else if (rng.nextBool(0.12)) {
             // Short taken jumps: cold BTB allocations that are dead on
@@ -356,6 +373,11 @@ Program
 generateProgram(const WorkloadParams &p)
 {
     GHRP_ASSERT(p.numModules >= 1);
+    constexpr std::uint32_t max_block_instrs =
+        std::numeric_limits<decltype(BasicBlock::numInstrs)>::max();
+    if (p.instrsPerBlockHi > max_block_instrs)
+        fatal("instrsPerBlockHi %u exceeds the %u instructions a block "
+              "can hold", p.instrsPerBlockHi, max_block_instrs);
     Program program;
     program.instBytes = p.instBytes;
     program.modules.resize(p.numModules);
@@ -407,8 +429,14 @@ generateProgram(const WorkloadParams &p)
 
     // ---- build bodies in reverse index order ------------------------
     std::vector<std::uint64_t> cost(plans.size(), 0);
-    // Candidate lists, refilled for each function.
-    std::vector<CalleeCandidate> leaves;
+    // Shared leaf helpers: cheap regular functions anywhere later in
+    // the DAG, in ascending index order. Both scans and big loops call
+    // them, so the same helper blocks see dead and live contexts. The
+    // list is leaf_slots[leaf_begin, end): each built function that
+    // qualifies joins at the front as fi falls.
+    std::vector<CalleeCandidate> leaf_slots(plans.size());
+    std::size_t leaf_begin = plans.size();
+    // Callee pool, refilled for each regular function.
     std::vector<CalleeCandidate> pool;
     for (std::size_t fi = plans.size() - 1; fi >= 1; --fi) {
         Function &func = program.functions[fi];
@@ -416,18 +444,14 @@ generateProgram(const WorkloadParams &p)
         func.entry = 0;  // assigned during compaction below
 
         if (plans[fi].kind != Kind::Regular) {
-            // Shared leaf helpers: cheap regular functions anywhere
-            // later in the DAG. Both scans and big loops call them, so
-            // the same helper blocks see dead and live contexts.
-            leaves.clear();
-            for (std::size_t ci = fi + 1; ci < plans.size(); ++ci)
-                if (plans[ci].kind == Kind::Regular && cost[ci] <= 600)
-                    leaves.push_back(
-                        {static_cast<std::uint32_t>(ci), cost[ci]});
+            const std::span<const CalleeCandidate> leaves(
+                leaf_slots.data() + leaf_begin, plans.size() - leaf_begin);
             if (plans[fi].kind == Kind::Scan)
-                cost[fi] = buildScanFunction(func, p, rng, leaves);
+                cost[fi] = buildScanFunction(func, program.lists, p, rng,
+                                             leaves);
             else if (plans[fi].kind == Kind::BigLoop)
-                cost[fi] = buildBigLoopFunction(func, p, rng, leaves);
+                cost[fi] = buildBigLoopFunction(func, program.lists, p, rng,
+                                                leaves);
             else
                 cost[fi] = buildStubFarm(func, p, rng);
         } else {
@@ -443,8 +467,11 @@ generateProgram(const WorkloadParams &p)
                     pool.push_back({static_cast<std::uint32_t>(ci),
                                     cost[ci]});
             }
-            cost[fi] = buildRegularFunction(func, p, rng, pool,
-                                            p.maxFunctionCost);
+            cost[fi] = buildRegularFunction(func, program.lists, p, rng,
+                                            pool, p.maxFunctionCost);
+            if (cost[fi] <= 600)
+                leaf_slots[--leaf_begin] = {static_cast<std::uint32_t>(fi),
+                                            cost[fi]};
         }
         program.modules[plans[fi].module].push_back(
             static_cast<std::uint32_t>(fi));
@@ -468,11 +495,14 @@ generateProgram(const WorkloadParams &p)
         main_fn.blocks[3].numInstrs = 1;
         main_fn.blocks[3].term = TermKind::Return;
 
-        for (std::size_t fi = 1; fi < program.functions.size(); ++fi)
-            main_fn.blocks[1].callees.push_back(
-                static_cast<std::uint32_t>(fi));
-        if (main_fn.blocks[1].callees.empty())
+        if (program.functions.size() < 2)
             fatal("workload parameters produced a program with no callees");
+        BasicBlock &site = main_fn.blocks[1];
+        site.listOffset = static_cast<std::uint32_t>(program.lists.size());
+        site.listSize =
+            static_cast<std::uint32_t>(program.functions.size() - 1);
+        for (std::size_t fi = 1; fi < program.functions.size(); ++fi)
+            program.lists.push_back(static_cast<std::uint32_t>(fi));
     }
 
     // ---- compact address layout -------------------------------------

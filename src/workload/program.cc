@@ -5,6 +5,41 @@
 namespace ghrp::workload
 {
 
+namespace
+{
+
+/** Block @p bi of function @p fi's list, after checking that it is
+ *  non-empty and lies inside the program's list array. */
+std::span<const std::uint32_t>
+listOf(const Program &program, const BasicBlock &b, std::size_t fi,
+       std::size_t bi)
+{
+    if (b.listSize == 0)
+        panic("function %zu block %zu: %s with no %s", fi, bi,
+              b.term == TermKind::IndirectJump ? "switch" : "call",
+              b.term == TermKind::IndirectJump ? "targets" : "callees");
+    if (std::uint64_t{b.listOffset} + b.listSize > program.lists.size())
+        panic("function %zu block %zu: list outside the list array", fi,
+              bi);
+    return program.targets(b);
+}
+
+} // anonymous namespace
+
+std::uint64_t
+Program::memoryBytes() const
+{
+    std::uint64_t bytes = sizeof(Program) +
+                          functions.capacity() * sizeof(Function) +
+                          modules.capacity() * sizeof(modules[0]) +
+                          lists.capacity() * sizeof(lists[0]);
+    for (const Function &f : functions)
+        bytes += f.blocks.capacity() * sizeof(BasicBlock);
+    for (const auto &module : modules)
+        bytes += module.capacity() * sizeof(module[0]);
+    return bytes;
+}
+
 void
 validateProgram(const Program &program)
 {
@@ -46,19 +81,13 @@ validateProgram(const Program &program)
                 break;
               case TermKind::Call:
               case TermKind::IndirectCall:
-                if (b.callees.empty())
-                    panic("function %zu block %zu: call with no callees",
-                          fi, bi);
-                for (std::uint32_t callee : b.callees)
+                for (std::uint32_t callee : listOf(program, b, fi, bi))
                     if (callee >= program.functions.size())
                         panic("function %zu block %zu: callee out of range",
                               fi, bi);
                 break;
               case TermKind::IndirectJump:
-                if (b.switchTargets.empty())
-                    panic("function %zu block %zu: switch with no targets",
-                          fi, bi);
-                for (std::uint32_t t : b.switchTargets)
+                for (std::uint32_t t : listOf(program, b, fi, bi))
                     if (t >= f.blocks.size())
                         panic("function %zu block %zu: switch target range",
                               fi, bi);

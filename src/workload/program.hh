@@ -11,6 +11,8 @@
 #define GHRP_WORKLOAD_PROGRAM_HH
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/bit_ops.hh"
@@ -31,19 +33,30 @@ enum class TermKind : std::uint8_t
     Return        ///< return to caller
 };
 
-/** One basic block: a run of sequential instructions plus terminator. */
+/**
+ * One basic block: a run of sequential instructions plus terminator.
+ * A fixed 24-byte record: the fields a terminator does not use share
+ * storage with the ones it does (`term` says which member of each
+ * union is live), and callee and switch-target lists live in the
+ * program's one list array (Program::targets).
+ */
 struct BasicBlock
 {
     Addr start = 0;            ///< address of the first instruction
-    std::uint32_t numInstrs = 1; ///< instructions including terminator
 
+    union
+    {
+        double takenBias = 0.5;     ///< CondForward: probability taken
+        std::uint32_t loopTripMean; ///< CondLoop: mean trip count
+        std::uint32_t listSize;     ///< calls and switches: list length
+    };
+    union
+    {
+        std::uint32_t targetBlock = 0; ///< CondForward/CondLoop/Jump
+        std::uint32_t listOffset;      ///< calls, switches: into lists
+    };
+    std::uint16_t numInstrs = 1; ///< instructions including terminator
     TermKind term = TermKind::None;
-    double takenBias = 0.5;    ///< CondForward: probability taken
-    std::uint32_t targetBlock = 0; ///< block index for cond/jump/loop
-    std::uint32_t loopTripMean = 4; ///< CondLoop: mean trip count
-
-    std::vector<std::uint32_t> callees;       ///< function indices
-    std::vector<std::uint32_t> switchTargets; ///< block indices
 
     /** Address of the terminator (last) instruction. */
     Addr
@@ -59,6 +72,11 @@ struct BasicBlock
         return start + static_cast<Addr>(numInstrs) * inst_bytes;
     }
 };
+
+static_assert(sizeof(BasicBlock) <= 24,
+              "a BasicBlock is a compact fixed-size record");
+static_assert(std::is_trivially_copyable_v<BasicBlock>,
+              "a BasicBlock owns no heap memory");
 
 /** A function: contiguously laid-out basic blocks. */
 struct Function
@@ -95,6 +113,17 @@ struct Program
     std::vector<std::vector<std::uint32_t>> modules;
     /** Index of the dispatcher ("main") function; always 0. */
     std::uint32_t mainFunction = 0;
+    /** Every block's callee or switch-target list, back to back: block
+     *  b's list is lists[b.listOffset, b.listOffset + b.listSize). */
+    std::vector<std::uint32_t> lists;
+
+    /** The list of a Call, IndirectCall or IndirectJump block: callee
+     *  function indices for a call, target block indices for a switch. */
+    std::span<const std::uint32_t>
+    targets(const BasicBlock &block) const
+    {
+        return {lists.data() + block.listOffset, block.listSize};
+    }
 
     /** Total code footprint in bytes. */
     std::uint64_t
@@ -105,12 +134,16 @@ struct Program
             total += f.sizeBytes(instBytes);
         return total;
     }
+
+    /** Bytes this program holds on the heap and in itself. */
+    std::uint64_t memoryBytes() const;
 };
 
 /**
  * Validate structural invariants of a program: block addresses are
- * contiguous, terminator targets are in range, callee/switch sets are
- * non-empty where required. Calls panic() on violation (generator bug).
+ * contiguous, terminator targets are in range, callee/switch lists are
+ * non-empty and inside the list array where required. Calls panic() on
+ * violation (generator bug).
  */
 void validateProgram(const Program &program);
 

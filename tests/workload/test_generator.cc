@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "workload/generator.hh"
+#include "workload/suite.hh"
 
 namespace
 {
@@ -33,9 +36,12 @@ TEST_P(GeneratorSweep, CallGraphIsDag)
 {
     const Program p = generate();
     for (std::size_t fi = 1; fi < p.functions.size(); ++fi)
-        for (const BasicBlock &b : p.functions[fi].blocks)
-            for (std::uint32_t callee : b.callees)
+        for (const BasicBlock &b : p.functions[fi].blocks) {
+            if (b.term != TermKind::Call && b.term != TermKind::IndirectCall)
+                continue;
+            for (std::uint32_t callee : p.targets(b))
                 EXPECT_GT(callee, fi) << "call edge violates DAG order";
+        }
 }
 
 TEST_P(GeneratorSweep, DispatcherShape)
@@ -46,7 +52,12 @@ TEST_P(GeneratorSweep, DispatcherShape)
     EXPECT_EQ(main_fn.blocks[1].term, TermKind::IndirectCall);
     EXPECT_EQ(main_fn.blocks[2].term, TermKind::CondLoop);
     EXPECT_EQ(main_fn.blocks[3].term, TermKind::Return);
-    EXPECT_FALSE(main_fn.blocks[1].callees.empty());
+    // The dispatch site's list holds every other function, in order.
+    const std::span<const std::uint32_t> callees =
+        p.targets(main_fn.blocks[1]);
+    ASSERT_EQ(callees.size(), p.functions.size() - 1);
+    for (std::size_t i = 0; i < callees.size(); ++i)
+        EXPECT_EQ(callees[i], i + 1);
 }
 
 TEST_P(GeneratorSweep, ModulesPartitionFunctions)
@@ -79,6 +90,18 @@ TEST_P(GeneratorSweep, DeterministicForSeed)
         EXPECT_EQ(a.functions[fi].blocks.size(),
                   b.functions[fi].blocks.size());
     }
+}
+
+TEST_P(GeneratorSweep, SwitchTargetsLieAhead)
+{
+    const Program p = generate();
+    for (const Function &f : p.functions)
+        for (std::size_t bi = 0; bi < f.blocks.size(); ++bi)
+            if (f.blocks[bi].term == TermKind::IndirectJump)
+                for (std::uint32_t t : p.targets(f.blocks[bi])) {
+                    EXPECT_GT(t, bi);
+                    EXPECT_LT(t, f.blocks.size());
+                }
 }
 
 TEST_P(GeneratorSweep, FootprintReasonable)
@@ -125,11 +148,31 @@ TEST(Generator, ScanFunctionsExist)
     EXPECT_GT(scans, 0u);
 }
 
+TEST(Generator, LargestSeedProgramStaysCompact)
+{
+    // SHORT-SERVER-01 of the seed-42 suite has the most blocks of its
+    // programs (311,580); with a heap list pair per block it took
+    // 24.9 MB, as compact records with one list array about 7.7 MB.
+    const TraceSpec spec = makeSuite(2, 42)[1];
+    ASSERT_EQ(spec.name, "SHORT-SERVER-01");
+    const Program p = generateProgram(makeParams(spec.category, spec.seed));
+    EXPECT_LE(p.memoryBytes(), 9u * 1000 * 1000);
+}
+
 TEST(Generator, CategoryNamesRoundTrip)
 {
     for (Category c : {Category::ShortMobile, Category::LongMobile,
                        Category::ShortServer, Category::LongServer})
         EXPECT_EQ(parseCategory(categoryName(c)), c);
+}
+
+TEST(GeneratorDeathTest, BlockLongerThanItsFieldIsFatal)
+{
+    WorkloadParams params = makeParams(Category::ShortMobile, 1);
+    params.instrsPerBlockLo = 70000;
+    params.instrsPerBlockHi = 70000;
+    EXPECT_EXIT(generateProgram(params), ::testing::ExitedWithCode(1),
+                "instrsPerBlockHi 70000 exceeds");
 }
 
 TEST(GeneratorDeathTest, UnknownCategoryIsFatal)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "workload/program.hh"
 
 namespace
@@ -52,6 +54,33 @@ TEST(Program, FootprintBytes)
     EXPECT_EQ(p.functions[0].sizeBytes(4), 12u);
 }
 
+TEST(Program, TargetsReadTheBlocksSliceOfTheListArray)
+{
+    Program p = minimalProgram();
+    p.lists = {9, 0, 0, 5};
+    BasicBlock &b = p.functions[0].blocks[0];
+    b.term = TermKind::IndirectCall;
+    b.listOffset = 1;
+    b.listSize = 2;
+    const std::span<const std::uint32_t> callees = p.targets(b);
+    ASSERT_EQ(callees.size(), 2u);
+    EXPECT_EQ(callees.data(), p.lists.data() + 1);
+    validateProgram(p);
+    b.listOffset = 3;
+    b.listSize = 1;
+    EXPECT_EQ(p.targets(b)[0], 5u);
+}
+
+TEST(Program, MemoryBytesCountsBlocksAndLists)
+{
+    Program p = minimalProgram();
+    const std::uint64_t base = p.memoryBytes();
+    EXPECT_GE(base, sizeof(Program) + sizeof(Function) +
+                        2 * sizeof(BasicBlock));
+    p.lists.assign(1000, 0);
+    EXPECT_GE(p.memoryBytes(), base + 1000 * sizeof(std::uint32_t));
+}
+
 TEST(ProgramDeathTest, EmptyProgramPanics)
 {
     Program p;
@@ -73,19 +102,62 @@ TEST(ProgramDeathTest, ForwardTargetMustBeForward)
     EXPECT_DEATH(validateProgram(p), "bad forward target");
 }
 
+TEST(ProgramDeathTest, EmptyBlockPanics)
+{
+    // A count that wrapped its 16-bit field to zero lands here too.
+    Program p = minimalProgram();
+    p.functions[0].blocks[0].numInstrs = 0;
+    EXPECT_DEATH(validateProgram(p), "block 0 is empty");
+}
+
 TEST(ProgramDeathTest, CallWithoutCalleesPanics)
 {
     Program p = minimalProgram();
     p.functions[0].blocks[0].term = TermKind::Call;
+    p.functions[0].blocks[0].listSize = 0;
     EXPECT_DEATH(validateProgram(p), "no callees");
 }
 
 TEST(ProgramDeathTest, CalleeOutOfRangePanics)
 {
     Program p = minimalProgram();
+    p.lists = {7};
     p.functions[0].blocks[0].term = TermKind::Call;
-    p.functions[0].blocks[0].callees = {7};
+    p.functions[0].blocks[0].listOffset = 0;
+    p.functions[0].blocks[0].listSize = 1;
     EXPECT_DEATH(validateProgram(p), "callee out of range");
+}
+
+TEST(ProgramDeathTest, ListOffsetPastTheListArrayPanics)
+{
+    Program p = minimalProgram();
+    p.lists = {0, 0};
+    p.functions[0].blocks[0].term = TermKind::Call;
+    p.functions[0].blocks[0].listOffset = 2;
+    p.functions[0].blocks[0].listSize = 1;
+    EXPECT_DEATH(validateProgram(p), "list outside the list array");
+}
+
+TEST(ProgramDeathTest, ListRunningPastTheListArrayPanics)
+{
+    Program p = minimalProgram();
+    p.lists = {0, 0};
+    p.functions[0].blocks[0].term = TermKind::IndirectCall;
+    p.functions[0].blocks[0].listOffset = 1;
+    p.functions[0].blocks[0].listSize = 2;
+    EXPECT_DEATH(validateProgram(p), "list outside the list array");
+}
+
+TEST(ProgramDeathTest, ListEndWrappingThirtyTwoBitsPanics)
+{
+    // offset + size wraps a 32-bit sum back inside the array; the
+    // validator adds in 64 bits.
+    Program p = minimalProgram();
+    p.lists = {0, 0};
+    p.functions[0].blocks[0].term = TermKind::IndirectJump;
+    p.functions[0].blocks[0].listOffset = 0xFFFFFFFFu;
+    p.functions[0].blocks[0].listSize = 2;
+    EXPECT_DEATH(validateProgram(p), "list outside the list array");
 }
 
 TEST(ProgramDeathTest, LastBlockFallThroughPanics)
@@ -99,7 +171,18 @@ TEST(ProgramDeathTest, SwitchWithoutTargetsPanics)
 {
     Program p = minimalProgram();
     p.functions[0].blocks[0].term = TermKind::IndirectJump;
+    p.functions[0].blocks[0].listSize = 0;
     EXPECT_DEATH(validateProgram(p), "switch with no targets");
+}
+
+TEST(ProgramDeathTest, SwitchTargetOutOfRangePanics)
+{
+    Program p = minimalProgram();
+    p.lists = {1, 2};
+    p.functions[0].blocks[0].term = TermKind::IndirectJump;
+    p.functions[0].blocks[0].listOffset = 0;
+    p.functions[0].blocks[0].listSize = 2;
+    EXPECT_DEATH(validateProgram(p), "switch target range");
 }
 
 } // anonymous namespace

@@ -2,7 +2,8 @@
  * @file
  * Pins of the cold path's streams: the records the generator emits and
  * the direction stream the hashed perceptron resolves from them, one
- * trace per category at 1M instructions, each as an FNV-1a hash.
+ * trace per category at 1M instructions and the largest program at its
+ * full default length, each as an FNV-1a hash.
  *
  * Trace-store files are keyed by generatorVersion and direction
  * sidecars by directionStreamVersion, so a change to either stream
@@ -18,6 +19,7 @@
 #include "frontend/frontend.hh"
 #include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
+#include "workload/trace_store.hh"
 
 namespace
 {
@@ -86,6 +88,12 @@ constexpr StreamPin kPins[] = {
 };
 // clang-format on
 
+TEST(StreamPins, PinsBelongToGeneratorVersionOne)
+{
+    // Re-pin every stream below when generatorVersion moves.
+    EXPECT_EQ(workload::generatorVersion, 1u);
+}
+
 TEST(StreamPins, GeneratedRecordsMatchPins)
 {
     const std::vector<workload::TraceSpec> specs = pinnedSpecs();
@@ -103,6 +111,25 @@ TEST(StreamPins, GeneratedRecordsMatchPins)
             << ": the generated stream moved without a bump of "
                "generatorVersion";
     }
+}
+
+TEST(StreamPins, FullLengthServerStreamMatchesPin)
+{
+    // The 1M-instruction pins stop long before the execution counts at
+    // which a narrowed block field or counter would wrap; this one runs
+    // the largest seed-42 program, SHORT-SERVER-01, at its default
+    // length (8M instructions).
+    const workload::TraceSpec spec = pinnedSpecs()[1];
+    ASSERT_EQ(spec.name, "SHORT-SERVER-01");
+    ASSERT_EQ(workload::instructionBudget(spec, 0), 8'000'000u);
+    HashingSink sink;
+    workload::streamTrace(spec, 0, sink);
+    EXPECT_EQ(sink.count, 801578u)
+        << "the generated stream moved without a bump of generatorVersion";
+    EXPECT_EQ(sink.hash.h, 0xB410CE17D9A92644ull)
+        << std::hex << "hashes to 0x" << sink.hash.h
+        << ": the generated stream moved without a bump of "
+           "generatorVersion";
 }
 
 TEST(StreamPins, PerceptronDirectionStreamsMatchPins)

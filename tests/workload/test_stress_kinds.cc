@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "../trace/fetch_stream.hh"
 #include "workload/executor.hh"
 #include "workload/generator.hh"
@@ -79,6 +81,12 @@ TEST(StressKinds, BigLoopsGenerated)
         EXPECT_EQ(latch.term, TermKind::CondLoop);
         EXPECT_EQ(latch.targetBlock, 0u);
         EXPECT_GE(latch.loopTripMean, 2u);
+        // Calls from the loop body reach shared leaf helpers.
+        for (const BasicBlock &b : f.blocks) {
+            if (b.term == TermKind::Call) {
+                EXPECT_FALSE(prog.functions[prog.targets(b)[0]].isBigLoop);
+            }
+        }
     }
     EXPECT_GT(big, 0u);
 }
@@ -107,12 +115,21 @@ TEST(StressKinds, ScansCallSharedLeaves)
     const Program prog =
         generateProgram(makeParams(Category::ShortServer, 11));
     bool scan_with_call = false;
-    for (const Function &f : prog.functions) {
+    for (std::size_t fi = 0; fi < prog.functions.size(); ++fi) {
+        const Function &f = prog.functions[fi];
         if (!f.isScan)
             continue;
-        for (const BasicBlock &b : f.blocks)
-            if (b.term == TermKind::Call)
-                scan_with_call = true;
+        for (const BasicBlock &b : f.blocks) {
+            if (b.term != TermKind::Call)
+                continue;
+            scan_with_call = true;
+            // The one callee is a regular leaf helper later in the DAG.
+            const std::span<const std::uint32_t> callees = prog.targets(b);
+            ASSERT_EQ(callees.size(), 1u);
+            EXPECT_GT(callees[0], fi);
+            const Function &leaf = prog.functions[callees[0]];
+            EXPECT_FALSE(leaf.isScan || leaf.isBigLoop || leaf.isStubFarm);
+        }
     }
     EXPECT_TRUE(scan_with_call);
 }
