@@ -24,7 +24,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const std::string report_path = cli.getString("report", "");
     const auto num_traces =
         static_cast<std::uint32_t>(cli.getUint("traces", 4));
@@ -33,6 +32,7 @@ main(int argc, char **argv)
     const std::uint64_t base_seed = cli.getUint("seed", 42);
     const auto jobs = cli.jobs();
     core::applyLogLevel(cli);
+    cli.rejectUnreadFlags();
 
     // One pool job per stress trace, results in per-trace slots so the
     // reduction below is deterministic. Per-trace seeds use the pure

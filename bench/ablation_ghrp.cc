@@ -36,7 +36,6 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
     const cache::CacheConfig btb = cache::CacheConfig::btb(
@@ -84,7 +83,7 @@ main(int argc, char **argv)
         variant.apply(config);
         lanes.push_back(config);
     }
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
 
     stats::RunningStats lru_icache, lru_btb;
     std::vector<stats::RunningStats> var_icache(variants.size());

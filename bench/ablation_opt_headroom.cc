@@ -20,14 +20,8 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 6, 4'000'000);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
-
-    std::printf("=== OPT headroom (cold caches, %zu traces) ===\n\n",
-                specs.size());
-    stats::TextTable table({"trace", "LRU MPKI", "GHRP MPKI", "OPT MPKI",
-                            "headroom %", "captured %"});
 
     // LRU (lane 0) and GHRP (lane 1) cold, fused per trace; OPT needs
     // the whole future of the trace, so it replays each materialized
@@ -37,7 +31,12 @@ main(int argc, char **argv)
         cfg.warmupFraction = 0.0;  // OPT replays the whole trace
     lanes[0].policy = frontend::PolicyKind::Lru;
     lanes[1].policy = frontend::PolicyKind::Ghrp;
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
+
+    std::printf("=== OPT headroom (cold caches, %zu traces) ===\n\n",
+                specs.size());
+    stats::TextTable table({"trace", "LRU MPKI", "GHRP MPKI", "OPT MPKI",
+                            "headroom %", "captured %"});
 
     struct PerTrace
     {

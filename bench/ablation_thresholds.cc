@@ -47,7 +47,6 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 
@@ -93,7 +92,7 @@ main(int argc, char **argv)
         config.sdbp.bypassThreshold = v.bypass;
         lanes.push_back(config);
     }
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
     const std::size_t first_sdbp = 1 + ghrp_variants.size();
 
     Accumulator lru;

@@ -8,7 +8,12 @@
  * (core::runLanes). fig01, fig05 and ablation_btb_stress run their
  * own util::ThreadPool over materialized traces instead.
  *
- * Every bench binary accepts:
+ * A binary takes exactly the flags it reads: any other flag exits 1
+ * naming it (CliOptions::rejectUnreadFlags, run by runSuiteTimed and
+ * runLanesTimed after their last read and by every other binary before
+ * its work). There is no list of flags beside the reads.
+ *
+ * Every sweep (suiteOptions or configSuite) reads:
  *   --traces N         suite size (default varies per figure)
  *   --instructions M   per-trace dynamic length override
  *   --seed S           suite base seed
@@ -18,23 +23,16 @@
  *   --log-level L      verbosity: quiet|warn|info (warn suppresses
  *                      progress and throughput reporting)
  *   --report FILE      write a versioned JSON run report (schema
- *                      "ghrp-run-report") to FILE; every binary reads
- *                      it before simulating, so a bare --report exits
- *                      1 before any work
- *
- * A flag outside core::knownCliFlags() exits 1 naming it
- * (CliOptions::requireKnownFlags, called first by every binary).
- *
- * The sweeps — policy sweeps (suiteOptions + runSuiteTimed) and config
- * sweeps (configSuite + runLanesTimed) — also accept:
+ *                      "ghrp-run-report") to FILE; read before the
+ *                      flag check and any simulation, so a bare
+ *                      --report exits 1 before any work (every binary)
  *   --trace-cache DIR  content-addressed trace store directory
  *                      (without it traces are generated in memory —
  *                      results are identical, warm runs just skip
  *                      regeneration)
  *   --slow-leg-ms N    warn() about legs slower than N milliseconds
  *
- * The policy sweeps alone also accept the flags below; a config sweep
- * given one of them exits with an error naming it:
+ * The policy sweeps (suiteOptions + runSuiteTimed) also read:
  *   --fused            fuse all policy legs of a trace into one chunked
  *                      walk of its decoded stream; results are
  *                      bit-identical to per-leg runs, the
@@ -50,12 +48,19 @@
  *   --journal FILE     crash resume: append every finished leg to FILE
  *                      and, when FILE already holds legs of the same
  *                      sweep, skip them (see report/journal.hh)
+ *
+ * fig01 and fig05 read --category, --seed, --instructions, --jobs,
+ * --log-level and --report; tab01_storage only --report and
+ * --log-level; a bench's own extras (--btb-entries, --tolerance, ...)
+ * are read in its main.
  */
 
 #ifndef GHRP_BENCH_BENCH_COMMON_HH
 #define GHRP_BENCH_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -65,6 +70,7 @@
 #include "report/report.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+#include "workload/suite.hh"
 
 namespace ghrp::bench
 {
@@ -103,21 +109,11 @@ struct ConfigSuite
     std::string reportPath;  ///< --report FILE ("" = none)
 };
 
-/**
- * Parse a config sweep's flags with per-binary defaults. The flags that
- * only mean something on the policy axis are fatal() here rather than
- * silently ignored.
- */
+/** Parse a config sweep's flags with per-binary defaults. */
 inline ConfigSuite
 configSuite(const core::CliOptions &cli, std::uint32_t default_traces,
             std::uint64_t default_instructions)
 {
-    for (const char *flag :
-         {"fused", "journal", "leg-times", "duel", "phase-window"})
-        if (cli.has(flag))
-            fatal("--%s applies to the policy sweeps only; this config "
-                  "sweep does not take it",
-                  flag);
     ConfigSuite suite;
     suite.specs = workload::makeSuite(
         static_cast<std::uint32_t>(cli.getUint("traces", default_traces)),
@@ -220,23 +216,28 @@ reportLegTimes(const core::SuiteResults &results)
  * resume through --journal FILE (none without the flag) and a
  * throughput report, then honor --report FILE with the
  * standard suite report for @p experiment. Drop-in replacement for
- * core::runSuite in the figure binaries.
+ * core::runSuite in the figure binaries. Its flags are the binary's
+ * last reads: an unread flag fails here, before the sweep.
  */
 inline core::SuiteResults
 runSuiteTimed(const core::SuiteOptions &options,
               const core::CliOptions &cli, const std::string &experiment)
 {
-    // Read before the sweep, so a bare --report fails before it runs.
+    // Every read before the check, and the check before the sweep, so
+    // a bare --report or an unread flag fails before any work.
     const std::string report_path = cli.getString("report", "");
+    const std::string journal_path = cli.getString("journal", "");
+    const bool leg_times = cli.has("leg-times");
+    cli.rejectUnreadFlags();
     core::SuiteResults results;
     try {
-        results = report::runJournaled(
-            options, cli.getString("journal", ""), progressMeter());
+        results =
+            report::runJournaled(options, journal_path, progressMeter());
     } catch (const report::JournalError &e) {
         fatal("%s", e.what());
     }
     reportThroughput(results, effectiveJobs(options.jobs));
-    if (cli.has("leg-times"))
+    if (leg_times)
         reportLegTimes(results);
     writeReport(report::buildSuiteReport(experiment, options, results),
                 report_path);
@@ -246,17 +247,130 @@ runSuiteTimed(const core::SuiteOptions &options,
 /**
  * Run a config sweep (core::runLanes) with progress and a throughput
  * report: every lane of @p lanes on every trace of @p suite, results
- * in lanes x traces order whatever the scheduling.
+ * in lanes x traces order whatever the scheduling. An unread flag of
+ * @p cli fails first, before the sweep.
  */
 inline core::LaneResults
-runLanesTimed(const ConfigSuite &suite,
+runLanesTimed(const ConfigSuite &suite, const core::CliOptions &cli,
               const std::vector<frontend::FrontendConfig> &lanes)
 {
+    cli.rejectUnreadFlags();
     core::LaneResults results = core::runLanes(
         suite.specs, suite.instructions, lanes, suite.jobs,
         suite.traceCacheDir, suite.slowLegMs, progressMeter());
     reportThroughput(results, effectiveJobs(suite.jobs));
     return results;
+}
+
+/** One efficiency heat-map figure: fig01 maps the I-cache, fig05 the
+ *  BTB. */
+struct HeatmapFigure
+{
+    const char *experiment;        ///< report experiment name
+    const char *traceName;         ///< the trace's name in the report
+    const char *title;             ///< headline up to ", trace ..."
+    bool btb;                      ///< map the BTB, else the I-cache
+    cache::CacheConfig structure;  ///< the mapped I-cache or BTB
+    const char *paperLine;         ///< printed after the maps ("" = none)
+};
+
+/**
+ * A heat-map figure's main: the five paper policies on one trace
+ * (--category, --seed, --instructions), one pool job per policy
+ * (--jobs). Prints each policy's mean efficiency, MPKI and ASCII map
+ * in paper order; the report (--report) holds every leg and, under
+ * extras.efficiency, every frame's efficiency. Efficiency is the
+ * fraction of occupied time a frame's block is live [Burger et al.].
+ */
+inline int
+runHeatmap(int argc, char **argv, const HeatmapFigure &figure)
+{
+    core::CliOptions cli(argc, argv);
+    const std::string report_path = cli.getString("report", "");
+    workload::TraceSpec spec;
+    spec.category = workload::parseCategory(
+        cli.getString("category", "SHORT-SERVER"));
+    spec.seed = cli.getUint("seed", 13);
+    spec.name = figure.traceName;
+    const std::uint64_t instructions =
+        cli.getUint("instructions", 4'000'000);
+    const unsigned jobs = cli.jobs();
+    core::applyLogLevel(cli);
+    cli.rejectUnreadFlags();
+
+    const trace::Trace tr = workload::buildTrace(spec, instructions);
+
+    std::printf("=== %s, trace %s seed %llu) ===\n\n", figure.title,
+                workload::categoryName(spec.category),
+                static_cast<unsigned long long>(spec.seed));
+
+    // One pool job per policy leg; rendered text is collected into
+    // per-policy slots and printed in paper order afterwards.
+    struct PolicyOutput
+    {
+        std::string text;
+        frontend::FrontendResult result;
+        double meanEfficiency = 0.0;
+        report::Json matrix = report::Json::object();
+    };
+    const std::size_t num_policies = std::size(frontend::paperPolicies);
+    std::vector<PolicyOutput> outputs(num_policies);
+    const auto sweep_start = std::chrono::steady_clock::now();
+    {
+        util::ThreadPool pool(jobs);
+        std::vector<std::future<void>> legs;
+        legs.reserve(num_policies);
+        for (std::size_t p = 0; p < num_policies; ++p)
+            legs.push_back(pool.submit([&, p]() {
+                frontend::FrontendConfig config;
+                config.policy = frontend::paperPolicies[p];
+                (figure.btb ? config.btb : config.icache) = figure.structure;
+                config.trackEfficiency = true;
+
+                frontend::FrontendSim sim(config);
+                const frontend::FrontendResult r = sim.run(tr);
+                const stats::EfficiencyTracker &eff =
+                    figure.btb ? *sim.btbTracker() : *sim.icacheTracker();
+
+                char head[128];
+                std::snprintf(head, sizeof(head),
+                              "--- %s: mean efficiency %.3f, "
+                              "%s %.3f ---\n",
+                              frontend::policyName(config.policy).c_str(),
+                              eff.meanEfficiency(),
+                              figure.btb ? "BTB MPKI" : "MPKI",
+                              figure.btb ? r.btbMpki : r.icacheMpki);
+                outputs[p].text =
+                    std::string(head) + eff.renderAscii(16) + "\n";
+                outputs[p].result = r;
+                outputs[p].meanEfficiency = eff.meanEfficiency();
+                outputs[p].matrix = report::efficiencyMatrixJson(eff);
+            }));
+        for (std::future<void> &f : legs)
+            f.get();
+    }
+    const double sweep_wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      sweep_start)
+            .count();
+    for (const PolicyOutput &out : outputs)
+        std::printf("%s", out.text.c_str());
+    std::printf("%s", figure.paperLine);
+
+    report::ReportBuilder builder(figure.experiment);
+    report::Json efficiency = report::Json::object();
+    for (std::size_t p = 0; p < num_policies; ++p) {
+        const char *policy =
+            frontend::policyName(frontend::paperPolicies[p]);
+        builder.addLeg(spec.name, policy, outputs[p].result);
+        builder.addMetric(std::string(policy) + "_mean_efficiency",
+                          outputs[p].meanEfficiency);
+        efficiency.set(policy, std::move(outputs[p].matrix));
+    }
+    builder.addExtra("efficiency", std::move(efficiency));
+    builder.setSweep(sweep_wall, jobs);
+    writeReport(builder.finish(), report_path);
+    return 0;
 }
 
 } // namespace ghrp::bench

@@ -20,7 +20,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 
@@ -30,7 +29,7 @@ main(int argc, char **argv)
     for (frontend::FrontendConfig &cfg : lanes)
         cfg.policy = frontend::PolicyKind::Ghrp;
     lanes[1].useIndirectPredictor = true;
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
 
     stats::RunningStats base_rate, itp_rate, base_mpki, itp_mpki;
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -21,7 +21,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 0);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 
@@ -38,7 +37,7 @@ main(int argc, char **argv)
             cfg.policy = policy;
             lanes.push_back(cfg);
         }
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
 
     stats::RunningStats lru_acc[3], ghrp_acc[3];
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -23,7 +23,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 24, 0);
 
     const core::SuiteResults results =

@@ -16,7 +16,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 10, 0);
 
     const core::SuiteResults results =

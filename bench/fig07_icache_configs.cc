@@ -17,7 +17,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const bench::ConfigSuite suite = bench::configSuite(cli, 8, 4'000'000);
     const std::vector<workload::TraceSpec> &specs = suite.specs;
 
@@ -40,7 +39,7 @@ main(int argc, char **argv)
             config.icache = cache::CacheConfig::icache(c.kb, c.assoc);
             lanes.push_back(config);
         }
-    const core::LaneResults run = bench::runLanesTimed(suite, lanes);
+    const core::LaneResults run = bench::runLanesTimed(suite, cli, lanes);
 
     // means[config][policy], summed in trace order.
     double sums[8][5] = {};

@@ -17,7 +17,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 16, 0);
     const double tolerance = cli.getDouble("tolerance", 0.02);
 

@@ -24,7 +24,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     core::SuiteOptions options = bench::suiteOptions(cli, 24, 0);
     options.base.btb = cache::CacheConfig::btb(
         static_cast<std::uint32_t>(cli.getUint("btb-entries", 4096)),

@@ -39,9 +39,9 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     const std::string report_path = cli.getString("report", "");
     core::applyLogLevel(cli);
+    cli.rejectUnreadFlags();
 
     std::printf("=== Table I: storage requirements ===\n\n");
 

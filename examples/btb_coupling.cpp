@@ -22,7 +22,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "LONG-SERVER"));
@@ -30,6 +29,7 @@ main(int argc, char **argv)
     spec.name = "btb-coupling";
     const std::uint64_t instructions =
         cli.getUint("instructions", 8'000'000);
+    cli.rejectUnreadFlags();
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
 

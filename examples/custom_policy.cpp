@@ -93,14 +93,15 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
         cli.getString("category", "SHORT-SERVER"));
     spec.seed = cli.getUint("seed", 21);
     spec.name = "custom";
-    const trace::Trace tr =
-        workload::buildTrace(spec, cli.getUint("instructions", 2'000'000));
+    const std::uint64_t instructions =
+        cli.getUint("instructions", 2'000'000);
+    cli.rejectUnreadFlags();
+    const trace::Trace tr = workload::buildTrace(spec, instructions);
 
     std::printf("Racing a custom policy against the built-ins on %s "
                 "(cold caches, no warmup)...\n\n",

@@ -21,7 +21,6 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
 
     workload::TraceSpec spec;
     spec.category = workload::parseCategory(
@@ -31,6 +30,7 @@ main(int argc, char **argv)
 
     const std::uint64_t instructions =
         cli.getUint("instructions", 2'000'000);
+    cli.rejectUnreadFlags();
 
     std::printf("Generating a %s workload (seed %llu, %llu instructions)"
                 "...\n",

@@ -23,16 +23,45 @@ namespace
 
 using namespace ghrp;
 
-void
-generate(const core::CliOptions &cli, const std::string &path)
+/** What --generate writes: a trace spec (--category, --seed) and its
+ *  length (--instructions, 0 = the category default). */
+struct GenerateArgs
 {
     workload::TraceSpec spec;
-    spec.category = workload::parseCategory(
+    std::uint64_t instructions = 0;
+};
+
+GenerateArgs
+generateArgs(const core::CliOptions &cli, const std::string &path)
+{
+    GenerateArgs args;
+    args.spec.category = workload::parseCategory(
         cli.getString("category", "SHORT-MOBILE"));
-    spec.seed = cli.getUint("seed", 1);
-    spec.name = path;
+    args.spec.seed = cli.getUint("seed", 1);
+    args.spec.name = path;
+    args.instructions = cli.getUint("instructions", 0);
+    return args;
+}
+
+/** The front end --replay runs: --policy and the --kb/--assoc I-cache. */
+frontend::FrontendConfig
+replayConfig(const core::CliOptions &cli)
+{
+    frontend::FrontendConfig cfg;
+    cfg.policy =
+        frontend::parsePolicySpec(cli.getString("policy", "GHRP"));
+    cfg.icache = cache::CacheConfig::icache(
+        static_cast<std::uint32_t>(cli.getUint("kb", 64)),
+        static_cast<std::uint32_t>(cli.getUint("assoc", 8)));
+    return cfg;
+}
+
+void
+generate(const GenerateArgs &args)
+{
+    const std::string &path = args.spec.name;
     const trace::Trace tr =
-        workload::buildTrace(spec, cli.getUint("instructions", 0));
+        workload::buildTrace(args.spec, args.instructions);
     trace::writeTrace(tr, path);
     std::printf("wrote %zu branch records to %s\n", tr.records.size(),
                 path.c_str());
@@ -66,15 +95,9 @@ info(const std::string &path)
 }
 
 void
-replay(const core::CliOptions &cli, const std::string &path)
+replay(const frontend::FrontendConfig &cfg, const std::string &path)
 {
     const trace::Trace tr = trace::readTrace(path);
-    frontend::FrontendConfig cfg;
-    cfg.policy =
-        frontend::parsePolicySpec(cli.getString("policy", "GHRP"));
-    cfg.icache = cache::CacheConfig::icache(
-        static_cast<std::uint32_t>(cli.getUint("kb", 64)),
-        static_cast<std::uint32_t>(cli.getUint("assoc", 8)));
     const frontend::FrontendResult r = frontend::simulateTrace(cfg, tr);
     std::printf("%s on %s (%s I-cache):\n", r.policy.c_str(),
                 tr.name.c_str(), cfg.icache.describe().c_str());
@@ -89,21 +112,33 @@ replay(const core::CliOptions &cli, const std::string &path)
 int
 main(int argc, char **argv)
 {
+    // The first mode given wins; the flags of any later mode stay
+    // unread and are rejected.
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
-    if (cli.has("generate")) {
-        generate(cli, cli.getString("generate", ""));
-    } else if (cli.has("info")) {
-        info(cli.getString("info", ""));
-    } else if (cli.has("replay")) {
-        replay(cli, cli.getString("replay", ""));
+    if (const std::string path = cli.getString("generate", "");
+        !path.empty()) {
+        const GenerateArgs args = generateArgs(cli, path);
+        cli.rejectUnreadFlags();
+        generate(args);
+    } else if (const std::string path = cli.getString("info", "");
+               !path.empty()) {
+        cli.rejectUnreadFlags();
+        info(path);
+    } else if (const std::string path = cli.getString("replay", "");
+               !path.empty()) {
+        const frontend::FrontendConfig cfg = replayConfig(cli);
+        cli.rejectUnreadFlags();
+        replay(cfg, path);
     } else {
         // Default demo: generate to a temp file, inspect, replay.
-        const std::string path = "/tmp/ghrp_demo.trc";
-        generate(cli, path);
-        info(path);
-        replay(cli, path);
-        std::remove(path.c_str());
+        const std::string demo = "/tmp/ghrp_demo.trc";
+        const GenerateArgs args = generateArgs(cli, demo);
+        const frontend::FrontendConfig cfg = replayConfig(cli);
+        cli.rejectUnreadFlags();
+        generate(args);
+        info(demo);
+        replay(cfg, demo);
+        std::remove(demo.c_str());
     }
     return 0;
 }

@@ -231,7 +231,6 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    cli.requireKnownFlags();
 
     workload::TraceSpec spec;
     spec.category =
@@ -242,6 +241,11 @@ main(int argc, char **argv)
     const auto kb = static_cast<std::uint32_t>(cli.getUint("kb", 64));
     const auto assoc = static_cast<std::uint32_t>(cli.getUint("assoc", 8));
     const std::uint32_t sets = kb * 1024 / 64 / assoc;
+    const auto btb_entries =
+        static_cast<std::uint32_t>(cli.getUint("btb-entries", 4096));
+    const auto btb_assoc =
+        static_cast<std::uint32_t>(cli.getUint("btb-assoc", 8));
+    cli.rejectUnreadFlags();
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
     const AccessStream stream = collectStream(tr);
@@ -363,10 +367,6 @@ main(int argc, char **argv)
                 pc_info.deadCoverage80, pc_info.liveLoss80);
 
     // ---- BTB anatomy ------------------------------------------------
-    const auto btb_entries =
-        static_cast<std::uint32_t>(cli.getUint("btb-entries", 4096));
-    const auto btb_assoc =
-        static_cast<std::uint32_t>(cli.getUint("btb-assoc", 8));
     const std::uint32_t btb_sets = btb_entries / btb_assoc;
     const AccessStream btb_stream = collectBtbStream(tr);
     const LruOutcome btb_lru =

@@ -1,6 +1,5 @@
 #include "core/cli.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -18,48 +17,60 @@ CliOptions::CliOptions(int argc, char **argv)
                   arg.c_str());
         arg = arg.substr(2);
 
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-            values[arg.substr(0, eq)] = arg.substr(eq + 1);
-            continue;
+        std::string name = arg;
+        std::string value;  // "" = bare boolean flag
+        if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
+            name = arg.substr(0, eq);
+            value = arg.substr(eq + 1);
+        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+            value = argv[++i];
         }
-        if (i + 1 < argc && argv[i + 1][0] != '-') {
-            values[arg] = argv[i + 1];
-            ++i;
-        } else {
-            values[arg] = "";  // bare boolean flag
-        }
+        values[name] = value;
+        given.push_back(name);
     }
+}
+
+const std::string *
+CliOptions::find(const std::string &name) const
+{
+    read.insert(name);
+    const auto it = values.find(name);
+    return it == values.end() ? nullptr : &it->second;
+}
+
+const std::string *
+CliOptions::findValue(const std::string &name) const
+{
+    const std::string *value = find(name);
+    if (value && value->empty())
+        fatal("flag --%s requires a value", name.c_str());
+    return value;
 }
 
 std::uint64_t
 CliOptions::getUint(const std::string &name,
                     std::uint64_t default_value) const
 {
-    const auto it = values.find(name);
-    if (it == values.end())
+    const std::string *text = findValue(name);
+    if (!text)
         return default_value;
-    if (it->second.empty())
-        fatal("flag --%s requires a value", name.c_str());
-    const std::optional<std::uint64_t> value = parseUint(it->second);
+    const std::optional<std::uint64_t> value = parseUint(*text);
     if (!value)
         fatal("flag --%s expects an unsigned integer, got '%s'",
-              name.c_str(), it->second.c_str());
+              name.c_str(), text->c_str());
     return *value;
 }
 
 double
 CliOptions::getDouble(const std::string &name, double default_value) const
 {
-    const auto it = values.find(name);
-    if (it == values.end())
+    const std::string *text = findValue(name);
+    if (!text)
         return default_value;
-    if (it->second.empty())
-        fatal("flag --%s requires a value", name.c_str());
-    const std::optional<double> value = parseDouble(it->second);
+    const std::optional<double> value = parseDouble(*text);
     if (!value)
         fatal("flag --%s expects a number, got '%s'", name.c_str(),
-              it->second.c_str());
+              text->c_str());
     return *value;
 }
 
@@ -67,18 +78,18 @@ std::string
 CliOptions::getString(const std::string &name,
                       const std::string &default_value) const
 {
-    const auto it = values.find(name);
-    if (it == values.end())
-        return default_value;
-    if (it->second.empty())
-        fatal("flag --%s requires a value", name.c_str());
-    return it->second;
+    const std::string *text = findValue(name);
+    return text ? *text : default_value;
 }
 
 bool
 CliOptions::has(const std::string &name) const
 {
-    return values.count(name) != 0;
+    const std::string *value = find(name);
+    if (value && !value->empty())
+        fatal("flag --%s takes no value, got '%s'", name.c_str(),
+              value->c_str());
+    return value != nullptr;
 }
 
 unsigned
@@ -92,15 +103,12 @@ CliOptions::jobs() const
 }
 
 void
-CliOptions::requireKnownFlags() const
+CliOptions::rejectUnreadFlags() const
 {
-    const std::vector<CliFlag> &known = knownCliFlags();
-    for (const auto &entry : values) {
-        const std::string &name = entry.first;
-        if (std::none_of(known.begin(), known.end(),
-                         [&](const CliFlag &f) { return f.name == name; }))
-            fatal("unknown flag --%s", name.c_str());
-    }
+    for (const std::string &name : given)
+        if (!read.count(name))
+            fatal("unknown flag --%s: this binary does not read it",
+                  name.c_str());
 }
 
 std::optional<std::uint64_t>
@@ -123,54 +131,6 @@ parseDouble(const std::string &text)
     if (ec != std::errc() || ptr != end || !std::isfinite(value))
         return std::nullopt;
     return value;
-}
-
-const std::vector<CliFlag> &
-knownCliFlags()
-{
-    static const std::vector<CliFlag> flags = {
-        {"traces", "suite size (number of synthetic traces)"},
-        {"instructions", "per-trace dynamic instruction override"},
-        {"seed", "suite base seed"},
-        {"jobs",
-         "sweep worker threads (0 = hardware concurrency, 1 = serial, "
-         "at most 256)"},
-        {"fused",
-         "fuse all policy legs of a trace into one walk of its decoded "
-         "stream; results are bit-identical"},
-        {"trace-cache",
-         "content-addressed trace store directory"},
-        {"leg-times", "print the per-leg wall-time table"},
-        {"log-level",
-         "verbosity: quiet|warn|info (warn suppresses progress and "
-         "throughput reporting)"},
-        {"slow-leg-ms",
-         "warn about (trace, policy) legs slower than N milliseconds"},
-        {"report",
-         "write a versioned JSON run report to FILE"},
-        {"journal",
-         "crash resume: journal every finished leg to FILE and skip the "
-         "legs FILE already holds for the same sweep"},
-        {"kb", "I-cache size in KiB"},
-        {"assoc", "I-cache associativity"},
-        {"btb-entries", "BTB entry count"},
-        {"btb-assoc", "BTB associativity"},
-        {"policy",
-         "replacement policy: a name (LRU, SRRIP, GHRP, ...) or a "
-         "set-dueling spec duel:<A>,<B>[,psel=N][,leaders=K]"},
-        {"category", "workload category for single-trace tools"},
-        {"tolerance", "win/similar/worse relative tolerance"},
-        {"generate", "trace-tool mode: generate a trace file"},
-        {"replay", "trace-tool mode: replay a trace file"},
-        {"info", "trace-tool mode: print trace metadata"},
-        {"duel",
-         "append a duel:<A>,<B> set-dueling leg to the suite's "
-         "policy axis (bench suites)"},
-        {"phase-window",
-         "phase flight recorder: sample a windowed telemetry record "
-         "every N instructions (0 = off)"},
-    };
-    return flags;
 }
 
 void

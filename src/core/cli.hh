@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal command-line parsing shared by the bench binaries and
- * examples: --traces N, --instructions M, --seed S, --jobs N (sweep
- * worker threads; 0 = hardware concurrency, 1 = serial), --log-level,
- * plus binary-specific extras registered by name.
+ * examples. A binary takes exactly the flags it reads: the getters
+ * record every name they are asked for, and rejectUnreadFlags() fails
+ * on any flag given that none of them read.
  */
 
 #ifndef GHRP_CORE_CLI_HH
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,17 +22,19 @@ namespace ghrp::core
 /** Largest --jobs value accepted (see CliOptions::jobs). */
 inline constexpr unsigned kMaxJobs = 256;
 
-/** Parsed command-line options. */
+/**
+ * Parsed command-line options. Every getter records the flag name it
+ * reads (present or not), so the getters are not thread-safe; a binary
+ * reads its flags on one thread before any work.
+ */
 class CliOptions
 {
   public:
     /**
      * Parse argv. Accepted shapes: "--name value", "--name=value" and
      * "--flag" (bare booleans). The parser stores any --name, and a
-     * non-flag positional argument is fatal(); requireKnownFlags()
-     * then rejects names outside knownCliFlags(), the registry of flags
-     * the bench/example binaries consume. The docs checker test
-     * verifies every flag mentioned in the Markdown docs against it.
+     * non-flag positional argument is fatal(); rejectUnreadFlags()
+     * later rejects the names no getter read.
      */
     CliOptions(int argc, char **argv);
 
@@ -49,7 +52,8 @@ class CliOptions
     std::string getString(const std::string &name,
                           const std::string &default_value) const;
 
-    /** True when a bare boolean flag was given. */
+    /** True when a bare boolean flag was given; fatal() when it was
+     *  given a value ("--fused false" must not fuse). */
     bool has(const std::string &name) const;
 
     /**
@@ -60,17 +64,26 @@ class CliOptions
     unsigned jobs() const;
 
     /**
-     * fatal() naming the first given flag that is not in
-     * knownCliFlags(), so a misspelt flag fails instead of running the
-     * defaults. Every bench, example and tool binary calls
-     * this once after parsing; it is not part of the constructor
-     * because a binary with flags of its own (perfbench) parses
-     * through this class too.
+     * fatal() naming the first flag on the command line that no getter
+     * has read, so a misspelt flag, or one this binary does not take,
+     * fails instead of running the defaults. Every bench and example
+     * binary calls this once, after its last read and before any work
+     * (bench::runSuiteTimed and bench::runLanesTimed call it for the
+     * sweeps); it is not part of the constructor because the reads come
+     * after it.
      */
-    void requireKnownFlags() const;
+    void rejectUnreadFlags() const;
 
   private:
+    /** The value given for @p name, or nullptr; records the read. */
+    const std::string *find(const std::string &name) const;
+
+    /** As find(), but fatal() when the flag was given bare. */
+    const std::string *findValue(const std::string &name) const;
+
     std::map<std::string, std::string> values;
+    std::vector<std::string> given;  ///< flag names in argv order
+    mutable std::set<std::string> read;
 };
 
 /**
@@ -86,21 +99,6 @@ std::optional<std::uint64_t> parseUint(const std::string &text);
  * whitespace, no trailing characters, no overflow, no inf or nan.
  */
 std::optional<double> parseDouble(const std::string &text);
-
-/** One entry of the known-flag registry. */
-struct CliFlag
-{
-    std::string name;   ///< without the leading "--"
-    std::string usage;  ///< one-line description
-};
-
-/**
- * Every --flag consumed by the bench and example binaries, with its
- * usage string. Documentation lives or dies by this list: the docs
- * checker (tests/report/test_docs.cc) fails when README/DESIGN/
- * EXPERIMENTS mention a flag that is not registered here.
- */
-const std::vector<CliFlag> &knownCliFlags();
 
 /**
  * Apply --log-level quiet|warn|info (aliases: normal, debug/verbose);

@@ -195,25 +195,81 @@ TEST(CliDeathTest, JobsAboveTheCapFatal)
 
 TEST(Cli, KnownFlagsPass)
 {
+    // Every flag given is read, so the check returns; reading a flag
+    // that was not given is harmless.
     const CliOptions cli =
         parse({"--traces", "2", "--log-level", "warn", "--jobs=1",
-               "--policy", "GHRP"});
-    cli.requireKnownFlags();  // returns
+               "--policy", "GHRP", "--fused"});
+    EXPECT_EQ(cli.getUint("traces", 0), 2u);
+    EXPECT_EQ(cli.getString("policy", ""), "GHRP");
+    EXPECT_TRUE(cli.has("fused"));
+    EXPECT_FALSE(cli.has("leg-times"));
+    EXPECT_DOUBLE_EQ(cli.getDouble("tolerance", 0.5), 0.5);
+    EXPECT_EQ(cli.jobs(), 1u);
+    const ghrp::LogLevel saved = ghrp::logLevel();
+    ghrp::core::applyLogLevel(cli);
+    ghrp::setLogLevel(saved);
+    cli.rejectUnreadFlags();  // returns
     SUCCEED();
 }
 
 TEST(CliDeathTest, UnknownFlagFatal)
 {
     const CliOptions typo = parse({"--tracess", "2"});
-    EXPECT_EXIT(typo.requireKnownFlags(), ::testing::ExitedWithCode(1),
+    typo.getUint("traces", 1);
+    EXPECT_EXIT(typo.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
                 "unknown flag --tracess");
     const CliOptions removed = parse({"--instructions", "100", "--pgm"});
-    EXPECT_EXIT(removed.requireKnownFlags(), ::testing::ExitedWithCode(1),
+    removed.getUint("instructions", 1);
+    EXPECT_EXIT(removed.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
                 "unknown flag --pgm");
     // --quiet is not a flag; --log-level warn is.
     const CliOptions quiet = parse({"--quiet"});
-    EXPECT_EXIT(quiet.requireKnownFlags(), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(quiet.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
                 "unknown flag --quiet");
+    // Another binary reads --kb, but one that reads only the suite
+    // flags must refuse it rather than run the default size. The first
+    // unread flag on the line is the one named.
+    const CliOptions other =
+        parse({"--kb", "16", "--traces", "1", "--tolerance", "0.1"});
+    other.getUint("traces", 24);
+    EXPECT_EXIT(other.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --kb: this binary does not read it");
+}
+
+TEST(CliDeathTest, JobsAndLogLevelCountAsReads)
+{
+    // jobs() and applyLogLevel() read their flags through the getters,
+    // so a binary that calls them takes --jobs and --log-level, and one
+    // that does not refuses them.
+    const CliOptions cli = parse({"--jobs", "2", "--log-level", "info"});
+    EXPECT_EXIT(cli.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --jobs");
+    EXPECT_EQ(cli.jobs(), 2u);
+    EXPECT_EXIT(cli.rejectUnreadFlags(), ::testing::ExitedWithCode(1),
+                "unknown flag --log-level");
+    const ghrp::LogLevel saved = ghrp::logLevel();
+    ghrp::core::applyLogLevel(cli);
+    ghrp::setLogLevel(saved);
+    cli.rejectUnreadFlags();  // returns
+}
+
+TEST(CliDeathTest, BooleanFlagWithValueFatal)
+{
+    // "--fused false" must not fuse, and "--leg-times 0" must not
+    // print the table: has() refuses a value in every shape.
+    for (const CliOptions &cli :
+         {parse({"--fused", "false"}), parse({"--fused=0"}),
+          parse({"--traces", "1", "--fused", "yes", "--seed", "2"})})
+        EXPECT_EXIT(cli.has("fused"), ::testing::ExitedWithCode(1),
+                    "flag --fused takes no value");
+    EXPECT_EXIT(parse({"--leg-times", "0"}).has("leg-times"),
+                ::testing::ExitedWithCode(1),
+                "flag --leg-times takes no value");
+    // Bare, at the end of the line or before another flag, it is on.
+    EXPECT_TRUE(parse({"--traces", "1", "--fused"}).has("fused"));
+    EXPECT_TRUE(parse({"--fused", "--traces", "1"}).has("fused"));
+    EXPECT_TRUE(parse({"--fused="}).has("fused"));
 }
 
 TEST(Cli, LogLevelIgnoresTheEnvironment)
